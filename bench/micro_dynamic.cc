@@ -1,8 +1,7 @@
 // Google-benchmark micro suite: DynamicBipartiteGraph primitives — seeding
 // from CSR, mixed insert/delete round-trips with incremental support
 // maintenance, pure insertion streams, and Snapshot() compaction back to
-// CSR.  Split out of micro_extensions.cc, which stays excluded until the
-// remaining extension modules land.
+// CSR.
 
 #include <benchmark/benchmark.h>
 

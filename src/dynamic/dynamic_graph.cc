@@ -20,10 +20,7 @@ DynamicBipartiteGraph::DynamicBipartiteGraph(const BipartiteGraph& seed)
   for (EdgeId e = 0; e < seed.NumEdges(); ++e) {
     const VertexId u = seed.EdgeUpper(e);
     const VertexId v = seed.EdgeLower(e);
-    slots_[e] = {u, v, static_cast<std::uint32_t>(adj_[u].size()),
-                 static_cast<std::uint32_t>(adj_[v].size()), sup[e]};
-    adj_[u].push_back({v, e});
-    adj_[v].push_back({u, e});
+    Link(e, u, v, sup[e]);
     edge_index_.emplace(PairKey(u, v), e);
     support_sum += sup[e];
   }
@@ -53,21 +50,8 @@ StatusOr<EdgeId> DynamicBipartiteGraph::InsertEdge(VertexId upper_local,
 
   // New butterflies are exactly those through (u, v); each adds +1 support
   // to its three pre-existing edges, and the new edge collects the total.
-  std::uint64_t found = 0;
-  internal::ForEachButterflyThroughEdge(
-      *this, u, v, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
-        ++found;
-        slots_[e1].support = internal::SaturatingIncrement(slots_[e1].support);
-        slots_[e2].support = internal::SaturatingIncrement(slots_[e2].support);
-        slots_[e3].support = internal::SaturatingIncrement(slots_[e3].support);
-        if (delta != nullptr) {
-          delta->touched.push_back(e1);
-          delta->touched.push_back(e2);
-          delta->touched.push_back(e3);
-        }
-      });
+  const std::uint64_t found = ShiftPartnerSupports(u, v, true, delta);
   num_butterflies_ += found;
-  if (delta != nullptr) delta->butterflies = found;
 
   EdgeId e;
   if (!free_slots_.empty()) {
@@ -77,11 +61,7 @@ StatusOr<EdgeId> DynamicBipartiteGraph::InsertEdge(VertexId upper_local,
     e = static_cast<EdgeId>(slots_.size());
     slots_.emplace_back();
   }
-  slots_[e] = {u, v, static_cast<std::uint32_t>(adj_[u].size()),
-               static_cast<std::uint32_t>(adj_[v].size()),
-               internal::SaturatingSupportCast(found)};
-  adj_[u].push_back({v, e});
-  adj_[v].push_back({u, e});
+  Link(e, u, v, internal::SaturatingSupportCast(found));
   edge_index_.emplace(key, e);
   ++num_live_;
   return e;
@@ -101,25 +81,9 @@ Status DynamicBipartiteGraph::DeleteEdge(EdgeId e, UpdateDelta* delta) {
   // the -1 delta.  A support-0 edge is in no butterfly, so the wedge walk
   // would find nothing — skip it.
   if (slot.support != 0) {
-    std::uint64_t found = 0;
-    internal::ForEachButterflyThroughEdge(
-        *this, u, v, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
-          ++found;
-          slots_[e1].support =
-              internal::SaturatingDecrement(slots_[e1].support);
-          slots_[e2].support =
-              internal::SaturatingDecrement(slots_[e2].support);
-          slots_[e3].support =
-              internal::SaturatingDecrement(slots_[e3].support);
-          if (delta != nullptr) {
-            delta->touched.push_back(e1);
-            delta->touched.push_back(e2);
-            delta->touched.push_back(e3);
-          }
-        });
+    const std::uint64_t found = ShiftPartnerSupports(u, v, false, delta);
     assert(found == slot.support);
     num_butterflies_ -= found;
-    if (delta != nullptr) delta->butterflies = found;
   }
 
   RemoveAdjEntry(u, slot.upper_pos);
@@ -129,6 +93,31 @@ Status DynamicBipartiteGraph::DeleteEdge(EdgeId e, UpdateDelta* delta) {
   free_slots_.push_back(e);
   --num_live_;
   return OkStatus();
+}
+
+std::uint64_t DynamicBipartiteGraph::ShiftPartnerSupports(
+    VertexId u, VertexId v, bool gained, UpdateDelta* delta) {
+  std::uint64_t found = 0;
+  internal::ForEachButterflyThroughEdge(
+      *this, u, v, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
+        ++found;
+        for (const EdgeId e : {e1, e2, e3}) {
+          slots_[e].support =
+              gained ? internal::SaturatingIncrement(slots_[e].support)
+                     : internal::SaturatingDecrement(slots_[e].support);
+          if (delta != nullptr) delta->touched.push_back(e);
+        }
+      });
+  if (delta != nullptr) delta->butterflies = found;
+  return found;
+}
+
+void DynamicBipartiteGraph::Link(EdgeId e, VertexId u, VertexId v,
+                                 SupportT support) {
+  slots_[e] = {u, v, static_cast<std::uint32_t>(adj_[u].size()),
+               static_cast<std::uint32_t>(adj_[v].size()), support};
+  adj_[u].push_back({v, e});
+  adj_[v].push_back({u, e});
 }
 
 void DynamicBipartiteGraph::RemoveAdjEntry(VertexId v, std::uint32_t pos) {
@@ -174,18 +163,26 @@ std::vector<EdgeId> DynamicBipartiteGraph::CompactSlots() {
 }
 
 GraphSnapshot DynamicBipartiteGraph::Snapshot() const {
-  // Live edges in lexicographic (upper, lower) order so the CSR ids match
+  std::vector<EdgeId> live;
+  live.reserve(num_live_);
+  for (EdgeId e = 0; e < NumSlots(); ++e) {
+    if (IsLive(e)) live.push_back(e);
+  }
+  return SnapshotOf(live);
+}
+
+GraphSnapshot DynamicBipartiteGraph::SnapshotOf(
+    const std::vector<EdgeId>& slots) const {
+  // Edges in lexicographic (upper, lower) order so the CSR ids match
   // BipartiteGraph's documented edge-id invariant.
   struct Row {
     VertexId upper_local, lower_local;
     EdgeId slot;
   };
   std::vector<Row> rows;
-  rows.reserve(num_live_);
-  for (EdgeId e = 0; e < NumSlots(); ++e) {
-    if (IsLive(e)) {
-      rows.push_back({slots_[e].upper, slots_[e].lower - num_upper_, e});
-    }
+  rows.reserve(slots.size());
+  for (const EdgeId e : slots) {
+    rows.push_back({slots_[e].upper, slots_[e].lower - num_upper_, e});
   }
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     return a.upper_local != b.upper_local ? a.upper_local < b.upper_local
@@ -261,11 +258,7 @@ StatusOr<DynamicBipartiteGraph> DynamicBipartiteGraph::FromState(
              .second) {
       return DataLossError("graph state: duplicate edge");
     }
-    graph.slots_[s] = {u, v, static_cast<std::uint32_t>(graph.adj_[u].size()),
-                       static_cast<std::uint32_t>(graph.adj_[v].size()),
-                       state.support[s]};
-    graph.adj_[u].push_back({v, static_cast<EdgeId>(s)});
-    graph.adj_[v].push_back({u, static_cast<EdgeId>(s)});
+    graph.Link(static_cast<EdgeId>(s), u, v, state.support[s]);
     support_sum += state.support[s];
     ++live;
   }

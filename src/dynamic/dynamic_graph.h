@@ -176,6 +176,8 @@ class DynamicBipartiteGraph {
 
   /// Compacts the live edges to CSR; see GraphSnapshot.
   GraphSnapshot Snapshot() const;
+  /// Same, over just the given live slots (any order).
+  GraphSnapshot SnapshotOf(const std::vector<EdgeId>& slots) const;
 
   /// Serializable image of the current state; see DynamicGraphState.
   DynamicGraphState ExportState() const;
@@ -217,6 +219,13 @@ class DynamicBipartiteGraph {
     return (static_cast<std::uint64_t>(upper) << 32) | lower;
   }
 
+  /// Moves the support of every other edge of each butterfly through
+  /// (u, v) one step up (`gained`) or down, reporting them in `delta`;
+  /// returns the butterfly count.
+  std::uint64_t ShiftPartnerSupports(VertexId u, VertexId v, bool gained,
+                                     UpdateDelta* delta);
+  /// Fills slot e with the edge (u, v) and appends its adjacency entries.
+  void Link(EdgeId e, VertexId u, VertexId v, SupportT support);
   /// Swap-pop removal of adj_[v][pos], fixing the moved entry's slot.
   void RemoveAdjEntry(VertexId v, std::uint32_t pos);
 

@@ -48,17 +48,14 @@ struct DynamicMetrics {
 
 IncrementalBitruss::IncrementalBitruss(const BipartiteGraph& seed,
                                        IncrementalBitrussOptions options)
-    : options_(std::move(options)), graph_(seed) {
-  // A finite deadline could leave the initial phi (or a fallback) partial,
-  // poisoning every later repair; maintenance always runs to completion.
-  options_.decompose.deadline = Deadline();
+    : IncrementalBitruss(DynamicBipartiteGraph(seed),
+                         std::vector<SupportT>(seed.NumEdges(), 0),
+                         std::move(options)) {
   const GraphSnapshot snapshot = graph_.Snapshot();
   const BitrussResult initial = Decompose(snapshot.graph, options_.decompose);
-  phi_.assign(graph_.NumSlots(), 0);
   for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
     phi_[snapshot.slot_of_edge[e]] = initial.phi[e];
   }
-  stamp_.assign(graph_.NumSlots(), 0);
 }
 
 IncrementalBitruss::IncrementalBitruss(DynamicBipartiteGraph graph,
@@ -71,7 +68,9 @@ IncrementalBitruss::IncrementalBitruss(DynamicBipartiteGraph graph,
     throw std::invalid_argument(
         "IncrementalBitruss: phi size does not match the slot table");
   }
-  options_.decompose.deadline = Deadline();  // same rule as the seed ctor
+  // A finite deadline could leave the initial phi (or a fallback) partial,
+  // poisoning every later repair; maintenance always runs to completion.
+  options_.decompose.deadline = Deadline();
   stamp_.assign(graph_.NumSlots(), 0);
 }
 
@@ -150,6 +149,14 @@ Status IncrementalBitruss::DeleteEdge(EdgeId slot) {
   }
   FinishUpdate(local_ok, u, v);
   return status;
+}
+
+Status IncrementalBitruss::Apply(const EdgeUpdate& update) {
+  if (update.kind == EdgeUpdate::Kind::kInsert) {
+    return InsertEdge(update.upper_local, update.lower_local).status();
+  }
+  return DeleteEdge(graph_.FindEdge(
+      update.upper_local, graph_.NumUpper() + update.lower_local));
 }
 
 bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
@@ -300,39 +307,23 @@ void IncrementalBitruss::RecomputeComponents(const VertexId u,
   push(u);
   push(v);
 
-  struct Row {
-    VertexId upper_local, lower_local;
-    EdgeId slot;
-  };
-  std::vector<Row> rows;
+  std::vector<EdgeId> slots;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const VertexId x = queue[head];
     for (const DynamicBipartiteGraph::Entry& entry : graph_.Neighbors(x)) {
       push(entry.neighbor);
-      if (x < graph_.NumUpper()) {  // each edge once, from its upper side
-        rows.push_back({x, entry.neighbor - graph_.NumUpper(), entry.edge});
-      }
+      // Each edge once, from its upper side.
+      if (x < graph_.NumUpper()) slots.push_back(entry.edge);
     }
   }
-  if (rows.empty()) return;
+  if (slots.empty()) return;
 
-  // Lexicographic endpoint order matches the BipartiteGraph constructor's
-  // edge-id assignment, giving the component-id -> slot mapping for free.
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a.upper_local != b.upper_local ? a.upper_local < b.upper_local
-                                          : a.lower_local < b.lower_local;
-  });
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  pairs.reserve(rows.size());
-  for (const Row& row : rows) {
-    pairs.emplace_back(row.upper_local, row.lower_local);
-  }
-  const BipartiteGraph component(graph_.NumUpper(), graph_.NumLower(),
-                                 std::move(pairs));
-  const BitrussResult result = Decompose(component, options_.decompose);
-  for (EdgeId e = 0; e < component.NumEdges(); ++e) {
-    if (phi_[rows[e].slot] != result.phi[e]) ++last_.phi_changes;
-    phi_[rows[e].slot] = result.phi[e];
+  const GraphSnapshot component = graph_.SnapshotOf(slots);
+  const BitrussResult result = Decompose(component.graph, options_.decompose);
+  for (EdgeId e = 0; e < component.graph.NumEdges(); ++e) {
+    const EdgeId slot = component.slot_of_edge[e];
+    if (phi_[slot] != result.phi[e]) ++last_.phi_changes;
+    phi_[slot] = result.phi[e];
   }
 }
 

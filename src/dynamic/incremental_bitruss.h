@@ -80,6 +80,16 @@ struct IncrementalUpdateStats {
   std::uint64_t phi_changes = 0;     ///< edges whose phi actually moved
 };
 
+/// One edge mutation addressed by its endpoint pair (side-local ids, like
+/// the DynamicBipartiteGraph mutation APIs): slot ids are writer-internal
+/// and do not survive compaction, but the pair always names the same edge.
+struct EdgeUpdate {
+  enum class Kind : std::uint8_t { kInsert, kDelete };
+  Kind kind = Kind::kInsert;
+  VertexId upper_local = 0;
+  VertexId lower_local = 0;
+};
+
 /// Stream-lifetime aggregates.
 struct IncrementalTotals {
   std::uint64_t inserts = 0;
@@ -140,6 +150,9 @@ class IncrementalBitruss {
   [[nodiscard]] StatusOr<EdgeId> InsertEdge(VertexId upper_local,
                                             VertexId lower_local);
   [[nodiscard]] Status DeleteEdge(EdgeId slot);
+  /// Applies one endpoint-addressed update: InsertEdge, or DeleteEdge of
+  /// the slot holding the pair (kNotFound when no such edge is live).
+  [[nodiscard]] Status Apply(const EdgeUpdate& update);
 
   /// Compacts the underlying slot table (DynamicBipartiteGraph::
   /// CompactSlots) and remaps the maintained phi.  Returns the old-slot ->

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <stdexcept>
 
 namespace bitruss {
@@ -22,9 +21,74 @@ Status EnsureDir(const std::string& dir) {
   return InternalError("mkdir(" + dir + "): " + std::strerror(errno));
 }
 
-bool HasPriorDurableState(const std::string& dir) {
-  return !persist::ListStampedFiles(dir, "wal-", ".seg").empty() ||
-         !persist::ListStampedFiles(dir, "snapshot-", ".snap").empty();
+// Runs one read and records its latency (acquisition + query) in
+// `seconds`.
+template <typename Read>
+auto TimedRead(obs::Histogram& seconds, const Read& read) {
+  const Clock::time_point start = Clock::now();
+  auto result = read();
+  seconds.Observe(std::chrono::duration<double>(Clock::now() - start).count());
+  return result;
+}
+
+// EdgeUpdate <-> WalRecord: the log stores kind 0 for insert, 1 for delete.
+persist::WalRecord ToWalRecord(const EdgeUpdate& update, std::uint64_t seq) {
+  persist::WalRecord record;
+  record.seq = seq;
+  record.kind = update.kind == EdgeUpdate::Kind::kInsert ? 0 : 1;
+  record.upper_local = update.upper_local;
+  record.lower_local = update.lower_local;
+  return record;
+}
+
+EdgeUpdate ToEdgeUpdate(const persist::WalRecord& record) {
+  return {record.kind == 0 ? EdgeUpdate::Kind::kInsert
+                           : EdgeUpdate::Kind::kDelete,
+          record.upper_local, record.lower_local};
+}
+
+// IncrementalBitruss <-> StateSnapshot: the full image at absolute update
+// count `applied`, and its restore against the seed's vertex universe.
+persist::StateSnapshot ToState(const IncrementalBitruss& inc,
+                               std::uint64_t applied) {
+  DynamicGraphState graph = inc.Graph().ExportState();
+  persist::StateSnapshot state;
+  state.applied = applied;
+  state.num_upper = graph.num_upper;
+  state.num_lower = graph.num_lower;
+  state.num_butterflies = graph.num_butterflies;
+  state.upper = std::move(graph.upper);
+  state.lower = std::move(graph.lower);
+  state.support = std::move(graph.support);
+  state.phi = inc.PhiBySlot();
+  state.free_slots = std::move(graph.free_slots);
+  return state;
+}
+
+StatusOr<IncrementalBitruss> FromState(
+    const BipartiteGraph& seed, persist::StateSnapshot snap,
+    const IncrementalBitrussOptions& options) {
+  if (snap.num_upper != seed.NumUpper() || snap.num_lower != seed.NumLower()) {
+    return DataLossError("durable snapshot vertex universe (" +
+                         std::to_string(snap.num_upper) + "x" +
+                         std::to_string(snap.num_lower) +
+                         ") does not match the seed graph (" +
+                         std::to_string(seed.NumUpper()) + "x" +
+                         std::to_string(seed.NumLower()) + ")");
+  }
+  DynamicGraphState graph_state;
+  graph_state.num_upper = snap.num_upper;
+  graph_state.num_lower = snap.num_lower;
+  graph_state.num_butterflies = snap.num_butterflies;
+  graph_state.upper = std::move(snap.upper);
+  graph_state.lower = std::move(snap.lower);
+  graph_state.support = std::move(snap.support);
+  graph_state.free_slots = std::move(snap.free_slots);
+  StatusOr<DynamicBipartiteGraph> graph =
+      DynamicBipartiteGraph::FromState(graph_state);
+  if (!graph.ok()) return graph.status();
+  return IncrementalBitruss(std::move(graph).value(), std::move(snap.phi),
+                            options);
 }
 }  // namespace
 
@@ -61,10 +125,16 @@ std::vector<std::pair<SupportT, std::uint64_t>> PhiSnapshot::PhiHistogram()
 
 BitrussService::BitrussService(const BipartiteGraph& seed,
                                BitrussServiceOptions options)
+    : BitrussService(StartFresh(seed, options), options) {}
+
+BitrussService::BitrussService(RestoredState state,
+                               BitrussServiceOptions options)
     : options_(std::move(options)),
-      inc_(seed, options_.incremental),
-      num_upper_(seed.NumUpper()),
-      num_lower_(seed.NumLower()),
+      inc_(std::move(state.inc)),
+      num_upper_(inc_.Graph().NumUpper()),
+      num_lower_(inc_.Graph().NumLower()),
+      recovered_base_(state.applied),
+      wal_(std::move(state.wal)),
       publish_seconds_(obs::ExponentialBuckets(1e-5, 2.0, 16)),
       staleness_updates_(obs::ExponentialBuckets(1.0, 2.0, 12)),
       // Lifecycle latencies: applies can take microseconds (trivial
@@ -77,76 +147,36 @@ BitrussService::BitrussService(const BipartiteGraph& seed,
       read_topk_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
       read_histogram_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)) {
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  if (!options_.persist.dir.empty()) InitFreshPersistence();
   RegisterMetrics();
-  // Version 1 covers the seed (0 applied updates); readers never observe a
-  // null snapshot.  Publishing before the writer starts needs no atomics
-  // beyond the store itself: thread creation orders everything before it.
+  if (!state.degraded_reason.empty()) EnterDegraded(state.degraded_reason);
+  // Version 1 covers the restored state; readers never observe a null
+  // snapshot.  Publishing before the writer starts needs no atomics beyond
+  // the store itself: thread creation orders everything before it.
   PublishSnapshot();
   writer_ = std::thread(&BitrussService::WriterLoop, this);
 }
 
-BitrussService::BitrussService(RestoredState state,
-                               BitrussServiceOptions options)
-    : options_(std::move(options)),
-      inc_(std::move(state.inc)),
-      num_upper_(inc_.Graph().NumUpper()),
-      num_lower_(inc_.Graph().NumLower()),
-      recovered_base_(state.applied),
-      wal_(std::move(state.wal)),
-      publish_seconds_(obs::ExponentialBuckets(1e-5, 2.0, 16)),
-      staleness_updates_(obs::ExponentialBuckets(1.0, 2.0, 12)),
-      // Same bucket layouts as the fresh constructor — the instruments feed
-      // the same registry families either way.
-      apply_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 22)),
-      visibility_seconds_(obs::ExponentialBuckets(1e-5, 2.0, 20)),
-      read_phi_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
-      read_topk_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
-      read_histogram_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)) {
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  bool newly_degraded = false;
-  if (state.degraded) {
-    MutexLock lock(mu_);
-    newly_degraded = EnterDegradedLocked(state.degraded_reason);
+BitrussService::RestoredState BitrussService::StartFresh(
+    const BipartiteGraph& seed, const BitrussServiceOptions& options) {
+  const std::string& dir = options.persist.dir;
+  if (dir.empty()) {
+    return RestoredState(IncrementalBitruss(seed, options.incremental));
   }
-  if (newly_degraded) EmitDegradedEnterEvent(state.degraded_reason);
-  RegisterMetrics();
-  PublishSnapshot();
-  writer_ = std::thread(&BitrussService::WriterLoop, this);
-}
-
-void BitrussService::InitFreshPersistence() {
-  const std::string& dir = options_.persist.dir;
-  // Construction failures here throw: unlike a mid-stream disk error there
-  // is no accepted state worth serving read-only yet, and silently running
+  // Construction failures throw: unlike a mid-stream disk error there is
+  // no accepted state worth serving read-only yet, and silently running
   // without the durability the caller configured would be worse.
   if (Status st = EnsureDir(dir); !st.ok()) {
     throw std::invalid_argument(st.message());
   }
-  if (HasPriorDurableState(dir)) {
+  if (!persist::ListStampedFiles(dir, "wal-", ".seg").empty() ||
+      !persist::ListStampedFiles(dir, "snapshot-", ".snap").empty()) {
     throw std::invalid_argument(
         "persist dir '" + dir +
         "' holds prior WAL/snapshot state; use BitrussService::Recover");
   }
-  persist::WalOptions wal_options;
-  wal_options.fsync_policy = options_.persist.fsync_policy;
-  wal_options.segment_bytes = options_.persist.segment_bytes;
-  auto wal = persist::WalWriter::Open(dir, /*next_seq=*/1, wal_options);
-  if (!wal.ok()) {
-    throw std::runtime_error("opening WAL in '" + dir +
-                             "': " + wal.status().message());
-  }
-  wal_ = std::move(wal).value();
-  // Seed snapshot at applied=0: recovery always has a base image, so a
-  // crash before the first cadence snapshot still replays WAL-only against
-  // the right starting state.  Failure degrades rather than throws — the
-  // WAL is up, and the writer retries snapshots anyway.
-  if (Status st = persist::WriteSnapshotFile(dir, BuildState(inc_, 0));
-      !st.ok()) {
-    persist_snapshot_failures_.Inc();
-    persist_failures_.Inc();
-    EnterDegraded("initial durable snapshot failed: " + st.message());
-  }
+  StatusOr<RestoredState> state = Restore(seed, options, /*fresh=*/true);
+  if (!state.ok()) throw std::runtime_error(state.status().message());
+  return std::move(state).value();
 }
 
 BitrussService::~BitrussService() {
@@ -154,45 +184,47 @@ BitrussService::~BitrussService() {
   UnregisterMetrics();
 }
 
+std::vector<BitrussService::InstrumentEntry> BitrussService::Instruments()
+    const {
+  // The durability family is always listed so the metrics surface is
+  // stable whether or not persistence is configured (all-zero when off).
+  return {
+      {"bitruss_serve_submitted_total", &submitted_, nullptr},
+      {"bitruss_serve_applied_total", &applied_, nullptr},
+      {"bitruss_serve_apply_failures_total", &apply_failures_, nullptr},
+      {"bitruss_serve_rejected_overflow_total", &rejected_overflow_, nullptr},
+      {"bitruss_serve_published_snapshots_total", &published_snapshots_,
+       nullptr},
+      {"bitruss_serve_compactions_total", &compactions_, nullptr},
+      {"bitruss_serve_reads_total", &snapshot_reads_, nullptr},
+      {"bitruss_serve_publish_seconds", nullptr, &publish_seconds_},
+      {"bitruss_serve_staleness_updates", nullptr, &staleness_updates_},
+      {"bitruss_serve_apply_seconds", nullptr, &apply_seconds_},
+      {"bitruss_serve_visibility_seconds", nullptr, &visibility_seconds_},
+      {"bitruss_serve_read_phi_seconds", nullptr, &read_phi_seconds_},
+      {"bitruss_serve_read_topk_seconds", nullptr, &read_topk_seconds_},
+      {"bitruss_serve_read_histogram_seconds", nullptr,
+       &read_histogram_seconds_},
+      {"bitruss_persist_wal_records_total", &persist_wal_records_, nullptr},
+      {"bitruss_persist_wal_bytes_total", &persist_wal_bytes_, nullptr},
+      {"bitruss_persist_failures_total", &persist_failures_, nullptr},
+      {"bitruss_persist_snapshots_total", &persist_snapshots_, nullptr},
+      {"bitruss_persist_snapshot_failures_total", &persist_snapshot_failures_,
+       nullptr},
+      {"bitruss_persist_wal_truncated_segments_total",
+       &persist_wal_truncated_segments_, nullptr},
+  };
+}
+
 void BitrussService::RegisterMetrics() {
   auto& registry = obs::MetricsRegistry::Default();
-  registry.RegisterCounter("bitruss_serve_submitted_total", &submitted_);
-  registry.RegisterCounter("bitruss_serve_applied_total", &applied_);
-  registry.RegisterCounter("bitruss_serve_apply_failures_total",
-                           &apply_failures_);
-  registry.RegisterCounter("bitruss_serve_rejected_overflow_total",
-                           &rejected_overflow_);
-  registry.RegisterCounter("bitruss_serve_published_snapshots_total",
-                           &published_snapshots_);
-  registry.RegisterCounter("bitruss_serve_compactions_total", &compactions_);
-  registry.RegisterCounter("bitruss_serve_reads_total", &snapshot_reads_);
-  registry.RegisterHistogram("bitruss_serve_publish_seconds",
-                             &publish_seconds_);
-  registry.RegisterHistogram("bitruss_serve_staleness_updates",
-                             &staleness_updates_);
-  registry.RegisterHistogram("bitruss_serve_apply_seconds", &apply_seconds_);
-  registry.RegisterHistogram("bitruss_serve_visibility_seconds",
-                             &visibility_seconds_);
-  registry.RegisterHistogram("bitruss_serve_read_phi_seconds",
-                             &read_phi_seconds_);
-  registry.RegisterHistogram("bitruss_serve_read_topk_seconds",
-                             &read_topk_seconds_);
-  registry.RegisterHistogram("bitruss_serve_read_histogram_seconds",
-                             &read_histogram_seconds_);
-  // Durability family — always registered so the metrics surface is stable
-  // whether or not persistence is configured (all-zero when off).
-  registry.RegisterCounter("bitruss_persist_wal_records_total",
-                           &persist_wal_records_);
-  registry.RegisterCounter("bitruss_persist_wal_bytes_total",
-                           &persist_wal_bytes_);
-  registry.RegisterCounter("bitruss_persist_failures_total",
-                           &persist_failures_);
-  registry.RegisterCounter("bitruss_persist_snapshots_total",
-                           &persist_snapshots_);
-  registry.RegisterCounter("bitruss_persist_snapshot_failures_total",
-                           &persist_snapshot_failures_);
-  registry.RegisterCounter("bitruss_persist_wal_truncated_segments_total",
-                           &persist_wal_truncated_segments_);
+  for (const InstrumentEntry& entry : Instruments()) {
+    if (entry.counter != nullptr) {
+      registry.RegisterCounter(entry.name, entry.counter);
+    } else {
+      registry.RegisterHistogram(entry.name, entry.histogram);
+    }
+  }
   // The depth gauges are plain atomic reads, safe under the registry lock.
   gauge_callback_handles_.push_back(registry.AddGaugeCallback(
       "bitruss_serve_queue_depth", [this] { return queue_depth_.Value(); }));
@@ -215,41 +247,13 @@ void BitrussService::RegisterMetrics() {
 
 void BitrussService::UnregisterMetrics() {
   auto& registry = obs::MetricsRegistry::Default();
-  registry.UnregisterCounter("bitruss_serve_submitted_total", &submitted_);
-  registry.UnregisterCounter("bitruss_serve_applied_total", &applied_);
-  registry.UnregisterCounter("bitruss_serve_apply_failures_total",
-                             &apply_failures_);
-  registry.UnregisterCounter("bitruss_serve_rejected_overflow_total",
-                             &rejected_overflow_);
-  registry.UnregisterCounter("bitruss_serve_published_snapshots_total",
-                             &published_snapshots_);
-  registry.UnregisterCounter("bitruss_serve_compactions_total", &compactions_);
-  registry.UnregisterCounter("bitruss_serve_reads_total", &snapshot_reads_);
-  registry.UnregisterHistogram("bitruss_serve_publish_seconds",
-                               &publish_seconds_);
-  registry.UnregisterHistogram("bitruss_serve_staleness_updates",
-                               &staleness_updates_);
-  registry.UnregisterHistogram("bitruss_serve_apply_seconds", &apply_seconds_);
-  registry.UnregisterHistogram("bitruss_serve_visibility_seconds",
-                               &visibility_seconds_);
-  registry.UnregisterHistogram("bitruss_serve_read_phi_seconds",
-                               &read_phi_seconds_);
-  registry.UnregisterHistogram("bitruss_serve_read_topk_seconds",
-                               &read_topk_seconds_);
-  registry.UnregisterHistogram("bitruss_serve_read_histogram_seconds",
-                               &read_histogram_seconds_);
-  registry.UnregisterCounter("bitruss_persist_wal_records_total",
-                             &persist_wal_records_);
-  registry.UnregisterCounter("bitruss_persist_wal_bytes_total",
-                             &persist_wal_bytes_);
-  registry.UnregisterCounter("bitruss_persist_failures_total",
-                             &persist_failures_);
-  registry.UnregisterCounter("bitruss_persist_snapshots_total",
-                             &persist_snapshots_);
-  registry.UnregisterCounter("bitruss_persist_snapshot_failures_total",
-                             &persist_snapshot_failures_);
-  registry.UnregisterCounter("bitruss_persist_wal_truncated_segments_total",
-                             &persist_wal_truncated_segments_);
+  for (const InstrumentEntry& entry : Instruments()) {
+    if (entry.counter != nullptr) {
+      registry.UnregisterCounter(entry.name, entry.counter);
+    } else {
+      registry.UnregisterHistogram(entry.name, entry.histogram);
+    }
+  }
   for (const std::uint64_t handle : gauge_callback_handles_) {
     registry.RemoveGaugeCallback(handle);
   }
@@ -264,9 +268,7 @@ Status BitrussService::Submit(const EdgeUpdate& update) {
   if (update.upper_local >= num_upper_ || update.lower_local >= num_lower_) {
     return InvalidArgumentError("endpoint out of range");
   }
-  bool overflow = false;
-  std::optional<std::string> degrade_event;
-  std::optional<Status> wal_failure;
+  Status logged = OkStatus();
   {
     MutexLock lock(mu_);
     if (stopping_) {
@@ -276,30 +278,20 @@ Status BitrussService::Submit(const EdgeUpdate& update) {
       return UnavailableError("service is read-only (degraded): " +
                               degraded_reason_);
     }
+    // Capacity is checked BEFORE the WAL append: a rejected update consumes
+    // no sequence number, so the log holds exactly the accepted stream.
     if (queue_.size() >= options_.queue_capacity) {
-      // Checked BEFORE the WAL append: a rejected update consumes no
-      // sequence number, so the log holds exactly the accepted stream.
       rejected_overflow_.Inc();
-      overflow = true;
-      // Event emitted outside mu_ below; the log's own lock is a leaf.
     } else {
+      // Write-ahead: the record must be durable (to the configured policy)
+      // before the OK that acknowledges the update.  After a failed append
+      // the WAL refuses every later one, so no update is acknowledged
+      // between here and EnterDegraded below.
       if (wal_ != nullptr) {
-        // Write-ahead: the record must be durable (to the configured
-        // policy) before the OK that acknowledges the update.
-        persist::WalRecord record;
-        record.seq = recovered_base_ + submitted_.Value() + 1;
-        record.kind = update.kind == EdgeUpdate::Kind::kInsert ? 0 : 1;
-        record.upper_local = update.upper_local;
-        record.lower_local = update.lower_local;
-        if (Status st = wal_->Append(record); !st.ok()) {
-          persist_failures_.Inc();
-          const std::string reason = "WAL append failed: " + st.message();
-          if (EnterDegradedLocked(reason)) degrade_event = reason;
-          wal_failure = UnavailableError("service is read-only (degraded): " +
-                                         reason);
-        }
+        logged = wal_->Append(
+            ToWalRecord(update, recovered_base_ + submitted_.Value() + 1));
       }
-      if (!wal_failure) {
+      if (logged.ok()) {
         if (wal_ != nullptr) {
           persist_wal_records_.Inc();
           persist_wal_bytes_.Inc(persist::kWalRecordBytes);
@@ -316,9 +308,13 @@ Status BitrussService::Submit(const EdgeUpdate& update) {
       }
     }
   }
-  if (degrade_event) EmitDegradedEnterEvent(*degrade_event);
-  if (wal_failure) return *wal_failure;
-  if (overflow && options_.event_log != nullptr) {
+  if (!logged.ok()) {
+    const std::string reason = "WAL append failed: " + logged.message();
+    EnterDegraded(reason);
+    return UnavailableError("service is read-only (degraded): " + reason);
+  }
+  // Emitted outside mu_; the event log's own lock is a leaf.
+  if (options_.event_log != nullptr) {
     options_.event_log->Emit(
         "backpressure_reject",
         {{"queue_capacity",
@@ -360,6 +356,11 @@ void BitrussService::Shutdown(bool drain) {
     MutexLock join_lock(join_mu_);
     if (writer_.joinable()) writer_.join();
   }
+  NotifyDrained();
+}
+
+void BitrussService::NotifyDrained() {
+  MutexLock lock(mu_);
   drained_cv_.NotifyAll();
 }
 
@@ -369,37 +370,23 @@ std::shared_ptr<const PhiSnapshot> BitrussService::Snapshot() const {
 }
 
 SupportT BitrussService::Phi(EdgeId slot) const {
-  const Clock::time_point start = Clock::now();
-  const SupportT value = Snapshot()->Phi(slot);
-  read_phi_seconds_.Observe(
-      std::chrono::duration<double>(Clock::now() - start).count());
-  return value;
+  return TimedRead(read_phi_seconds_, [&] { return Snapshot()->Phi(slot); });
 }
 
 SupportT BitrussService::SupportOf(EdgeId slot) const {
-  const Clock::time_point start = Clock::now();
-  const SupportT value = Snapshot()->SupportOf(slot);
-  read_phi_seconds_.Observe(
-      std::chrono::duration<double>(Clock::now() - start).count());
-  return value;
+  return TimedRead(read_phi_seconds_,
+                   [&] { return Snapshot()->SupportOf(slot); });
 }
 
 std::vector<std::pair<EdgeId, SupportT>> BitrussService::TopKPhi(
     std::size_t k) const {
-  const Clock::time_point start = Clock::now();
-  auto result = Snapshot()->TopKPhi(k);
-  read_topk_seconds_.Observe(
-      std::chrono::duration<double>(Clock::now() - start).count());
-  return result;
+  return TimedRead(read_topk_seconds_, [&] { return Snapshot()->TopKPhi(k); });
 }
 
 std::vector<std::pair<SupportT, std::uint64_t>> BitrussService::PhiHistogram()
     const {
-  const Clock::time_point start = Clock::now();
-  auto result = Snapshot()->PhiHistogram();
-  read_histogram_seconds_.Observe(
-      std::chrono::duration<double>(Clock::now() - start).count());
-  return result;
+  return TimedRead(read_histogram_seconds_,
+                   [&] { return Snapshot()->PhiHistogram(); });
 }
 
 std::uint64_t BitrussService::QueueDepth() const {
@@ -423,30 +410,23 @@ std::string BitrussService::DegradedReason() const {
   return degraded_reason_;
 }
 
-bool BitrussService::EnterDegradedLocked(const std::string& reason) {
-  if (degraded_.load(std::memory_order_acquire)) return false;
-  degraded_reason_ = reason;
-  // Release AFTER the reason is in place: an acquire-load of true followed
-  // by taking mu_ always observes the reason (see the member comment).
-  degraded_.store(true, std::memory_order_release);
-  return true;
-}
-
 void BitrussService::EnterDegraded(const std::string& reason) {
-  bool newly = false;
+  persist_failures_.Inc();
   {
     MutexLock lock(mu_);
-    newly = EnterDegradedLocked(reason);
+    if (degraded_.load(std::memory_order_acquire)) return;
+    degraded_reason_ = reason;
+    // Release AFTER the reason is in place: an acquire-load of true followed
+    // by taking mu_ always observes the reason (see the member comment).
+    degraded_.store(true, std::memory_order_release);
   }
-  if (newly) EmitDegradedEnterEvent(reason);
-}
-
-void BitrussService::EmitDegradedEnterEvent(const std::string& reason) {
-  if (options_.event_log == nullptr) return;
-  options_.event_log->Emit("degraded_enter",
-                           {{"reason", reason},
-                            {"submitted", submitted_.Value()},
-                            {"applied", applied_.Value()}});
+  // Emitted outside mu_; the event log's own lock is a leaf.
+  if (options_.event_log != nullptr) {
+    options_.event_log->Emit("degraded_enter",
+                             {{"reason", reason},
+                              {"submitted", submitted_.Value()},
+                              {"applied", applied_.Value()}});
+  }
 }
 
 std::string BitrussService::HealthJson() const {
@@ -516,14 +496,7 @@ void BitrussService::Resume() {
 void BitrussService::ApplyUpdate(const QueuedUpdate& queued) {
   const EdgeUpdate& update = queued.update;
   const Clock::time_point apply_start = Clock::now();
-  bool ok = false;
-  if (update.kind == EdgeUpdate::Kind::kInsert) {
-    ok = inc_.InsertEdge(update.upper_local, update.lower_local).ok();
-  } else {
-    const EdgeId slot = inc_.Graph().FindEdge(
-        update.upper_local, num_upper_ + update.lower_local);
-    ok = slot != kInvalidEdge && inc_.DeleteEdge(slot).ok();
-  }
+  const bool ok = inc_.Apply(update).ok();
   if (!ok) apply_failures_.Inc();
   const Clock::time_point done = Clock::now();
   // Apply latency is submit -> applied: queue wait included, because that
@@ -543,8 +516,7 @@ void BitrussService::ApplyUpdate(const QueuedUpdate& queued) {
     }
     const double work_seconds =
         std::chrono::duration<double>(done - apply_start).count();
-    if (options_.slow_apply_seconds > 0 &&
-        work_seconds > options_.slow_apply_seconds) {
+    if (work_seconds > kSlowApplySeconds) {
       options_.event_log->Emit(
           "slow_apply",
           {{"seconds", work_seconds},
@@ -564,7 +536,6 @@ void BitrussService::PublishSnapshot() {
       options_.persist.fsync_policy == persist::FsyncPolicy::kEveryPublish &&
       !Degraded()) {
     if (Status st = wal_->Sync(); !st.ok()) {
-      persist_failures_.Inc();
       EnterDegraded("WAL sync at publish failed: " + st.message());
     }
   }
@@ -574,6 +545,8 @@ void BitrussService::PublishSnapshot() {
   const std::uint64_t covers = applied_.Value();
   const std::uint64_t prev_covered =
       published_applied_.load(std::memory_order_relaxed);
+  const std::uint64_t staleness =
+      covers > prev_covered ? covers - prev_covered : 0;
   snapshot->version = version;
   // Readers see the ABSOLUTE update count (meaningful across restarts);
   // the Drain/staleness protocol below stays in process-local numbers.
@@ -601,8 +574,7 @@ void BitrussService::PublishSnapshot() {
   published_applied_.store(covers, std::memory_order_release);
   published_snapshots_.IncOrdered();
   applied_since_publish_ = 0;
-  staleness_updates_.Observe(
-      static_cast<double>(covers > prev_covered ? covers - prev_covered : 0));
+  staleness_updates_.Observe(static_cast<double>(staleness));
   const Clock::time_point published_at = Clock::now();
   const double publish_cost =
       std::chrono::duration<double>(published_at - publish_start).count();
@@ -625,8 +597,7 @@ void BitrussService::PublishSnapshot() {
         {{"version", version},
          {"covers", covers},
          {"publish_seconds", publish_cost},
-         {"staleness_updates",
-          covers > prev_covered ? covers - prev_covered : std::uint64_t{0}},
+         {"staleness_updates", staleness},
          {"num_edges", static_cast<std::uint64_t>(snapshot_num_edges)}});
   }
 }
@@ -644,18 +615,14 @@ void BitrussService::WriterLoop() {
     bool drain = true;
     {
       MutexLock lock(mu_);
-      if (timed && applied_since_publish_ > 0) {
-        // Unpublished work exists: wake by the publication deadline even
-        // if no new update arrives.
-        const Clock::time_point deadline = last_publish + interval;
-        while (!(stopping_ || (!paused_ && !queue_.empty()))) {
-          if (queue_cv_.WaitUntil(lock, deadline) == std::cv_status::timeout) {
-            break;
-          }
-        }
-      } else {
-        while (!(stopping_ || (!paused_ && !queue_.empty()))) {
+      while (!(stopping_ || (!paused_ && !queue_.empty()))) {
+        if (!timed || applied_since_publish_ == 0) {
           queue_cv_.Wait(lock);
+        } else if (queue_cv_.WaitUntil(lock, last_publish + interval) ==
+                   std::cv_status::timeout) {
+          // Unpublished work exists: wake by the publication deadline even
+          // if no new update arrives.
+          break;
         }
       }
       stop = stopping_;
@@ -714,12 +681,12 @@ void BitrussService::WriterLoop() {
       if (queue_empty || count_due || time_due) {
         PublishSnapshot();
         last_publish = Clock::now();
-        drained_cv_.NotifyAll();
+        NotifyDrained();
       }
     }
 
     if (stop && queue_empty) {
-      if (applied_since_publish_ > 0) PublishSnapshot();
+      // The idle publish above already covered every applied update.
       if (wal_ != nullptr && !Degraded()) {
         if (drain) {
           // A drained shutdown ends with a snapshot covering everything
@@ -728,39 +695,21 @@ void BitrussService::WriterLoop() {
         } else if (Status st = wal_->Sync(); !st.ok()) {
           // Discarded-queue shutdown: those updates were still
           // acknowledged, so seal the WAL tail — recovery replays them.
-          persist_failures_.Inc();
           EnterDegraded("WAL sync at shutdown failed: " + st.message());
         }
       }
-      drained_cv_.NotifyAll();
+      NotifyDrained();
       return;
     }
   }
 }
 
-persist::StateSnapshot BitrussService::BuildState(
-    const IncrementalBitruss& inc, std::uint64_t applied) {
-  DynamicGraphState graph = inc.Graph().ExportState();
-  persist::StateSnapshot state;
-  state.applied = applied;
-  state.num_upper = graph.num_upper;
-  state.num_lower = graph.num_lower;
-  state.num_butterflies = graph.num_butterflies;
-  state.upper = std::move(graph.upper);
-  state.lower = std::move(graph.lower);
-  state.support = std::move(graph.support);
-  state.phi = inc.PhiBySlot();
-  state.free_slots = std::move(graph.free_slots);
-  return state;
-}
-
 void BitrussService::WriteDurableSnapshot() {
   const std::uint64_t applied = recovered_base_ + applied_.Value();
   if (Status st = persist::WriteSnapshotFile(options_.persist.dir,
-                                             BuildState(inc_, applied));
+                                             ToState(inc_, applied));
       !st.ok()) {
     persist_snapshot_failures_.Inc();
-    persist_failures_.Inc();
     EnterDegraded("durable snapshot failed: " + st.message());
     return;
   }
@@ -770,7 +719,6 @@ void BitrussService::WriteDurableSnapshot() {
   // behind it are dead weight for recovery.
   const StatusOr<int> removed = wal_->TruncateThrough(applied);
   if (!removed.ok()) {
-    persist_failures_.Inc();
     EnterDegraded("WAL truncation failed: " + removed.status().message());
     return;
   }
@@ -778,14 +726,97 @@ void BitrussService::WriteDurableSnapshot() {
     persist_wal_truncated_segments_.Inc(
         static_cast<std::uint64_t>(removed.value()));
   }
-  const int pruned = persist::RemoveOldSnapshots(
-      options_.persist.dir, options_.persist.keep_snapshots);
+  const int pruned =
+      persist::RemoveOldSnapshots(options_.persist.dir, kKeepSnapshots);
   if (options_.event_log != nullptr) {
     options_.event_log->Emit("durable_snapshot",
                              {{"applied", applied},
                               {"wal_segments_removed", removed.value()},
                               {"snapshots_pruned", pruned}});
   }
+}
+
+StatusOr<BitrussService::RestoredState> BitrussService::Restore(
+    const BipartiteGraph& seed, const BitrussServiceOptions& options,
+    bool fresh) {
+  const std::string& dir = options.persist.dir;
+  RecoveryStats stats;
+  // 1. Newest intact durable snapshot — or, when none survives, the seed
+  // (full Decompose), leaning entirely on WAL replay.
+  StatusOr<persist::StateSnapshot> loaded =
+      persist::LoadNewestSnapshot(dir, &stats.corrupt_snapshots_skipped);
+  if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound) {
+    return loaded.status();
+  }
+  stats.from_seed = !loaded.ok();
+  const std::uint64_t base = stats.snapshot_applied =
+      loaded.ok() ? loaded.value().applied : 0;
+  StatusOr<IncrementalBitruss> inc =
+      stats.from_seed
+          ? StatusOr<IncrementalBitruss>(
+                IncrementalBitruss(seed, options.incremental))
+          : FromState(seed, std::move(loaded).value(), options.incremental);
+  if (!inc.ok()) return inc.status();
+
+  // 2. Replay the WAL suffix through the writer's own apply routine,
+  // repairing (physically truncating) a torn final tail.  Mid-log
+  // corruption or sequence gaps surface as kDataLoss.  A record that no
+  // longer applies (duplicate insert, vanished delete target) is a
+  // stream-level no-op, exactly as it was for the original writer.
+  persist::WalReplayStats replay;
+  Status replayed = persist::ReplayWal(
+      dir, /*after_seq=*/base,
+      [&inc](const persist::WalRecord& record) {
+        (void)inc.value().Apply(ToEdgeUpdate(record));
+        return OkStatus();
+      },
+      &replay, /*repair_torn_tail=*/true);
+  if (!replayed.ok()) return replayed;
+  stats.wal_replayed = replay.records_replayed;
+  stats.torn_records_discarded = replay.torn_records_discarded;
+  RestoredState state(std::move(inc).value(), base + replay.records_replayed);
+  state.stats = stats;
+
+  // 3. Re-arm durability: persist a snapshot covering everything restored,
+  // drop the now-covered WAL segments, and reopen the WAL at the next
+  // sequence.  Failures here degrade instead of aborting — the restored
+  // state is intact and worth serving read-only.
+  Status rearm =
+      persist::WriteSnapshotFile(dir, ToState(state.inc, state.applied));
+  if (rearm.ok()) {
+    // Every old record has seq <= state.applied (the snapshot's coverage,
+    // by construction), so ALL segments are disposable — including a stale
+    // tail below an os-buffered-era snapshot.
+    for (const std::uint64_t first_seq :
+         persist::ListStampedFiles(dir, "wal-", ".seg")) {
+      const std::string path =
+          persist::StampedPath(dir, "wal-", first_seq, ".seg");
+      if (::unlink(path.c_str()) != 0) {
+        rearm = InternalError("unlink(" + path + "): " + std::strerror(errno));
+        break;
+      }
+    }
+  }
+  if (rearm.ok()) {
+    persist::RemoveOldSnapshots(dir, kKeepSnapshots);
+    persist::WalOptions wal_options;
+    wal_options.fsync_policy = options.persist.fsync_policy;
+    wal_options.segment_bytes = options.persist.segment_bytes;
+    StatusOr<std::unique_ptr<persist::WalWriter>> opened =
+        persist::WalWriter::Open(dir, state.applied + 1, wal_options);
+    if (opened.ok()) {
+      state.wal = std::move(opened).value();
+    } else if (fresh) {
+      return InternalError("opening WAL in '" + dir +
+                           "': " + opened.status().message());
+    } else {
+      rearm = opened.status();
+    }
+  }
+  if (!rearm.ok()) {
+    state.degraded_reason = "re-arming durability failed: " + rearm.message();
+  }
+  return StatusOr<RestoredState>(std::move(state));
 }
 
 StatusOr<std::unique_ptr<BitrussService>> BitrussService::Recover(
@@ -797,139 +828,22 @@ StatusOr<std::unique_ptr<BitrussService>> BitrussService::Recover(
     return InvalidArgumentError("Recover requires options.persist.dir");
   }
   if (Status st = EnsureDir(dir); !st.ok()) return st;
-  RecoveryStats local;
-  RecoveryStats& out = stats != nullptr ? *stats : local;
-  out = RecoveryStats{};
+  StatusOr<RestoredState> state = Restore(seed, options, /*fresh=*/false);
+  if (!state.ok()) return state.status();
 
-  // 1. Newest intact durable snapshot — or the seed when none survives.
-  std::optional<IncrementalBitruss> inc;
-  std::uint64_t base = 0;
-  {
-    StatusOr<persist::StateSnapshot> loaded =
-        persist::LoadNewestSnapshot(dir, &out.corrupt_snapshots_skipped);
-    if (loaded.ok()) {
-      persist::StateSnapshot& snap = loaded.value();
-      if (snap.num_upper != seed.NumUpper() ||
-          snap.num_lower != seed.NumLower()) {
-        return DataLossError(
-            "durable snapshot vertex universe (" +
-            std::to_string(snap.num_upper) + "x" +
-            std::to_string(snap.num_lower) +
-            ") does not match the seed graph (" +
-            std::to_string(seed.NumUpper()) + "x" +
-            std::to_string(seed.NumLower()) + ")");
-      }
-      DynamicGraphState graph_state;
-      graph_state.num_upper = snap.num_upper;
-      graph_state.num_lower = snap.num_lower;
-      graph_state.num_butterflies = snap.num_butterflies;
-      graph_state.upper = std::move(snap.upper);
-      graph_state.lower = std::move(snap.lower);
-      graph_state.support = std::move(snap.support);
-      graph_state.free_slots = std::move(snap.free_slots);
-      StatusOr<DynamicBipartiteGraph> graph =
-          DynamicBipartiteGraph::FromState(graph_state);
-      if (!graph.ok()) return graph.status();
-      inc.emplace(std::move(graph).value(), std::move(snap.phi),
-                  options.incremental);
-      base = snap.applied;
-      out.snapshot_applied = base;
-    } else if (loaded.status().code() == StatusCode::kNotFound) {
-      // No usable snapshot: rebuild from the seed (full Decompose) and
-      // lean entirely on WAL replay.
-      inc.emplace(seed, options.incremental);
-      out.from_seed = true;
-    } else {
-      return loaded.status();
-    }
-  }
-
-  // 2. Replay the WAL suffix, repairing (physically truncating) a torn
-  // final tail.  Mid-log corruption or sequence gaps surface as kDataLoss.
-  persist::WalReplayStats replay;
-  Status replay_status = persist::ReplayWal(
-      dir, /*after_seq=*/base,
-      [&inc](const persist::WalRecord& record) {
-        // Mirrors ApplyUpdate: a record that no longer applies (duplicate
-        // insert, vanished delete target) is a stream-level no-op, not a
-        // replay failure — the original writer counted it the same way.
-        if (record.kind == 0) {
-          (void)inc->InsertEdge(record.upper_local, record.lower_local);
-        } else {
-          const EdgeId slot = inc->Graph().FindEdge(
-              record.upper_local,
-              inc->Graph().NumUpper() + record.lower_local);
-          if (slot != kInvalidEdge) {
-            (void)inc->DeleteEdge(slot);
-          }
-        }
-        return OkStatus();
-      },
-      &replay, /*repair_torn_tail=*/true);
-  if (!replay_status.ok()) return replay_status;
-  out.wal_replayed = replay.records_replayed;
-  out.torn_records_discarded = replay.torn_records_discarded;
-  const std::uint64_t base_final = base + replay.records_replayed;
-
-  // 3. Re-arm durability: persist a snapshot covering everything
-  // recovered, drop the now-covered WAL segments, and reopen the WAL
-  // fresh at the next sequence.  Failures here degrade instead of
-  // aborting — the recovered state is intact and worth serving read-only.
-  bool degraded = false;
-  std::string degraded_reason;
-  std::unique_ptr<persist::WalWriter> wal;
-  Status persist_status =
-      persist::WriteSnapshotFile(dir, BuildState(*inc, base_final));
-  if (persist_status.ok()) {
-    // Every old record has seq <= base_final (the snapshot's coverage, by
-    // construction), so ALL segments are disposable — including a stale
-    // tail below an os-buffered-era snapshot.
-    for (const std::uint64_t first_seq :
-         persist::ListStampedFiles(dir, "wal-", ".seg")) {
-      const std::string path =
-          persist::StampedPath(dir, "wal-", first_seq, ".seg");
-      if (::unlink(path.c_str()) != 0) {
-        persist_status =
-            InternalError("unlink(" + path + "): " + std::strerror(errno));
-        break;
-      }
-    }
-  }
-  if (persist_status.ok()) {
-    persist::RemoveOldSnapshots(dir, options.persist.keep_snapshots);
-    persist::WalOptions wal_options;
-    wal_options.fsync_policy = options.persist.fsync_policy;
-    wal_options.segment_bytes = options.persist.segment_bytes;
-    StatusOr<std::unique_ptr<persist::WalWriter>> opened =
-        persist::WalWriter::Open(dir, base_final + 1, wal_options);
-    if (opened.ok()) {
-      wal = std::move(opened).value();
-    } else {
-      persist_status = opened.status();
-    }
-  }
-  if (!persist_status.ok()) {
-    degraded = true;
-    degraded_reason =
-        "re-arming durability after recovery failed: " +
-        persist_status.message();
-  }
-
+  RecoveryStats& out = state.value().stats;
   out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   auto& registry = obs::MetricsRegistry::Default();
-  registry.GetCounter("bitruss_recovery_replayed_total")
-      ->Inc(replay.records_replayed);
+  registry.GetCounter("bitruss_recovery_replayed_total")->Inc(out.wal_replayed);
   registry.GetCounter("bitruss_recovery_torn_records_total")
-      ->Inc(replay.torn_records_discarded);
+      ->Inc(out.torn_records_discarded);
   registry
       .GetHistogram("bitruss_recovery_seconds",
                     obs::ExponentialBuckets(1e-4, 2.0, 20))
       ->Observe(out.seconds);
-
-  RestoredState state{std::move(*inc), base_final, std::move(wal), degraded,
-                      std::move(degraded_reason)};
+  if (stats != nullptr) *stats = out;
   return std::unique_ptr<BitrussService>(
-      new BitrussService(std::move(state), std::move(options)));
+      new BitrussService(std::move(state).value(), std::move(options)));
 }
 
 }  // namespace bitruss

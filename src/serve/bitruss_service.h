@@ -1,21 +1,24 @@
 // Concurrent bitruss serving layer: many snapshot readers, one writer.
 //
-// `BitrussService` is the thread-safe facade the ROADMAP's serving
-// north-star asks for.  It decouples mutation from read service the way
-// RECEIPT decouples coarse from fine parallel work: a single writer thread
-// owns the `IncrementalBitruss` state and applies queued edge updates one
-// at a time, periodically freezing the maintained phi into an immutable
-// `PhiSnapshot` that is published through an atomic shared_ptr.  Readers
-// never touch the mutable state — every query (point phi/support, top-k,
-// histogram) runs against the snapshot current at its start:
+// A single writer thread owns the `IncrementalBitruss` state and applies
+// queued edge updates one at a time, periodically freezing the maintained
+// phi into an immutable `PhiSnapshot` published through an atomic
+// shared_ptr.  Readers never touch the mutable state — every query (point
+// phi/support, top-k, histogram) runs against the snapshot current at its
+// start:
 //
 //     Submit()  ->  [bounded ingest queue]  ->  writer thread
-//                                                |  applies updates to
-//                                                |  IncrementalBitruss
+//                                                |  IncrementalBitruss::
+//                                                |  Apply(update)
 //                                                v
 //                              publishes PhiSnapshot (version v)
 //                                                |
 //        Snapshot()/Phi()/TopKPhi()  <--  atomic_load(shared_ptr)
+//
+// There is one way in: the constructor is Recover() from an empty
+// directory (or just the seed without PersistOptions::dir), WAL replay
+// applies records through the writer's own IncrementalBitruss::Apply, and
+// one private constructor starts the service for both entry points.
 //
 // Concurrency contract.
 //   * Readers are wait-free with respect to the writer: acquiring the
@@ -32,7 +35,8 @@
 //     kResourceExhausted and the caller retries (or sheds load).
 //   * Shutdown is explicit and drains by default: `Shutdown(true)` stops
 //     intake, applies everything already queued, publishes a final
-//     snapshot covering all of it, and joins the writer.
+//     snapshot covering all of it, and joins the writer.  `Drain()` may be
+//     called from any number of threads at once.
 //   * Durability is opt-in (PersistOptions): accepted updates are
 //     write-ahead logged BEFORE Submit acknowledges them, full state
 //     snapshots bound the replay, and `Recover()` rebuilds the exact phi
@@ -69,17 +73,6 @@
 #include "util/sync.h"
 
 namespace bitruss {
-
-/// One queued mutation.  Both kinds address the edge by its endpoint pair
-/// (side-local ids, like the DynamicBipartiteGraph mutation APIs): slot
-/// ids are writer-internal and a client cannot hold a stable one across
-/// compactions, but the pair always names the same edge.
-struct EdgeUpdate {
-  enum class Kind : std::uint8_t { kInsert, kDelete };
-  Kind kind = Kind::kInsert;
-  VertexId upper_local = 0;
-  VertexId lower_local = 0;
-};
 
 /// An immutable, versioned freeze of the maintained bitruss state.  All
 /// vectors are indexed by slot id in [0, num_slots); free slots read phi
@@ -132,8 +125,8 @@ struct PhiSnapshot {
 /// dropping its guarantee: reads keep serving the in-memory state, Submit
 /// returns kUnavailable with the reason, /healthz reports "degraded".
 struct PersistOptions {
-  /// Durability directory; empty disables persistence entirely.  A fresh
-  /// service requires it to hold no prior WAL/snapshot state (use
+  /// Durability directory; empty disables persistence entirely.  The
+  /// constructor requires it to hold no prior WAL/snapshot state (use
   /// Recover() for that); recovery requires it to be readable.
   std::string dir;
   /// When WAL records reach disk: every-record survives power loss,
@@ -145,8 +138,6 @@ struct PersistOptions {
   /// Write a durable state snapshot (and truncate the WAL behind it)
   /// every N applied updates; 0 means only at drain-shutdown.
   std::uint64_t snapshot_every_updates = 4096;
-  /// Durable snapshots retained on disk (older ones are pruned).
-  int keep_snapshots = 2;
 };
 
 /// What BitrussService::Recover had to do; for logs, tests, and the
@@ -185,9 +176,6 @@ struct BitrussServiceOptions {
   /// fallback_recompute, backpressure_reject, slow_apply); not owned, must
   /// outlive the service.  Null disables event emission entirely.
   obs::EventLog* event_log = nullptr;
-  /// An apply whose own work (dequeue to done, queue wait excluded) takes
-  /// longer than this emits a `slow_apply` event; 0 disables.
-  double slow_apply_seconds = 0.05;
   /// WAL + snapshot durability; see PersistOptions.  Disabled by default.
   PersistOptions persist;
 };
@@ -208,23 +196,34 @@ struct BitrussServiceStats {
 
 class BitrussService {
  public:
+  /// Durable snapshots kept on disk; older ones are pruned.
+  static constexpr int kKeepSnapshots = 2;
+  /// An apply whose own work (dequeue to done, queue wait excluded) takes
+  /// longer than this emits a `slow_apply` event.
+  static constexpr double kSlowApplySeconds = 0.05;
+
   /// Builds the initial phi state from `seed` (one full Decompose) on the
   /// calling thread, publishes it as snapshot version 1, then starts the
-  /// writer thread.
+  /// writer thread.  With options.persist.dir set this is Recover() from
+  /// an empty directory, leaving `snapshot-0` and a WAL from sequence 1.
+  /// Throws std::invalid_argument when the directory holds WAL/snapshot
+  /// state or cannot be created, std::runtime_error when the WAL cannot be
+  /// opened; a failed initial snapshot only degrades.
   explicit BitrussService(const BipartiteGraph& seed,
                           BitrussServiceOptions options = {});
 
   /// Rebuilds a service from the durable state under options.persist.dir
-  /// (which must be set): loads the newest intact snapshot (falling back
-  /// to older ones past corrupt files, and to a fresh Decompose of `seed`
-  /// when none exists), replays the WAL records after it — a torn final
-  /// record is discarded, any other damage or sequence gap returns
-  /// kDataLoss — writes a fresh durable snapshot covering everything
-  /// recovered, clears the old WAL, and starts serving.  The recovered
-  /// phi is bit-identical to replaying the same accepted updates against
-  /// a fresh service.  If re-establishing durability fails (disk full at
-  /// the recovery snapshot, WAL reopen error) the service still starts,
-  /// DEGRADED to read-only, so the recovered state remains queryable.
+  /// (which must be set; it is created if missing): loads the newest
+  /// intact snapshot (falling back to older ones past corrupt files, and
+  /// to a fresh Decompose of `seed` when none exists), replays the WAL
+  /// records after it — a torn final record is discarded, any other
+  /// damage or sequence gap returns kDataLoss — writes a fresh durable
+  /// snapshot covering everything recovered, clears the old WAL, and
+  /// starts serving.  The recovered phi is bit-identical to replaying the
+  /// same accepted updates against a fresh service.  If re-establishing
+  /// durability fails (disk full at the recovery snapshot, WAL reopen
+  /// error) the service still starts, DEGRADED to read-only, so the
+  /// recovered state remains queryable.
   [[nodiscard]] static StatusOr<std::unique_ptr<BitrussService>> Recover(
       const BipartiteGraph& seed, BitrussServiceOptions options,
       RecoveryStats* stats = nullptr);
@@ -335,15 +334,28 @@ class BitrussService {
     std::chrono::steady_clock::time_point submit_time;
   };
 
-  /// Everything Recover() rebuilds before the service object exists; the
-  /// private constructor adopts it instead of decomposing a seed.
+  /// What the restore path rebuilds; the private constructor adopts it.
   struct RestoredState {
+    explicit RestoredState(IncrementalBitruss restored,
+                           std::uint64_t applied_updates = 0)
+        : inc(std::move(restored)), applied(applied_updates) {}
     IncrementalBitruss inc;
     std::uint64_t applied = 0;  ///< absolute update count the state reflects
-    std::unique_ptr<persist::WalWriter> wal;  ///< null when degraded
-    bool degraded = false;
-    std::string degraded_reason;
+    /// Null when persistence is off or could not be re-armed.
+    std::unique_ptr<persist::WalWriter> wal;
+    std::string degraded_reason;  ///< why re-arming failed; "" when healthy
+    RecoveryStats stats;
   };
+  /// The public constructor's Restore(), throwing its documented errors.
+  static RestoredState StartFresh(const BipartiteGraph& seed,
+                                  const BitrussServiceOptions& options);
+  /// Newest snapshot (or the seed), WAL replay, covering snapshot, WAL
+  /// reopened at the next sequence.  A failed re-arm degrades, except that
+  /// with `fresh` a failed WAL open is an error.
+  static StatusOr<RestoredState> Restore(const BipartiteGraph& seed,
+                                         const BitrussServiceOptions& options,
+                                         bool fresh);
+  /// Both entry points end here: instruments, version 1, writer thread.
   BitrussService(RestoredState state, BitrussServiceOptions options);
 
   void WriterLoop();
@@ -351,33 +363,28 @@ class BitrussService {
   /// only) and maintains the applied/failure counters plus the
   /// apply-latency histogram and slow-apply/fallback events.
   void ApplyUpdate(const QueuedUpdate& queued);
+  /// Wakes Drain() callers.  Takes mu_ so the notify cannot fall between
+  /// a caller's predicate check and its wait.
+  void NotifyDrained();
   /// Freezes the current state into a snapshot and publishes it (writer
   /// thread, or the constructor before the writer starts).
   void PublishSnapshot();
-  /// Attach/detach the owned instruments to the default MetricsRegistry
-  /// under their `bitruss_serve_*` family names.
+  /// One row of the name -> instrument table; exactly one pointer is set.
+  struct InstrumentEntry {
+    const char* name;
+    const obs::Counter* counter;
+    const obs::Histogram* histogram;
+  };
+  /// The owned instruments by registry family name; RegisterMetrics and
+  /// UnregisterMetrics both walk this one table.
+  std::vector<InstrumentEntry> Instruments() const;
   void RegisterMetrics();
   void UnregisterMetrics();
 
-  /// Latches read-only degraded mode with `reason`; true when this call
-  /// was the transition (the caller then emits the degraded_enter event
-  /// OUTSIDE mu_ — the event log's lock stays a leaf).
-  bool EnterDegradedLocked(const std::string& reason) REQUIRES(mu_);
-  /// Lock-taking wrapper for writer-thread call sites; emits the event.
-  void EnterDegraded(const std::string& reason);
-  void EmitDegradedEnterEvent(const std::string& reason);
+  /// Counts a durability failure and latches read-only degraded mode with
+  /// `reason`; the first call also emits the degraded_enter event.
+  void EnterDegraded(const std::string& reason) EXCLUDES(mu_);
 
-  /// Fresh-constructor persistence setup: opens the WAL at sequence 1 and
-  /// writes the initial applied-0 snapshot.  Requires a state-free
-  /// directory (throws std::invalid_argument otherwise — prior durable
-  /// state must go through Recover()); a failed WAL open throws
-  /// std::runtime_error, a failed initial snapshot only degrades.
-  void InitFreshPersistence();
-
-  /// Full state image at absolute update count `applied` (shared between
-  /// the writer's cadence snapshots and Recover's post-replay snapshot).
-  static persist::StateSnapshot BuildState(const IncrementalBitruss& inc,
-                                           std::uint64_t applied);
   /// Writer thread: persists a durable snapshot, truncates the WAL behind
   /// it, prunes old snapshots; any failure degrades the service.
   void WriteDurableSnapshot();

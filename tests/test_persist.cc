@@ -37,6 +37,7 @@
 #include "persist/snapshot_io.h"
 #include "persist/wal.h"
 #include "serve/bitruss_service.h"
+#include "serve_oracle.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -122,60 +123,11 @@ void TruncateFile(const std::string& path, std::int64_t size) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle helpers (same idiom as test_serve.cc)
+// Oracle helpers (the stream and slot-exact oracle live in serve_oracle.h)
 // ---------------------------------------------------------------------------
 
-// Deterministic mixed insert/delete stream, valid under FIFO application.
-std::vector<EdgeUpdate> MakeStream(const BipartiteGraph& seed, int updates,
-                                   std::uint64_t rng_seed) {
-  DynamicBipartiteGraph sim(seed);
-  Rng rng(rng_seed);
-  std::vector<std::pair<VertexId, VertexId>> live;  // side-local pairs
-  for (EdgeId slot = 0; slot < sim.NumSlots(); ++slot) {
-    if (sim.IsLive(slot)) {
-      live.emplace_back(sim.EdgeUpper(slot),
-                        sim.EdgeLower(slot) - sim.NumUpper());
-    }
-  }
-  std::vector<EdgeUpdate> ops;
-  ops.reserve(updates);
-  while (static_cast<int>(ops.size()) < updates) {
-    if (!live.empty() && rng.NextBool(0.5)) {
-      const std::size_t pick = rng.Below(live.size());
-      const auto [u, l] = live[pick];
-      EXPECT_TRUE(sim.DeleteEdge(sim.FindEdge(u, sim.NumUpper() + l)).ok());
-      ops.push_back({EdgeUpdate::Kind::kDelete, u, l});
-      live[pick] = live.back();
-      live.pop_back();
-    } else {
-      const auto u = static_cast<VertexId>(rng.Below(sim.NumUpper()));
-      const auto l = static_cast<VertexId>(rng.Below(sim.NumLower()));
-      if (!sim.InsertEdge(u, l).ok()) continue;  // already present; reroll
-      ops.push_back({EdgeUpdate::Kind::kInsert, u, l});
-      live.emplace_back(u, l);
-    }
-  }
-  return ops;
-}
-
-// Replays the first `count` ops onto a fresh dynamic graph (no compaction).
-DynamicBipartiteGraph ReplayPrefix(const BipartiteGraph& seed,
-                                   const std::vector<EdgeUpdate>& ops,
-                                   std::uint64_t count) {
-  DynamicBipartiteGraph replay(seed);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const EdgeUpdate& op = ops[i];
-    if (op.kind == EdgeUpdate::Kind::kInsert) {
-      EXPECT_TRUE(replay.InsertEdge(op.upper_local, op.lower_local).ok());
-    } else {
-      const EdgeId slot =
-          replay.FindEdge(op.upper_local, replay.NumUpper() + op.lower_local);
-      EXPECT_NE(slot, kInvalidEdge);
-      EXPECT_TRUE(replay.DeleteEdge(slot).ok());
-    }
-  }
-  return replay;
-}
+using serve_oracle::MakeStream;
+using serve_oracle::ReplayPrefix;
 
 // The recovered service must hold exactly the state after the first
 // RecoveredBase() submitted ops — slot for slot, since neither the service
@@ -183,30 +135,11 @@ DynamicBipartiteGraph ReplayPrefix(const BipartiteGraph& seed,
 void ExpectRecoveredMatchesOracle(const BitrussService& service,
                                   const BipartiteGraph& seed,
                                   const std::vector<EdgeUpdate>& ops) {
-  const std::uint64_t base = service.RecoveredBase();
-  ASSERT_LE(base, ops.size());
   const auto snap = service.Snapshot();
   ASSERT_NE(snap, nullptr);
-  ASSERT_EQ(snap->applied_updates, base);
-
-  DynamicBipartiteGraph replay = ReplayPrefix(seed, ops, base);
-  ASSERT_EQ(snap->num_slots, replay.NumSlots());
-  ASSERT_EQ(snap->num_edges, replay.NumEdges());
-  ASSERT_EQ(snap->num_butterflies, replay.NumButterflies());
-
-  const GraphSnapshot compacted = replay.Snapshot();
-  const BitrussResult oracle = Decompose(compacted.graph);
-  std::vector<SupportT> phi_by_slot(replay.NumSlots(), 0);
-  std::vector<SupportT> support_by_slot(replay.NumSlots(), 0);
-  for (EdgeId e = 0; e < compacted.graph.NumEdges(); ++e) {
-    phi_by_slot[compacted.slot_of_edge[e]] = oracle.phi[e];
-    support_by_slot[compacted.slot_of_edge[e]] = compacted.supports[e];
-  }
-  for (EdgeId slot = 0; slot < replay.NumSlots(); ++slot) {
-    ASSERT_EQ(snap->IsLive(slot), replay.IsLive(slot)) << "slot " << slot;
-    ASSERT_EQ(snap->Phi(slot), phi_by_slot[slot]) << "slot " << slot;
-    ASSERT_EQ(snap->SupportOf(slot), support_by_slot[slot]) << "slot " << slot;
-  }
+  ASSERT_EQ(snap->applied_updates, service.RecoveredBase());
+  serve_oracle::ExpectSnapshotMatchesOracle(*snap, seed, ops,
+                                            /*compact_every=*/0);
 }
 
 // Slot-independent variant for runs with compaction: the phi multiset
@@ -804,6 +737,58 @@ TEST(BitrussServicePersist, CleanShutdownRecoversExactly) {
   ASSERT_TRUE(service.Drain().ok());
   EXPECT_EQ(service.Snapshot()->applied_updates, 35u);
   service.Shutdown(true);
+}
+
+TEST(BitrussServicePersist, RecoverFromEmptyDirIsAFreshStart) {
+  TempDir tmp;
+  TempDir fresh_dir;
+  const BipartiteGraph seed = GenerateUniformBipartite(12, 10, 40, 5);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 20, 77);
+  BitrussServiceOptions options = DurableOptions(tmp.path);
+  options.persist.snapshot_every_updates = 0;  // keep the stream in the WAL
+  {
+    RecoveryStats stats;
+    auto recovered_or = BitrussService::Recover(seed, options, &stats);
+    ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+    BitrussService& service = *recovered_or.value();
+    EXPECT_TRUE(stats.from_seed);
+    EXPECT_EQ(stats.wal_replayed, 0u);
+    EXPECT_EQ(service.RecoveredBase(), 0u);
+    EXPECT_FALSE(service.Degraded());
+    const BitrussResult expected = Decompose(seed);
+    const auto snap = service.Snapshot();
+    ASSERT_EQ(snap->num_edges, seed.NumEdges());
+    for (EdgeId e = 0; e < seed.NumEdges(); ++e) {
+      EXPECT_EQ(snap->Phi(e), expected.phi[e]) << "edge " << e;
+    }
+
+    // The same files a fresh durable constructor leaves behind.
+    const std::vector<std::uint64_t> snapshot_zero = {0};
+    const std::vector<std::uint64_t> wal_from_one = {1};
+    EXPECT_EQ(ListStampedFiles(tmp.path, "snapshot-", ".snap"), snapshot_zero);
+    EXPECT_EQ(ListStampedFiles(tmp.path, "wal-", ".seg"), wal_from_one);
+    {
+      BitrussService fresh(seed, DurableOptions(fresh_dir.path));
+      EXPECT_EQ(ListStampedFiles(fresh_dir.path, "snapshot-", ".snap"),
+                snapshot_zero);
+      EXPECT_EQ(ListStampedFiles(fresh_dir.path, "wal-", ".seg"),
+                wal_from_one);
+    }
+
+    for (const EdgeUpdate& op : ops) ASSERT_TRUE(service.Submit(op).ok());
+    ASSERT_TRUE(service.Drain().ok());
+    service.Shutdown(/*drain=*/false);  // seal the WAL, no covering snapshot
+  }
+
+  RecoveryStats stats;
+  auto recovered_or = RecoverService(seed, tmp.path, &stats);
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  EXPECT_FALSE(stats.from_seed);
+  EXPECT_EQ(stats.snapshot_applied, 0u);
+  EXPECT_EQ(stats.wal_replayed, ops.size());
+  EXPECT_EQ(recovered_or.value()->RecoveredBase(), ops.size());
+  ExpectRecoveredMatchesOracle(*recovered_or.value(), seed, ops);
+  recovered_or.value()->Shutdown(true);
 }
 
 TEST(BitrussServicePersist, FreshCtorRefusesDirtyDir) {

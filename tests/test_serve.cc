@@ -24,6 +24,7 @@
 #include "graph/bipartite_graph.h"
 #include "obs/metrics.h"
 #include "serve/bitruss_service.h"
+#include "serve_oracle.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -36,85 +37,8 @@ static_assert(!std::is_copy_constructible_v<BitrussService>,
 static_assert(!std::is_copy_assignable_v<BitrussService>,
               "BitrussService must not be copy-assignable");
 
-// Deterministic mixed insert/delete stream, valid under FIFO application:
-// every op is simulated while generating, so a delete always names an edge
-// that is live at its position in the stream.
-std::vector<EdgeUpdate> MakeStream(const BipartiteGraph& seed, int updates,
-                                   std::uint64_t rng_seed) {
-  DynamicBipartiteGraph sim(seed);
-  Rng rng(rng_seed);
-  std::vector<std::pair<VertexId, VertexId>> live;  // side-local pairs
-  for (EdgeId slot = 0; slot < sim.NumSlots(); ++slot) {
-    if (sim.IsLive(slot)) {
-      live.emplace_back(sim.EdgeUpper(slot),
-                        sim.EdgeLower(slot) - sim.NumUpper());
-    }
-  }
-  std::vector<EdgeUpdate> ops;
-  ops.reserve(updates);
-  while (static_cast<int>(ops.size()) < updates) {
-    if (!live.empty() && rng.NextBool(0.5)) {
-      const std::size_t pick = rng.Below(live.size());
-      const auto [u, l] = live[pick];
-      EXPECT_TRUE(sim.DeleteEdge(sim.FindEdge(u, sim.NumUpper() + l)).ok());
-      ops.push_back({EdgeUpdate::Kind::kDelete, u, l});
-      live[pick] = live.back();
-      live.pop_back();
-    } else {
-      const auto u = static_cast<VertexId>(rng.Below(sim.NumUpper()));
-      const auto l = static_cast<VertexId>(rng.Below(sim.NumLower()));
-      if (!sim.InsertEdge(u, l).ok()) continue;  // already present; reroll
-      ops.push_back({EdgeUpdate::Kind::kInsert, u, l});
-      live.emplace_back(u, l);
-    }
-  }
-  return ops;
-}
-
-// From-scratch oracle at a snapshot's version: replay the first
-// `applied_updates` ops of the stream (the writer applies FIFO) with the
-// same compaction cadence, then compare the snapshot's entire state
-// against an independent Snapshot() + Decompose() of the replayed graph.
-void ExpectSnapshotMatchesOracle(const PhiSnapshot& snap,
-                                 const BipartiteGraph& seed,
-                                 const std::vector<EdgeUpdate>& ops,
-                                 std::uint64_t compact_every) {
-  ASSERT_LE(snap.applied_updates, ops.size());
-  DynamicBipartiteGraph replay(seed);
-  std::uint64_t since_compact = 0;
-  for (std::uint64_t i = 0; i < snap.applied_updates; ++i) {
-    const EdgeUpdate& op = ops[i];
-    if (op.kind == EdgeUpdate::Kind::kInsert) {
-      ASSERT_TRUE(replay.InsertEdge(op.upper_local, op.lower_local).ok());
-    } else {
-      const EdgeId slot = replay.FindEdge(
-          op.upper_local, replay.NumUpper() + op.lower_local);
-      ASSERT_NE(slot, kInvalidEdge);
-      ASSERT_TRUE(replay.DeleteEdge(slot).ok());
-    }
-    if (compact_every != 0 && ++since_compact >= compact_every) {
-      replay.CompactSlots();
-      since_compact = 0;
-    }
-  }
-  ASSERT_EQ(snap.num_slots, replay.NumSlots());
-  ASSERT_EQ(snap.num_edges, replay.NumEdges());
-  ASSERT_EQ(snap.num_butterflies, replay.NumButterflies());
-
-  const GraphSnapshot compacted = replay.Snapshot();
-  const BitrussResult oracle = Decompose(compacted.graph);
-  std::vector<SupportT> phi_by_slot(replay.NumSlots(), 0);
-  std::vector<SupportT> support_by_slot(replay.NumSlots(), 0);
-  for (EdgeId e = 0; e < compacted.graph.NumEdges(); ++e) {
-    phi_by_slot[compacted.slot_of_edge[e]] = oracle.phi[e];
-    support_by_slot[compacted.slot_of_edge[e]] = compacted.supports[e];
-  }
-  for (EdgeId slot = 0; slot < replay.NumSlots(); ++slot) {
-    ASSERT_EQ(snap.IsLive(slot), replay.IsLive(slot)) << "slot " << slot;
-    ASSERT_EQ(snap.Phi(slot), phi_by_slot[slot]) << "slot " << slot;
-    ASSERT_EQ(snap.SupportOf(slot), support_by_slot[slot]) << "slot " << slot;
-  }
-}
+using serve_oracle::ExpectSnapshotMatchesOracle;
+using serve_oracle::MakeStream;
 
 TEST(BitrussService, InitialSnapshotMatchesSeedDecompose) {
   const BipartiteGraph seed = GenerateUniformBipartite(20, 15, 110, 3);
@@ -228,6 +152,45 @@ TEST(BitrussService, ShutdownWithoutDrainDiscardsQueue) {
   EXPECT_EQ(service.AppliedUpdates(), 0u);
   EXPECT_EQ(service.Snapshot()->applied_updates, 0u);
   EXPECT_EQ(service.Drain().code(), StatusCode::kUnavailable);
+}
+
+// Drain() from several threads at once: every caller must wake once its
+// update is applied and published.  A notify that skips mu_ can land
+// between a caller's predicate check and its wait and strand it, so the
+// run is bounded by a deadline instead of hanging the suite.
+TEST(BitrussService, ConcurrentDrainCallersAllWake) {
+  const BipartiteGraph seed = GenerateUniformBipartite(8, 8, 20, 11);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  BitrussService service(seed);
+  std::atomic<int> finished{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&service, &finished, t] {
+      const auto u = static_cast<VertexId>(t);
+      for (int round = 0; round < kRounds; ++round) {
+        // Toggle one thread-private edge; duplicate inserts are harmless.
+        const Status submitted = round % 2 == 0
+                                     ? service.SubmitInsert(u, u)
+                                     : service.SubmitDelete(u, u);
+        if (!submitted.ok() || !service.Drain().ok()) break;
+      }
+      finished.fetch_add(1);
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load() < kThreads &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool hung = finished.load() < kThreads;
+  if (hung) service.Shutdown(/*drain=*/false);  // releases stuck callers
+  for (std::thread& caller : callers) caller.join();
+  ASSERT_FALSE(hung) << "a Drain() caller missed its wake-up";
+  EXPECT_EQ(service.SubmittedUpdates(),
+            static_cast<std::uint64_t>(kThreads) * kRounds);
+  EXPECT_EQ(service.Snapshot()->applied_updates, service.SubmittedUpdates());
 }
 
 TEST(BitrussService, ServesExactlyAcrossCompactions) {

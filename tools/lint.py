@@ -30,6 +30,8 @@ Rules (each failure prints file:line and a one-line explanation):
      BITRUSS_FAULT_POINT("name") / BITRUSS_FAULT_POINT_STATUS("name") must
      be referenced by name somewhere under tests/ — no fault point may
      exist without crash/degradation coverage.
+  7. bench-built  every bench/*.cc stem must appear in CMakeLists.txt, so
+     a harness that never compiles cannot sit in the tree unnoticed.
 
 Exit status: 0 clean, 1 any violation (CI fails the build on it).
 """
@@ -206,6 +208,18 @@ def check_fault_point_coverage(root, errors):
         )
 
 
+def check_bench_built(root, errors):
+    cmake = root / "CMakeLists.txt"
+    text = cmake.read_text() if cmake.is_file() else ""
+    names = set(re.findall(r"\w+", text))
+    for path in sorted((root / "bench").glob("*.cc")):
+        if path.stem not in names:
+            errors.append(
+                f"{path.relative_to(root)}: not named in CMakeLists.txt — "
+                "every bench source must be built"
+            )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -224,6 +238,7 @@ def main():
     check_include_guards(root, errors)
     check_bench_meta(root, errors)
     check_fault_point_coverage(root, errors)
+    check_bench_built(root, errors)
 
     if errors:
         for error in errors:
