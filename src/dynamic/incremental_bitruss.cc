@@ -21,6 +21,7 @@ struct DynamicMetrics {
   obs::Counter* deletes;
   obs::Counter* local_repairs;
   obs::Counter* fallbacks;
+  obs::Counter* deferred_edits;
   obs::Counter* phi_changes;
   obs::Histogram* repair_frontier_edges;
   obs::Histogram* repair_butterflies;
@@ -33,6 +34,7 @@ struct DynamicMetrics {
           registry.GetCounter("bitruss_dynamic_deletes_total"),
           registry.GetCounter("bitruss_dynamic_local_repairs_total"),
           registry.GetCounter("bitruss_dynamic_fallbacks_total"),
+          registry.GetCounter("bitruss_dynamic_deferred_edits_total"),
           registry.GetCounter("bitruss_dynamic_phi_changes_total"),
           registry.GetHistogram("bitruss_dynamic_repair_frontier_edges",
                                 obs::ExponentialBuckets(1.0, 4.0, 10)),
@@ -96,16 +98,64 @@ void IncrementalBitruss::NewEpoch() {
 
 StatusOr<EdgeId> IncrementalBitruss::InsertEdge(VertexId upper_local,
                                                 VertexId lower_local) {
+  last_ = IncrementalUpdateStats{};
+  StatusOr<EdgeId> result = Insert(upper_local, lower_local);
+  FinishBatch();
+  return result;
+}
+
+Status IncrementalBitruss::DeleteEdge(EdgeId slot) {
+  last_ = IncrementalUpdateStats{};
+  Status status = Delete(slot);
+  FinishBatch();
+  return status;
+}
+
+Status IncrementalBitruss::Apply(const EdgeUpdate& update) {
+  last_ = IncrementalUpdateStats{};
+  Status status = ApplyOne(update);
+  FinishBatch();
+  return status;
+}
+
+std::uint64_t IncrementalBitruss::ApplyBatch(
+    const std::vector<EdgeUpdate>& updates) {
+  last_ = IncrementalUpdateStats{};
+  std::uint64_t failures = 0;
+  for (const EdgeUpdate& update : updates) {
+    if (!ApplyOne(update).ok()) ++failures;
+  }
+  FinishBatch();
+  return failures;
+}
+
+Status IncrementalBitruss::ApplyOne(const EdgeUpdate& update) {
+  if (update.kind == EdgeUpdate::Kind::kInsert) {
+    return Insert(update.upper_local, update.lower_local).status();
+  }
+  return Delete(graph_.FindEdge(update.upper_local,
+                                graph_.NumUpper() + update.lower_local));
+}
+
+StatusOr<EdgeId> IncrementalBitruss::Insert(VertexId upper_local,
+                                            VertexId lower_local) {
+  // After a bail-out the batch's recompute covers this edit, so the
+  // support deltas need no report.
+  const bool deferred = !recompute_seeds_.empty();
   StatusOr<EdgeId> result = graph_.InsertEdge(upper_local, lower_local,
-                                              &delta_);
+                                              deferred ? nullptr : &delta_);
   if (!result.ok()) return result;
   const EdgeId slot = result.value();
   if (phi_.size() < graph_.NumSlots()) phi_.resize(graph_.NumSlots(), 0);
   phi_[slot] = 0;
-  last_ = IncrementalUpdateStats{};
-  entry_labels_.clear();
   ++totals_.inserts;
   DynamicMetrics::Get().inserts->Inc();
+  if (deferred) {
+    DeferEdit(graph_.EdgeUpper(slot), graph_.EdgeLower(slot));
+    return result;
+  }
+  update_ = IncrementalUpdateStats{};
+  entry_labels_.clear();
 
   bool local_ok;
   if (delta_.butterflies == 0) {
@@ -121,20 +171,25 @@ StatusOr<EdgeId> IncrementalBitruss::InsertEdge(VertexId upper_local,
   return result;
 }
 
-Status IncrementalBitruss::DeleteEdge(EdgeId slot) {
+Status IncrementalBitruss::Delete(EdgeId slot) {
   if (!graph_.IsLive(slot)) {
     return graph_.DeleteEdge(slot);  // the graph's kNotFound contract
   }
   const VertexId u = graph_.EdgeUpper(slot);
   const VertexId v = graph_.EdgeLower(slot);
   const SupportT k_star = phi_[slot];
-  const Status status = graph_.DeleteEdge(slot, &delta_);
+  const bool deferred = !recompute_seeds_.empty();
+  const Status status = graph_.DeleteEdge(slot, deferred ? nullptr : &delta_);
   if (!status.ok()) return status;
   phi_[slot] = 0;  // the slot is free until reused
-  last_ = IncrementalUpdateStats{};
-  entry_labels_.clear();
   ++totals_.deletes;
   DynamicMetrics::Get().deletes->Inc();
+  if (deferred) {
+    DeferEdit(u, v);
+    return status;
+  }
+  update_ = IncrementalUpdateStats{};
+  entry_labels_.clear();
 
   bool local_ok;
   if (delta_.butterflies == 0 || k_star == 0) {
@@ -151,14 +206,6 @@ Status IncrementalBitruss::DeleteEdge(EdgeId slot) {
   return status;
 }
 
-Status IncrementalBitruss::Apply(const EdgeUpdate& update) {
-  if (update.kind == EdgeUpdate::Kind::kInsert) {
-    return InsertEdge(update.upper_local, update.lower_local).status();
-  }
-  return DeleteEdge(graph_.FindEdge(
-      update.upper_local, graph_.NumUpper() + update.lower_local));
-}
-
 bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
   const VertexId u = graph_.EdgeUpper(slot);
   const VertexId v = graph_.EdgeLower(slot);
@@ -169,7 +216,7 @@ bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
   // edges have support >= k.  Every edge phi can touch lies below K.
   scratch_.weights.clear();
   const SupportT own_support = graph_.Support(slot);
-  last_.enumerated_butterflies += internal::CollectButterflyWeights(
+  update_.enumerated_butterflies += internal::CollectButterflyWeights(
       graph_, u, v, [&](EdgeId f) { return graph_.Support(f); }, own_support,
       &scratch_.weights);
   const SupportT band =
@@ -198,7 +245,7 @@ bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
     internal::ForEachButterflyThroughEdge(
         graph_, graph_.EdgeUpper(f), graph_.EdgeLower(f),
         [&](EdgeId e1, EdgeId e2, EdgeId e3) {
-          ++last_.enumerated_butterflies;
+          ++update_.enumerated_butterflies;
           for (const EdgeId g : {e1, e2, e3}) {
             if (!Stamped(g) && phi_[g] < band && graph_.Support(g) > phi_[g]) {
               Stamp(g);
@@ -206,9 +253,9 @@ bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
             }
           }
         });
-    if (last_.enumerated_butterflies > budget) return false;
+    if (update_.enumerated_butterflies > budget) return false;
   }
-  last_.frontier_edges = frontier_.size();
+  update_.frontier_edges = frontier_.size();
 
   // Warm-start labels: each band edge rises to at most min(support, K),
   // everything outside the band keeps its exact phi.  The repair iterates
@@ -218,14 +265,14 @@ bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
     phi_[f] = std::min(graph_.Support(f), band);
   }
   LocalPeelStats stats;
-  const std::uint64_t used = last_.enumerated_butterflies;
+  const std::uint64_t used = update_.enumerated_butterflies;
   const bool completed = LocalHIndexRepair(
       graph_, phi_, frontier_, [&](EdgeId g) { return Stamped(g); },
       budget - std::min(budget, used), &stats, &scratch_);
-  last_.enumerated_butterflies += stats.enumerated_butterflies;
+  update_.enumerated_butterflies += stats.enumerated_butterflies;
   if (!completed) return false;
   for (const auto& [f, before] : entry_labels_) {
-    if (phi_[f] != before) ++last_.phi_changes;
+    if (phi_[f] != before) ++update_.phi_changes;
   }
   return true;
 }
@@ -249,17 +296,17 @@ bool IncrementalBitruss::RepairDelete(const SupportT k_star) {
   const bool completed = LocalHIndexRepair(
       graph_, phi_, frontier_, [&](EdgeId g) { return phi_[g] <= k_star; },
       EffectiveBudget(), &stats, &scratch_, &entry_labels_);
-  last_.enumerated_butterflies += stats.enumerated_butterflies;
+  update_.enumerated_butterflies += stats.enumerated_butterflies;
   if (!completed) return false;
   // entry_labels_ may list an edge several times; the first occurrence
   // holds its pre-update phi.
   NewEpoch();
-  last_.frontier_edges = 0;
+  update_.frontier_edges = 0;
   for (const auto& [f, before] : entry_labels_) {
     if (Stamped(f)) continue;
     Stamp(f);
-    ++last_.frontier_edges;
-    if (phi_[f] != before) ++last_.phi_changes;
+    ++update_.frontier_edges;
+    if (phi_[f] != before) ++update_.phi_changes;
   }
   return true;
 }
@@ -272,29 +319,46 @@ void IncrementalBitruss::FinishUpdate(const bool local_ok, const VertexId u,
     metrics.local_repairs->Inc();
   } else {
     // Roll the part-way repaired labels back to their pre-update values
-    // (reverse order: the first record per edge is the oldest), then
-    // recompute the affected component exactly.
+    // (reverse order: the first record per edge is the oldest); the
+    // batch's closing recompute then covers this edge's components.
     for (auto it = entry_labels_.rbegin(); it != entry_labels_.rend(); ++it) {
       phi_[it->first] = it->second;
     }
-    last_.fallback = true;
+    update_.fallback = true;
     ++totals_.fallbacks;
     metrics.fallbacks->Inc();
-    RecomputeComponents(u, v);
+    recompute_seeds_.push_back(u);
+    recompute_seeds_.push_back(v);
   }
-  totals_.enumerated_butterflies += last_.enumerated_butterflies;
-  totals_.phi_changes += last_.phi_changes;
-  metrics.phi_changes->Inc(last_.phi_changes);
+  last_.fallback = last_.fallback || update_.fallback;
+  last_.enumerated_butterflies += update_.enumerated_butterflies;
+  last_.frontier_edges += update_.frontier_edges;
+  last_.phi_changes += update_.phi_changes;
+  totals_.enumerated_butterflies += update_.enumerated_butterflies;
+  totals_.phi_changes += update_.phi_changes;
+  metrics.phi_changes->Inc(update_.phi_changes);
   metrics.repair_frontier_edges->Observe(
-      static_cast<double>(last_.frontier_edges));
+      static_cast<double>(update_.frontier_edges));
   metrics.repair_butterflies->Observe(
-      static_cast<double>(last_.enumerated_butterflies));
+      static_cast<double>(update_.enumerated_butterflies));
 }
 
-void IncrementalBitruss::RecomputeComponents(const VertexId u,
-                                             const VertexId v) {
+void IncrementalBitruss::DeferEdit(const VertexId u, const VertexId v) {
+  ++totals_.deferred_edits;
+  DynamicMetrics::Get().deferred_edits->Inc();
+  recompute_seeds_.push_back(u);
+  recompute_seeds_.push_back(v);
+}
+
+void IncrementalBitruss::FinishBatch() {
+  if (recompute_seeds_.empty()) return;
+  RecomputeFrom(recompute_seeds_);
+  recompute_seeds_.clear();
+}
+
+void IncrementalBitruss::RecomputeFrom(const std::vector<VertexId>& seeds) {
   // Butterflies and peeling cascades never cross connected components, so
-  // re-decomposing the component(s) of the updated edge's endpoints (a
+  // re-decomposing the components holding the touched endpoints (a
   // deletion can split one into two) is exact; phi elsewhere is untouched.
   std::vector<std::uint8_t> visited(graph_.NumVertices(), 0);
   std::vector<VertexId> queue;
@@ -304,8 +368,7 @@ void IncrementalBitruss::RecomputeComponents(const VertexId u,
       queue.push_back(s);
     }
   };
-  push(u);
-  push(v);
+  for (const VertexId s : seeds) push(s);
 
   std::vector<EdgeId> slots;
   for (std::size_t head = 0; head < queue.size(); ++head) {
@@ -320,11 +383,15 @@ void IncrementalBitruss::RecomputeComponents(const VertexId u,
 
   const GraphSnapshot component = graph_.SnapshotOf(slots);
   const BitrussResult result = Decompose(component.graph, options_.decompose);
+  std::uint64_t changes = 0;
   for (EdgeId e = 0; e < component.graph.NumEdges(); ++e) {
     const EdgeId slot = component.slot_of_edge[e];
-    if (phi_[slot] != result.phi[e]) ++last_.phi_changes;
+    if (phi_[slot] != result.phi[e]) ++changes;
     phi_[slot] = result.phi[e];
   }
+  last_.phi_changes += changes;
+  totals_.phi_changes += changes;
+  DynamicMetrics::Get().phi_changes->Inc(changes);
 }
 
 std::vector<EdgeId> IncrementalBitruss::CompactSlots() {
@@ -354,6 +421,7 @@ void IncrementalBitruss::ResetSlotScratch() {
   delta_.Clear();
   delta_.touched.shrink_to_fit();
   scratch_ = LocalPeelScratch{};
+  update_ = IncrementalUpdateStats{};
   last_ = IncrementalUpdateStats{};
 }
 

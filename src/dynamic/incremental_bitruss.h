@@ -36,6 +36,19 @@
 // maintainer abandons the local path and recomputes the affected connected
 // component with a scoped Decompose() — still exact, since butterflies and
 // peeling cascades never cross connected components.
+//
+// Batches.  ApplyBatch() applies a run of updates with at most one such
+// recompute.  Updates are repaired locally until the first one that bails
+// out; its partial labels are rolled back, and it and every later update
+// in the batch become plain DynamicBipartiteGraph edits (supports stay
+// exact; inserted and freed slots read phi 0).  The batch ends with one
+// recompute of the components holding any endpoint touched since the
+// bail-out.  That is exact because phi depends only on the final graph: a
+// final component with no touched endpoint has had the same edges since
+// the bail-out, and its phi was exact then.  A batch never recomputes more
+// often than the per-update path would, and the repairs it skips become
+// edits that path pays for anyway, so no cost model decides when to batch.
+// InsertEdge / DeleteEdge / Apply are the batch-of-one case.
 
 #ifndef BITRUSS_DYNAMIC_INCREMENTAL_BITRUSS_H_
 #define BITRUSS_DYNAMIC_INCREMENTAL_BITRUSS_H_
@@ -72,9 +85,10 @@ struct IncrementalBitrussOptions {
   DecomposeOptions decompose;
 };
 
-/// Per-update repair telemetry (reset by each InsertEdge/DeleteEdge).
+/// Repair telemetry of the last call (reset by each InsertEdge, DeleteEdge,
+/// Apply and ApplyBatch); after ApplyBatch it sums the batch's updates.
 struct IncrementalUpdateStats {
-  bool fallback = false;  ///< budget exceeded -> component recompute
+  bool fallback = false;  ///< a repair bailed out -> component recompute
   std::uint64_t enumerated_butterflies = 0;  ///< local-repair work
   std::uint64_t frontier_edges = 0;  ///< dirty edges seeded + pulled in
   std::uint64_t phi_changes = 0;     ///< edges whose phi actually moved
@@ -98,6 +112,10 @@ struct IncrementalTotals {
   /// updates that touched no butterfly).
   std::uint64_t local_repairs = 0;
   std::uint64_t fallbacks = 0;
+  /// Updates applied as plain graph edits after their batch's first
+  /// fallback; the batch's closing recompute covers them.  local_repairs
+  /// + fallbacks + deferred_edits == inserts + deletes.
+  std::uint64_t deferred_edits = 0;
   std::uint64_t enumerated_butterflies = 0;
   std::uint64_t phi_changes = 0;
 };
@@ -153,6 +171,10 @@ class IncrementalBitruss {
   /// Applies one endpoint-addressed update: InsertEdge, or DeleteEdge of
   /// the slot holding the pair (kNotFound when no such edge is live).
   [[nodiscard]] Status Apply(const EdgeUpdate& update);
+  /// Applies `updates` in order, as a batch (see the header comment), and
+  /// returns how many failed under Apply's contract.  Slots, supports and
+  /// phi afterwards are identical to calling Apply on each update.
+  std::uint64_t ApplyBatch(const std::vector<EdgeUpdate>& updates);
 
   /// Compacts the underlying slot table (DynamicBipartiteGraph::
   /// CompactSlots) and remaps the maintained phi.  Returns the old-slot ->
@@ -176,15 +198,26 @@ class IncrementalBitruss {
   bool Stamped(EdgeId e) const { return stamp_[e] == epoch_; }
   void Stamp(EdgeId e) { stamp_[e] = epoch_; }
 
+  /// One update inside the current batch: local repair, or a plain edit
+  /// once the batch has fallen back.  No recompute runs here.
+  StatusOr<EdgeId> Insert(VertexId upper_local, VertexId lower_local);
+  Status Delete(EdgeId slot);
+  Status ApplyOne(const EdgeUpdate& update);
   /// Local repair after a successful insert of `slot`; false on budget
   /// exhaustion (phi is then part-way repaired until the fallback runs).
   bool RepairInsert(EdgeId slot);
   /// Local repair after a successful delete whose edge had phi `k_star`.
   bool RepairDelete(SupportT k_star);
-  /// Exact fallback: Decompose() the connected component(s) of global
-  /// vertices u and v and scatter phi back to their slots.
-  void RecomputeComponents(VertexId u, VertexId v);
+  /// Books a repaired update; a failed repair is rolled back and its
+  /// endpoints u, v start the batch's recompute seeds.
   void FinishUpdate(bool local_ok, VertexId u, VertexId v);
+  /// Books a plain edit of edge (u, v) made after the batch fell back.
+  void DeferEdit(VertexId u, VertexId v);
+  /// Ends a batch: runs the recompute if a repair bailed out.
+  void FinishBatch();
+  /// Exact fallback: Decompose() the connected components holding the
+  /// global vertices `seeds` and scatter phi back to their slots.
+  void RecomputeFrom(const std::vector<VertexId>& seeds);
 
   IncrementalBitrussOptions options_;
   DynamicBipartiteGraph graph_;
@@ -197,7 +230,11 @@ class IncrementalBitruss {
   std::vector<EdgeId> frontier_;
   LocalPeelScratch scratch_;
   std::vector<std::pair<EdgeId, SupportT>> entry_labels_;
+  /// Endpoints touched since the current batch's first bail-out; non-empty
+  /// means the batch has fallen back and later updates are plain edits.
+  std::vector<VertexId> recompute_seeds_;
 
+  IncrementalUpdateStats update_;  // the update being repaired
   IncrementalUpdateStats last_;
   IncrementalTotals totals_;
 };

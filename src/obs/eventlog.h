@@ -15,7 +15,9 @@
 // counted (DroppedEvents(), also scrapeable as
 // `bitruss_eventlog_dropped_total`) — loss is explicit, stalls are
 // impossible.  Lifecycle events the serving layer emits: publish,
-// compaction, fallback_recompute, backpressure_reject, slow_apply.
+// compaction, fallback_recompute, backpressure_reject, slow_apply,
+// durable_snapshot, degraded_enter.  fallback_recompute and slow_apply
+// come at most once per writer batch and carry its size (batch_updates).
 //
 // Field values are pre-rendered by the EventField constructors (numbers
 // as JSON numbers, strings escaped), so Emit's formatting cost is a few

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -138,11 +139,14 @@ BitrussService::BitrussService(RestoredState state,
       publish_seconds_(obs::ExponentialBuckets(1e-5, 2.0, 16)),
       staleness_updates_(obs::ExponentialBuckets(1.0, 2.0, 12)),
       // Lifecycle latencies: applies can take microseconds (trivial
-      // updates) to seconds (fallback recomputes); visibility adds the
-      // publish cadence on top.  Reads are nanoseconds to milliseconds
-      // (top-k scans).
-      apply_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 22)),
-      visibility_seconds_(obs::ExponentialBuckets(1e-5, 2.0, 20)),
+      // updates) to seconds (fallback recomputes, long queue waits);
+      // visibility adds the publish cadence on top.  Both top out past
+      // 60 s so a backlogged p99 is measured, not clamped.  Reads are
+      // nanoseconds to milliseconds (top-k scans).
+      apply_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 27)),
+      visibility_seconds_(obs::ExponentialBuckets(1e-5, 2.0, 24)),
+      batch_updates_(obs::ExponentialBuckets(1.0, 2.0, 14)),
+      batch_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 27)),
       read_phi_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
       read_topk_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
       read_histogram_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)) {
@@ -201,6 +205,8 @@ std::vector<BitrussService::InstrumentEntry> BitrussService::Instruments()
       {"bitruss_serve_staleness_updates", nullptr, &staleness_updates_},
       {"bitruss_serve_apply_seconds", nullptr, &apply_seconds_},
       {"bitruss_serve_visibility_seconds", nullptr, &visibility_seconds_},
+      {"bitruss_serve_batch_updates", nullptr, &batch_updates_},
+      {"bitruss_serve_batch_seconds", nullptr, &batch_seconds_},
       {"bitruss_serve_read_phi_seconds", nullptr, &read_phi_seconds_},
       {"bitruss_serve_read_topk_seconds", nullptr, &read_topk_seconds_},
       {"bitruss_serve_read_histogram_seconds", nullptr,
@@ -493,37 +499,79 @@ void BitrussService::Resume() {
   queue_cv_.NotifyAll();
 }
 
-void BitrussService::ApplyUpdate(const QueuedUpdate& queued) {
-  const EdgeUpdate& update = queued.update;
+std::uint64_t BitrussService::BatchLimit() const {
+  // A batch ends exactly where the one-at-a-time writer would stop to
+  // publish, compact or snapshot, so none of those points moves.
+  std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
+  const auto stop_at = [&limit](std::uint64_t every, std::uint64_t since) {
+    if (every != 0) limit = std::min(limit, every - std::min(every - 1, since));
+  };
+  stop_at(options_.publish_every_updates, applied_since_publish_);
+  stop_at(options_.compact_every_updates, applied_since_compact_);
+  if (wal_ != nullptr && !Degraded()) {
+    stop_at(options_.persist.snapshot_every_updates, applied_since_durable_);
+  }
+  return limit;
+}
+
+void BitrussService::ApplyBatch() {
+  const auto count = static_cast<std::uint64_t>(batch_.size());
   const Clock::time_point apply_start = Clock::now();
-  const bool ok = inc_.Apply(update).ok();
-  if (!ok) apply_failures_.Inc();
+  apply_failures_.Inc(inc_.ApplyBatch(batch_));
   const Clock::time_point done = Clock::now();
   // Apply latency is submit -> applied: queue wait included, because that
   // is what a client experiences before its update can become visible.
-  apply_seconds_.Observe(
-      std::chrono::duration<double>(done - queued.submit_time).count());
-  applied_.IncOrdered();
+  for (auto it = pending_visibility_.end() - static_cast<std::ptrdiff_t>(count);
+       it != pending_visibility_.end(); ++it) {
+    apply_seconds_.Observe(std::chrono::duration<double>(done - *it).count());
+  }
+  const double work_seconds =
+      std::chrono::duration<double>(done - apply_start).count();
+  batch_updates_.Observe(static_cast<double>(count));
+  batch_seconds_.Observe(work_seconds);
+  applied_.IncOrdered(count);
+  applied_since_publish_ += count;
+  applied_since_durable_ += count;
 
   if (options_.event_log != nullptr) {
     const IncrementalUpdateStats& last = inc_.LastUpdateStats();
-    if (ok && last.fallback) {
+    if (last.fallback) {
       options_.event_log->Emit(
           "fallback_recompute",
-          {{"enumerated_butterflies", last.enumerated_butterflies},
+          {{"batch_updates", count},
+           {"enumerated_butterflies", last.enumerated_butterflies},
            {"frontier_edges", last.frontier_edges},
            {"phi_changes", last.phi_changes}});
     }
-    const double work_seconds =
-        std::chrono::duration<double>(done - apply_start).count();
     if (work_seconds > kSlowApplySeconds) {
       options_.event_log->Emit(
           "slow_apply",
           {{"seconds", work_seconds},
-           {"kind", update.kind == EdgeUpdate::Kind::kInsert ? "insert"
-                                                             : "delete"},
+           {"batch_updates", count},
            {"fallback", static_cast<std::uint64_t>(last.fallback ? 1 : 0)}});
     }
+  }
+
+  if (options_.compact_every_updates != 0 &&
+      (applied_since_compact_ += count) >= options_.compact_every_updates) {
+    const EdgeId slots_before = inc_.Graph().NumSlots();
+    inc_.CompactSlots();
+    applied_since_compact_ = 0;
+    compactions_.IncOrdered();
+    if (options_.event_log != nullptr) {
+      options_.event_log->Emit(
+          "compaction",
+          {{"slots_before", static_cast<std::uint64_t>(slots_before)},
+           {"slots_after",
+            static_cast<std::uint64_t>(inc_.Graph().NumSlots())}});
+    }
+  }
+  // Durable-snapshot cadence runs AFTER a possible compaction so the
+  // persisted image reflects the numbering later snapshots serve.
+  if (wal_ != nullptr && !Degraded() &&
+      options_.persist.snapshot_every_updates != 0 &&
+      applied_since_durable_ >= options_.persist.snapshot_every_updates) {
+    WriteDurableSnapshot();
   }
 }
 
@@ -609,10 +657,9 @@ void BitrussService::WriterLoop() {
   Clock::time_point last_publish = Clock::now();
 
   for (;;) {
-    QueuedUpdate queued;
-    bool have = false;
     bool stop = false;
     bool drain = true;
+    batch_.clear();
     {
       MutexLock lock(mu_);
       while (!(stopping_ || (!paused_ && !queue_.empty()))) {
@@ -630,41 +677,19 @@ void BitrussService::WriterLoop() {
       if (stop && !drain) {
         queue_.clear();
         queue_depth_.Set(0);
-      } else if ((!paused_ || stop) && !queue_.empty()) {
-        queued = queue_.front();
-        queue_.pop_front();
+      } else if (!paused_ || stop) {
+        const std::uint64_t take =
+            std::min<std::uint64_t>(queue_.size(), BatchLimit());
+        for (std::uint64_t i = 0; i < take; ++i) {
+          batch_.push_back(queue_.front().update);
+          pending_visibility_.push_back(queue_.front().submit_time);
+          queue_.pop_front();
+        }
         queue_depth_.Set(static_cast<std::int64_t>(queue_.size()));
-        have = true;
       }
     }
 
-    if (have) {
-      ApplyUpdate(queued);
-      pending_visibility_.push_back(queued.submit_time);
-      ++applied_since_publish_;
-      ++applied_since_durable_;
-      if (options_.compact_every_updates != 0 &&
-          ++applied_since_compact_ >= options_.compact_every_updates) {
-        const EdgeId slots_before = inc_.Graph().NumSlots();
-        inc_.CompactSlots();
-        applied_since_compact_ = 0;
-        compactions_.IncOrdered();
-        if (options_.event_log != nullptr) {
-          options_.event_log->Emit(
-              "compaction",
-              {{"slots_before", static_cast<std::uint64_t>(slots_before)},
-               {"slots_after",
-                static_cast<std::uint64_t>(inc_.Graph().NumSlots())}});
-        }
-      }
-      // Durable-snapshot cadence runs AFTER a possible compaction so the
-      // persisted image reflects the numbering later snapshots serve.
-      if (wal_ != nullptr && !Degraded() &&
-          options_.persist.snapshot_every_updates != 0 &&
-          applied_since_durable_ >= options_.persist.snapshot_every_updates) {
-        WriteDurableSnapshot();
-      }
-    }
+    if (!batch_.empty()) ApplyBatch();
 
     bool queue_empty;
     {
@@ -758,20 +783,23 @@ StatusOr<BitrussService::RestoredState> BitrussService::Restore(
           : FromState(seed, std::move(loaded).value(), options.incremental);
   if (!inc.ok()) return inc.status();
 
-  // 2. Replay the WAL suffix through the writer's own apply routine,
-  // repairing (physically truncating) a torn final tail.  Mid-log
-  // corruption or sequence gaps surface as kDataLoss.  A record that no
-  // longer applies (duplicate insert, vanished delete target) is a
-  // stream-level no-op, exactly as it was for the original writer.
+  // 2. Collect the WAL suffix, repairing (physically truncating) a torn
+  // final tail; mid-log corruption or sequence gaps surface as kDataLoss.
+  // Then apply it as one batch through the writer's own routine, so the
+  // whole replay recomputes at most once.  A record that no longer applies
+  // (duplicate insert, vanished delete target) is a stream-level no-op,
+  // exactly as it was for the original writer.
+  std::vector<EdgeUpdate> suffix;
   persist::WalReplayStats replay;
   Status replayed = persist::ReplayWal(
       dir, /*after_seq=*/base,
-      [&inc](const persist::WalRecord& record) {
-        (void)inc.value().Apply(ToEdgeUpdate(record));
+      [&suffix](const persist::WalRecord& record) {
+        suffix.push_back(ToEdgeUpdate(record));
         return OkStatus();
       },
       &replay, /*repair_torn_tail=*/true);
   if (!replayed.ok()) return replayed;
+  (void)inc.value().ApplyBatch(suffix);
   stats.wal_replayed = replay.records_replayed;
   stats.torn_records_discarded = replay.torn_records_discarded;
   RestoredState state(std::move(inc).value(), base + replay.records_replayed);

@@ -1,7 +1,7 @@
 // Concurrent bitruss serving layer: many snapshot readers, one writer.
 //
 // A single writer thread owns the `IncrementalBitruss` state and applies
-// queued edge updates one at a time, periodically freezing the maintained
+// queued edge updates in batches, periodically freezing the maintained
 // phi into an immutable `PhiSnapshot` published through an atomic
 // shared_ptr.  Readers never touch the mutable state — every query (point
 // phi/support, top-k, histogram) runs against the snapshot current at its
@@ -9,16 +9,25 @@
 //
 //     Submit()  ->  [bounded ingest queue]  ->  writer thread
 //                                                |  IncrementalBitruss::
-//                                                |  Apply(update)
+//                                                |  ApplyBatch(updates)
 //                                                v
 //                              publishes PhiSnapshot (version v)
 //                                                |
 //        Snapshot()/Phi()/TopKPhi()  <--  atomic_load(shared_ptr)
 //
+// Batches.  The writer pops the queued updates up to the next
+// count-triggered publish (`publish_every_updates`), compaction
+// (`compact_every_updates`) or durable snapshot (`snapshot_every_updates`),
+// whichever comes first — the whole queue when none is set — and applies
+// them with one IncrementalBitruss::ApplyBatch, which recomputes at most
+// once.  Publication, compaction and snapshot points and slot numbering are
+// therefore the same as applying one update at a time; the time trigger
+// (`publish_interval_ms`) fires only between batches.
+//
 // There is one way in: the constructor is Recover() from an empty
 // directory (or just the seed without PersistOptions::dir), WAL replay
-// applies records through the writer's own IncrementalBitruss::Apply, and
-// one private constructor starts the service for both entry points.
+// applies the whole recovered suffix as one ApplyBatch, and one private
+// constructor starts the service for both entry points.
 //
 // Concurrency contract.
 //   * Readers are wait-free with respect to the writer: acquiring the
@@ -172,9 +181,9 @@ struct BitrussServiceOptions {
   /// Knobs for the owned IncrementalBitruss (cascade budget, fallback
   /// decompose algorithm).
   IncrementalBitrussOptions incremental;
-  /// Structured lifecycle event sink (publish, compaction,
-  /// fallback_recompute, backpressure_reject, slow_apply); not owned, must
-  /// outlive the service.  Null disables event emission entirely.
+  /// Structured lifecycle event sink (see obs/eventlog.h for the kinds;
+  /// fallback_recompute and slow_apply come once per writer batch); not
+  /// owned, must outlive the service.  Null disables event emission.
   obs::EventLog* event_log = nullptr;
   /// WAL + snapshot durability; see PersistOptions.  Disabled by default.
   PersistOptions persist;
@@ -198,8 +207,8 @@ class BitrussService {
  public:
   /// Durable snapshots kept on disk; older ones are pruned.
   static constexpr int kKeepSnapshots = 2;
-  /// An apply whose own work (dequeue to done, queue wait excluded) takes
-  /// longer than this emits a `slow_apply` event.
+  /// A batch whose own work (ApplyBatch, queue wait excluded) takes longer
+  /// than this emits a `slow_apply` event.
   static constexpr double kSlowApplySeconds = 0.05;
 
   /// Builds the initial phi state from `seed` (one full Decompose) on the
@@ -257,7 +266,7 @@ class BitrussService {
 
   /// Stops intake (Submit fails with kUnavailable from now on); with
   /// `drain` applies + publishes everything queued, otherwise discards the
-  /// queue after the in-flight update.  Joins the writer.  Idempotent; the
+  /// queue after the in-flight batch.  Joins the writer.  Idempotent; the
   /// first call's drain choice wins.
   void Shutdown(bool drain = true);
 
@@ -319,7 +328,7 @@ class BitrussService {
 
   // -- Test hooks ----------------------------------------------------------
 
-  /// Suspends/resumes the writer between updates.  While paused the queue
+  /// Suspends/resumes the writer between batches.  While paused the queue
   /// fills and Submit exercises real backpressure deterministically; used
   /// by tests, not part of the serving API proper.
   void Pause();
@@ -359,10 +368,15 @@ class BitrussService {
   BitrussService(RestoredState state, BitrussServiceOptions options);
 
   void WriterLoop();
-  /// Applies one update to the owned IncrementalBitruss (writer thread
-  /// only) and maintains the applied/failure counters plus the
-  /// apply-latency histogram and slow-apply/fallback events.
-  void ApplyUpdate(const QueuedUpdate& queued);
+  /// Updates the next batch may take: those left before the next
+  /// count-triggered publish, compaction or durable snapshot (writer
+  /// thread only).
+  std::uint64_t BatchLimit() const;
+  /// Applies batch_ to the owned IncrementalBitruss (writer thread only):
+  /// applied/failure counters, per-update apply latency, the batch
+  /// instruments and events, then the compaction and durable snapshot due
+  /// at the batch's end.
+  void ApplyBatch();
   /// Wakes Drain() callers.  Takes mu_ so the notify cannot fall between
   /// a caller's predicate check and its wait.
   void NotifyDrained();
@@ -443,6 +457,10 @@ class BitrussService {
   // timed read-path wrappers.
   obs::Histogram apply_seconds_;
   obs::Histogram visibility_seconds_;
+  // Writer batches: updates per batch and ApplyBatch seconds (writer work
+  // only, no queue wait).
+  obs::Histogram batch_updates_;
+  obs::Histogram batch_seconds_;
   mutable obs::Histogram read_phi_seconds_;
   mutable obs::Histogram read_topk_seconds_;
   mutable obs::Histogram read_histogram_seconds_;
@@ -475,7 +493,10 @@ class BitrussService {
   /// Submit timestamps of applied-but-not-yet-published updates; drained
   /// into visibility_seconds_ at each publication (bounded by the publish
   /// cadence: the writer publishes at the latest when its queue drains).
+  /// The current batch's stamps are its last batch_.size() entries.
   std::vector<std::chrono::steady_clock::time_point> pending_visibility_;
+  /// The updates popped for the current batch.
+  std::vector<EdgeUpdate> batch_;
 
   Mutex join_mu_;  // serializes the writer join across Shutdown races
   /// Started last in the constructor (unguarded there: the object is not

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "butterfly/butterfly_counting.h"
 #include "core/decompose.h"
 #include "core/local_peel.h"
+#include "dynamic/dynamic_graph.h"
 #include "dynamic/incremental_bitruss.h"
 #include "gen/dataset_suite.h"
 #include "gen/random_bipartite.h"
@@ -342,6 +344,197 @@ TEST(IncrementalBitruss, StatsPlumbing) {
   EXPECT_FALSE(inc.DeleteEdge(12345).ok());
   EXPECT_EQ(inc.Totals().inserts, before.inserts);
   EXPECT_EQ(inc.Totals().deletes, before.deletes);
+}
+
+// ---------------------------------------------------------------------------
+// Batched apply: ApplyBatch must leave exactly the state per-update Apply
+// leaves — the same slots, supports and phi, and the same failure count —
+// whatever the batch width and wherever its first bail-out falls.
+// ---------------------------------------------------------------------------
+
+void ExpectSameGraphState(const DynamicBipartiteGraph& got,
+                          const DynamicBipartiteGraph& want) {
+  const DynamicGraphState a = got.ExportState();
+  const DynamicGraphState b = want.ExportState();
+  ASSERT_EQ(a.num_upper, b.num_upper);
+  ASSERT_EQ(a.num_lower, b.num_lower);
+  ASSERT_EQ(a.num_butterflies, b.num_butterflies);
+  ASSERT_EQ(a.upper, b.upper);
+  ASSERT_EQ(a.lower, b.lower);
+  ASSERT_EQ(a.support, b.support);
+  ASSERT_EQ(a.free_slots, b.free_slots);
+}
+
+// Feeds `stream` to ApplyBatch in batches of `width` (0 = the whole stream
+// in one batch) and to per-update Apply side by side, comparing after
+// every batch: failure counts, slot tables, phi by slot, and phi against a
+// from-scratch recount.
+void ExpectBatchesMatchPerUpdate(const BipartiteGraph& seed,
+                                 const IncrementalBitrussOptions& options,
+                                 const std::vector<EdgeUpdate>& stream,
+                                 std::size_t width) {
+  IncrementalBitruss batched(seed, options);
+  IncrementalBitruss reference(seed, options);
+  const std::size_t step = width == 0 ? stream.size() : width;
+  for (std::size_t begin = 0; begin < stream.size(); begin += step) {
+    const std::size_t end = std::min(stream.size(), begin + step);
+    SCOPED_TRACE("batch [" + std::to_string(begin) + ", " +
+                 std::to_string(end) + ")");
+    const std::vector<EdgeUpdate> batch(stream.begin() + begin,
+                                        stream.begin() + end);
+    std::uint64_t reference_failures = 0;
+    for (const EdgeUpdate& update : batch) {
+      if (!reference.Apply(update).ok()) ++reference_failures;
+    }
+    ASSERT_EQ(batched.ApplyBatch(batch), reference_failures);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameGraphState(batched.Graph(), reference.Graph()));
+    ASSERT_EQ(batched.PhiBySlot(), reference.PhiBySlot());
+    ASSERT_NO_FATAL_FAILURE(ExpectPhiMatchesRecount(batched));
+  }
+  const IncrementalTotals& totals = batched.Totals();
+  EXPECT_EQ(totals.inserts, reference.Totals().inserts);
+  EXPECT_EQ(totals.deletes, reference.Totals().deletes);
+  EXPECT_EQ(totals.local_repairs + totals.fallbacks + totals.deferred_edits,
+            totals.inserts + totals.deletes);
+  // A batch recomputes at most once, and never more often than the
+  // per-update path.
+  EXPECT_LE(totals.fallbacks, reference.Totals().fallbacks);
+  EXPECT_LE(totals.fallbacks, (stream.size() + step - 1) / step);
+}
+
+// A churn stream that also carries the routine failures: duplicate
+// inserts and deletes of absent edges.
+std::vector<EdgeUpdate> MakeChurnStream(const BipartiteGraph& seed, int count,
+                                        std::uint64_t rng_seed) {
+  DynamicBipartiteGraph sim(seed);
+  Rng rng(rng_seed);
+  std::vector<EdgeUpdate> stream;
+  const auto random_pair = [&] {
+    return std::make_pair(static_cast<VertexId>(rng.Below(sim.NumUpper())),
+                          static_cast<VertexId>(rng.Below(sim.NumLower())));
+  };
+  while (static_cast<int>(stream.size()) < count) {
+    const std::uint64_t roll = rng.Below(20);
+    if (roll < 9) {
+      // Delete a live edge.
+      EdgeId slot = kInvalidEdge;
+      while (sim.NumEdges() > 0 && !sim.IsLive(slot)) {
+        slot = static_cast<EdgeId>(rng.Below(sim.NumSlots()));
+      }
+      if (slot == kInvalidEdge) continue;
+      stream.push_back({EdgeUpdate::Kind::kDelete, sim.EdgeUpper(slot),
+                        sim.EdgeLower(slot) - sim.NumUpper()});
+      EXPECT_TRUE(sim.DeleteEdge(slot).ok());
+    } else if (roll < 18) {
+      // Insert a random pair: a duplicate when it is already present.
+      const auto [u, l] = random_pair();
+      stream.push_back({EdgeUpdate::Kind::kInsert, u, l});
+      (void)sim.InsertEdge(u, l);
+    } else {
+      // Delete a random pair: a miss when it is absent.
+      const auto [u, l] = random_pair();
+      stream.push_back({EdgeUpdate::Kind::kDelete, u, l});
+      const EdgeId slot = sim.FindEdge(u, sim.NumUpper() + l);
+      if (slot != kInvalidEdge) {
+        EXPECT_TRUE(sim.DeleteEdge(slot).ok());
+      }
+    }
+  }
+  return stream;
+}
+
+TEST(IncrementalBitrussBatch, MatchesPerUpdateApplyOnGithubChurn) {
+  const BipartiteGraph seed = MakeDataset("Github", 0.02);
+  IncrementalBitrussOptions forced;
+  forced.cascade_budget = 0;  // every non-trivial update falls back
+  IncrementalBitrussOptions tiny;
+  tiny.cascade_budget = 64;  // bail-outs land mid-batch
+  const std::pair<const char*, IncrementalBitrussOptions> budgets[] = {
+      {"budget 0", forced}, {"budget 64", tiny}, {"default budget", {}}};
+  for (const auto& [label, options] : budgets) {
+    for (const std::size_t width : {1, 7, 64, 0}) {
+      SCOPED_TRACE(std::string(label) + ", width " + std::to_string(width));
+      const std::vector<EdgeUpdate> stream =
+          MakeChurnStream(seed, 300, 0xba7c4ull + width);
+      ExpectBatchesMatchPerUpdate(seed, options, stream, width);
+    }
+  }
+}
+
+// Two K(2,2) blocks joined by the bridge (u1, l2):
+//   block A = {u0, u1} x {l0, l1},  block B = {u2, u3} x {l2, l3}.
+BipartiteGraph TwoBlocksWithBridge() {
+  return BipartiteGraph(5, 5,
+                        {{0, 0}, {0, 1}, {1, 0}, {1, 1}, {1, 2},
+                         {2, 2}, {2, 3}, {3, 2}, {3, 3}});
+}
+
+TEST(IncrementalBitrussBatch, HandCasesMatchPerUpdateApply) {
+  using Kind = EdgeUpdate::Kind;
+  const BipartiteGraph seed = TwoBlocksWithBridge();
+  const struct {
+    const char* name;
+    std::vector<EdgeUpdate> stream;
+  } cases[] = {
+      // (u1, l3) closes a butterfly with the bridge, so it falls back
+      // under budget 0; deleting the bridge then splits the component the
+      // recompute must cover.
+      {"delete splits a component",
+       {{Kind::kInsert, 1, 3}, {Kind::kDelete, 1, 2}, {Kind::kDelete, 1, 3}}},
+      // Deleting (u0, l0) falls back under budget 0; with the bridge gone,
+      // (u0, l2) merges the two blocks again and (u1, l2) closes a
+      // butterfly across them; (u4, l4) is a new isolated component.
+      {"insert merges components",
+       {{Kind::kDelete, 0, 0}, {Kind::kDelete, 1, 2}, {Kind::kInsert, 0, 2},
+        {Kind::kInsert, 1, 2}, {Kind::kInsert, 4, 4}}},
+      // With the bridge gone, deleting (u0, l0) falls back in block A;
+      // the later delete in block B is a plain edit in a component the
+      // fallback's own endpoints do not reach.
+      {"deferred edit in another component",
+       {{Kind::kDelete, 1, 2}, {Kind::kDelete, 0, 0}, {Kind::kDelete, 2, 2}}},
+      {"duplicate insert",
+       {{Kind::kInsert, 0, 2}, {Kind::kInsert, 0, 0}, {Kind::kInsert, 0, 2}}},
+      {"delete of a missing edge",
+       {{Kind::kDelete, 4, 4}, {Kind::kInsert, 0, 2}, {Kind::kDelete, 0, 4}}},
+      // The first update is a non-trivial delete: it falls back at once
+      // under budget 0, and every later update is a plain edit.
+      {"first update falls back",
+       {{Kind::kDelete, 0, 0}, {Kind::kInsert, 1, 3}, {Kind::kInsert, 0, 0},
+        {Kind::kDelete, 2, 2}}},
+  };
+  IncrementalBitrussOptions forced;
+  forced.cascade_budget = 0;
+  for (const auto& c : cases) {
+    for (const IncrementalBitrussOptions& options :
+         {forced, IncrementalBitrussOptions{}}) {
+      SCOPED_TRACE(std::string(c.name) + ", budget " +
+                   std::to_string(options.cascade_budget));
+      for (const std::size_t width : {1, 2, 0}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        ExpectBatchesMatchPerUpdate(seed, options, c.stream, width);
+      }
+    }
+  }
+
+  // The duplicate insert and the missing delete count as failures; the
+  // first-update fallback turns the rest of its batch into plain edits.
+  EXPECT_EQ(IncrementalBitruss(seed, forced).ApplyBatch(cases[3].stream), 2u);
+  EXPECT_EQ(IncrementalBitruss(seed, forced).ApplyBatch(cases[4].stream), 2u);
+  IncrementalBitruss first(seed, forced);
+  EXPECT_EQ(first.ApplyBatch(cases[5].stream), 0u);
+  EXPECT_TRUE(first.LastUpdateStats().fallback);
+  EXPECT_EQ(first.Totals().fallbacks, 1u);
+  EXPECT_EQ(first.Totals().deferred_edits, 3u);
+  EXPECT_EQ(first.Totals().local_repairs, 0u);
+}
+
+TEST(IncrementalBitrussBatch, EmptyBatchChangesNothing) {
+  IncrementalBitruss inc(TwoBlocksWithBridge());
+  const std::vector<SupportT> before = inc.PhiBySlot();
+  EXPECT_EQ(inc.ApplyBatch({}), 0u);
+  EXPECT_EQ(inc.PhiBySlot(), before);
+  EXPECT_FALSE(inc.LastUpdateStats().fallback);
 }
 
 }  // namespace

@@ -848,6 +848,41 @@ TEST(BitrussServicePersist, RecoveryCountersAdvance) {
   recovered_or.value()->Shutdown(true);
 }
 
+// Recovery applies the WAL suffix as one batch: under a tiny cascade
+// budget the per-update replay falls back again and again, the batch at
+// most once — and the recovered state is still slot-exact.
+TEST(BitrussServicePersist, RecoveryReplaysTheWalAsOneBatch) {
+  TempDir tmp;
+  const BipartiteGraph seed = GenerateUniformBipartite(25, 20, 160, 7);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 120, 0xba7c4);
+  BitrussServiceOptions options = DurableOptions(tmp.path);
+  options.persist.snapshot_every_updates = 0;  // the whole stream replays
+  options.incremental.cascade_budget = 4;
+  {
+    BitrussService service(seed, options);
+    service.Pause();  // acked and logged, never applied
+    for (const EdgeUpdate& op : ops) ASSERT_TRUE(service.Submit(op).ok());
+    service.Shutdown(/*drain=*/false);
+  }
+  // The per-update replay of the same stream falls back many times.
+  IncrementalBitruss per_update(seed, options.incremental);
+  for (const EdgeUpdate& op : ops) ASSERT_TRUE(per_update.Apply(op).ok());
+  ASSERT_GT(per_update.Totals().fallbacks, 1u);
+
+  obs::Counter* fallbacks =
+      obs::MetricsRegistry::Default().GetCounter(
+          "bitruss_dynamic_fallbacks_total");
+  const std::uint64_t fallbacks_before = fallbacks->Value();
+  RecoveryStats stats;
+  auto recovered_or = BitrussService::Recover(seed, options, &stats);
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  EXPECT_LE(fallbacks->Value() - fallbacks_before, 1u);
+  EXPECT_EQ(stats.wal_replayed, ops.size());
+  ExpectRecoveredMatchesOracle(*recovered_or.value(), seed, ops);
+  EXPECT_EQ(recovered_or.value()->Snapshot()->phi, per_update.PhiBySlot());
+  recovered_or.value()->Shutdown(true);
+}
+
 TEST(BitrussServicePersist, CorruptedMiddleOfWalFailsRecovery) {
   TempDir tmp;
   // Hand-build a WAL with two sealed segments and no snapshot, then damage

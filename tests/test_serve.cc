@@ -298,15 +298,17 @@ TEST(BitrussServiceStress, EverySnapshotMatchesOracleAtItsVersion) {
   }
 }
 
-// The current visibility-latency family sample from the default registry
-// (the service registers its instruments there); empty before any service
-// ever ran in the process.
-obs::HistogramSample VisibilityFamilySample() {
+// A histogram family from the default registry (the service registers its
+// instruments there); empty before any service ever ran in the process.
+obs::HistogramSample FamilySample(const char* name) {
   const obs::RegistrySnapshot snapshot =
       obs::MetricsRegistry::Default().Snapshot();
-  const obs::HistogramSample* family =
-      snapshot.FindHistogram("bitruss_serve_visibility_seconds");
+  const obs::HistogramSample* family = snapshot.FindHistogram(name);
   return family == nullptr ? obs::HistogramSample{} : *family;
+}
+
+obs::HistogramSample VisibilityFamilySample() {
+  return FamilySample("bitruss_serve_visibility_seconds");
 }
 
 // Exactness of the request-lifecycle visibility latency (PR 8): with a
@@ -380,6 +382,52 @@ TEST(BitrussService, TimedReadWrappersMatchSnapshotAndRecordLatency) {
   ASSERT_NE(
       registry_snap.FindHistogram("bitruss_serve_read_histogram_seconds"),
       nullptr);
+  service.Shutdown();
+}
+
+// The writer batches a backlog up to each count-triggered publication:
+// 600 queued updates at publish_every_updates=64 are 9 full batches plus
+// the 24-update tail, each ending in exactly one publication.
+TEST(BitrussService, BacklogAppliesInPublishSizedBatches) {
+  const BipartiteGraph seed = GenerateUniformBipartite(25, 20, 160, 7);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 600, 0xba7c4);
+  BitrussServiceOptions options;
+  options.publish_every_updates = 64;
+  options.publish_interval_ms = 0;
+  BitrussService service(seed, options);
+  const obs::HistogramSample before =
+      FamilySample("bitruss_serve_batch_updates");
+  const std::uint64_t published_before = service.Stats().published_snapshots;
+
+  service.Pause();
+  for (const EdgeUpdate& op : ops) ASSERT_TRUE(service.Submit(op).ok());
+  service.Resume();
+  ASSERT_TRUE(service.Drain().ok());
+
+  const obs::HistogramSample batches = obs::SubtractHistogramSample(
+      FamilySample("bitruss_serve_batch_updates"), before);
+  EXPECT_EQ(batches.count, 10u);
+  EXPECT_EQ(batches.sum, 600.0);
+  EXPECT_EQ(service.Stats().published_snapshots - published_before, 10u);
+  EXPECT_EQ(service.AppliedUpdates(), 600u);
+  ASSERT_NO_FATAL_FAILURE(ExpectSnapshotMatchesOracle(
+      *service.Snapshot(), seed, ops, /*compact_every=*/0));
+  service.Shutdown();
+}
+
+// The lifecycle latency families must reach past a minute, so a
+// backlogged p99 is measured instead of clamped at the top bound.
+TEST(BitrussService, LatencyHistogramsReachPastAMinute) {
+  const BipartiteGraph seed(2, 2, {{0, 0}, {1, 0}, {1, 1}});
+  BitrussService service(seed);
+  for (const char* name :
+       {"bitruss_serve_apply_seconds", "bitruss_serve_visibility_seconds",
+        "bitruss_serve_batch_seconds"}) {
+    SCOPED_TRACE(name);
+    const obs::HistogramSample family = FamilySample(name);
+    ASSERT_FALSE(family.bounds.empty());
+    EXPECT_GE(family.bounds.back(), 60.0);
+  }
   service.Shutdown();
 }
 
