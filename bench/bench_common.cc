@@ -1,13 +1,11 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
-#include <thread>
 
 #include "gen/dataset_suite.h"
-#include "obs/metrics.h"
 #include "util/sync.h"
 #include "util/timer.h"
 
@@ -20,53 +18,6 @@ double EnvDouble(const char* name, double fallback) {
   if (value == nullptr || *value == '\0') return fallback;
   const double parsed = std::atof(value);
   return parsed > 0 ? parsed : fallback;
-}
-
-// --json capture state.  Benches are single-binary runs; the mutex only
-// guards against tables printed from worker threads.
-struct CapturedTable {
-  std::string title;
-  std::vector<std::vector<std::string>> rows;  // rows[0] is the header
-};
-
-std::string* JsonPath() {
-  static std::string path;
-  return &path;
-}
-
-Mutex& CaptureMu() {
-  static Mutex mu;
-  return mu;
-}
-
-std::vector<CapturedTable>& CapturedTables() {
-  static std::vector<CapturedTable> tables;
-  return tables;
-}
-
-std::string& BenchName() {
-  static std::string name = "bench";
-  return name;
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -121,11 +72,6 @@ TablePrinter::TablePrinter(std::vector<std::string> header) {
   rows_.push_back(std::move(header));
 }
 
-TablePrinter::TablePrinter(std::string title, std::vector<std::string> header)
-    : title_(std::move(title)) {
-  rows_.push_back(std::move(header));
-}
-
 void TablePrinter::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
@@ -153,94 +99,6 @@ void TablePrinter::Print() const {
   }
   std::printf("\n");
   for (std::size_t r = 1; r < rows_.size(); ++r) print_row(rows_[r]);
-
-  if (BenchJsonRequested()) {
-    MutexLock lock(CaptureMu());
-    CapturedTable captured;
-    captured.title = title_.empty()
-                         ? "table_" + std::to_string(CapturedTables().size())
-                         : title_;
-    captured.rows = rows_;
-    CapturedTables().push_back(std::move(captured));
-  }
-}
-
-void ParseBenchArgs(int argc, char** argv) {
-  if (argc > 0 && argv[0] != nullptr) {
-    std::string name = argv[0];
-    const std::size_t slash = name.find_last_of('/');
-    if (slash != std::string::npos) name = name.substr(slash + 1);
-    BenchName() = name;
-  }
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--json=", 7) == 0 && arg[7] != '\0') {
-      *JsonPath() = arg + 7;
-    }
-  }
-}
-
-bool BenchJsonRequested() { return !JsonPath()->empty(); }
-
-void WriteBenchJsonIfRequested() {
-  if (!BenchJsonRequested()) return;
-  std::string out = "{\"bench\": ";
-  AppendJsonString(BenchName(), &out);
-  char scale[64];
-  std::snprintf(scale, sizeof(scale), "%g", BenchScale());
-  out += ", \"scale\": ";
-  out += scale;
-  const auto env_or = [](const char* name, const char* fallback) {
-    const char* value = std::getenv(name);
-    return std::string(value != nullptr && *value != '\0' ? value : fallback);
-  };
-  out += ", \"meta\": {\"git_sha\": ";
-  AppendJsonString(env_or("BITRUSS_BENCH_GIT_SHA", "unknown"), &out);
-  out += ", \"timestamp\": ";
-  AppendJsonString(env_or("BITRUSS_BENCH_TIMESTAMP", "unknown"), &out);
-  out += ", \"hardware_threads\": ";
-  out += std::to_string(std::thread::hardware_concurrency());
-  out += "}";
-  out += ", \"tables\": [";
-  {
-    MutexLock lock(CaptureMu());
-    const std::vector<CapturedTable>& tables = CapturedTables();
-    for (std::size_t t = 0; t < tables.size(); ++t) {
-      if (t > 0) out += ", ";
-      out += "{\"title\": ";
-      AppendJsonString(tables[t].title, &out);
-      out += ", \"header\": [";
-      const auto& rows = tables[t].rows;
-      for (std::size_t c = 0; !rows.empty() && c < rows[0].size(); ++c) {
-        if (c > 0) out += ", ";
-        AppendJsonString(rows[0][c], &out);
-      }
-      out += "], \"rows\": [";
-      for (std::size_t r = 1; r < rows.size(); ++r) {
-        if (r > 1) out += ", ";
-        out += "[";
-        for (std::size_t c = 0; c < rows[r].size(); ++c) {
-          if (c > 0) out += ", ";
-          AppendJsonString(rows[r][c], &out);
-        }
-        out += "]";
-      }
-      out += "]}";
-    }
-  }
-  out += "], \"metrics\": ";
-  out += obs::ExportJson(obs::MetricsRegistry::Default().Snapshot());
-  out += "}\n";
-
-  const std::string& path = *JsonPath();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench JSON: cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  std::printf("bench JSON written to %s\n", path.c_str());
 }
 
 std::string FormatCount(std::uint64_t value) { return std::to_string(value); }

@@ -9,11 +9,6 @@
 //   BITRUSS_BENCH_TIMEOUT  per-run deadline in seconds (default 30; the
 //                          scaled-down analogue of the paper's 30-hour cap;
 //                          timed-out entries print INF, as in Figure 9)
-//
-// Machine-readable output: a bench main that calls ParseBenchArgs(argc,
-// argv) accepts `--json=<path>`; WriteBenchJsonIfRequested() then writes
-// every table the run printed plus the process MetricsRegistry snapshot as
-// one JSON document (CI parses this instead of scraping stdout).
 
 #ifndef BITRUSS_BENCH_BENCH_COMMON_H_
 #define BITRUSS_BENCH_BENCH_COMMON_H_
@@ -54,34 +49,13 @@ std::string FormatSeconds(const RunOutcome& outcome);
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> header);
-  TablePrinter(std::string title, std::vector<std::string> header);
   void AddRow(std::vector<std::string> row);
-  /// Flushes the table to stdout with aligned columns; when `--json` was
-  /// requested the table is also captured for WriteBenchJsonIfRequested().
+  /// Flushes the table to stdout with aligned columns.
   void Print() const;
 
  private:
-  std::string title_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Scans argv for bench flags (currently `--json=<path>`).  Unknown
-/// arguments are ignored so dataset positional args stay available.
-void ParseBenchArgs(int argc, char** argv);
-
-/// True when ParseBenchArgs saw `--json=<path>`.
-bool BenchJsonRequested();
-
-/// Writes `{"bench", "scale", "meta": {...}, "tables": [...], "metrics":
-/// {...}}` to the `--json` path (tables captured from every
-/// TablePrinter::Print since startup, metrics from
-/// obs::MetricsRegistry::Default).  `meta` stamps the run for baseline
-/// comparisons: git_sha and timestamp come from the caller via
-/// BITRUSS_BENCH_GIT_SHA / BITRUSS_BENCH_TIMESTAMP (the bench binary has
-/// no business shelling out to git or reading the clock differently per
-/// platform; CI stamps both), hardware_threads from the machine.  No-op
-/// without the flag; prints the destination path on success.
-void WriteBenchJsonIfRequested();
 
 /// Shorthand number formatting.
 std::string FormatCount(std::uint64_t value);

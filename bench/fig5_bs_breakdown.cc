@@ -5,17 +5,15 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "obs/metrics.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace bitruss;
   using namespace bitruss::bench;
 
-  ParseBenchArgs(argc, argv);
   PrintBanner("Figure 5", "BiT-BS counting vs peeling time breakdown");
 
-  TablePrinter table("bs_breakdown", {"Dataset", "counting (s)", "peeling (s)",
-                                      "peel/count ratio"});
+  TablePrinter table(
+      {"Dataset", "counting (s)", "peeling (s)", "peel/count ratio"});
   for (const char* name : {"Github", "Twitter", "D-label", "D-style"}) {
     const BipartiteGraph& g = BenchDataset(name);
     const RunOutcome run = TimedRun(g, Algorithm::kBS);
@@ -31,6 +29,5 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf("\n(The paper reports the peeling phase dominating BiT-BS on "
               "all four datasets.)\n");
-  WriteBenchJsonIfRequested();
   return 0;
 }

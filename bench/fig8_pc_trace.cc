@@ -26,11 +26,10 @@ double NoteValue(const bitruss::obs::SpanRecord& span, const char* key) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace bitruss;
   using namespace bitruss::bench;
 
-  ParseBenchArgs(argc, argv);
   PrintBanner("Figure 8", "BiT-PC progressive compression trace (D-style)");
 
   const BipartiteGraph& g = BenchDataset("D-style");
@@ -42,8 +41,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  TablePrinter table("pc_trace", {"iter", "theta", "candidate |E|", "assigned",
-                                  "index (MiB)", "round (s)"});
+  TablePrinter table({"iter", "theta", "candidate |E|", "assigned",
+                      "index (MiB)", "round (s)"});
   std::size_t iter = 0;
   for (const obs::SpanRecord& span : trace.Events()) {
     if (span.name != "pc/round") continue;
@@ -63,6 +62,5 @@ int main(int argc, char** argv) {
   std::printf("\ntotal: %u edges over %zu iterations, %.3fs\n", g.NumEdges(),
               iter, pc.seconds);
   std::printf("\n-- phase trace --\n%s", trace.IndentedSummary().c_str());
-  WriteBenchJsonIfRequested();
   return 0;
 }

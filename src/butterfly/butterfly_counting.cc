@@ -24,7 +24,7 @@ struct CountingMetrics {
       return CountingMetrics{
           registry.GetCounter("bitruss_butterfly_count_runs_total"),
           registry.GetHistogram("bitruss_butterfly_count_seconds",
-                                obs::ExponentialBuckets(0.001, 2.0, 14)),
+                                obs::ExponentialBuckets(1e-5, 2.0, 21)),
       };
     }();
     return metrics;

@@ -25,7 +25,7 @@ struct IndexBuildMetrics {
       return IndexBuildMetrics{
           registry.GetCounter("bitruss_beindex_builds_total"),
           registry.GetHistogram("bitruss_beindex_build_seconds",
-                                obs::ExponentialBuckets(0.001, 2.0, 14)),
+                                obs::ExponentialBuckets(1e-5, 2.0, 21)),
           registry.GetGauge("bitruss_beindex_last_build_bytes"),
       };
     }();

@@ -17,7 +17,8 @@ namespace {
 constexpr std::uint32_t kDeadlinePollInterval = 256;
 
 // Registry handles are fetched once per process; the decompose phases then
-// pay one atomic op per report.  Seconds buckets span 1ms..~8s.
+// pay one atomic op per report.  Seconds buckets span 10us..~10s, so a
+// small component recompute still lands inside the layout.
 struct DecomposeMetrics {
   obs::Counter* runs;
   obs::Histogram* counting_seconds;
@@ -28,7 +29,7 @@ struct DecomposeMetrics {
     static const DecomposeMetrics metrics = [] {
       auto& registry = obs::MetricsRegistry::Default();
       const std::vector<double> seconds =
-          obs::ExponentialBuckets(0.001, 2.0, 14);
+          obs::ExponentialBuckets(1e-5, 2.0, 21);
       return DecomposeMetrics{
           registry.GetCounter("bitruss_core_decompose_runs_total"),
           registry.GetHistogram("bitruss_core_counting_seconds", seconds),

@@ -1,13 +1,20 @@
-// Shared oracle plumbing for the serving-layer suites (test_serve.cc,
-// test_persist.cc): a deterministic update stream and a from-scratch
-// replay + Decompose() check of a published snapshot against it.
+// Shared plumbing for the serving-layer suites (test_serve.cc,
+// test_persist.cc, test_telemetry_contract.cc): a deterministic update
+// stream, a from-scratch replay + Decompose() check of a published snapshot
+// against it, and a scoped temp directory.
 
 #ifndef BITRUSS_TESTS_SERVE_ORACLE_H_
 #define BITRUSS_TESTS_SERVE_ORACLE_H_
 
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +26,33 @@
 
 namespace bitruss {
 namespace serve_oracle {
+
+// Scoped flat temp dir: every test path (including ASSERT early exits)
+// cleans up.  Removal unlinks plain files only, which is all the WAL,
+// snapshot and event-log writers create.
+struct TempDir {
+  TempDir() {
+    char tmpl[] = "/tmp/bitruss_test_XXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr) << std::strerror(errno);
+    if (dir != nullptr) path = dir;
+  }
+  ~TempDir() {
+    if (DIR* d = ::opendir(path.c_str())) {
+      while (dirent* entry = ::readdir(d)) {
+        const std::string name = entry->d_name;
+        if (name == "." || name == "..") continue;
+        ::unlink((path + "/" + name).c_str());
+      }
+      ::closedir(d);
+    }
+    ::rmdir(path.c_str());
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::string path;
+};
 
 // Deterministic mixed insert/delete stream, valid under FIFO application:
 // every op is simulated while generating, so a delete always names an edge

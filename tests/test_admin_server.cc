@@ -3,173 +3,28 @@
 // /metrics body must be byte-identical to ExportPrometheus of the same
 // registry, /metrics.json must be well-formed JSON, routing must answer
 // 404/405/400 without wedging the listener, and concurrent scrapes must
-// all be served.  The JSON checks use a tiny recursive-descent validator
-// (no parser dependency) — well-formedness is the contract, not schema.
+// all be served.  The client and the JSON validator live in
+// http_test_util.h.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cctype>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "http_test_util.h"
+#include "obs/admin_server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/admin_server.h"
 
 namespace bitruss::obs {
 namespace {
 
-struct HttpReply {
-  bool ok = false;  // connected, sent, and got a status line back
-  int status = 0;
-  std::string headers;  // raw header block (status line included)
-  std::string body;
-};
-
-// Minimal HTTP/1.0 client: one request, read to EOF (the server closes).
-HttpReply Fetch(int port, const std::string& request_line) {
-  HttpReply reply;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return reply;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    ::close(fd);
-    return reply;
-  }
-  const std::string request = request_line + "\r\nHost: 127.0.0.1\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), 0) !=
-      static_cast<ssize_t>(request.size())) {
-    ::close(fd);
-    return reply;
-  }
-  std::string response;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos) return reply;
-  reply.headers = response.substr(0, header_end);
-  reply.body = response.substr(header_end + 4);
-  if (std::sscanf(response.c_str(), "HTTP/1.0 %d", &reply.status) != 1) {
-    return reply;
-  }
-  reply.ok = true;
-  return reply;
-}
-
-HttpReply Get(int port, const std::string& path) {
-  return Fetch(port, "GET " + path + " HTTP/1.0");
-}
-
-// ---------------------------------------------------------------------------
-// Tiny JSON well-formedness validator.
-// ---------------------------------------------------------------------------
-
-struct JsonCursor {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void SkipSpace() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(
-                                    text[pos]))) {
-      ++pos;
-    }
-  }
-  bool Eat(char c) {
-    SkipSpace();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-};
-
-bool ValidValue(JsonCursor* cursor);
-
-bool ValidString(JsonCursor* cursor) {
-  if (!cursor->Eat('"')) return false;
-  while (cursor->pos < cursor->text.size()) {
-    const char c = cursor->text[cursor->pos++];
-    if (c == '"') return true;
-    if (c == '\\') {
-      if (cursor->pos >= cursor->text.size()) return false;
-      ++cursor->pos;  // escaped char (u-escapes validate loosely)
-    }
-  }
-  return false;
-}
-
-bool ValidNumber(JsonCursor* cursor) {
-  const std::size_t start = cursor->pos;
-  const std::string& t = cursor->text;
-  auto at = [&](char c) {
-    return cursor->pos < t.size() && t[cursor->pos] == c;
-  };
-  if (at('-')) ++cursor->pos;
-  while (cursor->pos < t.size() &&
-         (std::isdigit(static_cast<unsigned char>(t[cursor->pos])) ||
-          t[cursor->pos] == '.' || t[cursor->pos] == 'e' ||
-          t[cursor->pos] == 'E' || t[cursor->pos] == '+' ||
-          t[cursor->pos] == '-')) {
-    ++cursor->pos;
-  }
-  return cursor->pos > start;
-}
-
-bool ValidValue(JsonCursor* cursor) {
-  cursor->SkipSpace();
-  if (cursor->pos >= cursor->text.size()) return false;
-  const char c = cursor->text[cursor->pos];
-  if (c == '{') {
-    ++cursor->pos;
-    if (cursor->Eat('}')) return true;
-    do {
-      if (!ValidString(cursor)) return false;
-      if (!cursor->Eat(':')) return false;
-      if (!ValidValue(cursor)) return false;
-    } while (cursor->Eat(','));
-    return cursor->Eat('}');
-  }
-  if (c == '[') {
-    ++cursor->pos;
-    if (cursor->Eat(']')) return true;
-    do {
-      if (!ValidValue(cursor)) return false;
-    } while (cursor->Eat(','));
-    return cursor->Eat(']');
-  }
-  if (c == '"') return ValidString(cursor);
-  for (const char* literal : {"true", "false", "null"}) {
-    const std::size_t len = std::strlen(literal);
-    if (cursor->text.compare(cursor->pos, len, literal) == 0) {
-      cursor->pos += len;
-      return true;
-    }
-  }
-  return ValidNumber(cursor);
-}
-
-bool IsValidJson(const std::string& text) {
-  JsonCursor cursor{text};
-  if (!ValidValue(&cursor)) return false;
-  cursor.SkipSpace();
-  return cursor.pos == text.size();
-}
+using http_test::Fetch;
+using http_test::Get;
+using http_test::HttpReply;
+using http_test::IsValidJson;
+using http_test::SendRawAndRead;
 
 TEST(AdminServerJsonValidator, AcceptsAndRejectsTheRightThings) {
   EXPECT_TRUE(IsValidJson("{}"));
@@ -308,47 +163,6 @@ TEST(AdminServer, LifecycleIsStrictAboutStartAndIdempotentAboutStop) {
   ASSERT_TRUE(server.Start().ok());
   EXPECT_GT(server.Port(), 0);
   server.Stop();
-}
-
-// Raw exchange that does NOT complete the request: connect, send exactly
-// `payload`, then read the server's verdict to EOF.  Fetch() always sends a
-// terminated request, so the abuse paths (431/408) need this lower-level
-// client.
-HttpReply SendRawAndRead(int port, const std::string& payload) {
-  HttpReply reply;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return reply;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    ::close(fd);
-    return reply;
-  }
-  if (!payload.empty() &&
-      ::send(fd, payload.data(), payload.size(), 0) !=
-          static_cast<ssize_t>(payload.size())) {
-    ::close(fd);
-    return reply;
-  }
-  std::string response;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos) return reply;
-  reply.headers = response.substr(0, header_end);
-  reply.body = response.substr(header_end + 4);
-  if (std::sscanf(response.c_str(), "HTTP/1.0 %d", &reply.status) != 1) {
-    return reply;
-  }
-  reply.ok = true;
-  return reply;
 }
 
 // A header block that blows past max_request_bytes is answered 431 without

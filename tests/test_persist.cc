@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <dirent.h>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -69,37 +68,11 @@ using persist::WalWriter;
 using persist::WriteSnapshotFile;
 using persist::kWalRecordBytes;
 using persist::kWalSegmentHeaderBytes;
+using serve_oracle::TempDir;
 
 // ---------------------------------------------------------------------------
 // Filesystem helpers
 // ---------------------------------------------------------------------------
-
-std::string MakeTempDir() {
-  char tmpl[] = "/tmp/bitruss_persist_XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr) << std::strerror(errno);
-  return dir == nullptr ? std::string() : std::string(dir);
-}
-
-void RemoveTree(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d != nullptr) {
-    while (dirent* entry = ::readdir(d)) {
-      const std::string name = entry->d_name;
-      if (name == "." || name == "..") continue;
-      ::unlink((dir + "/" + name).c_str());
-    }
-    ::closedir(d);
-  }
-  ::rmdir(dir.c_str());
-}
-
-// Scoped temp dir: every test path (including ASSERT early exits) cleans up.
-struct TempDir {
-  TempDir() : path(MakeTempDir()) {}
-  ~TempDir() { RemoveTree(path); }
-  std::string path;
-};
 
 std::int64_t FileSize(const std::string& path) {
   struct stat st{};

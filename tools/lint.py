@@ -23,21 +23,17 @@ Rules (each failure prints file:line and a one-line explanation):
      include guard spelling its path: BITRUSS_<RELPATH>_H_ (e.g.
      src/util/sync.h -> BITRUSS_UTIL_SYNC_H_); stale guards after a file
      move silently break the one-definition rule.
-  5. bench-meta  repo-root BENCH_*.json baselines must parse and carry a
-     non-placeholder meta.git_sha and meta.timestamp, so perf baselines
-     stay attributable to a commit.
-  6. fault-point-coverage  every fault point declared in src/ via
+  5. fault-point-coverage  every fault point declared in src/ via
      BITRUSS_FAULT_POINT("name") / BITRUSS_FAULT_POINT_STATUS("name") must
      be referenced by name somewhere under tests/ — no fault point may
      exist without crash/degradation coverage.
-  7. bench-built  every bench/*.cc stem must appear in CMakeLists.txt, so
+  6. bench-built  every bench/*.cc stem must appear in CMakeLists.txt, so
      a harness that never compiles cannot sit in the tree unnoticed.
 
 Exit status: 0 clean, 1 any violation (CI fails the build on it).
 """
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -161,24 +157,6 @@ def check_include_guards(root, errors):
                 )
 
 
-def check_bench_meta(root, errors):
-    for path in sorted(root.glob("BENCH_*.json")):
-        rel = path.relative_to(root)
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            errors.append(f"{rel}: invalid JSON ({e})")
-            continue
-        meta = doc.get("meta", {})
-        for key in ("git_sha", "timestamp"):
-            value = str(meta.get(key, "")).strip()
-            if not value or value.lower() == "unknown":
-                errors.append(
-                    f"{rel}: meta.{key} is missing/placeholder; baselines "
-                    "must be attributable to a commit"
-                )
-
-
 def check_fault_point_coverage(root, errors):
     declared = {}  # name -> first declaring file:line
     for path in sorted((root / "src").rglob("*")):
@@ -236,7 +214,6 @@ def main():
     check_atomic_comments(root, errors)
     check_nodiscard_status(root, errors)
     check_include_guards(root, errors)
-    check_bench_meta(root, errors)
     check_fault_point_coverage(root, errors)
     check_bench_built(root, errors)
 
