@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/decompose.h"
-#include "core/parallel_peel.h"
 #include "gen/chung_lu.h"
 
 namespace {
@@ -62,9 +61,8 @@ BENCHMARK(BM_DecomposeBUPlusPlus)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecomposePCTau002)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DecomposePCTau02)->Unit(benchmark::kMillisecond);
 
-// Thread scaling of the pipeline, both shapes: BU++ with parallel counting
-// and index construction (peel sequential), and the round-based parallel
-// peeler end to end.  Arg = thread count.
+// Thread scaling of the pipeline: BU++ with parallel counting and index
+// construction (peel sequential).  Arg = thread count.
 void BM_DecomposeBUPlusPlusThreads(benchmark::State& state) {
   const BipartiteGraph& g = SharedGraph();
   DecomposeOptions options;
@@ -75,19 +73,7 @@ void BM_DecomposeBUPlusPlusThreads(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
-void BM_DecomposeParallelPeelThreads(benchmark::State& state) {
-  const BipartiteGraph& g = SharedGraph();
-  ParallelPeelOptions options;
-  options.num_threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(DecomposeParallelPeel(g, options));
-  }
-  state.SetItemsProcessed(state.iterations() * g.NumEdges());
-}
 BENCHMARK(BM_DecomposeBUPlusPlusThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DecomposeParallelPeelThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 

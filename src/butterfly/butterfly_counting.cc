@@ -1,7 +1,5 @@
 #include "butterfly/butterfly_counting.h"
 
-#include <atomic>
-
 #include "butterfly/wedge_enumeration.h"
 #include "obs/metrics.h"
 #include "util/timer.h"
@@ -30,11 +28,6 @@ struct CountingMetrics {
     return metrics;
   }
 };
-
-// Anchors processed per deadline poll inside a chunk: the poll sits between
-// sub-slices of the bloom enumeration, so expiry is detected within a
-// bounded amount of extra work even on hub-heavy chunks.
-constexpr VertexId kAnchorsPerPoll = 64;
 
 // Chunks per thread: enough slack that the hub-heavy low-rank anchors (the
 // bulk of the wedge work under the degree priority) spread across the pool
@@ -68,80 +61,35 @@ std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g) {
 
 std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
                                         const PriorityAdjacency& adj,
-                                        ThreadPool* pool,
-                                        const Deadline& deadline,
-                                        bool* expired) {
-  if (expired != nullptr) *expired = false;
+                                        ThreadPool* pool) {
+  if (pool == nullptr || pool->NumThreads() <= 1) {
+    return CountEdgeSupports(g, adj);
+  }
   const EdgeId m = g.NumEdges();
   const VertexId n = adj.NumVertices();
   const CountingMetrics& metrics = CountingMetrics::Get();
   Timer timer;
-  if (pool == nullptr || pool->NumThreads() <= 1) {
-    if (!deadline.IsFinite()) return CountEdgeSupports(g, adj);
-    // Sequential but deadline-aware: same enumeration, polled per sub-slice.
-    std::vector<SupportT> sup(m, 0);
-    internal::BloomScratch scratch;
-    scratch.Prepare(n);
-    for (VertexId begin = 0; begin < n; begin += kAnchorsPerPoll) {
-      if (deadline.Expired()) {
-        if (expired != nullptr) *expired = true;
-        return {};
-      }
-      const VertexId end =
-          begin + kAnchorsPerPoll < n ? begin + kAnchorsPerPoll : n;
-      internal::ForEachBloomRange<true>(
-          adj, begin, end, scratch, [](VertexId, SupportT) {},
-          [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
-            sup[anchor_edge] += c - 1;
-            sup[far_edge] += c - 1;
-          },
-          kNoopAnchorDone);
-    }
-    metrics.runs->Inc();
-    metrics.seconds->Observe(timer.Seconds());
-    return sup;
-  }
-
   const unsigned num_threads = pool->NumThreads();
   std::vector<std::vector<SupportT>> partial(num_threads);
   std::vector<internal::BloomScratch> scratch(num_threads);
-  std::atomic<bool> abort{false};
 
   pool->ParallelForChunks(
       0, n, num_threads * kChunksPerThread,
       [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned thread) {
-        if (abort.load(std::memory_order_relaxed)) return;
         std::vector<SupportT>& sup = partial[thread];
         if (sup.empty()) {
           sup.assign(m, 0);
           scratch[thread].Prepare(n);
         }
-        for (std::uint64_t slice = begin; slice < end;
-             slice += kAnchorsPerPoll) {
-          if (deadline.IsFinite()) {
-            if (abort.load(std::memory_order_relaxed)) return;
-            if (deadline.Expired()) {
-              abort.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-          const VertexId slice_end = static_cast<VertexId>(
-              slice + kAnchorsPerPoll < end ? slice + kAnchorsPerPoll : end);
-          internal::ForEachBloomRange<true>(
-              adj, static_cast<VertexId>(slice), slice_end, scratch[thread],
-              [](VertexId, SupportT) {},
-              [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
-                sup[anchor_edge] += c - 1;
-                sup[far_edge] += c - 1;
-              },
-              kNoopAnchorDone);
-        }
+        internal::ForEachBloomRange<true>(
+            adj, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+            scratch[thread], [](VertexId, SupportT) {},
+            [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
+              sup[anchor_edge] += c - 1;
+              sup[far_edge] += c - 1;
+            },
+            kNoopAnchorDone);
       });
-
-  if (abort.load(std::memory_order_relaxed)) {
-    if (expired != nullptr) *expired = true;
-    return {};
-  }
 
   // Deterministic merge: sup(e) is a per-edge integer sum over the thread
   // partials, independent of which thread ran which chunk.

@@ -26,7 +26,6 @@
 #include "graph/bipartite_graph.h"
 #include "graph/vertex_priority.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace bitruss {
 
@@ -38,14 +37,10 @@ std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
 std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g);
 
 /// Parallel per-edge supports over `pool` (nullptr or a 1-thread pool runs
-/// the sequential path).  Anchor chunks poll `deadline` coarsely (every few
-/// anchors); on expiry the count aborts, *expired is set when non-null, and
-/// the returned vector is empty — partial counts are never handed out.
+/// the sequential path).
 std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
                                         const PriorityAdjacency& adj,
-                                        ThreadPool* pool,
-                                        const Deadline& deadline = {},
-                                        bool* expired = nullptr);
+                                        ThreadPool* pool);
 
 /// Total number of butterflies in g.
 std::uint64_t CountTotalButterflies(const BipartiteGraph& g,

@@ -48,9 +48,9 @@ struct DecomposeOptions {
   /// Vertex ordering; any total order is correct (kIdOnly is for ablation).
   PriorityRule priority_rule = PriorityRule::kDegreeThenId;
   /// Thread count for support counting, BE-Index construction and BiT-PC's
-  /// cascade recount passes (peeling itself stays sequential here; see
-  /// core/parallel_peel.h for the parallel peeler).  Results are
-  /// bit-identical at every thread count.
+  /// cascade recount passes; the peel itself stays sequential.  This is
+  /// the library's one parallel decomposition.  Results are bit-identical
+  /// at every thread count.
   ParallelOptions parallel;
   /// Optional phase tracing: counting / index build / peel (and, for kPC,
   /// one span per theta round) are recorded as spans.  Null disables

@@ -1,51 +1,31 @@
-// Round-based parallel bitruss peeling (RECEIPT-style, Lakhotia et al.;
-// the ref [26] direction of Wang et al. ICDE'20 Section VI-F).
+// Compatibility shim for the retired round-based parallel peel.
 //
-// Instead of the sequential bucket queue popping one minimum-support edge
-// at a time, each ROUND removes the whole frontier {e alive : sup(e) <=
-// level} simultaneously (level is the running maximum of the minimum alive
-// support, exactly the sequential peeler's level variable).  Peeling is
-// confluent — supports only decrease, so every frontier edge would have
-// been popped at this level by the sequential order too — which makes the
-// per-round parallelism exact: phi is bit-identical to Decompose() at
-// every thread count.
-//
-// Within a round, the frontier's butterflies are re-enumerated
-// combination-style on the surviving graph (the BiT-BS trade: no index to
-// maintain, every round pays enumeration).  A butterfly containing k >= 1
-// frontier edges must decrement each of its surviving edges exactly once;
-// it is charged to its minimum-id frontier edge, enumerated from that edge
-// only, and the per-thread support deltas are merged per edge in a
-// deterministic integer sum — no atomics on the hot path.
+// The parallel decomposition is Decompose() with DecomposeOptions::parallel:
+// support counting and BE-Index construction run on the pool, and the
+// BiT-BU++ peel stays sequential.  This header survives only because the
+// repository benchmark (perfbench/src/decompose_phase.cc) still calls
+// DecomposeParallelPeel; the next benchmark change switches that caller to
+// Decompose and deletes this file.
 
 #ifndef BITRUSS_CORE_PARALLEL_PEEL_H_
 #define BITRUSS_CORE_PARALLEL_PEEL_H_
 
 #include "core/bitruss_result.h"
+#include "core/decompose.h"
 #include "graph/bipartite_graph.h"
-#include "obs/trace.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace bitruss {
 
-struct ParallelPeelOptions {
-  /// 0 resolves from BITRUSS_NUM_THREADS (default 1); see ResolveNumThreads.
-  unsigned num_threads = 0;
-  /// Abort knob, polled coarsely by counting chunks and peel rounds; an
-  /// expired run returns partial results with timed_out set.  Every phi
-  /// value assigned before expiry is the edge's true bitruss number.
-  Deadline deadline;
-  /// Optional phase tracing (counting and peeling spans, with round and
-  /// frontier totals as notes).  Null disables tracing at zero cost.
-  obs::TraceRecorder* trace = nullptr;
-};
+using ParallelPeelOptions = ParallelOptions;
 
-/// Full decomposition via round-based parallel peeling.  phi, supports and
-/// the butterfly total are bit-identical to Decompose() at every thread
-/// count; counters.support_updates counts per-edge delta applications.
-BitrussResult DecomposeParallelPeel(const BipartiteGraph& g,
-                                    const ParallelPeelOptions& options = {});
+/// BiT-BU++ via Decompose() with counting and index build on `options`.
+inline BitrussResult DecomposeParallelPeel(
+    const BipartiteGraph& g, const ParallelPeelOptions& options = {}) {
+  DecomposeOptions decompose;
+  decompose.parallel = options;
+  return Decompose(g, decompose);
+}
 
 }  // namespace bitruss
 

@@ -47,9 +47,8 @@ constexpr DatasetSpec kSpecs[] = {
 
 // Bench-only configs, reachable through MakeDataset but excluded from
 // DatasetNames() so the default 15-dataset unit sweep stays cheap.
-// "Tracker-XL" (~1M edges at scale 1) exists for the thread-scaling benches
-// (ablation_parallel_peel, fig12_scalability) to measure beyond the
-// default suite's 200k-edge ceiling.
+// "Tracker-XL" (~1M edges at scale 1) exists for fig12_scalability to
+// measure beyond the default suite's 200k-edge ceiling.
 constexpr DatasetSpec kBenchOnlySpecs[] = {
     {"Tracker-XL", Family::kChungLu, 120000, 60000, 1000000, 0.90, 0.80},
 };

@@ -22,8 +22,8 @@ std::vector<std::string> DatasetNames();
 /// Generates the named dataset at the given scale (1.0 = bench default).
 /// Deterministic in (name, scale); throws std::invalid_argument for an
 /// unknown name.  Beyond DatasetNames(), the bench-only "Tracker-XL"
-/// (~1M edges at scale 1) is accepted — it exists for the thread-scaling
-/// benches and is deliberately left out of the default 15-dataset sweep.
+/// (~1M edges at scale 1) is accepted — it exists for fig12_scalability
+/// and is deliberately left out of the default 15-dataset sweep.
 BipartiteGraph MakeDataset(const std::string& name, double scale);
 
 }  // namespace bitruss

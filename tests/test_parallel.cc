@@ -1,7 +1,7 @@
 // The parallel execution layer: ThreadPool/ParallelFor semantics, parallel
-// counting and BE-Index construction equivalence, round-based parallel
-// peeling vs the sequential decomposition, run-to-run determinism, and the
-// deadline-timeout contract.
+// counting and BE-Index construction equivalence, and Decompose() with a
+// thread pool vs the sequential decomposition across the dataset suite,
+// including run-to-run determinism at 8 threads.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "cohesion/tip_decomposition.h"
 #include "core/be_index_builder.h"
 #include "core/decompose.h"
-#include "core/parallel_peel.h"
 #include "gen/dataset_suite.h"
 #include "graph/vertex_priority.h"
 #include "util/thread_pool.h"
@@ -187,25 +186,63 @@ TEST(ParallelBEIndex, BuildIsByteIdenticalToSequential) {
 TEST(ParallelDecompose, CountingAndIndexFedPipelinesMatchSequential) {
   // Parallel counting + parallel BE build + (for kPC) parallel cascade
   // recounts behind the ordinary Decompose()/DecomposeWithCorePruning()
-  // entry points.
+  // entry points.  The peel itself is sequential over a byte-identical
+  // index, so even the support-update counter must match.
+  DecomposeOptions sequential;
+  sequential.parallel.num_threads = 1;
+  for (const std::string& name : DatasetNames()) {
+    const BipartiteGraph g = MakeDataset(name, kSuiteScale);
+    const BitrussResult expect = Decompose(g, sequential);
+    for (const unsigned threads : kThreadCounts) {
+      DecomposeOptions parallel = sequential;
+      parallel.parallel.num_threads = threads;
+      const BitrussResult got = Decompose(g, parallel);
+      ASSERT_FALSE(got.timed_out) << name << " x" << threads;
+      EXPECT_EQ(got.phi, expect.phi) << name << " x" << threads;
+      EXPECT_EQ(got.original_support, expect.original_support) << name;
+      EXPECT_EQ(got.total_butterflies, expect.total_butterflies) << name;
+      EXPECT_EQ(got.counters.support_updates,
+                expect.counters.support_updates)
+          << name << " x" << threads;
+      if (threads != 8) continue;
+      // Run-to-run determinism at the widest pool.
+      const BitrussResult again = Decompose(g, parallel);
+      EXPECT_EQ(again.phi, got.phi) << name;
+      EXPECT_EQ(again.original_support, got.original_support) << name;
+      EXPECT_EQ(again.total_butterflies, got.total_butterflies) << name;
+      EXPECT_EQ(again.counters.support_updates, got.counters.support_updates)
+          << name;
+    }
+  }
+
   for (const char* name : {"Twitter", "D-style"}) {
     const BipartiteGraph g = MakeDataset(name, kSuiteScale);
     for (const Algorithm algorithm :
          {Algorithm::kBUPlusPlus, Algorithm::kPC}) {
-      DecomposeOptions sequential;
-      sequential.algorithm = algorithm;
-      const BitrussResult expect = Decompose(g, sequential);
-      DecomposeOptions parallel = sequential;
-      parallel.parallel.num_threads = 4;
-      const BitrussResult got = Decompose(g, parallel);
+      DecomposeOptions options = sequential;
+      options.algorithm = algorithm;
+      const BitrussResult expect = Decompose(g, options);
+      options.parallel.num_threads = 4;
+      const BitrussResult got = Decompose(g, options);
       EXPECT_EQ(got.phi, expect.phi) << name;
       EXPECT_EQ(got.original_support, expect.original_support) << name;
       EXPECT_EQ(got.total_butterflies, expect.total_butterflies) << name;
 
-      const BitrussResult pruned = DecomposeWithCorePruning(g, parallel);
+      const BitrussResult pruned = DecomposeWithCorePruning(g, options);
       EXPECT_EQ(pruned.phi, expect.phi) << name;
     }
   }
+
+  DecomposeOptions four = sequential;
+  four.parallel.num_threads = 4;
+  const BitrussResult empty = Decompose(BipartiteGraph(2, 2, {}), four);
+  EXPECT_TRUE(empty.phi.empty());
+  EXPECT_EQ(empty.total_butterflies, 0u);
+  // One butterfly: all four edges have phi 1.
+  const BipartiteGraph square(2, 2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});
+  const BitrussResult one = Decompose(square, four);
+  EXPECT_EQ(one.phi, (std::vector<SupportT>{1, 1, 1, 1}));
+  EXPECT_EQ(one.total_butterflies, 1u);
 }
 
 TEST(ParallelTip, InitialCountsMatchSequential) {
@@ -220,110 +257,6 @@ TEST(ParallelTip, InitialCountsMatchSequential) {
         EXPECT_EQ(got.count_updates, expect.count_updates) << name;
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Round-based parallel peeling
-// ---------------------------------------------------------------------------
-
-TEST(ParallelPeel, PhiMatchesSequentialAcrossSuiteAndThreadCounts) {
-  for (const std::string& name : DatasetNames()) {
-    const BipartiteGraph g = MakeDataset(name, kSuiteScale);
-    const BitrussResult expect = Decompose(g);
-    for (const unsigned threads : kThreadCounts) {
-      ParallelPeelOptions options;
-      options.num_threads = threads;
-      const BitrussResult got = DecomposeParallelPeel(g, options);
-      ASSERT_FALSE(got.timed_out) << name << " x" << threads;
-      EXPECT_EQ(got.phi, expect.phi) << name << " x" << threads;
-      EXPECT_EQ(got.original_support, expect.original_support) << name;
-      EXPECT_EQ(got.total_butterflies, expect.total_butterflies) << name;
-    }
-  }
-}
-
-TEST(ParallelPeel, EightThreadRunsAreBitIdentical) {
-  for (const char* name : {"Twitter", "D-style", "Amazon"}) {
-    const BipartiteGraph g = MakeDataset(name, kSuiteScale);
-    ParallelPeelOptions options;
-    options.num_threads = 8;
-    const BitrussResult a = DecomposeParallelPeel(g, options);
-    const BitrussResult b = DecomposeParallelPeel(g, options);
-    EXPECT_EQ(a.phi, b.phi) << name;
-    EXPECT_EQ(a.original_support, b.original_support) << name;
-    EXPECT_EQ(a.total_butterflies, b.total_butterflies) << name;
-    EXPECT_EQ(a.counters.support_updates, b.counters.support_updates) << name;
-  }
-}
-
-TEST(ParallelPeel, EmptyAndTinyGraphs) {
-  const BipartiteGraph empty(2, 2, {});
-  ParallelPeelOptions options;
-  options.num_threads = 4;
-  const BitrussResult r = DecomposeParallelPeel(empty, options);
-  EXPECT_TRUE(r.phi.empty());
-  EXPECT_EQ(r.total_butterflies, 0u);
-
-  // One butterfly: all four edges have phi 1.
-  const BipartiteGraph square(2, 2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});
-  const BitrussResult s = DecomposeParallelPeel(square, options);
-  EXPECT_EQ(s.phi, (std::vector<SupportT>{1, 1, 1, 1}));
-  EXPECT_EQ(s.total_butterflies, 1u);
-}
-
-TEST(ParallelPeel, ExpiredDeadlineReturnsPartialWithTimedOutSet) {
-  const BipartiteGraph g = MakeDataset("Twitter", kSuiteScale);
-  for (const unsigned threads : {1u, 4u}) {
-    ParallelPeelOptions options;
-    options.num_threads = threads;
-    options.deadline = Deadline::After(0);
-    const BitrussResult got = DecomposeParallelPeel(g, options);
-    EXPECT_TRUE(got.timed_out) << "x" << threads;
-    EXPECT_EQ(got.phi.size(), static_cast<std::size_t>(g.NumEdges()));
-  }
-}
-
-TEST(ParallelPeel, PartialPhiOfTimedOutRunIsAPrefixOfTheTruth) {
-  // Whatever a timed-out run managed to assign must be the true bitruss
-  // number — the contract that makes partial results usable.
-  const BipartiteGraph g = MakeDataset("D-label", kSuiteScale);
-  const BitrussResult expect = Decompose(g);
-  // A deadline long enough to finish counting but tight for peeling; if
-  // the run happens to complete, the check degenerates to full equality.
-  ParallelPeelOptions options;
-  options.num_threads = 2;
-  options.deadline = Deadline::After(0.01);
-  const BitrussResult got = DecomposeParallelPeel(g, options);
-  if (got.timed_out && got.original_support.empty()) {
-    return;  // expired during counting: nothing assigned, nothing to check
-  }
-  std::uint64_t assigned = 0;
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    if (got.phi[e] != 0) {
-      EXPECT_EQ(got.phi[e], expect.phi[e]) << "edge " << e;
-      ++assigned;
-    }
-  }
-  if (!got.timed_out) {
-    EXPECT_EQ(got.phi, expect.phi);
-  } else {
-    // Not all edges were assigned (phi==0 edges may be unprocessed).
-    EXPECT_LE(assigned, static_cast<std::uint64_t>(g.NumEdges()));
-  }
-}
-
-TEST(ParallelCounting, ExpiredDeadlineAbortsWithoutPartialCounts) {
-  const BipartiteGraph g = MakeDataset("Github", kSuiteScale);
-  const VertexPriority priority = VertexPriority::Compute(g);
-  const PriorityAdjacency adj(g, priority);
-  for (const unsigned threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    bool expired = false;
-    const std::vector<SupportT> sup =
-        CountEdgeSupports(g, adj, &pool, Deadline::After(0), &expired);
-    EXPECT_TRUE(expired) << "x" << threads;
-    EXPECT_TRUE(sup.empty()) << "x" << threads;
   }
 }
 
