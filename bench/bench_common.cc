@@ -47,13 +47,12 @@ const BipartiteGraph& BenchDataset(const std::string& name) {
 }
 
 RunOutcome TimedRun(const BipartiteGraph& g, Algorithm algorithm, double tau,
-                    bool track_per_edge, obs::TraceRecorder* trace) {
+                    bool track_per_edge) {
   DecomposeOptions options;
   options.algorithm = algorithm;
   options.tau = tau;
   options.deadline = Deadline::After(BenchTimeoutSeconds());
   options.track_per_edge_updates = track_per_edge;
-  options.trace = trace;
 
   RunOutcome outcome;
   Timer timer;

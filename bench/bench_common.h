@@ -19,7 +19,6 @@
 #include "core/bitruss_result.h"
 #include "core/decompose.h"
 #include "graph/bipartite_graph.h"
-#include "obs/trace.h"
 
 namespace bitruss::bench {
 
@@ -39,8 +38,7 @@ struct RunOutcome {
   bool timed_out = false;
 };
 RunOutcome TimedRun(const BipartiteGraph& g, Algorithm algorithm,
-                    double tau = 0.02, bool track_per_edge = false,
-                    obs::TraceRecorder* trace = nullptr);
+                    double tau = 0.02, bool track_per_edge = false);
 
 /// "12.345" or "INF" (Figure 9's convention for >deadline runs).
 std::string FormatSeconds(const RunOutcome& outcome);

@@ -18,6 +18,7 @@ struct PCIterationTrace {
   std::uint64_t candidate_edges = 0;  ///< unassigned edges in the candidate
   std::uint64_t assigned_now = 0;     ///< bitruss numbers fixed this round
   std::uint64_t index_bytes = 0;      ///< compressed BE-Index footprint
+  double seconds = 0;  ///< wall time of the round, cascade recount included
 };
 
 /// Work counters accumulated during a decomposition run.

@@ -124,10 +124,7 @@ void RunIndexed(const BipartiteGraph& g, const PriorityAdjacency& adj,
                 const DecomposeOptions& options, ThreadPool* pool,
                 BitrussResult* result) {
   Timer timer;
-  obs::ObsSpan build_span(options.trace, "decompose/index_build");
   BEIndex index = BEIndexBuilder::Build(g, adj, pool);
-  build_span.Note("index_bytes", static_cast<double>(index.MemoryBytes()));
-  build_span.End();
   result->counters.peak_index_bytes = index.MemoryBytes();
   result->counters.counting_seconds += timer.Seconds();
 
@@ -138,11 +135,9 @@ void RunIndexed(const BipartiteGraph& g, const PriorityAdjacency& adj,
   Peeler peeler(std::move(index), std::move(sup), std::move(peel_options),
                 &counters);
   timer.Reset();
-  obs::ObsSpan peel_span(options.trace, "decompose/peel");
   const bool completed =
       peeler.Run(mode, options.deadline,
                  [&](EdgeId e, SupportT level) { result->phi[e] = level; });
-  peel_span.End();
   result->counters.peeling_seconds = timer.Seconds();
   result->timed_out = !completed;
   result->counters.support_updates = counters.support_updates;
@@ -197,8 +192,7 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
       break;
     }
     DecomposeMetrics::Get().pc_rounds->Inc();
-    obs::ObsSpan round_span(options.trace, "pc/round");
-    round_span.Note("theta", static_cast<double>(theta));
+    const Timer round_timer;
 
     // Candidate = theta-bitruss: seed with assigned edges (phi >= theta by
     // construction) plus unassigned edges whose phi bound allows theta,
@@ -240,8 +234,7 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
     }
     if (candidate_unassigned == 0) {
       // No edge has phi at or above this theta; move down the ladder.
-      result->pc_trace.push_back({theta, 0, 0, 0});
-      round_span.Note("candidate_edges", 0);
+      result->pc_trace.push_back({theta, 0, 0, 0, round_timer.Seconds()});
       continue;
     }
 
@@ -274,12 +267,8 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
         });
     result->counters.support_updates += counters.support_updates;
     result->counters.per_edge_updates = std::move(counters.per_edge_updates);
-    result->pc_trace.push_back(
-        {theta, candidate_unassigned, assigned_now, index_bytes});
-    round_span.Note("candidate_edges",
-                    static_cast<double>(candidate_unassigned));
-    round_span.Note("assigned", static_cast<double>(assigned_now));
-    round_span.Note("index_bytes", static_cast<double>(index_bytes));
+    result->pc_trace.push_back({theta, candidate_unassigned, assigned_now,
+                                index_bytes, round_timer.Seconds()});
     if (!completed) {
       result->timed_out = true;
       break;
@@ -309,7 +298,6 @@ BitrussResult Decompose(const BipartiteGraph& g,
   metrics.runs->Inc();
 
   Timer timer;
-  obs::ObsSpan count_span(options.trace, "decompose/count");
   const VertexPriority priority =
       VertexPriority::Compute(g, options.priority_rule);
   const PriorityAdjacency adj(g, priority);
@@ -318,9 +306,6 @@ BitrussResult Decompose(const BipartiteGraph& g,
   std::uint64_t support_sum = 0;
   for (const SupportT s : sup) support_sum += s;
   result.total_butterflies = support_sum / 4;  // every butterfly has 4 edges
-  count_span.Note("butterflies",
-                  static_cast<double>(result.total_butterflies));
-  count_span.End();
   result.counters.counting_seconds = timer.Seconds();
 
   switch (options.algorithm) {

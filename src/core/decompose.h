@@ -16,6 +16,13 @@
 //
 // cohesion/ab_core.h wraps this entry point as DecomposeWithCorePruning():
 // an exact (2,2)-core pre-prune in front of any of the variants above.
+//
+// Each phase has one record per audience.  For callers and benches,
+// BitrussResult::counters carries the counting/peeling split (Fig. 5) and
+// BitrussResult::pc_trace one row per BiT-PC theta round (Fig. 8).  For
+// operators, the registry families
+// bitruss_{butterfly_count,beindex_build,core_counting,core_peeling}_seconds
+// and bitruss_core_pc_rounds_total aggregate the same phases per process.
 
 #ifndef BITRUSS_CORE_DECOMPOSE_H_
 #define BITRUSS_CORE_DECOMPOSE_H_
@@ -23,7 +30,6 @@
 #include "core/bitruss_result.h"
 #include "graph/bipartite_graph.h"
 #include "graph/vertex_priority.h"
-#include "obs/trace.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -52,10 +58,6 @@ struct DecomposeOptions {
   /// the library's one parallel decomposition.  Results are bit-identical
   /// at every thread count.
   ParallelOptions parallel;
-  /// Optional phase tracing: counting / index build / peel (and, for kPC,
-  /// one span per theta round) are recorded as spans.  Null disables
-  /// tracing at zero cost.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 BitrussResult Decompose(const BipartiteGraph& g,

@@ -65,9 +65,6 @@ class Peeler {
   bool Run(Mode mode, const Deadline& deadline,
            const std::function<void(EdgeId, SupportT)>& on_assign);
 
-  const std::vector<std::uint8_t>& removed() const { return removed_; }
-  const std::vector<SupportT>& support() const { return support_; }
-
  private:
   bool IsFrozen(EdgeId e) const {
     return !options_.frozen.empty() && options_.frozen[e];

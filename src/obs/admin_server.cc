@@ -13,7 +13,6 @@
 #include <cstring>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace bitruss::obs {
 
@@ -250,8 +249,7 @@ void AdminServer::ServeConnection(int client_fd) {
   requests_served_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-void RegisterStandardEndpoints(AdminServer* server, MetricsRegistry* registry,
-                               TraceRecorder* trace) {
+void RegisterStandardEndpoints(AdminServer* server, MetricsRegistry* registry) {
   server->Handle("/metrics", [registry] {
     return AdminResponse{200, "text/plain; version=0.0.4; charset=utf-8",
                          ExportPrometheus(registry->Snapshot())};
@@ -259,13 +257,6 @@ void RegisterStandardEndpoints(AdminServer* server, MetricsRegistry* registry,
   server->Handle("/metrics.json", [registry] {
     return AdminResponse{200, "application/json",
                          ExportJson(registry->Snapshot())};
-  });
-  server->Handle("/tracez", [trace] {
-    if (trace == nullptr) {
-      return AdminResponse{404, "text/plain; charset=utf-8",
-                           "no trace recorder attached\n"};
-    }
-    return AdminResponse{200, "application/json", trace->ToJson()};
   });
 }
 

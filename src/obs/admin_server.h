@@ -6,8 +6,8 @@
 // in-process observability surface scrapeable while the service runs:
 //
 //     obs::AdminServer admin({.port = 0});           // 0 = ephemeral
-//     obs::RegisterStandardEndpoints(&admin, &obs::MetricsRegistry::Default(),
-//                                    &trace);        // /metrics, /tracez, ...
+//     obs::RegisterStandardEndpoints(                // /metrics, /metrics.json
+//         &admin, &obs::MetricsRegistry::Default());
 //     admin.Handle("/healthz", [&] { return service.HealthJson(); ... });
 //     admin.Start();
 //     ... curl http://127.0.0.1:<admin.Port()>/metrics ...
@@ -17,7 +17,7 @@
 // — acceptable for an admin port (it is NOT the data plane; readers and
 // the writer never touch this thread).  Handlers must therefore be
 // wait-free with respect to the serving hot path: everything registered by
-// RegisterStandardEndpoints only takes registry/trace snapshots.
+// RegisterStandardEndpoints only takes registry snapshots.
 //
 // The server binds 127.0.0.1 only: this is an operator port, not a public
 // listener; anything else belongs behind a real HTTP stack.  No deps
@@ -39,7 +39,6 @@
 namespace bitruss::obs {
 
 class MetricsRegistry;
-class TraceRecorder;
 
 struct AdminServerOptions {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read it
@@ -135,11 +134,9 @@ class AdminServer {
 /// registration is safe before or after Start()):
 ///   /metrics       Prometheus text exposition of `registry`
 ///   /metrics.json  ExportJson of the same snapshot
-///   /tracez        TraceRecorder::ToJson dump (404 when `trace` is null)
 /// Service-specific liveness (`/healthz`) is the caller's to register —
 /// see BitrussService::HealthJson.
-void RegisterStandardEndpoints(AdminServer* server, MetricsRegistry* registry,
-                               TraceRecorder* trace = nullptr);
+void RegisterStandardEndpoints(AdminServer* server, MetricsRegistry* registry);
 
 }  // namespace bitruss::obs
 

@@ -287,9 +287,6 @@ class BitrussService {
 
   std::uint64_t SubmittedUpdates() const { return submitted_.Value(); }
   std::uint64_t AppliedUpdates() const { return applied_.Value(); }
-  std::uint64_t PublishedVersion() const {
-    return published_snapshots_.Value();
-  }
   /// Applied updates not yet visible to readers (the writer's lead over
   /// the published snapshot, in updates).
   std::uint64_t StalenessUpdates() const;

@@ -15,7 +15,6 @@
 #include "http_test_util.h"
 #include "obs/admin_server.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace bitruss::obs {
 namespace {
@@ -71,10 +70,9 @@ TEST(AdminServer, JsonEndpointsAreWellFormed) {
   MetricsRegistry registry;
   registry.GetCounter("bitruss_test_total")->Inc();
   registry.GetHistogram("bitruss_test_seconds", {1.0})->Observe(0.5);
-  TraceRecorder trace;
 
   AdminServer server;
-  RegisterStandardEndpoints(&server, &registry, &trace);
+  RegisterStandardEndpoints(&server, &registry);
   ASSERT_TRUE(server.Start().ok());
 
   const HttpReply metrics = Get(server.Port(), "/metrics.json");
@@ -83,11 +81,6 @@ TEST(AdminServer, JsonEndpointsAreWellFormed) {
   EXPECT_TRUE(IsValidJson(metrics.body)) << metrics.body;
   EXPECT_NE(metrics.headers.find("Content-Type: application/json"),
             std::string::npos);
-
-  const HttpReply tracez = Get(server.Port(), "/tracez");
-  ASSERT_TRUE(tracez.ok);
-  EXPECT_EQ(tracez.status, 200);
-  EXPECT_TRUE(IsValidJson(tracez.body)) << tracez.body;
   server.Stop();
 }
 

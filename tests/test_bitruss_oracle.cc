@@ -190,9 +190,31 @@ TEST(BitrussOracle, CountersBehaveAsThePaperPredicts) {
   EXPECT_GT(bu.counters.support_updates, 0u);
   EXPECT_LE(bupp.counters.support_updates, bu.counters.support_updates);
   EXPECT_LT(pc.counters.support_updates, bu.counters.support_updates);
-  EXPECT_FALSE(pc.pc_trace.empty());
   EXPECT_GT(pc.counters.peak_index_bytes, 0u);
   EXPECT_LT(pc.counters.peak_index_bytes, bu.counters.peak_index_bytes);
+
+  // pc_trace is Figure 8's only record: theta walks the ladder down to 0,
+  // every edge is assigned exactly once within its round's candidate, and
+  // the rounds account for the index peak and fit inside the peel time.
+  ASSERT_FALSE(pc.pc_trace.empty());
+  EXPECT_EQ(pc.pc_trace.back().theta, 0u);
+  std::uint64_t assigned_sum = 0;
+  std::uint64_t max_round_index = 0;
+  double round_seconds_sum = 0;
+  for (std::size_t i = 0; i < pc.pc_trace.size(); ++i) {
+    const PCIterationTrace& round = pc.pc_trace[i];
+    if (i > 0) {
+      EXPECT_LT(round.theta, pc.pc_trace[i - 1].theta);
+    }
+    EXPECT_LE(round.assigned_now, round.candidate_edges);
+    EXPECT_GE(round.seconds, 0.0);
+    assigned_sum += round.assigned_now;
+    max_round_index = std::max(max_round_index, round.index_bytes);
+    round_seconds_sum += round.seconds;
+  }
+  EXPECT_EQ(assigned_sum, g.NumEdges());
+  EXPECT_EQ(max_round_index, pc.counters.peak_index_bytes);
+  EXPECT_LE(round_seconds_sum, pc.counters.peeling_seconds);
 
   // Per-edge update tracking is consistent with the aggregate counter.
   std::uint64_t per_edge_sum = 0;

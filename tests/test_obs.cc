@@ -1,9 +1,8 @@
 // Tests for the observability layer (src/obs/): lock-free instruments
 // under concurrent update (exact totals from the shared thread pool, the
 // configuration the TSan CI job runs), histogram `le` bucket semantics,
-// registry snapshot/export golden checks, external-instrument
-// registration with absorb-on-unregister, and the TraceRecorder bounded
-// ring's overwrite-oldest contract.
+// registry snapshot/export golden checks, and external-instrument
+// registration with absorb-on-unregister.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace bitruss::obs {
@@ -207,67 +205,6 @@ TEST(Exporters, JsonShapeAndEscaping) {
   EXPECT_NE(json.find("\"bitruss_test_seconds\": {\"bounds\": [1], "
                       "\"counts\": [1, 0], \"count\": 1, \"sum\": 0.5}"),
             std::string::npos);
-}
-
-TEST(TraceRecorder, RecordsSpansWithNotesAndDepth) {
-  TraceRecorder trace(16);
-  {
-    ObsSpan outer(&trace, "outer");
-    {
-      ObsSpan inner(&trace, "inner");
-      inner.Note("edges", 42);
-    }
-  }
-  const std::vector<SpanRecord> events = trace.Events();
-  ASSERT_EQ(events.size(), 2u);
-  // Spans record at END time: the inner span lands first.
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[0].depth, 1);
-  ASSERT_EQ(events[0].notes.size(), 1u);
-  EXPECT_EQ(events[0].notes[0].first, "edges");
-  EXPECT_DOUBLE_EQ(events[0].notes[0].second, 42.0);
-  EXPECT_EQ(events[1].name, "outer");
-  EXPECT_EQ(events[1].depth, 0);
-  EXPECT_GE(events[1].duration_seconds, events[0].duration_seconds);
-
-  const std::string summary = trace.IndentedSummary();
-  EXPECT_NE(summary.find("outer"), std::string::npos);
-  EXPECT_NE(summary.find("inner"), std::string::npos);
-  EXPECT_NE(summary.find("edges=42"), std::string::npos);
-  EXPECT_NE(trace.ToJson().find("\"name\": \"inner\""), std::string::npos);
-}
-
-TEST(TraceRecorder, BoundedRingOverwritesOldest) {
-  TraceRecorder trace(4);
-  for (int i = 0; i < 10; ++i) {
-    ObsSpan span(&trace, "span" + std::to_string(i));
-  }
-  EXPECT_EQ(trace.RecordedSpans(), 10u);
-  EXPECT_EQ(trace.DroppedSpans(), 6u);
-  const std::vector<SpanRecord> events = trace.Events();
-  ASSERT_EQ(events.size(), 4u);
-  // The newest four survive, oldest to newest.
-  EXPECT_EQ(events[0].name, "span6");
-  EXPECT_EQ(events[3].name, "span9");
-  EXPECT_NE(trace.ToJson().find("\"dropped\": 6"), std::string::npos);
-
-  trace.Clear();
-  EXPECT_EQ(trace.RecordedSpans(), 0u);
-  EXPECT_TRUE(trace.Events().empty());
-}
-
-TEST(ObsSpan, NullRecorderIsANoOpAndEndIsIdempotent) {
-  ObsSpan span(nullptr, "unrecorded");
-  span.Note("ignored", 1);
-  EXPECT_GE(span.Seconds(), 0.0);
-  span.End();
-  span.End();
-
-  TraceRecorder trace(4);
-  ObsSpan real(&trace, "once");
-  real.End();
-  real.End();  // second End must not record a duplicate
-  EXPECT_EQ(trace.RecordedSpans(), 1u);
 }
 
 // Snapshot is taken under the registry lock while writers keep going;
