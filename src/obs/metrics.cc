@@ -141,16 +141,6 @@ std::vector<double> ExponentialBuckets(double start, double factor,
   return bounds;
 }
 
-std::vector<double> LinearBuckets(double start, double width,
-                                  std::size_t count) {
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(start + width * static_cast<double>(i));
-  }
-  return bounds;
-}
-
 const CounterSample* RegistrySnapshot::FindCounter(
     const std::string& name) const {
   for (const CounterSample& s : counters) {

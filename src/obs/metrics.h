@@ -144,9 +144,6 @@ class Histogram {
 /// (factor > 1): the standard shape for latencies and work sizes.
 std::vector<double> ExponentialBuckets(double start, double factor,
                                        std::size_t count);
-/// `count` bounds start, start + width, ... (width > 0).
-std::vector<double> LinearBuckets(double start, double width,
-                                  std::size_t count);
 
 // ---------------------------------------------------------------------------
 // Snapshot & registry

@@ -1,8 +1,8 @@
-// Oracle tests for the dynamic bipartite graph: random insert/delete
-// streams on suite graphs, checking the incrementally maintained supports
-// against a fresh exact recount every K updates, Snapshot()+Decompose()
-// equivalence with an identically built static graph, and the Status
-// contract for duplicate inserts / missing deletes.
+// Tests for the dynamic bipartite graph: random insert/delete streams on
+// suite graphs with the maintained supports and butterfly total checked
+// against the recount truth of differential_oracle.h, Snapshot()+Decompose()
+// equivalence with an identically built static graph, slot compaction, and
+// the Status contract for duplicate inserts / missing deletes.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "butterfly/butterfly_counting.h"
 #include "core/decompose.h"
+#include "differential_oracle.h"
 #include "dynamic/dynamic_graph.h"
 #include "gen/dataset_suite.h"
 #include "gen/random_bipartite.h"
@@ -22,45 +23,10 @@
 namespace bitruss {
 namespace {
 
-// Snapshot the dynamic graph and check every maintained support and the
-// butterfly total against an exact recount of the compacted CSR.
-void ExpectSupportsMatchRecount(const DynamicBipartiteGraph& dynamic) {
-  const GraphSnapshot snapshot = dynamic.Snapshot();
-  ASSERT_EQ(snapshot.graph.NumEdges(), dynamic.NumEdges());
-  ASSERT_EQ(snapshot.supports.size(), snapshot.graph.NumEdges());
-  EXPECT_EQ(snapshot.supports, CountEdgeSupports(snapshot.graph));
-  EXPECT_EQ(dynamic.NumButterflies(), CountTotalButterflies(snapshot.graph));
-}
-
-// The bench's mixed stream: delete a random known edge or insert a random
-// pair, verifying against the oracle every `verify_every` applied updates.
-void RunMixedStream(DynamicBipartiteGraph& dynamic, int updates,
-                    int verify_every, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<EdgeId> inserted;
-  for (int applied = 0; applied < updates;) {
-    if (!inserted.empty() && rng.NextBool(0.5)) {
-      const std::size_t pick = rng.Below(inserted.size());
-      ASSERT_TRUE(dynamic.DeleteEdge(inserted[pick]).ok());
-      inserted[pick] = inserted.back();
-      inserted.pop_back();
-      ++applied;
-    } else {
-      const auto u = static_cast<VertexId>(rng.Below(dynamic.NumUpper()));
-      const auto v = static_cast<VertexId>(rng.Below(dynamic.NumLower()));
-      auto result = dynamic.InsertEdge(u, v);
-      if (!result.ok()) {
-        EXPECT_EQ(result.status().code(), StatusCode::kAlreadyExists);
-        continue;
-      }
-      inserted.push_back(result.value());
-      ++applied;
-    }
-    if (applied % verify_every == 0) {
-      ASSERT_NO_FATAL_FAILURE(ExpectSupportsMatchRecount(dynamic));
-    }
-  }
-}
+using differential::ApplyTo;
+using differential::ExpectMatches;
+using differential::MakeStream;
+using differential::Oracle;
 
 TEST(DynamicGraph, SeedMatchesStaticCounting) {
   for (const char* name : {"Writer", "Github"}) {
@@ -102,16 +68,26 @@ TEST(DynamicGraph, HandComputedButterflyDeltas) {
 TEST(DynamicGraph, RandomStreamMaintainsExactSupports) {
   for (const char* name : {"Writer", "Github", "D-style"}) {
     SCOPED_TRACE(name);
-    DynamicBipartiteGraph dynamic(MakeDataset(name, 0.02));
-    RunMixedStream(dynamic, /*updates=*/300, /*verify_every=*/50,
-                   HashString64(name));
+    const BipartiteGraph seed = MakeDataset(name, 0.02);
+    const std::vector<EdgeUpdate> ops =
+        MakeStream(seed, 300, HashString64(name));
+    Oracle oracle(seed, ops);
+    DynamicBipartiteGraph dynamic(seed);
+    for (std::uint64_t applied = 1; applied <= ops.size(); ++applied) {
+      ASSERT_TRUE(ApplyTo(dynamic, ops[applied - 1]).ok());
+      if (applied % 50 == 0) {
+        ASSERT_NO_FATAL_FAILURE(ExpectMatches(dynamic, oracle.At(applied)));
+      }
+    }
   }
 }
 
 TEST(DynamicGraph, SnapshotDecomposeMatchesStaticBuild) {
-  DynamicBipartiteGraph dynamic(
-      GenerateUniformBipartite(40, 30, 220, /*seed=*/11));
-  RunMixedStream(dynamic, /*updates=*/200, /*verify_every=*/100, 42);
+  const BipartiteGraph seed = GenerateUniformBipartite(40, 30, 220, 11);
+  DynamicBipartiteGraph dynamic(seed);
+  for (const EdgeUpdate& op : MakeStream(seed, 200, 42)) {
+    ASSERT_TRUE(ApplyTo(dynamic, op).ok());
+  }
 
   // Rebuild the surviving edge list straight from the live slots and
   // construct a static graph the way a from-scratch caller would.
@@ -230,24 +206,19 @@ TEST(DynamicGraph, SupportDeltaGuardsSaturate) {
 }
 
 TEST(DynamicGraph, CompactSlotsBoundsSlotGrowthUnderChurn) {
-  DynamicBipartiteGraph dynamic(MakeDataset("Writer", 0.02));
-  const EdgeId seed_edges = dynamic.NumEdges();
-  Rng rng(31337);
+  constexpr int kOpsPerCycle = 200;
+  const BipartiteGraph seed = MakeDataset("Writer", 0.02);
+  const std::vector<EdgeUpdate> ops =
+      MakeStream(seed, 4 * kOpsPerCycle, 31337);
+  Oracle oracle(seed, ops, kOpsPerCycle);
+  DynamicBipartiteGraph dynamic(seed);
 
-  // Sustained churn: repeatedly delete a random live edge and insert a
-  // fresh random pair, keeping NumEdges() roughly flat.  Without
-  // compaction the slot table only ever grows; with a periodic
-  // CompactSlots() it must return to exactly the live-edge count.
+  // Sustained churn keeps NumEdges() roughly flat.  Without compaction
+  // the slot table only ever grows; with a periodic CompactSlots() it
+  // must return to exactly the live-edge count.
   for (int cycle = 0; cycle < 4; ++cycle) {
-    int churned = 0;
-    while (churned < 200) {
-      EdgeId victim = static_cast<EdgeId>(rng.Below(dynamic.NumSlots()));
-      if (dynamic.IsLive(victim) && dynamic.DeleteEdge(victim).ok()) {
-        ++churned;
-      }
-      const auto u = static_cast<VertexId>(rng.Below(dynamic.NumUpper()));
-      const auto v = static_cast<VertexId>(rng.Below(dynamic.NumLower()));
-      if (dynamic.InsertEdge(u, v).ok()) ++churned;
+    for (int i = 0; i < kOpsPerCycle; ++i) {
+      ASSERT_TRUE(ApplyTo(dynamic, ops[cycle * kOpsPerCycle + i]).ok());
     }
     ASSERT_GT(dynamic.NumSlots(), dynamic.NumEdges());  // churn left holes
 
@@ -267,17 +238,16 @@ TEST(DynamicGraph, CompactSlotsBoundsSlotGrowthUnderChurn) {
     }
     EXPECT_EQ(expected, live);
 
-    // Adjacency, hash index, and maintained supports all survive.
+    // Adjacency, hash index, and maintained supports all survive, and the
+    // graph keeps mutating correctly in the next cycle.
     for (EdgeId e = 0; e < dynamic.NumSlots(); ++e) {
       ASSERT_TRUE(dynamic.IsLive(e));
       EXPECT_EQ(dynamic.FindEdge(dynamic.EdgeUpper(e), dynamic.EdgeLower(e)),
                 e);
     }
-    ASSERT_NO_FATAL_FAILURE(ExpectSupportsMatchRecount(dynamic));
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(
+        dynamic, oracle.At((cycle + 1) * kOpsPerCycle)));
   }
-  // The graph keeps mutating correctly after repeated compactions.
-  RunMixedStream(dynamic, /*updates=*/100, /*verify_every=*/50, 55);
-  (void)seed_edges;
 }
 
 TEST(DynamicGraph, CompactSlotsOnCompactTableIsANoOp) {

@@ -1,112 +1,44 @@
-// Oracle tests for incremental bitruss maintenance: after EVERY update of
-// randomized insert/delete streams, the maintained phi must be
-// bit-identical to a from-scratch Snapshot() + Decompose() recount — on
-// the default budget (local re-peel path), a tiny budget (mixed
-// local/fallback), and budget 0 (every non-trivial update falls back to
-// the scoped component recompute).  Plus the long-stream fuzz sweep
-// (supports, butterfly totals, and phi against recount oracles at
-// checkpoints), slot compaction under churn, and stats plumbing.
+// Tests for incremental bitruss maintenance.  The Differential table runs
+// every maintained path over each case against the recount truth of
+// differential_oracle.h: per-update Apply (checking phi_changes after every
+// update), ApplyBatch at widths 1, 7, 64 and the whole stream, the service
+// at publish cadence 1 and 64, and Recover() from a drained and from a
+// WAL-only directory.  Around it: hand-computed updates, compaction, stale
+// slot ids, stats plumbing and the batch hand cases.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <limits>
+#include <ostream>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "butterfly/butterfly_counting.h"
 #include "core/decompose.h"
 #include "core/local_peel.h"
+#include "differential_oracle.h"
 #include "dynamic/dynamic_graph.h"
 #include "dynamic/incremental_bitruss.h"
 #include "gen/dataset_suite.h"
 #include "gen/random_bipartite.h"
 #include "graph/bipartite_graph.h"
+#include "obs/metrics.h"
+#include "serve/bitruss_service.h"
 #include "util/random.h"
 
 namespace bitruss {
 namespace {
 
-// Recount oracle: maintained phi (by slot) must match a full Decompose()
-// of the compacted snapshot, edge by edge through the slot mapping.
-void ExpectPhiMatchesRecount(const IncrementalBitruss& inc) {
-  const GraphSnapshot snapshot = inc.Graph().Snapshot();
-  const BitrussResult oracle = Decompose(snapshot.graph);
-  ASSERT_EQ(snapshot.graph.NumEdges(), inc.Graph().NumEdges());
-  for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
-    const EdgeId slot = snapshot.slot_of_edge[e];
-    ASSERT_EQ(inc.Phi(slot), oracle.phi[e])
-        << "slot " << slot << " (snapshot edge " << e << ")";
-  }
-}
-
-// Full-state oracle for the fuzz checkpoints: supports, butterfly total,
-// and phi all against independent recounts.
-void ExpectStateMatchesRecount(const IncrementalBitruss& inc) {
-  const GraphSnapshot snapshot = inc.Graph().Snapshot();
-  ASSERT_EQ(snapshot.supports, CountEdgeSupports(snapshot.graph));
-  ASSERT_EQ(inc.Graph().NumButterflies(),
-            CountTotalButterflies(snapshot.graph));
-  const BitrussResult oracle = Decompose(snapshot.graph);
-  for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
-    ASSERT_EQ(inc.Phi(snapshot.slot_of_edge[e]), oracle.phi[e]);
-  }
-}
-
-// Mixed stream driver; runs `checkpoint` every `verify_every` applied
-// updates (1 = after every single update).  When `compact_every_checkpoints`
-// is non-zero, every Nth checkpoint is followed by a CompactSlots() — the
-// handed-out slot ids are remapped through the returned mapping, exactly
-// as a slot-holding caller must.
-template <typename CheckpointFn>
-void RunCheckedStream(IncrementalBitruss& inc, int updates, int verify_every,
-                      std::uint64_t seed, CheckpointFn&& checkpoint,
-                      int compact_every_checkpoints = 0) {
-  Rng rng(seed);
-  std::vector<EdgeId> inserted;
-  int checkpoints = 0;
-  for (int applied = 0; applied < updates;) {
-    if (!inserted.empty() && rng.NextBool(0.5)) {
-      const std::size_t pick = rng.Below(inserted.size());
-      ASSERT_TRUE(inc.DeleteEdge(inserted[pick]).ok());
-      inserted[pick] = inserted.back();
-      inserted.pop_back();
-      ++applied;
-    } else {
-      const auto u = static_cast<VertexId>(rng.Below(inc.Graph().NumUpper()));
-      const auto v = static_cast<VertexId>(rng.Below(inc.Graph().NumLower()));
-      auto result = inc.InsertEdge(u, v);
-      if (!result.ok()) {
-        ASSERT_EQ(result.status().code(), StatusCode::kAlreadyExists);
-        continue;
-      }
-      inserted.push_back(result.value());
-      ++applied;
-    }
-    if (applied % verify_every == 0) {
-      ASSERT_NO_FATAL_FAILURE(checkpoint(inc));
-      if (compact_every_checkpoints != 0 &&
-          ++checkpoints % compact_every_checkpoints == 0) {
-        const std::vector<EdgeId> mapping = inc.CompactSlots();
-        for (EdgeId& slot : inserted) {
-          ASSERT_LT(slot, mapping.size());
-          ASSERT_NE(mapping[slot], kInvalidEdge);  // it was live
-          slot = mapping[slot];
-        }
-        ASSERT_NO_FATAL_FAILURE(checkpoint(inc));
-      }
-    }
-  }
-}
-
-// The common case: phi against the recount oracle at every checkpoint.
-void RunVerifiedStream(IncrementalBitruss& inc, int updates, int verify_every,
-                       std::uint64_t seed) {
-  RunCheckedStream(inc, updates, verify_every, seed, ExpectPhiMatchesRecount);
-}
+using differential::ExpectMatches;
+using differential::MakeStream;
+using differential::Oracle;
+using differential::TempDir;
+using differential::Truth;
 
 TEST(HIndexOfWeights, MatchesDefinition) {
   std::vector<std::uint32_t> bucket;
@@ -150,119 +82,38 @@ TEST(IncrementalBitruss, HandComputedInsertAndDelete) {
   EXPECT_EQ(inc.Totals().local_repairs, 2u);
 }
 
-TEST(IncrementalBitruss, EveryUpdateBitIdenticalOnLocalPath) {
-  // Unlimited literal budget: every update must be repaired by the local
-  // re-peel alone — no fallback recompute to mask a repair bug.
-  IncrementalBitrussOptions options;
-  options.adaptive_budget = false;
-  options.cascade_budget = std::numeric_limits<std::uint64_t>::max();
-  for (const char* name : {"Writer", "Github"}) {
-    SCOPED_TRACE(name);
-    IncrementalBitruss inc(MakeDataset(name, 0.02), options);
-    RunVerifiedStream(inc, /*updates=*/150, /*verify_every=*/1,
-                      HashString64(name) ^ 0x5eedull);
-    EXPECT_EQ(inc.Totals().fallbacks, 0u);  // all repairs stayed local
-    EXPECT_EQ(inc.Totals().inserts + inc.Totals().deletes, 150u);
-  }
-}
-
-TEST(IncrementalBitruss, EveryUpdateBitIdenticalOnDenseRandomGraph) {
-  IncrementalBitruss inc(GenerateUniformBipartite(25, 20, 160, /*seed=*/7));
-  RunVerifiedStream(inc, /*updates=*/200, /*verify_every=*/1, 99);
-}
-
-TEST(IncrementalBitruss, ForcedFallbackBitIdentical) {
-  IncrementalBitrussOptions options;
-  options.cascade_budget = 0;  // every non-trivial update falls back
-  IncrementalBitruss inc(GenerateUniformBipartite(25, 20, 160, /*seed=*/7),
-                         options);
-  RunVerifiedStream(inc, /*updates=*/120, /*verify_every=*/1, 99);
-  EXPECT_GT(inc.Totals().fallbacks, 0u);
-}
-
-TEST(IncrementalBitruss, TinyBudgetMixedPathsBitIdentical) {
-  IncrementalBitrussOptions options;
-  options.cascade_budget = 6;  // forces mid-repair aborts and rollbacks
-  IncrementalBitruss inc(GenerateUniformBipartite(30, 25, 200, /*seed=*/13),
-                         options);
-  RunVerifiedStream(inc, /*updates=*/200, /*verify_every=*/1, 1234);
-  EXPECT_GT(inc.Totals().fallbacks, 0u);
-  EXPECT_GT(inc.Totals().local_repairs, 0u);
-}
-
-TEST(IncrementalBitruss, AlternativeAlgorithmsAgree) {
-  // The fallback/initial Decompose variant must not matter.
-  for (const Algorithm algorithm : {Algorithm::kBS, Algorithm::kPC}) {
-    IncrementalBitrussOptions options;
-    options.decompose.algorithm = algorithm;
-    options.cascade_budget = 16;
-    IncrementalBitruss inc(GenerateUniformBipartite(20, 15, 110, /*seed=*/3),
-                           options);
-    RunVerifiedStream(inc, /*updates=*/80, /*verify_every=*/1, 77);
-  }
-}
-
 TEST(IncrementalBitruss, CompactSlotsPreservesMaintainedState) {
-  IncrementalBitruss inc(MakeDataset("Writer", 0.02));
-  RunVerifiedStream(inc, /*updates=*/120, /*verify_every=*/60, 4242);
+  const BipartiteGraph seed = MakeDataset("Writer", 0.02);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 180, 4242);
+  Oracle oracle(seed, ops, /*compact_every=*/120);
+  IncrementalBitruss inc(seed);
+  for (std::size_t i = 0; i < 120; ++i) ASSERT_TRUE(inc.Apply(ops[i]).ok());
 
   const EdgeId live = inc.Graph().NumEdges();
+  const DynamicGraphState before = inc.Graph().ExportState();
+  const std::vector<SupportT> phi_before = inc.PhiBySlot();
+  ASSERT_GT(before.upper.size(), live);  // the stream left free slots
   const std::vector<EdgeId> mapping = inc.CompactSlots();
+  ASSERT_EQ(mapping.size(), before.upper.size());
   EXPECT_EQ(inc.Graph().NumSlots(), live);
   EXPECT_EQ(inc.Graph().NumEdges(), live);
   EXPECT_EQ(inc.PhiBySlot().size(), live);
-  for (const EdgeId target : mapping) {
-    if (target != kInvalidEdge) {
-      ASSERT_LT(target, live);
-    }
+  // Live slots move into [0, live) with their phi; free ones map nowhere.
+  for (EdgeId slot = 0; slot < mapping.size(); ++slot) {
+    ASSERT_EQ(mapping[slot] != kInvalidEdge,
+              before.upper[slot] != kInvalidVertex)
+        << slot;
+    if (mapping[slot] == kInvalidEdge) continue;
+    ASSERT_LT(mapping[slot], live);
+    EXPECT_EQ(inc.Phi(mapping[slot]), phi_before[slot]) << slot;
   }
-  ASSERT_NO_FATAL_FAILURE(ExpectStateMatchesRecount(inc));
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(inc, oracle.At(120)));
+
   // The maintainer keeps working across the compaction.
-  RunVerifiedStream(inc, /*updates=*/60, /*verify_every=*/20, 4243);
-}
-
-// The long-stream fuzz sweep: >= 10k mixed updates across three suite
-// datasets, with supports, NumButterflies(), and phi checked against
-// recount oracles at every checkpoint, and a CompactSlots() interleaved at
-// every second checkpoint so the maintained state is fuzzed across slot
-// renumbering too (stale scratch sized to the old slot table would
-// corrupt the very next repair).
-TEST(IncrementalBitruss, LongStreamFuzzAcrossSuiteDatasets) {
-  constexpr int kUpdatesPerDataset = 3500;
-  constexpr int kCheckpointEvery = 500;
-  for (const char* name : {"Writer", "Github", "Twitter"}) {
-    SCOPED_TRACE(name);
-    IncrementalBitruss inc(MakeDataset(name, 0.02));
-    RunCheckedStream(inc, kUpdatesPerDataset, kCheckpointEvery,
-                     HashString64(name) ^ 0xf022ull, ExpectStateMatchesRecount,
-                     /*compact_every_checkpoints=*/2);
-    EXPECT_EQ(inc.Totals().inserts + inc.Totals().deletes,
-              static_cast<std::uint64_t>(kUpdatesPerDataset));
+  for (std::size_t i = 120; i < ops.size(); ++i) {
+    ASSERT_TRUE(inc.Apply(ops[i]).ok());
   }
-}
-
-// Dense adversary: D-style's hub-heavy lower side is a near-complete
-// block, so an insert's affected band legitimately spans most of the
-// graph and the budget forces the component-recompute fallback.  The
-// maintained phi must stay bit-identical through that path too.
-TEST(IncrementalBitruss, DenseBlockFallsBackAndStaysExact) {
-  // Nearly all vertex pairs are present, so churn seed edges directly:
-  // delete a random live slot, then re-insert a random free pair.
-  IncrementalBitruss inc(MakeDataset("D-style", 0.01));
-  Rng rng(2026);
-  for (int round = 0; round < 30; ++round) {
-    EdgeId victim = kInvalidEdge;
-    do {
-      victim = static_cast<EdgeId>(rng.Below(inc.Graph().NumSlots()));
-    } while (!inc.Graph().IsLive(victim));
-    const VertexId u = inc.Graph().EdgeUpper(victim);
-    const VertexId v = inc.Graph().EdgeLower(victim) - inc.Graph().NumUpper();
-    ASSERT_TRUE(inc.DeleteEdge(victim).ok());
-    ASSERT_NO_FATAL_FAILURE(ExpectPhiMatchesRecount(inc));
-    ASSERT_TRUE(inc.InsertEdge(u, v).ok());  // the pair just freed
-    ASSERT_NO_FATAL_FAILURE(ExpectPhiMatchesRecount(inc));
-  }
-  EXPECT_GT(inc.Totals().fallbacks, 0u);
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(inc, oracle.At(ops.size())));
 }
 
 // The maintainer owns a graph plus large slot-indexed scratch; a silent
@@ -281,12 +132,16 @@ static_assert(std::is_move_assignable_v<IncrementalBitruss>,
 // at or past the current slot table — never index out of range — and
 // CheckedPhi() must report the precise contract violation.
 TEST(IncrementalBitruss, StaleSlotIdsAfterCompactionReadZero) {
-  IncrementalBitruss inc(MakeDataset("Writer", 0.02));
-  RunVerifiedStream(inc, /*updates=*/80, /*verify_every=*/40, 7777);
+  const BipartiteGraph seed = MakeDataset("Writer", 0.02);
+  IncrementalBitruss inc(seed);
+  for (const EdgeUpdate& op : MakeStream(seed, 80, 7777)) {
+    ASSERT_TRUE(inc.Apply(op).ok());
+  }
   // Free a few slots explicitly so the table is guaranteed sparse.
-  for (EdgeId slot = 0; slot < 3; ++slot) {
-    ASSERT_TRUE(inc.Graph().IsLive(slot));
+  for (EdgeId slot = 0, freed = 0; freed < 3; ++slot) {
+    if (!inc.Graph().IsLive(slot)) continue;
     ASSERT_TRUE(inc.DeleteEdge(slot).ok());
+    ++freed;
   }
   const EdgeId slots_before = inc.Graph().NumSlots();
   ASSERT_GT(slots_before, inc.Graph().NumEdges());  // free slots exist
@@ -347,120 +202,344 @@ TEST(IncrementalBitruss, StatsPlumbing) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched apply: ApplyBatch must leave exactly the state per-update Apply
-// leaves — the same slots, supports and phi, and the same failure count —
-// whatever the batch width and wherever its first bail-out falls.
+// Differential: every maintained path against the recount truth
 // ---------------------------------------------------------------------------
 
-void ExpectSameGraphState(const DynamicBipartiteGraph& got,
-                          const DynamicBipartiteGraph& want) {
-  const DynamicGraphState a = got.ExportState();
-  const DynamicGraphState b = want.ExportState();
-  ASSERT_EQ(a.num_upper, b.num_upper);
-  ASSERT_EQ(a.num_lower, b.num_lower);
-  ASSERT_EQ(a.num_butterflies, b.num_butterflies);
-  ASSERT_EQ(a.upper, b.upper);
-  ASSERT_EQ(a.lower, b.lower);
-  ASSERT_EQ(a.support, b.support);
-  ASSERT_EQ(a.free_slots, b.free_slots);
+constexpr std::uint64_t kDefaultBudget =
+    IncrementalBitrussOptions{}.cascade_budget;
+constexpr std::uint64_t kUnlimited = std::numeric_limits<std::uint64_t>::max();
+
+// What the per-update path's totals must show for a case.
+enum class Repairs {
+  kAny,
+  kLocalOnly,  // no fallback at all
+  kFallback,   // at least one fallback
+  kMixed,      // at least one fallback and one local repair
+};
+
+struct DifferentialCase {
+  const char* name;
+  BipartiteGraph (*make_seed)();
+  int updates;
+  std::uint64_t rng_seed;
+  bool with_noops;
+  std::uint64_t check_every;    // 1 = after every update
+  std::uint64_t compact_every;  // 0 = never
+  IncrementalBitrussOptions options;
+  Repairs repairs;
+};
+
+void PrintTo(const DifferentialCase& c, std::ostream* os) { *os << c.name; }
+
+// A checkpoint follows every `check_every`-th update and the last one.
+bool IsCheckpoint(const DifferentialCase& c, std::uint64_t applied,
+                  std::uint64_t total) {
+  return applied % c.check_every == 0 || applied == total;
 }
 
-// Feeds `stream` to ApplyBatch in batches of `width` (0 = the whole stream
-// in one batch) and to per-update Apply side by side, comparing after
-// every batch: failure counts, slot tables, phi by slot, and phi against a
-// from-scratch recount.
-void ExpectBatchesMatchPerUpdate(const BipartiteGraph& seed,
-                                 const IncrementalBitrussOptions& options,
-                                 const std::vector<EdgeUpdate>& stream,
-                                 std::size_t width) {
-  IncrementalBitruss batched(seed, options);
-  IncrementalBitruss reference(seed, options);
-  const std::size_t step = width == 0 ? stream.size() : width;
-  for (std::size_t begin = 0; begin < stream.size(); begin += step) {
-    const std::size_t end = std::min(stream.size(), begin + step);
-    SCOPED_TRACE("batch [" + std::to_string(begin) + ", " +
-                 std::to_string(end) + ")");
-    const std::vector<EdgeUpdate> batch(stream.begin() + begin,
-                                        stream.begin() + end);
-    std::uint64_t reference_failures = 0;
-    for (const EdgeUpdate& update : batch) {
-      if (!reference.Apply(update).ok()) ++reference_failures;
-    }
-    ASSERT_EQ(batched.ApplyBatch(batch), reference_failures);
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectSameGraphState(batched.Graph(), reference.Graph()));
-    ASSERT_EQ(batched.PhiBySlot(), reference.PhiBySlot());
-    ASSERT_NO_FATAL_FAILURE(ExpectPhiMatchesRecount(batched));
+// Live slots whose phi differs from `before` (a slot free before reads 0
+// there, and so does one past its end).
+std::uint64_t PhiChanges(const std::vector<SupportT>& before,
+                         const IncrementalBitruss& inc) {
+  std::uint64_t changes = 0;
+  for (EdgeId slot = 0; slot < inc.Graph().NumSlots(); ++slot) {
+    const SupportT was = slot < before.size() ? before[slot] : 0;
+    if (inc.Graph().IsLive(slot) && inc.Phi(slot) != was) ++changes;
   }
-  const IncrementalTotals& totals = batched.Totals();
-  EXPECT_EQ(totals.inserts, reference.Totals().inserts);
-  EXPECT_EQ(totals.deletes, reference.Totals().deletes);
-  EXPECT_EQ(totals.local_repairs + totals.fallbacks + totals.deferred_edits,
-            totals.inserts + totals.deletes);
-  // A batch recomputes at most once, and never more often than the
-  // per-update path.
-  EXPECT_LE(totals.fallbacks, reference.Totals().fallbacks);
-  EXPECT_LE(totals.fallbacks, (stream.size() + step - 1) / step);
+  return changes;
 }
 
-// A churn stream that also carries the routine failures: duplicate
-// inserts and deletes of absent edges.
-std::vector<EdgeUpdate> MakeChurnStream(const BipartiteGraph& seed, int count,
-                                        std::uint64_t rng_seed) {
-  DynamicBipartiteGraph sim(seed);
-  Rng rng(rng_seed);
-  std::vector<EdgeUpdate> stream;
-  const auto random_pair = [&] {
-    return std::make_pair(static_cast<VertexId>(rng.Below(sim.NumUpper())),
-                          static_cast<VertexId>(rng.Below(sim.NumLower())));
-  };
-  while (static_cast<int>(stream.size()) < count) {
-    const std::uint64_t roll = rng.Below(20);
-    if (roll < 9) {
-      // Delete a live edge.
-      EdgeId slot = kInvalidEdge;
-      while (sim.NumEdges() > 0 && !sim.IsLive(slot)) {
-        slot = static_cast<EdgeId>(rng.Below(sim.NumSlots()));
+// What one apply path did, for comparing the batched paths with the
+// per-update one.
+struct ApplyRun {
+  IncrementalTotals totals;
+  std::uint64_t batches = 0;
+};
+
+// Applies the stream one update at a time through Apply() (`per_update`,
+// checking phi_changes after each update) or through ApplyBatch() in
+// batches of `width` (0 = the whole stream), cut at compaction points as
+// the writer cuts them.
+void RunApply(const DifferentialCase& c, const BipartiteGraph& seed,
+              const std::vector<EdgeUpdate>& ops, bool per_update,
+              std::uint64_t width, Oracle& oracle, ApplyRun* run) {
+  IncrementalBitruss inc(seed, c.options);
+  const std::uint64_t total = ops.size();
+  std::uint64_t failures = 0;
+  for (std::uint64_t begin = 0; begin < total; ++run->batches) {
+    std::uint64_t end = width == 0 ? total : std::min(total, begin + width);
+    if (c.compact_every != 0) {
+      end = std::min(end, (begin / c.compact_every + 1) * c.compact_every);
+    }
+    if (per_update) {
+      const std::vector<SupportT> before = inc.PhiBySlot();
+      if (inc.Apply(ops[begin]).ok()) {
+        ASSERT_EQ(inc.LastUpdateStats().phi_changes, PhiChanges(before, inc))
+            << "update " << end;
+      } else {
+        ++failures;
       }
-      if (slot == kInvalidEdge) continue;
-      stream.push_back({EdgeUpdate::Kind::kDelete, sim.EdgeUpper(slot),
-                        sim.EdgeLower(slot) - sim.NumUpper()});
-      EXPECT_TRUE(sim.DeleteEdge(slot).ok());
-    } else if (roll < 18) {
-      // Insert a random pair: a duplicate when it is already present.
-      const auto [u, l] = random_pair();
-      stream.push_back({EdgeUpdate::Kind::kInsert, u, l});
-      (void)sim.InsertEdge(u, l);
     } else {
-      // Delete a random pair: a miss when it is absent.
-      const auto [u, l] = random_pair();
-      stream.push_back({EdgeUpdate::Kind::kDelete, u, l});
-      const EdgeId slot = sim.FindEdge(u, sim.NumUpper() + l);
-      if (slot != kInvalidEdge) {
-        EXPECT_TRUE(sim.DeleteEdge(slot).ok());
-      }
+      failures += inc.ApplyBatch(
+          std::vector<EdgeUpdate>(ops.begin() + begin, ops.begin() + end));
     }
+    if (c.compact_every != 0 && end % c.compact_every == 0) {
+      inc.CompactSlots();
+    }
+    if (IsCheckpoint(c, end, total)) {
+      SCOPED_TRACE("after update " + std::to_string(end));
+      const Truth& truth = oracle.At(end);
+      ASSERT_EQ(failures, truth.failures);
+      ASSERT_NO_FATAL_FAILURE(ExpectMatches(inc, truth));
+    }
+    begin = end;
   }
-  return stream;
+  run->totals = inc.Totals();
+  EXPECT_EQ(run->totals.local_repairs + run->totals.fallbacks +
+                run->totals.deferred_edits,
+            run->totals.inserts + run->totals.deletes);
 }
 
-TEST(IncrementalBitrussBatch, MatchesPerUpdateApplyOnGithubChurn) {
-  const BipartiteGraph seed = MakeDataset("Github", 0.02);
-  IncrementalBitrussOptions forced;
-  forced.cascade_budget = 0;  // every non-trivial update falls back
-  IncrementalBitrussOptions tiny;
-  tiny.cascade_budget = 64;  // bail-outs land mid-batch
-  const std::pair<const char*, IncrementalBitrussOptions> budgets[] = {
-      {"budget 0", forced}, {"budget 64", tiny}, {"default budget", {}}};
-  for (const auto& [label, options] : budgets) {
-    for (const std::size_t width : {1, 7, 64, 0}) {
-      SCOPED_TRACE(std::string(label) + ", width " + std::to_string(width));
-      const std::vector<EdgeUpdate> stream =
-          MakeChurnStream(seed, 300, 0xba7c4ull + width);
-      ExpectBatchesMatchPerUpdate(seed, options, stream, width);
+BitrussServiceOptions DurableOptions(const DifferentialCase& c,
+                                     const std::vector<EdgeUpdate>& ops,
+                                     const std::string& dir) {
+  BitrussServiceOptions options;
+  options.incremental = c.options;
+  options.queue_capacity = ops.size();
+  options.compact_every_updates = c.compact_every;
+  options.persist.dir = dir;
+  options.persist.fsync_policy = persist::FsyncPolicy::kOsBuffered;
+  options.persist.snapshot_every_updates = 0;  // WAL only until a drain
+  return options;
+}
+
+// The service over a durable directory and the first `total` updates,
+// fed each checkpoint's updates while paused so the writer applies the
+// backlog in publish-sized batches.
+void RunService(const DifferentialCase& c, const BipartiteGraph& seed,
+                const std::vector<EdgeUpdate>& ops, std::uint64_t total,
+                std::uint64_t publish_every, const std::string& dir,
+                bool drain_on_shutdown, Oracle& oracle) {
+  BitrussServiceOptions options = DurableOptions(c, ops, dir);
+  options.publish_every_updates = publish_every;
+  options.publish_interval_ms = 0;
+  BitrussService service(seed, options);
+  for (std::uint64_t begin = 0; begin < total;) {
+    const std::uint64_t end =
+        std::min(total, (begin / c.check_every + 1) * c.check_every);
+    service.Pause();
+    for (std::uint64_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(service.Submit(ops[i]).ok());
     }
+    service.Resume();
+    ASSERT_TRUE(service.Drain().ok());
+    const auto snap = service.Snapshot();
+    ASSERT_EQ(snap->applied_updates, end);
+    SCOPED_TRACE("snapshot at " + std::to_string(end));
+    const Truth& truth = oracle.At(end);
+    ASSERT_EQ(service.Stats().apply_failures, truth.failures);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(*snap, truth));
+    begin = end;
+  }
+  EXPECT_EQ(service.Stats().compactions,
+            c.compact_every == 0 ? 0 : total / c.compact_every);
+  service.Shutdown(drain_on_shutdown);
+}
+
+// Recover() from `dir` after its first `base` updates: a drained
+// directory holds a snapshot covering them, a WAL-only one replays them as
+// one batch.  The recovered service then takes the rest of the stream,
+// counting on from its base and compacting at the truth's points when
+// `base` is one of them.
+void RunRecover(const DifferentialCase& c, const BipartiteGraph& seed,
+                const std::vector<EdgeUpdate>& ops, std::uint64_t base,
+                const std::string& dir, bool wal_only, Oracle& oracle) {
+  const obs::Counter* fallbacks =
+      obs::MetricsRegistry::Default().GetCounter(
+          "bitruss_dynamic_fallbacks_total");
+  const std::uint64_t fallbacks_before = fallbacks->Value();
+  RecoveryStats stats;
+  auto recovered =
+      BitrussService::Recover(seed, DurableOptions(c, ops, dir), &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  BitrussService& service = *recovered.value();
+  EXPECT_LE(fallbacks->Value() - fallbacks_before, 1u);
+  EXPECT_FALSE(stats.from_seed);
+  EXPECT_EQ(stats.snapshot_applied, wal_only ? 0 : base);
+  EXPECT_EQ(stats.wal_replayed, wal_only ? base : 0);
+  EXPECT_FALSE(service.Degraded());
+  EXPECT_EQ(service.RecoveredBase(), base);
+  ASSERT_EQ(service.Snapshot()->applied_updates, base);
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(*service.Snapshot(), oracle.At(base)));
+
+  for (std::uint64_t i = base; i < ops.size(); ++i) {
+    ASSERT_TRUE(service.Submit(ops[i]).ok());
+  }
+  ASSERT_TRUE(service.Drain().ok());
+  SCOPED_TRACE("after the rest of the stream");
+  const auto snap = service.Snapshot();
+  ASSERT_EQ(snap->applied_updates, ops.size());
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(*snap, oracle.At(ops.size())));
+  service.Shutdown();
+}
+
+// Every path over one stream, with ApplyBatch at each of `widths`;
+// returns the per-update path's totals.  The paths only read truths
+// computed up front, so they run side by side; recovery runs after them,
+// when no other path moves the fallback counter it watches.
+void RunEveryPath(const DifferentialCase& c, const BipartiteGraph& seed,
+                  const std::vector<EdgeUpdate>& ops,
+                  const std::vector<std::uint64_t>& widths,
+                  IncrementalTotals* per_update) {
+  const std::uint64_t total = ops.size();
+  // The drained service stops short of the end, at a compaction point
+  // where the case has them, and Recover() takes on the rest.
+  const std::uint64_t resume_at =
+      c.compact_every == 0 ? total / 2
+                           : (total - 1) / c.compact_every * c.compact_every;
+  Oracle oracle(seed, ops, c.compact_every);
+  std::vector<std::uint64_t> checkpoints = {resume_at};
+  for (std::uint64_t count = 1; count <= total; ++count) {
+    if (IsCheckpoint(c, count, total)) checkpoints.push_back(count);
+  }
+  oracle.Prefetch(checkpoints);
+  // runs[0] is the per-update path, runs[i] ApplyBatch at widths[i - 1].
+  std::vector<ApplyRun> runs(widths.size() + 1);
+  TempDir drained;
+  TempDir wal_only;
+  std::vector<std::thread> paths;
+  const auto spawn = [&paths](std::string trace, auto path) {
+    paths.emplace_back([trace, path] {
+      SCOPED_TRACE(trace);
+      try {
+        path();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << e.what();
+      }
+    });
+  };
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const std::uint64_t width = i == 0 ? 1 : widths[i - 1];
+    spawn(i == 0 ? "per-update Apply"
+                 : "ApplyBatch width " + std::to_string(width),
+          [&, i, width] {
+            RunApply(c, seed, ops, i == 0, width, oracle, &runs[i]);
+          });
+  }
+  spawn("service publishing every update", [&] {
+    RunService(c, seed, ops, resume_at, 1, drained.path,
+               /*drain_on_shutdown=*/true, oracle);
+  });
+  spawn("service publishing every 64 updates", [&] {
+    RunService(c, seed, ops, total, 64, wal_only.path,
+               /*drain_on_shutdown=*/false, oracle);
+  });
+  for (std::thread& path : paths) path.join();
+  ASSERT_FALSE(testing::Test::HasFatalFailure());
+
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    SCOPED_TRACE("ApplyBatch width " + std::to_string(widths[i - 1]));
+    // A batch recomputes at most once, and never more often than the
+    // per-update path.
+    EXPECT_LE(runs[i].totals.fallbacks, runs[i].batches);
+    EXPECT_LE(runs[i].totals.fallbacks, runs[0].totals.fallbacks);
+  }
+  *per_update = runs[0].totals;
+  {
+    SCOPED_TRACE("Recover() from a drained directory");
+    ASSERT_NO_FATAL_FAILURE(RunRecover(c, seed, ops, resume_at, drained.path,
+                                       /*wal_only=*/false, oracle));
+  }
+  {
+    // Recovery replays the WAL without compacting, and so does its truth.
+    SCOPED_TRACE("Recover() from a WAL-only directory");
+    Oracle uncompacted(seed, ops);
+    ASSERT_NO_FATAL_FAILURE(RunRecover(c, seed, ops, total, wal_only.path,
+                                       /*wal_only=*/true, uncompacted));
   }
 }
+
+IncrementalBitrussOptions Budget(std::uint64_t budget,
+                                 Algorithm algorithm = Algorithm::kBUPlusPlus,
+                                 unsigned threads = 0) {
+  IncrementalBitrussOptions options;
+  options.cascade_budget = budget;
+  // The literal unlimited budget leaves every repair to the local re-peel,
+  // with no fallback recompute to mask a repair bug.
+  options.adaptive_budget = budget != kUnlimited;
+  options.decompose.algorithm = algorithm;
+  options.decompose.parallel.num_threads = threads;
+  return options;
+}
+
+BipartiteGraph Writer() { return MakeDataset("Writer", 0.02); }
+BipartiteGraph Github() { return MakeDataset("Github", 0.02); }
+BipartiteGraph Twitter() { return MakeDataset("Twitter", 0.02); }
+// D-style's hub-heavy lower side is a complete block, so an update's
+// affected band spans most of the graph and the budget forces the
+// component-recompute fallback.
+BipartiteGraph DStyle() { return MakeDataset("D-style", 0.01); }
+BipartiteGraph Dense() { return GenerateUniformBipartite(25, 20, 160, 7); }
+BipartiteGraph Denser() { return GenerateUniformBipartite(30, 25, 200, 13); }
+BipartiteGraph Small() { return GenerateUniformBipartite(20, 15, 110, 3); }
+
+const DifferentialCase kCases[] = {
+    {"UnlimitedBudgetWriter", Writer, 150, HashString64("Writer") ^ 0x5eedull,
+     false, 1, 50, Budget(kUnlimited), Repairs::kLocalOnly},
+    {"UnlimitedBudgetGithub", Github, 150, HashString64("Github") ^ 0x5eedull,
+     false, 1, 50, Budget(kUnlimited), Repairs::kLocalOnly},
+    {"DenseBU", Dense, 200, 99, false, 1, 64,
+     Budget(kDefaultBudget, Algorithm::kBU), Repairs::kAny},
+    {"Budget0BS", Dense, 120, 99, false, 1, 40,
+     Budget(0, Algorithm::kBS), Repairs::kFallback},
+    {"Budget6BUPlus", Denser, 200, 1234, false, 1, 64,
+     Budget(6, Algorithm::kBUPlus), Repairs::kMixed},
+    {"Budget16PC4Threads", Small, 80, 77, false, 1, 0,
+     Budget(16, Algorithm::kPC, 4), Repairs::kFallback},
+    {"DStyle", DStyle, 60, 2026, false, 1, 0, {}, Repairs::kFallback},
+    // Long streams, checked every 500 updates and compacted every 1000.
+    {"LongWriter", Writer, 3500, HashString64("Writer") ^ 0xf022ull, false,
+     500, 1000, {}, Repairs::kAny},
+    {"LongGithub", Github, 3500, HashString64("Github") ^ 0xf022ull, false,
+     500, 1000, {}, Repairs::kAny},
+    {"LongTwitter", Twitter, 3500, HashString64("Twitter") ^ 0xf022ull, false,
+     500, 1000, {}, Repairs::kAny},
+    // Churn with duplicate inserts and deletes of missing edges, which
+    // every path must count as failures; no compaction, so a batch of
+    // width W is never cut and recomputes at most ceil(N / W) times.
+    {"ChurnBudget0BU", Github, 300, 0xba7c4ull, true, 1, 0,
+     Budget(0, Algorithm::kBU), Repairs::kFallback},
+    {"ChurnBudget64", Github, 300, 0xba7c4ull, true, 1, 0, Budget(64),
+     Repairs::kMixed},
+    {"ChurnDefaultBudget", Github, 300, 0xba7c4ull, true, 1, 0, {},
+     Repairs::kAny},
+};
+
+class Differential : public testing::TestWithParam<DifferentialCase> {};
+
+TEST_P(Differential, EveryPathMatchesTheRecount) {
+  const DifferentialCase& c = GetParam();
+  const BipartiteGraph seed = c.make_seed();
+  const std::vector<EdgeUpdate> ops =
+      MakeStream(seed, c.updates, c.rng_seed, c.with_noops);
+  IncrementalTotals totals;
+  ASSERT_NO_FATAL_FAILURE(RunEveryPath(c, seed, ops, {1, 7, 64, 0}, &totals));
+  if (c.repairs == Repairs::kLocalOnly) {
+    EXPECT_EQ(totals.fallbacks, 0u);
+  } else if (c.repairs != Repairs::kAny) {
+    EXPECT_GT(totals.fallbacks, 0u);
+  }
+  if (c.repairs == Repairs::kMixed) {
+    EXPECT_GT(totals.local_repairs, 0u);
+  }
+}
+
+// ctest names each row by its case, through PrintTo.
+INSTANTIATE_TEST_SUITE_P(, Differential, testing::ValuesIn(kCases));
+
+// ---------------------------------------------------------------------------
+// Batched apply hand cases
+// ---------------------------------------------------------------------------
 
 // Two K(2,2) blocks joined by the bridge (u1, l2):
 //   block A = {u0, u1} x {l0, l1},  block B = {u2, u3} x {l2, l3}.
@@ -503,25 +582,20 @@ TEST(IncrementalBitrussBatch, HandCasesMatchPerUpdateApply) {
        {{Kind::kDelete, 0, 0}, {Kind::kInsert, 1, 3}, {Kind::kInsert, 0, 0},
         {Kind::kDelete, 2, 2}}},
   };
-  IncrementalBitrussOptions forced;
-  forced.cascade_budget = 0;
   for (const auto& c : cases) {
-    for (const IncrementalBitrussOptions& options :
-         {forced, IncrementalBitrussOptions{}}) {
-      SCOPED_TRACE(std::string(c.name) + ", budget " +
-                   std::to_string(options.cascade_budget));
-      for (const std::size_t width : {1, 2, 0}) {
-        SCOPED_TRACE("width " + std::to_string(width));
-        ExpectBatchesMatchPerUpdate(seed, options, c.stream, width);
-      }
+    for (const std::uint64_t budget : {std::uint64_t{0}, kDefaultBudget}) {
+      SCOPED_TRACE(std::string(c.name) + ", budget " + std::to_string(budget));
+      const DifferentialCase row{
+          c.name, nullptr, 0, 0, false, 1, 0, Budget(budget), Repairs::kAny};
+      IncrementalTotals totals;
+      // Width 2 puts a batch boundary inside every stream.
+      ASSERT_NO_FATAL_FAILURE(
+          RunEveryPath(row, seed, c.stream, {1, 2, 0}, &totals));
     }
   }
 
-  // The duplicate insert and the missing delete count as failures; the
-  // first-update fallback turns the rest of its batch into plain edits.
-  EXPECT_EQ(IncrementalBitruss(seed, forced).ApplyBatch(cases[3].stream), 2u);
-  EXPECT_EQ(IncrementalBitruss(seed, forced).ApplyBatch(cases[4].stream), 2u);
-  IncrementalBitruss first(seed, forced);
+  // The first-update fallback turns the rest of its batch into plain edits.
+  IncrementalBitruss first(seed, Budget(0));
   EXPECT_EQ(first.ApplyBatch(cases[5].stream), 0u);
   EXPECT_TRUE(first.LastUpdateStats().fallback);
   EXPECT_EQ(first.Totals().fallbacks, 1u);

@@ -1,9 +1,11 @@
 // Tests for the concurrent bitruss serving layer (serve/bitruss_service.h):
-// snapshot semantics, backpressure, shutdown/drain contracts, compaction
-// under serving, and the writer/reader race-freedom stress test that the
-// TSan CI job runs — 1 writer + 4 readers over a mixed insert/delete
-// stream, with every published snapshot checked bit-identical against a
-// from-scratch Snapshot() + Decompose() oracle at its version.
+// snapshot semantics, backpressure, shutdown/drain contracts, publish-sized
+// batching, latency instruments, and the writer/reader race-freedom stress
+// test that the TSan CI job runs — 1 writer + 4 readers over a mixed
+// insert/delete stream with compaction, every published snapshot checked
+// slot for slot against the recount truth of differential_oracle.h at its
+// version.  Exactness across publish cadences, compaction and recovery is
+// the Differential table's job (test_incremental_bitruss.cc).
 
 #include <gtest/gtest.h>
 
@@ -17,15 +19,11 @@
 #include <utility>
 #include <vector>
 
-#include "butterfly/butterfly_counting.h"
-#include "core/decompose.h"
-#include "dynamic/dynamic_graph.h"
+#include "differential_oracle.h"
 #include "gen/random_bipartite.h"
 #include "graph/bipartite_graph.h"
 #include "obs/metrics.h"
 #include "serve/bitruss_service.h"
-#include "serve_oracle.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace bitruss {
@@ -37,8 +35,9 @@ static_assert(!std::is_copy_constructible_v<BitrussService>,
 static_assert(!std::is_copy_assignable_v<BitrussService>,
               "BitrussService must not be copy-assignable");
 
-using serve_oracle::ExpectSnapshotMatchesOracle;
-using serve_oracle::MakeStream;
+using differential::ExpectMatches;
+using differential::MakeStream;
+using differential::Oracle;
 
 TEST(BitrussService, InitialSnapshotMatchesSeedDecompose) {
   const BipartiteGraph seed = GenerateUniformBipartite(20, 15, 110, 3);
@@ -47,17 +46,9 @@ TEST(BitrussService, InitialSnapshotMatchesSeedDecompose) {
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->version, 1u);
   EXPECT_EQ(snap->applied_updates, 0u);
-  EXPECT_EQ(snap->num_edges, seed.NumEdges());
-  EXPECT_EQ(snap->num_butterflies, CountTotalButterflies(seed));
-  // Seed slots keep the CSR edge ids.
-  const BitrussResult expected = Decompose(seed);
-  const std::vector<SupportT> supports = CountEdgeSupports(seed);
-  for (EdgeId e = 0; e < seed.NumEdges(); ++e) {
-    EXPECT_EQ(snap->Phi(e), expected.phi[e]) << "edge " << e;
-    EXPECT_EQ(snap->SupportOf(e), supports[e]) << "edge " << e;
-    EXPECT_TRUE(snap->IsLive(e));
-  }
   EXPECT_EQ(service.StalenessUpdates(), 0u);
+  const std::vector<EdgeUpdate> none;
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(*snap, Oracle(seed, none).At(0)));
 }
 
 TEST(BitrussService, SnapshotQueriesAreConsistentWithArrays) {
@@ -193,26 +184,6 @@ TEST(BitrussService, ConcurrentDrainCallersAllWake) {
   EXPECT_EQ(service.Snapshot()->applied_updates, service.SubmittedUpdates());
 }
 
-TEST(BitrussService, ServesExactlyAcrossCompactions) {
-  const BipartiteGraph seed = GenerateUniformBipartite(25, 20, 160, 7);
-  const std::vector<EdgeUpdate> ops = MakeStream(seed, 60, 0x5e1f);
-  BitrussServiceOptions options;
-  options.queue_capacity = ops.size();
-  options.compact_every_updates = 5;
-  BitrussService service(seed, options);
-  for (const EdgeUpdate& op : ops) ASSERT_TRUE(service.Submit(op).ok());
-  ASSERT_TRUE(service.Drain().ok());
-
-  EXPECT_EQ(service.Stats().compactions, ops.size() / 5);
-  const auto snap = service.Snapshot();
-  EXPECT_EQ(snap->applied_updates, ops.size());
-  ASSERT_NO_FATAL_FAILURE(
-      ExpectSnapshotMatchesOracle(*snap, seed, ops, /*compact_every=*/5));
-  // A stale pre-compaction slot id reads 0 through every accessor.
-  EXPECT_EQ(service.Phi(1u << 20), 0u);
-  EXPECT_EQ(service.SupportOf(1u << 20), 0u);
-}
-
 // The race-freedom satellite: one writer, four hammering readers, every
 // observed snapshot verified against the from-scratch oracle at its
 // version.  Run under TSan in CI (serve label).
@@ -276,7 +247,8 @@ TEST(BitrussServiceStress, EverySnapshotMatchesOracleAtItsVersion) {
   EXPECT_EQ(service.AppliedUpdates(), ops.size());
 
   // Every snapshot any reader ever observed — plus the final one — must be
-  // bit-identical to the recount oracle at its version.
+  // bit-identical to the recount truth at its version.
+  Oracle oracle(seed, ops, kCompactEvery);
   std::map<std::uint64_t, std::shared_ptr<const PhiSnapshot>> unique;
   for (const auto& per_reader : seen) {
     unique.insert(per_reader.begin(), per_reader.end());
@@ -294,7 +266,7 @@ TEST(BitrussServiceStress, EverySnapshotMatchesOracleAtItsVersion) {
     last_version = version;
     last_applied = snap->applied_updates;
     ASSERT_NO_FATAL_FAILURE(
-        ExpectSnapshotMatchesOracle(*snap, seed, ops, kCompactEvery));
+        ExpectMatches(*snap, oracle.At(snap->applied_updates)));
   }
 }
 
@@ -410,8 +382,8 @@ TEST(BitrussService, BacklogAppliesInPublishSizedBatches) {
   EXPECT_EQ(batches.sum, 600.0);
   EXPECT_EQ(service.Stats().published_snapshots - published_before, 10u);
   EXPECT_EQ(service.AppliedUpdates(), 600u);
-  ASSERT_NO_FATAL_FAILURE(ExpectSnapshotMatchesOracle(
-      *service.Snapshot(), seed, ops, /*compact_every=*/0));
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMatches(*service.Snapshot(), Oracle(seed, ops).At(600)));
   service.Shutdown();
 }
 

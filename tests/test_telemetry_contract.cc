@@ -18,13 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "differential_oracle.h"
 #include "gen/dataset_suite.h"
 #include "http_test_util.h"
 #include "obs/admin_server.h"
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
 #include "serve/bitruss_service.h"
-#include "serve_oracle.h"
 
 namespace bitruss {
 namespace {
@@ -32,7 +32,7 @@ namespace {
 using http_test::Get;
 using http_test::HttpReply;
 using http_test::IsValidJson;
-using serve_oracle::TempDir;
+using differential::TempDir;
 
 constexpr std::size_t kQueueCapacity = 64;
 constexpr int kUpdates = 320;
@@ -78,7 +78,7 @@ class TelemetryContract : public ::testing::Test {
     ASSERT_TRUE(admin_.Start().ok());
 
     const std::vector<EdgeUpdate> ops =
-        serve_oracle::MakeStream(seed_, kUpdates, 0x7e1e);
+        differential::MakeStream(seed_, kUpdates, 0x7e1e);
     // Paused overfill: the queue reaches capacity, then bounces.
     service_->Pause();
     for (std::size_t i = 0; i < kQueueCapacity; ++i) {
