@@ -8,6 +8,7 @@
 #include "butterfly/butterfly_counting.h"
 #include "core/be_index_builder.h"
 #include "core/peeling_state.h"
+#include "graph/vertex_priority.h"
 #include "obs/metrics.h"
 
 namespace bitruss {
@@ -298,8 +299,7 @@ BitrussResult Decompose(const BipartiteGraph& g,
   metrics.runs->Inc();
 
   Timer timer;
-  const VertexPriority priority =
-      VertexPriority::Compute(g, options.priority_rule);
+  const VertexPriority priority = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, priority);
   std::vector<SupportT> sup = CountEdgeSupports(g, adj, pool);
   result.original_support = sup;

@@ -14,9 +14,6 @@
 //               `tau` sets the fraction of edges targeted per round
 //               (tau = 1 degenerates to a single full round).
 //
-// cohesion/ab_core.h wraps this entry point as DecomposeWithCorePruning():
-// an exact (2,2)-core pre-prune in front of any of the variants above.
-//
 // Each phase has one record per audience.  For callers and benches,
 // BitrussResult::counters carries the counting/peeling split (Fig. 5) and
 // BitrussResult::pc_trace one row per BiT-PC theta round (Fig. 8).  For
@@ -29,7 +26,6 @@
 
 #include "core/bitruss_result.h"
 #include "graph/bipartite_graph.h"
-#include "graph/vertex_priority.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -51,8 +47,6 @@ struct DecomposeOptions {
   Deadline deadline;
   /// Fill UpdateCounters::per_edge_updates (costs one u64 per edge).
   bool track_per_edge_updates = false;
-  /// Vertex ordering; any total order is correct (kIdOnly is for ablation).
-  PriorityRule priority_rule = PriorityRule::kDegreeThenId;
   /// Thread count for support counting, BE-Index construction and BiT-PC's
   /// cascade recount passes; the peel itself stays sequential.  This is
   /// the library's one parallel decomposition.  Results are bit-identical

@@ -16,7 +16,7 @@
 // lexicographic invariant documented in graph/bipartite_graph.h) together
 // with the snapshot-id -> slot-id mapping and the maintained supports in
 // snapshot order, so a mutated graph feeds straight into `Decompose()` /
-// `BuildBEIndex()`.
+// `BEIndexBuilder::Build()`.
 //
 // Vertex ids use the same one global space as BipartiteGraph: upper in
 // [0, NumUpper()), lower in [NumUpper(), NumUpper() + NumLower()).  The

@@ -50,9 +50,6 @@ class BipartiteGraph {
   EdgeId NumEdges() const { return static_cast<EdgeId>(edge_upper_.size()); }
 
   bool IsUpper(VertexId v) const { return v < num_upper_; }
-  VertexId LowerGlobal(VertexId lower_local) const {
-    return num_upper_ + lower_local;
-  }
 
   VertexId Degree(VertexId v) const {
     return static_cast<VertexId>(offsets_[v + 1] - offsets_[v]);

@@ -57,18 +57,6 @@ enum class FsyncPolicy : std::uint8_t {
   kOsBuffered,    ///< never fsync (page cache durability only)
 };
 
-inline const char* FsyncPolicyName(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kEveryRecord:
-      return "every-record";
-    case FsyncPolicy::kEveryPublish:
-      return "every-publish";
-    case FsyncPolicy::kOsBuffered:
-      return "os";
-  }
-  return "unknown";
-}
-
 struct WalOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryPublish;
   /// Rotate to a fresh segment once the current one reaches this size.

@@ -51,14 +51,6 @@ void Arm(const std::string& point, const ArmSpec& spec) {
   if (inserted) g_armed.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Disarm(const std::string& point) {
-  Table& table = GetTable();
-  MutexLock lock(table.mu);
-  if (table.points.erase(point) != 0) {
-    g_armed.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
 void ResetAll() {
   Table& table = GetTable();
   MutexLock lock(table.mu);

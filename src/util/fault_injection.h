@@ -63,7 +63,6 @@ struct ArmSpec {
 
 /// Arms `point` (replacing any previous spec and resetting its hit count).
 void Arm(const std::string& point, const ArmSpec& spec);
-void Disarm(const std::string& point);
 /// Disarms everything and clears all hit counts.
 void ResetAll();
 /// Hits recorded for `point` since it was last armed (0 when never armed;

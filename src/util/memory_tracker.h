@@ -21,10 +21,6 @@ inline double BytesToMiB(std::uint64_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
 
-inline double BytesToMB(std::uint64_t bytes) {
-  return static_cast<double>(bytes) / 1e6;
-}
-
 /// System page size in bytes; 4096 where sysconf is unavailable or fails.
 inline std::uint64_t PageSizeBytes() {
   static const std::uint64_t page_size = [] {

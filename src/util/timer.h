@@ -39,8 +39,6 @@ class Deadline {
     return d;
   }
 
-  bool IsFinite() const { return finite_; }
-
   bool Expired() const { return finite_ && Clock::now() >= when_; }
 
  private:

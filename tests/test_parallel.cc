@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "butterfly/butterfly_counting.h"
-#include "cohesion/ab_core.h"
-#include "cohesion/tip_decomposition.h"
 #include "core/be_index_builder.h"
 #include "core/decompose.h"
 #include "gen/dataset_suite.h"
@@ -185,9 +183,9 @@ TEST(ParallelBEIndex, BuildIsByteIdenticalToSequential) {
 
 TEST(ParallelDecompose, CountingAndIndexFedPipelinesMatchSequential) {
   // Parallel counting + parallel BE build + (for kPC) parallel cascade
-  // recounts behind the ordinary Decompose()/DecomposeWithCorePruning()
-  // entry points.  The peel itself is sequential over a byte-identical
-  // index, so even the support-update counter must match.
+  // recounts behind the ordinary Decompose() entry point.  The peel itself
+  // is sequential over a byte-identical index, so even the support-update
+  // counter must match.
   DecomposeOptions sequential;
   sequential.parallel.num_threads = 1;
   for (const std::string& name : DatasetNames()) {
@@ -227,9 +225,6 @@ TEST(ParallelDecompose, CountingAndIndexFedPipelinesMatchSequential) {
       EXPECT_EQ(got.phi, expect.phi) << name;
       EXPECT_EQ(got.original_support, expect.original_support) << name;
       EXPECT_EQ(got.total_butterflies, expect.total_butterflies) << name;
-
-      const BitrussResult pruned = DecomposeWithCorePruning(g, options);
-      EXPECT_EQ(pruned.phi, expect.phi) << name;
     }
   }
 
@@ -243,21 +238,6 @@ TEST(ParallelDecompose, CountingAndIndexFedPipelinesMatchSequential) {
   const BitrussResult one = Decompose(square, four);
   EXPECT_EQ(one.phi, (std::vector<SupportT>{1, 1, 1, 1}));
   EXPECT_EQ(one.total_butterflies, 1u);
-}
-
-TEST(ParallelTip, InitialCountsMatchSequential) {
-  for (const char* name : {"Github", "D-style"}) {
-    const BipartiteGraph g = MakeDataset(name, kSuiteScale);
-    for (const bool peel_upper : {true, false}) {
-      const TipResult expect = TipDecomposition(g, peel_upper);
-      for (const unsigned threads : {2u, 8u}) {
-        const TipResult got = TipDecomposition(g, peel_upper, {threads});
-        EXPECT_EQ(got.theta, expect.theta) << name << " x" << threads;
-        EXPECT_EQ(got.max_tip, expect.max_tip) << name;
-        EXPECT_EQ(got.count_updates, expect.count_updates) << name;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -27,8 +27,10 @@ Rules (each failure prints file:line and a one-line explanation):
      BITRUSS_FAULT_POINT("name") / BITRUSS_FAULT_POINT_STATUS("name") must
      be referenced by name somewhere under tests/ — no fault point may
      exist without crash/degradation coverage.
-  6. bench-built  every bench/*.cc stem must appear in CMakeLists.txt, so
-     a harness that never compiles cannot sit in the tree unnoticed.
+  6. sources-built  every src/**/*.cc must be named by its relative path in
+     CMakeLists.txt, and every bench/*.cc and tests/test_*.cc by its stem,
+     so a module, harness or suite that never compiles cannot sit in the
+     tree unnoticed.
 
 Exit status: 0 clean, 1 any violation (CI fails the build on it).
 """
@@ -186,16 +188,22 @@ def check_fault_point_coverage(root, errors):
         )
 
 
-def check_bench_built(root, errors):
+def check_sources_built(root, errors):
     cmake = root / "CMakeLists.txt"
     text = cmake.read_text() if cmake.is_file() else ""
     names = set(re.findall(r"\w+", text))
-    for path in sorted((root / "bench").glob("*.cc")):
-        if path.stem not in names:
-            errors.append(
-                f"{path.relative_to(root)}: not named in CMakeLists.txt — "
-                "every bench source must be built"
-            )
+    paths = set(re.findall(r"[\w/.]+\.cc\b", text))
+    unbuilt = [p for p in sorted((root / "src").rglob("*.cc"))
+               if p.relative_to(root).as_posix() not in paths]
+    unbuilt += [p for p in sorted((root / "bench").glob("*.cc"))
+                if p.stem not in names]
+    unbuilt += [p for p in sorted((root / "tests").glob("test_*.cc"))
+                if p.stem not in names]
+    for path in unbuilt:
+        errors.append(
+            f"{path.relative_to(root)}: not named in CMakeLists.txt — "
+            "every source must be built"
+        )
 
 
 def main():
@@ -215,7 +223,7 @@ def main():
     check_nodiscard_status(root, errors)
     check_include_guards(root, errors)
     check_fault_point_coverage(root, errors)
-    check_bench_built(root, errors)
+    check_sources_built(root, errors)
 
     if errors:
         for error in errors:
