@@ -31,14 +31,16 @@ double BenchTimeoutSeconds();
 /// Generates a suite dataset at BenchScale(), caching per process.
 const BipartiteGraph& BenchDataset(const std::string& name);
 
-/// One timed decomposition run under the bench deadline.
+/// One timed decomposition run under the bench deadline; `tau` defaults to
+/// the library's, so BiT-PC rows follow it wherever it moves.
 struct RunOutcome {
   BitrussResult result;
   double seconds = 0;   ///< wall-clock including counting + index + peel
   bool timed_out = false;
 };
 RunOutcome TimedRun(const BipartiteGraph& g, Algorithm algorithm,
-                    double tau = 0.02, bool track_per_edge = false);
+                    double tau = DecomposeOptions{}.tau,
+                    bool track_per_edge = false);
 
 /// "12.345" or "INF" (Figure 9's convention for >deadline runs).
 std::string FormatSeconds(const RunOutcome& outcome);

@@ -19,7 +19,7 @@ int main() {
     const BipartiteGraph& g = BenchDataset(name);
     const RunOutcome bu = TimedRun(g, Algorithm::kBU);
     const RunOutcome bupp = TimedRun(g, Algorithm::kBUPlusPlus);
-    const RunOutcome pc = TimedRun(g, Algorithm::kPC, /*tau=*/0.02);
+    const RunOutcome pc = TimedRun(g, Algorithm::kPC);
     const auto fmt = [](const RunOutcome& r) {
       return r.timed_out ? std::string("INF")
                          : FormatCount(r.result.counters.support_updates);

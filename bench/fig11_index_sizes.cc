@@ -20,7 +20,7 @@ int main() {
     const BipartiteGraph& g = BenchDataset(name);
     const RunOutcome bu = TimedRun(g, Algorithm::kBU);
     const RunOutcome bupp = TimedRun(g, Algorithm::kBUPlusPlus);
-    const RunOutcome pc = TimedRun(g, Algorithm::kPC, /*tau=*/0.02);
+    const RunOutcome pc = TimedRun(g, Algorithm::kPC);
     const auto mib = [](const RunOutcome& r) {
       // A timed-out run has not built all its per-round indexes, so its
       // peak would understate the real footprint.

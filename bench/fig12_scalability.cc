@@ -27,7 +27,7 @@ int main() {
                      : InducedVertexSample(full, pct, /*seed=*/1234 + pct);
       const RunOutcome bu = TimedRun(sampled, Algorithm::kBU);
       const RunOutcome bupp = TimedRun(sampled, Algorithm::kBUPlusPlus);
-      const RunOutcome pc = TimedRun(sampled, Algorithm::kPC, 0.02);
+      const RunOutcome pc = TimedRun(sampled, Algorithm::kPC);
       table.AddRow({std::to_string(pct), FormatCount(sampled.NumEdges()),
                     FormatSeconds(bu), FormatSeconds(bupp),
                     FormatSeconds(pc)});

@@ -19,9 +19,10 @@ int main() {
 
   const BipartiteGraph& g = BenchDataset("D-style");
 
-  const RunOutcome bu = TimedRun(g, Algorithm::kBU, 0.02, true);
-  const RunOutcome bupp = TimedRun(g, Algorithm::kBUPlusPlus, 0.02, true);
-  const RunOutcome pc = TimedRun(g, Algorithm::kPC, 0.02, true);
+  const double tau = DecomposeOptions{}.tau;
+  const RunOutcome bu = TimedRun(g, Algorithm::kBU, tau, true);
+  const RunOutcome bupp = TimedRun(g, Algorithm::kBUPlusPlus, tau, true);
+  const RunOutcome pc = TimedRun(g, Algorithm::kPC, tau, true);
   if (bu.timed_out || bupp.timed_out || pc.timed_out) {
     // Partial update counts would misrepresent the distribution.
     std::printf("timed out; raise BITRUSS_BENCH_TIMEOUT.\n");

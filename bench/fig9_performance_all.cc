@@ -20,7 +20,7 @@ int main() {
     const RunOutcome bs = TimedRun(g, Algorithm::kBS);
     const RunOutcome bu = TimedRun(g, Algorithm::kBU);
     const RunOutcome bupp = TimedRun(g, Algorithm::kBUPlusPlus);
-    const RunOutcome pc = TimedRun(g, Algorithm::kPC, /*tau=*/0.02);
+    const RunOutcome pc = TimedRun(g, Algorithm::kPC);
     table.AddRow({name, FormatSeconds(bs), FormatSeconds(bu),
                   FormatSeconds(bupp), FormatSeconds(pc)});
     std::fflush(stdout);

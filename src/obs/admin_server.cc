@@ -254,10 +254,6 @@ void RegisterStandardEndpoints(AdminServer* server, MetricsRegistry* registry) {
     return AdminResponse{200, "text/plain; version=0.0.4; charset=utf-8",
                          ExportPrometheus(registry->Snapshot())};
   });
-  server->Handle("/metrics.json", [registry] {
-    return AdminResponse{200, "application/json",
-                         ExportJson(registry->Snapshot())};
-  });
 }
 
 }  // namespace bitruss::obs

@@ -6,7 +6,7 @@
 // in-process observability surface scrapeable while the service runs:
 //
 //     obs::AdminServer admin({.port = 0});           // 0 = ephemeral
-//     obs::RegisterStandardEndpoints(                // /metrics, /metrics.json
+//     obs::RegisterStandardEndpoints(                // /metrics
 //         &admin, &obs::MetricsRegistry::Default());
 //     admin.Handle("/healthz", [&] { return service.HealthJson(); ... });
 //     admin.Start();
@@ -130,10 +130,10 @@ class AdminServer {
   std::atomic<bool> stopping_{false};
 };
 
-/// Wires the standard observability endpoints onto `server` (any time —
+/// Wires the standard observability endpoint onto `server` (any time —
 /// registration is safe before or after Start()):
-///   /metrics       Prometheus text exposition of `registry`
-///   /metrics.json  ExportJson of the same snapshot
+///   /metrics       Prometheus text exposition of `registry`, the one
+///                  operator record of every counter, gauge and histogram
 /// Service-specific liveness (`/healthz`) is the caller's to register —
 /// see BitrussService::HealthJson.
 void RegisterStandardEndpoints(AdminServer* server, MetricsRegistry* registry);

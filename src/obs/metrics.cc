@@ -341,40 +341,4 @@ std::string ExportPrometheus(const RegistrySnapshot& snapshot) {
   return out;
 }
 
-std::string ExportJson(const RegistrySnapshot& snapshot) {
-  std::string out = "{";
-  out += "\"counters\": {";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    if (i > 0) out += ", ";
-    AppendJsonEscaped(snapshot.counters[i].name, &out);
-    out += ": " + std::to_string(snapshot.counters[i].value);
-  }
-  out += "}, \"gauges\": {";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    if (i > 0) out += ", ";
-    AppendJsonEscaped(snapshot.gauges[i].name, &out);
-    out += ": " + std::to_string(snapshot.gauges[i].value);
-  }
-  out += "}, \"histograms\": {";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const HistogramSample& s = snapshot.histograms[i];
-    if (i > 0) out += ", ";
-    AppendJsonEscaped(s.name, &out);
-    out += ": {\"bounds\": [";
-    for (std::size_t b = 0; b < s.bounds.size(); ++b) {
-      if (b > 0) out += ", ";
-      out += FormatDouble(s.bounds[b]);
-    }
-    out += "], \"counts\": [";
-    for (std::size_t b = 0; b < s.bucket_counts.size(); ++b) {
-      if (b > 0) out += ", ";
-      out += std::to_string(s.bucket_counts[b]);
-    }
-    out += "], \"count\": " + std::to_string(s.count);
-    out += ", \"sum\": " + FormatDouble(s.sum) + "}";
-  }
-  out += "}}";
-  return out;
-}
-
 }  // namespace bitruss::obs

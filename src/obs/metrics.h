@@ -28,8 +28,8 @@
 // `Snapshot()` is consistent per instrument (each value is one atomic
 // load), not across instruments: a counter incremented between two loads
 // can make e.g. histogram count and a parallel counter disagree by the
-// in-flight updates.  Exporters: `ExportPrometheus()` (text exposition,
-// cumulative `_bucket{le=...}` semantics) and `ExportJson()`.
+// in-flight updates.  The one exporter is `ExportPrometheus()` (text
+// exposition, cumulative `_bucket{le=...}` semantics), served on `/metrics`.
 
 #ifndef BITRUSS_OBS_METRICS_H_
 #define BITRUSS_OBS_METRICS_H_
@@ -268,14 +268,9 @@ class MetricsRegistry {
 /// `_bucket{le="..."}` rows plus `_sum`/`_count` for histograms.
 std::string ExportPrometheus(const RegistrySnapshot& snapshot);
 
-/// `{"counters": {...}, "gauges": {...}, "histograms": {name: {"bounds":
-/// [...], "counts": [...], "count": n, "sum": s}}}` — `counts` are
-/// per-bucket (non-cumulative), last entry +Inf.
-std::string ExportJson(const RegistrySnapshot& snapshot);
-
 /// Appends `s` as a double-quoted JSON string (quotes included) with
-/// control characters escaped; shared by the obs exporters, the event log,
-/// and the admin endpoints.
+/// control characters escaped; used by the `/healthz` body
+/// (BitrussService::HealthJson).
 void AppendJsonEscaped(const std::string& s, std::string* out);
 
 }  // namespace bitruss::obs

@@ -319,14 +319,6 @@ Status BitrussService::Submit(const EdgeUpdate& update) {
     EnterDegraded(reason);
     return UnavailableError("service is read-only (degraded): " + reason);
   }
-  // Emitted outside mu_; the event log's own lock is a leaf.
-  if (options_.event_log != nullptr) {
-    options_.event_log->Emit(
-        "backpressure_reject",
-        {{"queue_capacity",
-          static_cast<std::uint64_t>(options_.queue_capacity)},
-         {"rejected_total", rejected_overflow_.Value()}});
-  }
   return ResourceExhaustedError("ingest queue full");
 }
 
@@ -426,13 +418,6 @@ void BitrussService::EnterDegraded(const std::string& reason) {
     // by taking mu_ always observes the reason (see the member comment).
     degraded_.store(true, std::memory_order_release);
   }
-  // Emitted outside mu_; the event log's own lock is a leaf.
-  if (options_.event_log != nullptr) {
-    options_.event_log->Emit("degraded_enter",
-                             {{"reason", reason},
-                              {"submitted", submitted_.Value()},
-                              {"applied", applied_.Value()}});
-  }
 }
 
 std::string BitrussService::HealthJson() const {
@@ -443,9 +428,8 @@ std::string BitrussService::HealthJson() const {
   std::string out =
       degraded ? "{\"status\":\"degraded\"" : "{\"status\":\"ok\"";
   if (degraded) {
-    out += ",\"degraded_reason\":\"";
+    out += ",\"degraded_reason\":";
     obs::AppendJsonEscaped(DegradedReason(), &out);
-    out += "\"";
   }
   out += ",\"snapshot_version\":" + std::to_string(snap->version);
   out += ",\"snapshot_applied_updates\":" +
@@ -533,38 +517,11 @@ void BitrussService::ApplyBatch() {
   applied_since_publish_ += count;
   applied_since_durable_ += count;
 
-  if (options_.event_log != nullptr) {
-    const IncrementalUpdateStats& last = inc_.LastUpdateStats();
-    if (last.fallback) {
-      options_.event_log->Emit(
-          "fallback_recompute",
-          {{"batch_updates", count},
-           {"enumerated_butterflies", last.enumerated_butterflies},
-           {"frontier_edges", last.frontier_edges},
-           {"phi_changes", last.phi_changes}});
-    }
-    if (work_seconds > kSlowApplySeconds) {
-      options_.event_log->Emit(
-          "slow_apply",
-          {{"seconds", work_seconds},
-           {"batch_updates", count},
-           {"fallback", static_cast<std::uint64_t>(last.fallback ? 1 : 0)}});
-    }
-  }
-
   if (options_.compact_every_updates != 0 &&
       (applied_since_compact_ += count) >= options_.compact_every_updates) {
-    const EdgeId slots_before = inc_.Graph().NumSlots();
     inc_.CompactSlots();
     applied_since_compact_ = 0;
     compactions_.IncOrdered();
-    if (options_.event_log != nullptr) {
-      options_.event_log->Emit(
-          "compaction",
-          {{"slots_before", static_cast<std::uint64_t>(slots_before)},
-           {"slots_after",
-            static_cast<std::uint64_t>(inc_.Graph().NumSlots())}});
-    }
   }
   // Durable-snapshot cadence runs AFTER a possible compaction so the
   // persisted image reflects the numbering later snapshots serve.
@@ -611,7 +568,6 @@ void BitrussService::PublishSnapshot() {
       snapshot->support[slot] = graph.Support(slot);
     }
   }
-  const EdgeId snapshot_num_edges = snapshot->num_edges;
   std::atomic_store_explicit(
       &snapshot_,
       std::shared_ptr<const PhiSnapshot>(std::move(snapshot)),
@@ -639,15 +595,6 @@ void BitrussService::PublishSnapshot() {
         std::chrono::duration<double>(published_at - submit_time).count());
   }
   pending_visibility_.clear();
-  if (options_.event_log != nullptr) {
-    options_.event_log->Emit(
-        "publish",
-        {{"version", version},
-         {"covers", covers},
-         {"publish_seconds", publish_cost},
-         {"staleness_updates", staleness},
-         {"num_edges", static_cast<std::uint64_t>(snapshot_num_edges)}});
-  }
 }
 
 void BitrussService::WriterLoop() {
@@ -751,14 +698,7 @@ void BitrussService::WriteDurableSnapshot() {
     persist_wal_truncated_segments_.Inc(
         static_cast<std::uint64_t>(removed.value()));
   }
-  const int pruned =
-      persist::RemoveOldSnapshots(options_.persist.dir, kKeepSnapshots);
-  if (options_.event_log != nullptr) {
-    options_.event_log->Emit("durable_snapshot",
-                             {{"applied", applied},
-                              {"wal_segments_removed", removed.value()},
-                              {"snapshots_pruned", pruned}});
-  }
+  persist::RemoveOldSnapshots(options_.persist.dir, kKeepSnapshots);
 }
 
 StatusOr<BitrussService::RestoredState> BitrussService::Restore(

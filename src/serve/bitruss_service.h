@@ -74,7 +74,6 @@
 #include "dynamic/incremental_bitruss.h"
 #include "graph/bipartite_graph.h"
 #include "graph/types.h"
-#include "obs/eventlog.h"
 #include "obs/metrics.h"
 #include "persist/snapshot_io.h"
 #include "persist/wal.h"
@@ -181,10 +180,6 @@ struct BitrussServiceOptions {
   /// Knobs for the owned IncrementalBitruss (cascade budget, fallback
   /// decompose algorithm).
   IncrementalBitrussOptions incremental;
-  /// Structured lifecycle event sink (see obs/eventlog.h for the kinds;
-  /// fallback_recompute and slow_apply come once per writer batch); not
-  /// owned, must outlive the service.  Null disables event emission.
-  obs::EventLog* event_log = nullptr;
   /// WAL + snapshot durability; see PersistOptions.  Disabled by default.
   PersistOptions persist;
 };
@@ -207,9 +202,6 @@ class BitrussService {
  public:
   /// Durable snapshots kept on disk; older ones are pruned.
   static constexpr int kKeepSnapshots = 2;
-  /// A batch whose own work (ApplyBatch, queue wait excluded) takes longer
-  /// than this emits a `slow_apply` event.
-  static constexpr double kSlowApplySeconds = 0.05;
 
   /// Builds the initial phi state from `seed` (one full Decompose) on the
   /// calling thread, publishes it as snapshot version 1, then starts the
@@ -371,7 +363,7 @@ class BitrussService {
   std::uint64_t BatchLimit() const;
   /// Applies batch_ to the owned IncrementalBitruss (writer thread only):
   /// applied/failure counters, per-update apply latency, the batch
-  /// instruments and events, then the compaction and durable snapshot due
+  /// instruments, then the compaction and durable snapshot due
   /// at the batch's end.
   void ApplyBatch();
   /// Wakes Drain() callers.  Takes mu_ so the notify cannot fall between
@@ -393,7 +385,7 @@ class BitrussService {
   void UnregisterMetrics();
 
   /// Counts a durability failure and latches read-only degraded mode with
-  /// `reason`; the first call also emits the degraded_enter event.
+  /// `reason` (the first reason sticks; see HealthJson).
   void EnterDegraded(const std::string& reason) EXCLUDES(mu_);
 
   /// Writer thread: persists a durable snapshot, truncates the WAL behind

@@ -1,6 +1,7 @@
-// Loopback HTTP client and JSON well-formedness check shared by the suites
-// that drive obs::AdminServer over a real socket (test_admin_server.cc,
-// test_telemetry_contract.cc).  The validator is a tiny recursive-descent
+// Loopback HTTP client shared by the suites that drive obs::AdminServer
+// over a real socket (test_admin_server.cc, test_telemetry_contract.cc),
+// and the JSON well-formedness check those and test_persist.cc apply to
+// the /healthz body.  The validator is a tiny recursive-descent
 // walk (no parser dependency): well-formedness is the contract, not schema.
 
 #ifndef BITRUSS_TESTS_HTTP_TEST_UTIL_H_

@@ -1,10 +1,9 @@
 // Tests for the embedded HTTP admin endpoint (obs/admin_server.h), driven
 // through a real loopback socket like an operator's curl would: the
 // /metrics body must be byte-identical to ExportPrometheus of the same
-// registry, /metrics.json must be well-formed JSON, routing must answer
-// 404/405/400 without wedging the listener, and concurrent scrapes must
-// all be served.  The client and the JSON validator live in
-// http_test_util.h.
+// registry, routing must answer 404/405/400 without wedging the listener,
+// and concurrent scrapes must all be served.  The client and the JSON
+// validator live in http_test_util.h.
 
 #include <gtest/gtest.h>
 
@@ -63,24 +62,6 @@ TEST(AdminServer, MetricsBodyMatchesExportPrometheusExactly) {
   const std::string length_header =
       "Content-Length: " + std::to_string(reply.body.size());
   EXPECT_NE(reply.headers.find(length_header), std::string::npos);
-  server.Stop();
-}
-
-TEST(AdminServer, JsonEndpointsAreWellFormed) {
-  MetricsRegistry registry;
-  registry.GetCounter("bitruss_test_total")->Inc();
-  registry.GetHistogram("bitruss_test_seconds", {1.0})->Observe(0.5);
-
-  AdminServer server;
-  RegisterStandardEndpoints(&server, &registry);
-  ASSERT_TRUE(server.Start().ok());
-
-  const HttpReply metrics = Get(server.Port(), "/metrics.json");
-  ASSERT_TRUE(metrics.ok);
-  EXPECT_EQ(metrics.status, 200);
-  EXPECT_TRUE(IsValidJson(metrics.body)) << metrics.body;
-  EXPECT_NE(metrics.headers.find("Content-Type: application/json"),
-            std::string::npos);
   server.Stop();
 }
 

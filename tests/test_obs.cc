@@ -1,8 +1,8 @@
 // Tests for the observability layer (src/obs/): lock-free instruments
 // under concurrent update (exact totals from the shared thread pool, the
 // configuration the TSan CI job runs), histogram `le` bucket semantics,
-// registry snapshot/export golden checks, and external-instrument
-// registration with absorb-on-unregister.
+// registry snapshot/export golden checks, JSON string escaping, and
+// external-instrument registration with absorb-on-unregister.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/eventlog.h"
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
 
@@ -193,18 +192,12 @@ TEST(Exporters, PrometheusTextExposition) {
   EXPECT_NE(text.find("bitruss_test_seconds_count 3\n"), std::string::npos);
 }
 
-TEST(Exporters, JsonShapeAndEscaping) {
-  MetricsRegistry registry;
-  registry.GetCounter("bitruss_test_runs_total")->Inc(7);
-  Histogram* h = registry.GetHistogram("bitruss_test_seconds", {1.0});
-  h->Observe(0.5);
-
-  const std::string json = ExportJson(registry.Snapshot());
-  EXPECT_NE(json.find("\"counters\": {\"bitruss_test_runs_total\": 7}"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"bitruss_test_seconds\": {\"bounds\": [1], "
-                      "\"counts\": [1, 0], \"count\": 1, \"sum\": 0.5}"),
-            std::string::npos);
+// The /healthz body embeds free text (a degraded reason carries strerror
+// text and the persist path) through this one escaper.
+TEST(AppendJsonEscaped, QuotesBackslashAndControlBytes) {
+  std::string out = "prefix:";
+  AppendJsonEscaped("a\"b\\c\nd\te\x01" "f", &out);
+  EXPECT_EQ(out, "prefix:\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
 }
 
 // Snapshot is taken under the registry lock while writers keep going;
@@ -301,184 +294,6 @@ TEST(HistogramSample, SubtractYieldsTheIntervalDistribution) {
       SubtractHistogramSample(other.Sample(), before);
   EXPECT_EQ(unchanged.count, 1u);
   EXPECT_DOUBLE_EQ(unchanged.sum, 1.0);
-}
-
-// ---------------------------------------------------------------------------
-// Structured event log (PR 8).
-// ---------------------------------------------------------------------------
-
-TEST(EventLog, WritesOneJsonObjectPerLine) {
-  const std::string path = testing::TempDir() + "bitruss_eventlog_basic.jsonl";
-  {
-    EventLog log(path);
-    log.Emit("publish", {{"version", std::uint64_t{41}},
-                         {"publish_seconds", 0.25},
-                         {"note", "quote \" and \n newline"}});
-    log.Emit("compaction", {{"slots_before", 100}, {"slots_after", 90}});
-    log.Flush();
-    EXPECT_EQ(log.EmittedEvents(), 2u);
-    EXPECT_EQ(log.DroppedEvents(), 0u);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string content;
-  char buffer[512];
-  std::size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    content.append(buffer, n);
-  }
-  std::fclose(f);
-  EXPECT_NE(content.find("\"event\":\"publish\""), std::string::npos);
-  EXPECT_NE(content.find("\"version\":41"), std::string::npos);
-  EXPECT_NE(content.find("\"publish_seconds\":0.25"), std::string::npos);
-  EXPECT_NE(content.find("\\\""), std::string::npos);  // escaped quote
-  EXPECT_NE(content.find("\"slots_after\":90"), std::string::npos);
-  // Two lines, each a {...} object.
-  std::size_t lines = 0;
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t end = content.find('\n', start);
-    ASSERT_NE(end, std::string::npos);
-    EXPECT_EQ(content[start], '{');
-    EXPECT_EQ(content[end - 1], '}');
-    start = end + 1;
-    ++lines;
-  }
-  EXPECT_EQ(lines, 2u);
-}
-
-// Stop() drains everything accepted before the call, fsyncs the owned
-// file, and is idempotent; Emits after Stop() drop (counted locally AND in
-// the registry's bitruss_eventlog_dropped_total mirror).
-TEST(EventLog, StopFlushesDrainsAndRefusesLateEmits) {
-  const std::string path = testing::TempDir() + "bitruss_eventlog_stop.jsonl";
-  EventLog log(path);
-  constexpr int kEvents = 50;
-  for (int i = 0; i < kEvents; ++i) log.Emit("publish", {{"i", i}});
-  log.Stop();
-  EXPECT_EQ(log.EmittedEvents(), static_cast<std::uint64_t>(kEvents));
-  EXPECT_EQ(log.DroppedEvents(), 0u);
-
-  // Every accepted event reached the file by the time Stop() returned.
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::size_t lines = 0;
-  char buffer[512];
-  std::size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (buffer[j] == '\n') ++lines;
-    }
-  }
-  std::fclose(f);
-  EXPECT_EQ(lines, static_cast<std::size_t>(kEvents));
-
-  const std::uint64_t registry_dropped_before =
-      MetricsRegistry::Default()
-          .GetCounter("bitruss_eventlog_dropped_total")
-          ->Value();
-  log.Emit("publish", {{"late", 1}});
-  EXPECT_EQ(log.DroppedEvents(), 1u);
-  EXPECT_EQ(MetricsRegistry::Default()
-                .GetCounter("bitruss_eventlog_dropped_total")
-                ->Value(),
-            registry_dropped_before + 1);
-  log.Flush();  // no-op on a closed log, must not crash
-  log.Stop();   // idempotent
-  // The destructor runs Stop() a third time — also a no-op.
-}
-
-// The registry mirrors aggregate across instances: emits and drops land in
-// bitruss_eventlog_{emitted,dropped}_total as well as the local counters.
-TEST(EventLog, RegistryMirrorsCountEmitsAndDrops) {
-  auto& registry = MetricsRegistry::Default();
-  const std::uint64_t emitted_before =
-      registry.GetCounter("bitruss_eventlog_emitted_total")->Value();
-  const std::uint64_t dropped_before =
-      registry.GetCounter("bitruss_eventlog_dropped_total")->Value();
-  {
-    EventLog log(nullptr);  // drop-only mode
-    log.Emit("publish", {{"i", 1}});
-  }
-  {
-    const std::string path =
-        testing::TempDir() + "bitruss_eventlog_mirror.jsonl";
-    EventLog log(path);
-    log.Emit("publish", {{"i", 2}});
-    log.Flush();
-  }
-  EXPECT_EQ(registry.GetCounter("bitruss_eventlog_emitted_total")->Value(),
-            emitted_before + 1);
-  EXPECT_EQ(registry.GetCounter("bitruss_eventlog_dropped_total")->Value(),
-            dropped_before + 1);
-}
-
-TEST(EventLog, NullSinkDropsEverythingAndCounts) {
-  EventLog log(nullptr);
-  for (int i = 0; i < 5; ++i) log.Emit("publish", {{"i", i}});
-  EXPECT_EQ(log.EmittedEvents(), 0u);
-  EXPECT_EQ(log.DroppedEvents(), 5u);
-}
-
-TEST(EventLog, RateLimitDropsBeyondBurstAndCounts) {
-  EventLogOptions options;
-  options.max_events_per_second = 1e-6;  // effectively no refill mid-test
-  options.burst = 3;
-  const std::string path = testing::TempDir() + "bitruss_eventlog_rate.jsonl";
-  EventLog log(path, options);
-  for (int i = 0; i < 10; ++i) log.Emit("publish", {{"i", i}});
-  log.Flush();
-  EXPECT_EQ(log.EmittedEvents(), 3u);
-  EXPECT_EQ(log.DroppedEvents(), 7u);
-}
-
-TEST(EventLog, ConcurrentEmittersNeverTearLines) {
-  constexpr unsigned kThreads = 4;
-  constexpr int kPerThread = 500;
-  const std::string path =
-      testing::TempDir() + "bitruss_eventlog_concurrent.jsonl";
-  {
-    EventLogOptions options;
-    options.max_events_per_second = 0;  // unlimited: only the queue bounds
-    options.queue_capacity = 16384;
-    EventLog log(path, options);
-    ThreadPool pool(kThreads);
-    pool.ParallelForChunks(
-        0, kThreads, kThreads,
-        [&](std::uint64_t, std::uint64_t, unsigned chunk, unsigned) {
-          for (int i = 0; i < kPerThread; ++i) {
-            log.Emit("slow_apply", {{"thread", static_cast<int>(chunk)},
-                                    {"i", i},
-                                    {"seconds", 0.001}});
-          }
-        });
-    log.Flush();
-    EXPECT_EQ(log.EmittedEvents() + log.DroppedEvents(),
-              static_cast<std::uint64_t>(kThreads) * kPerThread);
-    EXPECT_EQ(log.DroppedEvents(), 0u);  // capacity exceeds the total
-  }
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string content;
-  char buffer[4096];
-  std::size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    content.append(buffer, n);
-  }
-  std::fclose(f);
-  // Whole-line interleaving: every line is a complete object.
-  std::size_t lines = 0;
-  std::size_t start = 0;
-  while (start < content.size()) {
-    const std::size_t end = content.find('\n', start);
-    ASSERT_NE(end, std::string::npos);
-    EXPECT_EQ(content.compare(start, 6, "{\"ts\":"), 0)
-        << content.substr(start, 20);
-    EXPECT_EQ(content[end - 1], '}');
-    start = end + 1;
-    ++lines;
-  }
-  EXPECT_EQ(lines, static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "dynamic/incremental_bitruss.h"
 #include "gen/random_bipartite.h"
 #include "graph/bipartite_graph.h"
+#include "http_test_util.h"
 #include "obs/metrics.h"
 #include "persist/crc32c.h"
 #include "persist/snapshot_io.h"
@@ -952,9 +953,20 @@ TEST(BitrussServiceDegrade, PersistFailuresLatchReadOnlyMode) {
     if (c.action == fault::FaultAction::kEnospc) {
       EXPECT_NE(reason.find("ENOSPC"), std::string::npos) << reason;
     }
-    EXPECT_NE(service.HealthJson().find("\"status\":\"degraded\""),
-              std::string::npos)
-        << service.HealthJson();
+    // The operator view of the same latch: the registry gauge on /metrics,
+    // and a /healthz body that stays valid JSON although the reason embeds
+    // strerror text and the persist path.
+    const obs::RegistrySnapshot metrics =
+        obs::MetricsRegistry::Default().Snapshot();
+    const obs::GaugeSample* gauge = metrics.FindGauge("bitruss_persist_degraded");
+    ASSERT_NE(gauge, nullptr);
+    EXPECT_GE(gauge->value, 1);
+    const std::string health = service.HealthJson();
+    EXPECT_TRUE(http_test::IsValidJson(health)) << health;
+    EXPECT_NE(health.find("\"status\":\"degraded\""), std::string::npos)
+        << health;
+    EXPECT_NE(health.find("\"degraded_reason\":"), std::string::npos)
+        << health;
     EXPECT_NE(service.Snapshot(), nullptr);
     EXPECT_GE(service.Snapshot()->version, before->version);
     (void)service.PhiHistogram();  // must not crash or block
