@@ -57,7 +57,7 @@ void BM_PeelThroughIndex(benchmark::State& state) {
     state.PauseTiming();
     BEIndex index = BEIndexBuilder::Build(g, adj);
     std::vector<SupportT> sup = CountEdgeSupports(g, adj);
-    PeelCounters counters;
+    UpdateCounters counters;
     Peeler peeler(std::move(index), std::move(sup), {}, &counters);
     state.ResumeTiming();
     peeler.Run(Peeler::Mode::kSingle, Deadline(), [](EdgeId, SupportT) {});

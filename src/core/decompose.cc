@@ -54,29 +54,21 @@ void PeelBS(const BipartiteGraph& g, std::vector<SupportT> sup,
   std::vector<EdgeId> stamp_edge(n, kInvalidEdge);
   std::uint32_t epoch = 0;
 
+  SupportBuckets queue(sup, {});
   const bool track = options.track_per_edge_updates;
   const auto update = [&](EdgeId e) {
     ++result->counters.support_updates;
     if (track) ++result->counters.per_edge_updates[e];
-    if (sup[e] > 0) --sup[e];
+    if (sup[e] > 0) {
+      queue.Move(e, sup[e], sup[e] - 1);
+      --sup[e];
+    }
   };
 
-  SupportT max_sup = m == 0 ? 0 : *std::max_element(sup.begin(), sup.end());
-  std::vector<std::vector<EdgeId>> buckets(
-      static_cast<std::size_t>(max_sup) + 1);
-  for (EdgeId e = 0; e < m; ++e) buckets[sup[e]].push_back(e);
-
-  SupportT cursor = 0;
   SupportT level = 0;
-  EdgeId remaining = m;
   std::uint32_t since_poll = 0;
-  while (remaining > 0) {
-    while (cursor < buckets.size() && buckets[cursor].empty()) ++cursor;
-    if (cursor >= buckets.size()) break;
-    std::vector<EdgeId>& bucket = buckets[cursor];
-    const EdgeId e = bucket.back();
-    bucket.pop_back();
-    if (removed[e] || sup[e] != cursor) continue;
+  std::vector<EdgeId> taken;
+  for (;;) {
     if (++since_poll >= kDeadlinePollInterval) {
       since_poll = 0;
       if (options.deadline.Expired()) {
@@ -84,9 +76,11 @@ void PeelBS(const BipartiteGraph& g, std::vector<SupportT> sup,
         return;
       }
     }
-    level = std::max(level, cursor);
+    const SupportT at = queue.TakeLowest(1, &taken);
+    if (taken.empty()) break;
+    level = std::max(level, at);
+    const EdgeId e = taken.front();
     removed[e] = 1;
-    --remaining;
     result->phi[e] = level;
 
     const VertexId u = g.EdgeUpper(e);
@@ -98,7 +92,6 @@ void PeelBS(const BipartiteGraph& g, std::vector<SupportT> sup,
         stamp_edge[y] = ey;
       }
     }
-    SupportT min_new = cursor;
     for (const auto& [w, ew] : g.Neighbors(v)) {
       if (removed[ew] || w == u) continue;
       for (const auto& [y, ewy] : g.Neighbors(w)) {
@@ -107,16 +100,8 @@ void PeelBS(const BipartiteGraph& g, std::vector<SupportT> sup,
         update(stamp_edge[y]);
         update(ew);
         update(ewy);
-        buckets[sup[stamp_edge[y]]].push_back(stamp_edge[y]);
-        buckets[sup[ewy]].push_back(ewy);
-        min_new = std::min({min_new, sup[stamp_edge[y]], sup[ewy]});
-      }
-      if (!removed[ew]) {
-        buckets[sup[ew]].push_back(ew);
-        min_new = std::min(min_new, sup[ew]);
       }
     }
-    cursor = std::min(cursor, min_new);
   }
 }
 
@@ -129,20 +114,13 @@ void RunIndexed(const BipartiteGraph& g, const PriorityAdjacency& adj,
   result->counters.peak_index_bytes = index.MemoryBytes();
   result->counters.counting_seconds += timer.Seconds();
 
-  PeelerOptions peel_options;
-  peel_options.track_per_edge_updates = options.track_per_edge_updates;
-  PeelCounters counters;
-  counters.per_edge_updates = std::move(result->counters.per_edge_updates);
-  Peeler peeler(std::move(index), std::move(sup), std::move(peel_options),
-                &counters);
+  Peeler peeler(std::move(index), std::move(sup), {}, &result->counters);
   timer.Reset();
   const bool completed =
       peeler.Run(mode, options.deadline,
                  [&](EdgeId e, SupportT level) { result->phi[e] = level; });
   result->counters.peeling_seconds = timer.Seconds();
   result->timed_out = !completed;
-  result->counters.support_updates = counters.support_updates;
-  result->counters.per_edge_updates = std::move(counters.per_edge_updates);
 }
 
 // BiT-PC.  Rounds iterate a strictly decreasing support threshold theta.
@@ -243,18 +221,12 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
     result->counters.peak_index_bytes =
         std::max(result->counters.peak_index_bytes, index_bytes);
 
-    PeelerOptions peel_options;
-    peel_options.track_per_edge_updates = options.track_per_edge_updates;
-    peel_options.frozen.resize(m);
-    for (EdgeId e = 0; e < m; ++e) {
-      peel_options.frozen[e] = assigned[e] || !included[e];
-    }
-    PeelCounters counters;
-    counters.per_edge_updates = std::move(result->counters.per_edge_updates);
+    std::vector<std::uint8_t> frozen(m);
+    for (EdgeId e = 0; e < m; ++e) frozen[e] = assigned[e] || !included[e];
 
     std::uint64_t assigned_now = 0;
-    Peeler peeler(std::move(index), std::move(sup_sub),
-                  std::move(peel_options), &counters);
+    Peeler peeler(std::move(index), std::move(sup_sub), std::move(frozen),
+                  &result->counters);
     const bool completed = peeler.Run(
         Peeler::Mode::kBatchBlooms, options.deadline,
         [&](EdgeId e, SupportT level) {
@@ -266,8 +238,6 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
             ++assigned_now;
           }
         });
-    result->counters.support_updates += counters.support_updates;
-    result->counters.per_edge_updates = std::move(counters.per_edge_updates);
     result->pc_trace.push_back({theta, candidate_unassigned, assigned_now,
                                 index_bytes, round_timer.Seconds()});
     if (!completed) {

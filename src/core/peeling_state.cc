@@ -9,7 +9,7 @@ namespace bitruss {
 namespace {
 constexpr std::uint32_t kDeadlinePollInterval = 1024;
 
-// One "round" = one assignment step of the peel loop: a successful pop in
+// One "round" = one assignment step of the peel loop: a single edge in
 // kSingle mode, a drained support level in the batch modes.  Accumulated
 // locally and flushed once per Run so the hot loop touches no atomics.
 obs::Counter* PeelRoundsCounter() {
@@ -20,38 +20,79 @@ obs::Counter* PeelRoundsCounter() {
 }
 }  // namespace
 
-Peeler::Peeler(BEIndex index, std::vector<SupportT> support,
-               PeelerOptions options, PeelCounters* counters)
-    : index_(std::move(index)),
-      support_(std::move(support)),
-      options_(std::move(options)),
-      counters_(counters) {
-  const EdgeId m = index_.num_edges;
-  removed_.assign(m, 0);
-  if (options_.track_per_edge_updates &&
-      counters_->per_edge_updates.size() < m) {
-    counters_->per_edge_updates.assign(m, 0);
-  }
+SupportBuckets::SupportBuckets(const std::vector<SupportT>& support,
+                               const std::vector<std::uint8_t>& skip) {
+  const EdgeId m = static_cast<EdgeId>(support.size());
   SupportT max_sup = 0;
   for (EdgeId e = 0; e < m; ++e) {
-    if (!IsFrozen(e)) max_sup = std::max(max_sup, support_[e]);
+    if (skip.empty() || !skip[e]) max_sup = std::max(max_sup, support[e]);
   }
-  buckets_.assign(static_cast<std::size_t>(max_sup) + 1, {});
+  head_.assign(static_cast<std::size_t>(max_sup) + 1, kInvalidEdge);
+  next_.assign(m, kInvalidEdge);
+  prev_.assign(m, kInvalidEdge);
   for (EdgeId e = 0; e < m; ++e) {
-    if (!IsFrozen(e)) buckets_[support_[e]].push_back(e);
+    if (!skip.empty() && skip[e]) continue;
+    EdgeId& head = head_[support[e]];
+    next_[e] = head;
+    if (head != kInvalidEdge) prev_[head] = e;
+    head = e;
+    ++queued_;
   }
 }
 
+void SupportBuckets::Move(EdgeId e, SupportT from, SupportT to) {
+  const EdgeId next = next_[e];
+  const EdgeId prev = prev_[e];
+  if (prev == kInvalidEdge) {
+    head_[from] = next;
+  } else {
+    next_[prev] = next;
+  }
+  if (next != kInvalidEdge) prev_[next] = prev;
+
+  EdgeId& head = head_[to];
+  prev_[e] = kInvalidEdge;
+  next_[e] = head;
+  if (head != kInvalidEdge) prev_[head] = e;
+  head = e;
+  cursor_ = std::min(cursor_, to);
+}
+
+SupportT SupportBuckets::TakeLowest(std::size_t limit,
+                                    std::vector<EdgeId>* out) {
+  out->clear();
+  if (queued_ == 0) return cursor_;
+  while (head_[cursor_] == kInvalidEdge) ++cursor_;
+  EdgeId e = head_[cursor_];
+  while (e != kInvalidEdge && out->size() < limit) {
+    out->push_back(e);
+    e = next_[e];
+  }
+  head_[cursor_] = e;
+  if (e != kInvalidEdge) prev_[e] = kInvalidEdge;
+  queued_ -= out->size();
+  return cursor_;
+}
+
+Peeler::Peeler(BEIndex index, std::vector<SupportT> support,
+               std::vector<std::uint8_t> frozen, UpdateCounters* counters)
+    : index_(std::move(index)),
+      support_(std::move(support)),
+      done_(frozen.empty() ? std::vector<std::uint8_t>(index_.num_edges, 0)
+                           : std::move(frozen)),
+      counters_(counters),
+      track_per_edge_(!counters->per_edge_updates.empty()),
+      queue_(support_, done_) {}
+
 void Peeler::ApplyUpdate(EdgeId e, SupportT delta) {
-  if (removed_[e] || IsFrozen(e)) return;
+  if (done_[e]) return;
   ++counters_->support_updates;
-  if (options_.track_per_edge_updates) ++counters_->per_edge_updates[e];
+  if (track_per_edge_) ++counters_->per_edge_updates[e];
   const SupportT old = support_[e];
   const SupportT now = old > delta ? old - delta : 0;
   if (now == old) return;
   support_[e] = now;
-  buckets_[now].push_back(e);
-  cursor_ = std::min(cursor_, now);
+  queue_.Move(e, old, now);
 }
 
 void Peeler::RemoveEdgeWedges(EdgeId e) {
@@ -75,118 +116,85 @@ void Peeler::RemoveEdgeWedges(EdgeId e) {
 }
 
 void Peeler::ProcessBatchBlooms(const std::vector<EdgeId>& batch) {
-  if (wedge_dying_.empty()) {
-    wedge_dying_.assign(index_.wedge_e1.size(), 0);
-    bloom_dying_.resize(index_.NumBlooms());
-  }
-  // Collect the batch's dead wedges grouped by bloom (a wedge with both
-  // edges in the batch is collected once).
+  if (bloom_killed_.empty()) bloom_killed_.assign(index_.NumBlooms(), 0);
+  // Kill every wedge of the batch first (a wedge with both edges in the
+  // batch dies once), counting t per bloom.
   for (const EdgeId e : batch) {
     for (std::uint64_t i = index_.edge_offsets[e];
          i < index_.edge_offsets[e + 1]; ++i) {
       const WedgeId w = index_.edge_wedges[i];
-      if (!index_.wedge_alive[w] || wedge_dying_[w]) continue;
-      wedge_dying_[w] = 1;
+      if (!index_.wedge_alive[w]) continue;
       const BloomId b = index_.wedge_bloom[w];
-      if (bloom_dying_[b].empty()) dirty_blooms_.push_back(b);
-      bloom_dying_[b].push_back(w);
+      if (bloom_killed_[b]++ == 0) dirty_blooms_.push_back(b);
+      index_.KillWedge(w);
     }
   }
   for (const BloomId b : dirty_blooms_) {
-    std::vector<WedgeId>& dying = bloom_dying_[b];
-    const SupportT kb = index_.BloomK(b);
-    const SupportT t = static_cast<SupportT>(dying.size());
+    const SupportT t = bloom_killed_[b];
+    bloom_killed_[b] = 0;
+    // KillWedge parked this batch's t dead wedges in the slots right after
+    // the live prefix, and k(B) before the batch was the live k plus t.
+    const SupportT kb = index_.BloomK(b) + t;
+    const std::uint64_t live_end =
+        index_.bloom_offsets[b] + index_.bloom_live[b];
     // Surviving twin of each dead wedge loses every butterfly it formed in
     // this bloom: one bulk update of k(B) - 1.
-    for (const WedgeId w : dying) {
-      const EdgeId e1 = index_.wedge_e1[w];
-      const EdgeId e2 = index_.wedge_e2[w];
-      if (!removed_[e1]) ApplyUpdate(e1, kb - 1);
-      if (!removed_[e2]) ApplyUpdate(e2, kb - 1);
-      index_.KillWedge(w);
-      wedge_dying_[w] = 0;
+    for (std::uint64_t slot = live_end; slot < live_end + t; ++slot) {
+      const WedgeId w = index_.bloom_slots[slot];
+      ApplyUpdate(index_.wedge_e1[w], kb - 1);
+      ApplyUpdate(index_.wedge_e2[w], kb - 1);
     }
     // Each surviving wedge pairs with each of the t dead wedges: one -t
     // update per endpoint.
-    const std::uint64_t begin = index_.bloom_offsets[b];
-    const std::uint64_t end = begin + index_.bloom_live[b];
-    for (std::uint64_t slot = begin; slot < end; ++slot) {
+    for (std::uint64_t slot = index_.bloom_offsets[b]; slot < live_end;
+         ++slot) {
       const WedgeId other = index_.bloom_slots[slot];
       ApplyUpdate(index_.wedge_e1[other], t);
       ApplyUpdate(index_.wedge_e2[other], t);
     }
-    dying.clear();
   }
   dirty_blooms_.clear();
 }
 
 bool Peeler::Run(Mode mode, const Deadline& deadline,
                  const std::function<void(EdgeId, SupportT)>& on_assign) {
-  const EdgeId m = index_.num_edges;
-  EdgeId remaining = 0;
-  for (EdgeId e = 0; e < m; ++e) remaining += !IsFrozen(e);
-
+  // kSingle takes one edge per step; the batch modes take a whole level,
+  // all of it marked done before any update is applied.
+  const std::size_t limit =
+      mode == Mode::kSingle ? 1 : static_cast<std::size_t>(index_.num_edges);
   SupportT level = 0;
-  std::uint32_t since_poll = 0;
+  std::size_t since_poll = 0;
   std::uint64_t rounds = 0;
+  bool completed = true;
   std::vector<EdgeId> batch;
 
-  while (remaining > 0) {
-    while (cursor_ < buckets_.size() && buckets_[cursor_].empty()) ++cursor_;
-    if (cursor_ >= buckets_.size()) break;  // defensive; cannot occur
-    if (++since_poll >= kDeadlinePollInterval) {
+  for (;;) {
+    const SupportT at = queue_.TakeLowest(limit, &batch);
+    if (batch.empty()) break;
+    ++rounds;
+    level = std::max(level, at);
+    for (const EdgeId e : batch) {
+      done_[e] = 1;
+      on_assign(e, level);
+    }
+    if (mode == Mode::kBatchBlooms) {
+      ProcessBatchBlooms(batch);
+    } else {
+      for (const EdgeId e : batch) RemoveEdgeWedges(e);
+    }
+    // Poll by edges peeled, so the deadline stays responsive whether a
+    // step is one edge or a whole level.
+    since_poll += batch.size();
+    if (since_poll >= kDeadlinePollInterval) {
       since_poll = 0;
       if (deadline.Expired()) {
-        if (rounds > 0) PeelRoundsCounter()->Inc(rounds);
-        return false;
+        completed = false;
+        break;
       }
     }
-
-    if (mode == Mode::kSingle) {
-      std::vector<EdgeId>& bucket = buckets_[cursor_];
-      const EdgeId e = bucket.back();
-      bucket.pop_back();
-      if (removed_[e] || support_[e] != cursor_) continue;  // stale entry
-      ++rounds;
-      level = std::max(level, cursor_);
-      removed_[e] = 1;
-      --remaining;
-      on_assign(e, level);
-      RemoveEdgeWedges(e);
-      continue;
-    }
-
-    // Batch modes: drain every valid edge at the current level first, so
-    // all of them are marked removed before any update is applied.
-    batch.clear();
-    {
-      std::vector<EdgeId>& bucket = buckets_[cursor_];
-      while (!bucket.empty()) {
-        const EdgeId e = bucket.back();
-        bucket.pop_back();
-        if (removed_[e] || support_[e] != cursor_) continue;
-        removed_[e] = 1;
-        batch.push_back(e);
-      }
-    }
-    if (batch.empty()) continue;
-    ++rounds;
-    level = std::max(level, cursor_);
-    remaining -= static_cast<EdgeId>(batch.size());
-    for (const EdgeId e : batch) on_assign(e, level);
-    if (mode == Mode::kBatchEdges) {
-      for (const EdgeId e : batch) RemoveEdgeWedges(e);
-    } else {
-      ProcessBatchBlooms(batch);
-    }
-    // One outer iteration consumed a whole support level here; advance the
-    // poll counter by the real work done so the deadline stays responsive
-    // even when the peel spans few levels.
-    since_poll += static_cast<std::uint32_t>(
-        std::min<std::size_t>(batch.size(), kDeadlinePollInterval));
   }
   if (rounds > 0) PeelRoundsCounter()->Inc(rounds);
-  return true;
+  return completed;
 }
 
 }  // namespace bitruss

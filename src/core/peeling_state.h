@@ -1,51 +1,66 @@
 // Bottom-up peeling over the BE-Index (Algorithms BiT-BU / BiT-BU+ /
 // BiT-BU++ of Wang et al., ICDE'20).
 //
-// The peeler owns a bucket queue keyed by current support and repeatedly
-// removes minimum-support edges, assigning phi(e) = max level reached so
-// far.  Removal updates follow Lemma 5 through the index:
+// SupportBuckets, the one bucket queue of every peel (BiT-BS included),
+// keeps an intrusive list per support level: an edge moves between levels
+// in O(1) for any delta, and no entry is ever stale.  The peeler takes
+// minimum-support edges from it, assigning phi(e) = max level so far, and
+// applies Lemma 5's removal updates through the index:
 //
 //   kSingle      one edge at a time (BiT-BU).
-//   kBatchEdges  removes the whole current support level as a batch and
-//                skips updates targeting in-batch edges (BiT-BU+,
-//                "batch edge processing").
-//   kBatchBlooms additionally groups the batch's dead wedges by bloom and
-//                applies per-bloom aggregate updates: each surviving twin
-//                of a dead wedge gets one -(k(B)-1) update, each surviving
-//                wedge endpoint one -t update, where t is the number of
-//                wedges the bloom lost (BiT-BU++, "batch bloom
-//                processing").  Results are identical; only the number of
-//                update operations shrinks.
+//   kBatchEdges  the whole lowest level as a batch; updates targeting
+//                in-batch edges are skipped (BiT-BU+).
+//   kBatchBlooms additionally kills the batch's wedges first, counting the
+//                t each bloom loses, then gives each surviving twin of a
+//                dead wedge one -(k(B)-1) update and each surviving wedge
+//                endpoint one -t update (BiT-BU++).  KillWedge parks the t
+//                dead wedges right after the bloom's live prefix, so they
+//                are read from there.  Results are identical; only the
+//                number of update operations shrinks.
 //
 // Frozen edges (BiT-PC's assigned or out-of-candidate edges) are never
-// enqueued, never popped, and never updated; updates that would land on
+// queued, never taken, and never updated; updates that would land on
 // them are skipped without being counted — that skip is exactly the
 // progressive-compression saving.
 
 #ifndef BITRUSS_CORE_PEELING_STATE_H_
 #define BITRUSS_CORE_PEELING_STATE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "core/be_index_builder.h"
+#include "core/bitruss_result.h"
 #include "graph/types.h"
 #include "util/timer.h"
 
 namespace bitruss {
 
-struct PeelCounters {
-  std::uint64_t support_updates = 0;
-  /// Updates received per edge; sized on demand when tracking is enabled.
-  std::vector<std::uint64_t> per_edge_updates;
-};
+class SupportBuckets {
+ public:
+  /// Queues every edge e with `skip` empty or skip[e] == 0 at level
+  /// support[e].
+  SupportBuckets(const std::vector<SupportT>& support,
+                 const std::vector<std::uint8_t>& skip);
 
-struct PeelerOptions {
-  /// Edges excluded from peeling (never popped, never updated).  Empty
-  /// means none.
-  std::vector<std::uint8_t> frozen;
-  bool track_per_edge_updates = false;
+  /// Moves queued edge e from level `from` (its current level) to level
+  /// `to`, in O(1) for any distance.  `to` must not exceed the largest
+  /// level queued at construction.
+  void Move(EdgeId e, SupportT from, SupportT to);
+
+  /// Clears `out`, unlinks up to `limit` edges of the lowest non-empty
+  /// level into it, and returns that level.  `out` stays empty once every
+  /// edge has been taken.  Taken edges must not be moved again.
+  SupportT TakeLowest(std::size_t limit, std::vector<EdgeId>* out);
+
+ private:
+  std::vector<EdgeId> head_;  ///< first edge of each level's list
+  std::vector<EdgeId> next_;  ///< per edge; kInvalidEdge ends a list
+  std::vector<EdgeId> prev_;  ///< per edge; kInvalidEdge marks a head
+  SupportT cursor_ = 0;       ///< no queued edge sits below this level
+  std::size_t queued_ = 0;
 };
 
 class Peeler {
@@ -56,8 +71,11 @@ class Peeler {
     kBatchBlooms,  ///< BiT-BU++
   };
 
-  Peeler(BEIndex index, std::vector<SupportT> support, PeelerOptions options,
-         PeelCounters* counters);
+  /// `frozen` (empty means none) excludes edges from the peel.  Support
+  /// updates accumulate into `counters`, per edge as well when
+  /// counters->per_edge_updates is sized.
+  Peeler(BEIndex index, std::vector<SupportT> support,
+         std::vector<std::uint8_t> frozen, UpdateCounters* counters);
 
   /// Peels every non-frozen edge, invoking on_assign(e, phi) as each edge's
   /// bitruss number is fixed.  Returns false if the deadline expired before
@@ -66,26 +84,21 @@ class Peeler {
            const std::function<void(EdgeId, SupportT)>& on_assign);
 
  private:
-  bool IsFrozen(EdgeId e) const {
-    return !options_.frozen.empty() && options_.frozen[e];
-  }
   void ApplyUpdate(EdgeId e, SupportT delta);
   void RemoveEdgeWedges(EdgeId e);
   void ProcessBatchBlooms(const std::vector<EdgeId>& batch);
 
   BEIndex index_;
   std::vector<SupportT> support_;
-  PeelerOptions options_;
-  PeelCounters* counters_;
+  /// Edges out of the queue: frozen on entry or already peeled.
+  std::vector<std::uint8_t> done_;
+  UpdateCounters* counters_;
+  bool track_per_edge_;
+  SupportBuckets queue_;
 
-  std::vector<std::uint8_t> removed_;
-  std::vector<std::vector<EdgeId>> buckets_;
-  SupportT cursor_ = 0;  ///< lowest possibly non-empty bucket
-
-  // Scratch for kBatchBlooms.
-  std::vector<std::uint8_t> wedge_dying_;
+  // Scratch for kBatchBlooms: wedges the current batch killed per bloom.
+  std::vector<SupportT> bloom_killed_;
   std::vector<BloomId> dirty_blooms_;
-  std::vector<std::vector<WedgeId>> bloom_dying_;  // indexed by bloom id
 };
 
 }  // namespace bitruss

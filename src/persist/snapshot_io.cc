@@ -1,18 +1,23 @@
 #include "persist/snapshot_io.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
 
 #include "persist/crc32c.h"
-#include "persist/wal.h"  // StampedPath / ListStampedFiles
+#include "persist/wal.h"  // StampedPath, ListStampedFiles, internal helpers
 #include "util/fault_injection.h"
 
 namespace bitruss::persist {
+
+using internal::ErrnoError;
+using internal::FsyncDir;
+using internal::GetU32;
+using internal::GetU64;
+using internal::ReadWholeFile;
+using internal::WriteFully;
 
 namespace {
 
@@ -21,10 +26,6 @@ constexpr std::uint32_t kFormatVersion = 1;
 constexpr const char* kSnapshotPrefix = "snapshot-";
 constexpr const char* kSnapshotSuffix = ".snap";
 constexpr std::size_t kFileHeaderBytes = 8 + 4 + 8 + 4;
-
-Status ErrnoError(const std::string& what) {
-  return InternalError(what + ": " + std::strerror(errno));
-}
 
 void AppendU32(std::vector<unsigned char>* out, std::uint32_t v) {
   out->push_back(static_cast<unsigned char>(v));
@@ -41,18 +42,6 @@ void AppendU64(std::vector<unsigned char>* out, std::uint64_t v) {
 void AppendU32Array(std::vector<unsigned char>* out,
                     const std::vector<std::uint32_t>& values) {
   for (const std::uint32_t v : values) AppendU32(out, v);
-}
-
-std::uint32_t GetU32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t GetU64(const unsigned char* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
 }
 
 /// Bounds-checked cursor over a parsed payload; Fail() poisons the reader
@@ -160,61 +149,6 @@ Status DecodeFile(const std::vector<unsigned char>& buf,
     // CRC passed, so this is a malformed payload (writer bug or a
     // deliberate format attack), not bit rot — still unusable.
     return DataLossError("snapshot payload malformed despite valid checksum");
-  }
-  return OkStatus();
-}
-
-Status ReadWholeFile(const std::string& path,
-                     std::vector<unsigned char>* out) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return ErrnoError("open " + path);
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    const Status status = ErrnoError("fstat " + path);
-    ::close(fd);
-    return status;
-  }
-  out->resize(static_cast<std::size_t>(st.st_size));
-  std::size_t done = 0;
-  while (done < out->size()) {
-    const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status status = ErrnoError("read " + path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    done += static_cast<std::size_t>(n);
-  }
-  out->resize(done);
-  ::close(fd);
-  return OkStatus();
-}
-
-Status FsyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return ErrnoError("open dir " + dir);
-  const int rc = ::fsync(fd);
-  const int saved_errno = errno;
-  ::close(fd);
-  if (rc != 0) {
-    errno = saved_errno;
-    return ErrnoError("fsync dir " + dir);
-  }
-  return OkStatus();
-}
-
-Status WriteFully(int fd, const unsigned char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("write");
-    }
-    if (n == 0) return InternalError("write: zero-byte progress");
-    done += static_cast<std::size_t>(n);
   }
   return OkStatus();
 }

@@ -16,24 +16,7 @@
 
 namespace bitruss::persist {
 
-namespace {
-
-constexpr char kSegmentMagic[8] = {'B', 'T', 'W', 'A', 'L', '0', '0', '1'};
-constexpr const char* kSegmentPrefix = "wal-";
-constexpr const char* kSegmentSuffix = ".seg";
-
-// Explicit little-endian byte shuffles so files are portable across hosts.
-void PutU32(unsigned char* p, std::uint32_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-  p[2] = static_cast<unsigned char>(v >> 16);
-  p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void PutU64(unsigned char* p, std::uint64_t v) {
-  PutU32(p, static_cast<std::uint32_t>(v));
-  PutU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
+namespace internal {
 
 std::uint32_t GetU32(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -63,18 +46,6 @@ Status WriteFully(int fd, const unsigned char* data, std::size_t size) {
     done += static_cast<std::size_t>(n);
   }
   return OkStatus();
-}
-
-/// Encodes the 25-byte on-disk record: length, payload CRC, payload.
-void EncodeRecord(const WalRecord& record,
-                  unsigned char out[kWalRecordBytes]) {
-  unsigned char* payload = out + 8;
-  PutU64(payload, record.seq);
-  payload[8] = record.kind;
-  PutU32(payload + 9, record.upper_local);
-  PutU32(payload + 13, record.lower_local);
-  PutU32(out, static_cast<std::uint32_t>(kWalRecordPayloadBytes));
-  PutU32(out + 4, Crc32c(payload, kWalRecordPayloadBytes));
 }
 
 Status FsyncDir(const std::string& dir) {
@@ -116,6 +87,46 @@ Status ReadWholeFile(const std::string& path,
   out->resize(done);
   ::close(fd);
   return OkStatus();
+}
+
+}  // namespace internal
+
+using internal::ErrnoError;
+using internal::FsyncDir;
+using internal::GetU32;
+using internal::GetU64;
+using internal::ReadWholeFile;
+using internal::WriteFully;
+
+namespace {
+
+constexpr char kSegmentMagic[8] = {'B', 'T', 'W', 'A', 'L', '0', '0', '1'};
+constexpr const char* kSegmentPrefix = "wal-";
+constexpr const char* kSegmentSuffix = ".seg";
+
+// Explicit little-endian byte shuffles so files are portable across hosts.
+void PutU32(unsigned char* p, std::uint32_t v) {
+  p[0] = static_cast<unsigned char>(v);
+  p[1] = static_cast<unsigned char>(v >> 8);
+  p[2] = static_cast<unsigned char>(v >> 16);
+  p[3] = static_cast<unsigned char>(v >> 24);
+}
+
+void PutU64(unsigned char* p, std::uint64_t v) {
+  PutU32(p, static_cast<std::uint32_t>(v));
+  PutU32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+/// Encodes the 25-byte on-disk record: length, payload CRC, payload.
+void EncodeRecord(const WalRecord& record,
+                  unsigned char out[kWalRecordBytes]) {
+  unsigned char* payload = out + 8;
+  PutU64(payload, record.seq);
+  payload[8] = record.kind;
+  PutU32(payload + 9, record.upper_local);
+  PutU32(payload + 13, record.lower_local);
+  PutU32(out, static_cast<std::uint32_t>(kWalRecordPayloadBytes));
+  PutU32(out + 4, Crc32c(payload, kWalRecordPayloadBytes));
 }
 
 }  // namespace

@@ -175,6 +175,18 @@ std::vector<std::uint64_t> ListStampedFiles(const std::string& dir,
 std::string StampedPath(const std::string& dir, const std::string& prefix,
                         std::uint64_t value, const std::string& suffix);
 
+// Helpers shared by wal.cc and snapshot_io.cc: an errno-carrying
+// kInternal status, little-endian loads, EINTR-safe whole-buffer write and
+// read (a file shrinking mid-read yields what was read), directory fsync.
+namespace internal {
+Status ErrnoError(const std::string& what);
+std::uint32_t GetU32(const unsigned char* p);
+std::uint64_t GetU64(const unsigned char* p);
+Status WriteFully(int fd, const unsigned char* data, std::size_t size);
+Status FsyncDir(const std::string& dir);
+Status ReadWholeFile(const std::string& path, std::vector<unsigned char>* out);
+}  // namespace internal
+
 }  // namespace bitruss::persist
 
 #endif  // BITRUSS_PERSIST_WAL_H_

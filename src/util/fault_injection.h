@@ -21,7 +21,7 @@
 // Call sites use the macros, which compile to constant no-ops when the
 // build disables BITRUSS_FAULT_INJECTION_ENABLED (CMake option
 // BITRUSS_FAULT_INJECTION, default ON so the tier-1 crash suite runs; the
-// crash-recovery CI job build-checks the OFF configuration):
+// sanitizers CI job build-checks the OFF configuration):
 //
 //   switch (BITRUSS_FAULT_POINT("wal.append")) { ... }   // want the action
 //   BITRUSS_FAULT_POINT_STATUS("wal.pre_fsync");         // error-or-nothing

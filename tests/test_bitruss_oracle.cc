@@ -227,10 +227,16 @@ TEST(BitrussOracle, CountersBehaveAsThePaperPredicts) {
   EXPECT_EQ(max_round_index, pc.counters.peak_index_bytes);
   EXPECT_LE(round_seconds_sum, pc.counters.peeling_seconds);
 
-  // Per-edge update tracking is consistent with the aggregate counter.
-  std::uint64_t per_edge_sum = 0;
-  for (const std::uint64_t u : bu.counters.per_edge_updates) per_edge_sum += u;
-  EXPECT_EQ(per_edge_sum, bu.counters.support_updates);
+  // Per-edge update tracking is consistent with the aggregate counter,
+  // PC's accumulated across its rounds included.
+  for (const BitrussResult* result : {&bu, &buplus, &bupp, &pc}) {
+    std::uint64_t per_edge_sum = 0;
+    for (const std::uint64_t u : result->counters.per_edge_updates) {
+      per_edge_sum += u;
+    }
+    EXPECT_EQ(result->counters.per_edge_updates.size(), g.NumEdges());
+    EXPECT_EQ(per_edge_sum, result->counters.support_updates);
+  }
 }
 
 TEST(BitrussOracle, DeadlineProducesPartialTimedOutResult) {
@@ -242,7 +248,8 @@ TEST(BitrussOracle, DeadlineProducesPartialTimedOutResult) {
   const BipartiteGraph g = GenerateChungLu(params);
   const BitrussResult truth = Decompose(g);
   for (const Algorithm algorithm :
-       {Algorithm::kBS, Algorithm::kBU, Algorithm::kBUPlusPlus}) {
+       {Algorithm::kBS, Algorithm::kBU, Algorithm::kBUPlus,
+        Algorithm::kBUPlusPlus}) {
     DecomposeOptions options;
     options.algorithm = algorithm;
     options.deadline = Deadline::After(0.0);

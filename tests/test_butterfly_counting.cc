@@ -1,13 +1,17 @@
 // Golden tests for butterfly counting on hand-computed graphs, plus the
-// BE-Index support identity (Lemma 4) and VerifyBitrussNumbers itself.
+// BE-Index support identity (Lemma 4), the two structures the peel relies
+// on (KillWedge's slot layout and the SupportBuckets queue) and
+// VerifyBitrussNumbers itself.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "butterfly/butterfly_counting.h"
 #include "core/be_index_builder.h"
+#include "core/peeling_state.h"
 #include "core/verify.h"
 #include "gen/chung_lu.h"
 #include "gen/random_bipartite.h"
@@ -119,6 +123,89 @@ TEST(BEIndex, EdgeLiveCountSumsTwoPerWedge) {
     incidences += index.EdgeLiveCount(e);
   }
   EXPECT_EQ(incidences, 2 * index.wedge_e1.size());
+}
+
+TEST(BEIndex, KillWedgeParksDeadWedgesAfterTheLivePrefix) {
+  // BiT-BU++ reads the wedges a batch killed in bloom b from the slots
+  // [live, live + t) right after the live prefix, so KillWedge must park
+  // them there, ahead of wedges killed by earlier batches.
+  const BipartiteGraph g = CompleteBipartite(4, 6);
+  const VertexPriority priority = VertexPriority::Compute(g);
+  const PriorityAdjacency adj(g, priority);
+  BEIndex index = BEIndexBuilder::Build(g, adj);
+  BloomId b = 0;
+  for (BloomId c = 1; c < index.NumBlooms(); ++c) {
+    if (index.bloom_live[c] > index.bloom_live[b]) b = c;
+  }
+  ASSERT_GE(index.bloom_live[b], 5u);
+  const std::uint64_t begin = index.bloom_offsets[b];
+  const auto kill_slots = [&](std::vector<std::uint64_t> offsets) {
+    std::vector<WedgeId> killed;
+    for (const std::uint64_t off : offsets) {
+      killed.push_back(index.bloom_slots[begin + off]);
+    }
+    for (const WedgeId w : killed) index.KillWedge(w);
+    std::sort(killed.begin(), killed.end());
+    return killed;
+  };
+
+  const WedgeId earlier = kill_slots({1}).front();  // an earlier batch
+  const SupportT live_before = index.bloom_live[b];
+  // First, last and a middle slot of the remaining live prefix.
+  const std::vector<WedgeId> killed =
+      kill_slots({0, live_before / 2, live_before - 1});
+  const SupportT live = index.bloom_live[b];
+  ASSERT_EQ(live, live_before - 3);
+
+  std::vector<WedgeId> parked(index.bloom_slots.begin() + begin + live,
+                              index.bloom_slots.begin() + begin + live + 3);
+  std::sort(parked.begin(), parked.end());
+  EXPECT_EQ(parked, killed);
+  EXPECT_EQ(index.bloom_slots[begin + live + 3], earlier);
+  for (std::uint64_t slot = begin; slot < begin + live; ++slot) {
+    const WedgeId w = index.bloom_slots[slot];
+    EXPECT_TRUE(index.wedge_alive[w]);
+    EXPECT_EQ(index.wedge_slot[w], slot);
+  }
+  for (const WedgeId w : killed) EXPECT_FALSE(index.wedge_alive[w]);
+}
+
+TEST(SupportBuckets, MovesTakesAndSkipsExactly) {
+  // Edge 7 is skipped; every other edge comes out exactly once, at the
+  // level it sits on when taken.
+  const std::vector<SupportT> support = {3, 3, 3, 3, 0, 5, 2, 7};
+  std::vector<std::uint8_t> skip(support.size(), 0);
+  skip[7] = 1;
+  SupportBuckets queue(support, skip);
+  std::vector<EdgeId> out;
+
+  EXPECT_EQ(queue.TakeLowest(1, &out), 0u);
+  EXPECT_EQ(out, std::vector<EdgeId>({4}));
+  EXPECT_EQ(queue.TakeLowest(1, &out), 2u);
+  EXPECT_EQ(out, std::vector<EdgeId>({6}));
+
+  // A delta of 4 lands below the level last taken: the cursor rewinds.
+  queue.Move(5, 5, 1);
+  EXPECT_EQ(queue.TakeLowest(1, &out), 1u);
+  EXPECT_EQ(out, std::vector<EdgeId>({5}));
+
+  // A move to level 0; a whole-level take returns just that edge.
+  queue.Move(1, 3, 0);
+  EXPECT_EQ(queue.TakeLowest(support.size(), &out), 0u);
+  EXPECT_EQ(out, std::vector<EdgeId>({1}));
+
+  // One edge of level 3, then the rest of it as one batch.
+  EXPECT_EQ(queue.TakeLowest(1, &out), 3u);
+  ASSERT_EQ(out.size(), 1u);
+  std::vector<EdgeId> level3 = out;
+  EXPECT_EQ(queue.TakeLowest(support.size(), &out), 3u);
+  EXPECT_EQ(out.size(), 2u);
+  level3.insert(level3.end(), out.begin(), out.end());
+  std::sort(level3.begin(), level3.end());
+  EXPECT_EQ(level3, std::vector<EdgeId>({0, 2, 3}));
+
+  queue.TakeLowest(support.size(), &out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Verify, AcceptsCorrectAndRejectsWrongNumbers) {
