@@ -42,7 +42,8 @@ void BM_BuildCompressedIndexHalfAssigned(benchmark::State& state) {
   std::vector<std::uint8_t> assigned(g.NumEdges(), 0);
   for (EdgeId e = 0; e < g.NumEdges(); e += 2) assigned[e] = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BEIndexBuilder::BuildCompressed(g, adj, assigned));
+    benchmark::DoNotOptimize(
+        BEIndexBuilder::BuildCompressed(g, adj, assigned, {}));
   }
 }
 BENCHMARK(BM_BuildCompressedIndexHalfAssigned)->Arg(50000);

@@ -127,35 +127,4 @@ std::uint64_t CountTotalButterflies(const BipartiteGraph& g) {
   return CountTotalButterflies(g, adj);
 }
 
-std::uint64_t CountTotalButterflies(const BipartiteGraph& g,
-                                    const PriorityAdjacency& adj,
-                                    ThreadPool* pool) {
-  if (pool == nullptr || pool->NumThreads() <= 1) {
-    return CountTotalButterflies(g, adj);
-  }
-  const VertexId n = adj.NumVertices();
-  const unsigned num_threads = pool->NumThreads();
-  std::vector<std::uint64_t> per_thread(num_threads, 0);
-  std::vector<internal::BloomScratch> scratch(num_threads);
-  pool->ParallelForChunks(
-      0, n, num_threads * kChunksPerThread,
-      [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned thread) {
-        if (scratch[thread].count.empty()) scratch[thread].Prepare(n);
-        // Chunk-local accumulator: per_thread slots share cache lines, so
-        // touching them once per chunk (not per pair) avoids false sharing.
-        std::uint64_t chunk_total = 0;
-        internal::ForEachBloomRange<false>(
-            adj, static_cast<VertexId>(begin), static_cast<VertexId>(end),
-            scratch[thread],
-            [&](VertexId, SupportT c) {
-              chunk_total += static_cast<std::uint64_t>(c) * (c - 1) / 2;
-            },
-            [](VertexId, SupportT, EdgeId, EdgeId) {}, kNoopAnchorDone);
-        per_thread[thread] += chunk_total;
-      });
-  std::uint64_t total = 0;
-  for (const std::uint64_t t : per_thread) total += t;
-  return total;
-}
-
 }  // namespace bitruss

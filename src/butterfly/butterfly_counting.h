@@ -47,11 +47,6 @@ std::uint64_t CountTotalButterflies(const BipartiteGraph& g,
                                     const PriorityAdjacency& adj);
 std::uint64_t CountTotalButterflies(const BipartiteGraph& g);
 
-/// Parallel total over `pool` (nullptr or 1-thread = sequential path).
-std::uint64_t CountTotalButterflies(const BipartiteGraph& g,
-                                    const PriorityAdjacency& adj,
-                                    ThreadPool* pool);
-
 }  // namespace bitruss
 
 #endif  // BITRUSS_BUTTERFLY_BUTTERFLY_COUNTING_H_

@@ -339,15 +339,6 @@ BEIndex BEIndexBuilder::Build(const BipartiteGraph& g,
 
 BEIndex BEIndexBuilder::BuildCompressed(
     const BipartiteGraph& g, const PriorityAdjacency& adj,
-    const std::vector<std::uint8_t>& assigned, ThreadPool* pool) {
-  Timer timer;
-  BEIndex index = BuildImpl(g.NumEdges(), adj, assigned, pool);
-  RecordBuild(index, timer.Seconds());
-  return index;
-}
-
-BEIndex BEIndexBuilder::BuildCompressed(
-    const BipartiteGraph& g, const PriorityAdjacency& adj,
     const std::vector<std::uint8_t>& assigned,
     const std::vector<std::uint8_t>& included, ThreadPool* pool) {
   Timer timer;

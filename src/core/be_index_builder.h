@@ -89,16 +89,10 @@ class BEIndexBuilder {
   static BEIndex Build(const BipartiteGraph& g, const PriorityAdjacency& adj,
                        ThreadPool* pool = nullptr);
 
-  /// Compressed index over all edges, folding wedges whose two edges are
-  /// both `assigned` into the bloom base counts.
-  static BEIndex BuildCompressed(const BipartiteGraph& g,
-                                 const PriorityAdjacency& adj,
-                                 const std::vector<std::uint8_t>& assigned,
-                                 ThreadPool* pool = nullptr);
-
-  /// Compressed index over the subgraph {e : included[e] != 0}; wedges with
-  /// an excluded edge are dropped entirely.  `included` may be empty to
-  /// mean "all edges".
+  /// Compressed index over the subgraph {e : included[e] != 0}, folding
+  /// wedges whose two edges are both `assigned` into the bloom base counts;
+  /// wedges with an excluded edge are dropped entirely.  `included` may be
+  /// empty to mean "all edges".
   static BEIndex BuildCompressed(const BipartiteGraph& g,
                                  const PriorityAdjacency& adj,
                                  const std::vector<std::uint8_t>& assigned,

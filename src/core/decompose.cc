@@ -19,7 +19,7 @@ constexpr std::uint32_t kDeadlinePollInterval = 256;
 
 // Registry handles are fetched once per process; the decompose phases then
 // pay one atomic op per report.  Seconds buckets span 10us..~10s, so a
-// small component recompute still lands inside the layout.
+// small graph's fallback recompute still lands inside the layout.
 struct DecomposeMetrics {
   obs::Counter* runs;
   obs::Histogram* counting_seconds;

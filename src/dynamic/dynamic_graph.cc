@@ -1,7 +1,7 @@
 #include "dynamic/dynamic_graph.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "butterfly/butterfly_counting.h"
 #include "butterfly/wedge_enumeration.h"
@@ -163,43 +163,26 @@ std::vector<EdgeId> DynamicBipartiteGraph::CompactSlots() {
 }
 
 GraphSnapshot DynamicBipartiteGraph::Snapshot() const {
-  std::vector<EdgeId> live;
-  live.reserve(num_live_);
-  for (EdgeId e = 0; e < NumSlots(); ++e) {
-    if (IsLive(e)) live.push_back(e);
-  }
-  return SnapshotOf(live);
-}
-
-GraphSnapshot DynamicBipartiteGraph::SnapshotOf(
-    const std::vector<EdgeId>& slots) const {
-  // Edges in lexicographic (upper, lower) order so the CSR ids match
-  // BipartiteGraph's documented edge-id invariant.
-  struct Row {
-    VertexId upper_local, lower_local;
-    EdgeId slot;
-  };
-  std::vector<Row> rows;
-  rows.reserve(slots.size());
-  for (const EdgeId e : slots) {
-    rows.push_back({slots_[e].upper, slots_[e].lower - num_upper_, e});
-  }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a.upper_local != b.upper_local ? a.upper_local < b.upper_local
-                                          : a.lower_local < b.lower_local;
-  });
-
   std::vector<std::pair<VertexId, VertexId>> pairs;
-  pairs.reserve(rows.size());
-  GraphSnapshot snapshot;
-  snapshot.slot_of_edge.reserve(rows.size());
-  snapshot.supports.reserve(rows.size());
-  for (const Row& row : rows) {
-    pairs.emplace_back(row.upper_local, row.lower_local);
-    snapshot.slot_of_edge.push_back(row.slot);
-    snapshot.supports.push_back(slots_[row.slot].support);
+  pairs.reserve(num_live_);
+  for (const EdgeSlot& slot : slots_) {
+    if (slot.upper != kInvalidVertex) {
+      pairs.emplace_back(slot.upper, slot.lower - num_upper_);
+    }
   }
+  // The constructor sorts the pairs into BipartiteGraph's lexicographic
+  // edge-id order; each CSR edge then finds its slot through the index.
+  GraphSnapshot snapshot;
   snapshot.graph = BipartiteGraph(num_upper_, num_lower_, std::move(pairs));
+  const EdgeId m = snapshot.graph.NumEdges();
+  snapshot.slot_of_edge.resize(m);
+  snapshot.supports.resize(m);
+  for (EdgeId e = 0; e < m; ++e) {
+    const EdgeId slot =
+        FindEdge(snapshot.graph.EdgeUpper(e), snapshot.graph.EdgeLower(e));
+    snapshot.slot_of_edge[e] = slot;
+    snapshot.supports[e] = slots_[slot].support;
+  }
   return snapshot;
 }
 

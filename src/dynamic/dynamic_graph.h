@@ -83,8 +83,10 @@ struct GraphSnapshot {
 /// butterfly deltas instead of recomputing it.  The deltas are still
 /// applied to the maintained supports; this is a report, not a deferral.
 struct UpdateDelta {
-  /// Pre-existing edges whose support moved, one entry per butterfly the
-  /// edge gained (insert) or lost (delete) — an edge in several affected
+  /// Pre-existing edges whose support moved, as one triplet per butterfly
+  /// gained (insert) or lost (delete): entries [3i, 3i + 3) are the three
+  /// other edges of the i-th butterfly through the updated edge, so
+  /// touched.size() == 3 * butterflies.  An edge in several affected
   /// butterflies appears several times; callers dedupe.  The inserted /
   /// deleted edge itself is not listed.
   std::vector<EdgeId> touched;
@@ -176,8 +178,6 @@ class DynamicBipartiteGraph {
 
   /// Compacts the live edges to CSR; see GraphSnapshot.
   GraphSnapshot Snapshot() const;
-  /// Same, over just the given live slots (any order).
-  GraphSnapshot SnapshotOf(const std::vector<EdgeId>& slots) const;
 
   /// Serializable image of the current state; see DynamicGraphState.
   DynamicGraphState ExportState() const;

@@ -53,11 +53,9 @@ IncrementalBitruss::IncrementalBitruss(const BipartiteGraph& seed,
     : IncrementalBitruss(DynamicBipartiteGraph(seed),
                          std::vector<SupportT>(seed.NumEdges(), 0),
                          std::move(options)) {
-  const GraphSnapshot snapshot = graph_.Snapshot();
-  const BitrussResult initial = Decompose(snapshot.graph, options_.decompose);
-  for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
-    phi_[snapshot.slot_of_edge[e]] = initial.phi[e];
-  }
+  // The seed's EdgeIds are its initial slot ids, so its phi is indexed by
+  // slot as it stands.
+  phi_ = Decompose(seed, options_.decompose).phi;
 }
 
 IncrementalBitruss::IncrementalBitruss(DynamicBipartiteGraph graph,
@@ -141,7 +139,7 @@ StatusOr<EdgeId> IncrementalBitruss::Insert(VertexId upper_local,
                                             VertexId lower_local) {
   // After a bail-out the batch's recompute covers this edit, so the
   // support deltas need no report.
-  const bool deferred = !recompute_seeds_.empty();
+  const bool deferred = batch_fell_back_;
   StatusOr<EdgeId> result = graph_.InsertEdge(upper_local, lower_local,
                                               deferred ? nullptr : &delta_);
   if (!result.ok()) return result;
@@ -151,7 +149,7 @@ StatusOr<EdgeId> IncrementalBitruss::Insert(VertexId upper_local,
   ++totals_.inserts;
   DynamicMetrics::Get().inserts->Inc();
   if (deferred) {
-    DeferEdit(graph_.EdgeUpper(slot), graph_.EdgeLower(slot));
+    DeferEdit();
     return result;
   }
   update_ = IncrementalUpdateStats{};
@@ -167,7 +165,7 @@ StatusOr<EdgeId> IncrementalBitruss::Insert(VertexId upper_local,
   } else {
     local_ok = RepairInsert(slot);
   }
-  FinishUpdate(local_ok, graph_.EdgeUpper(slot), graph_.EdgeLower(slot));
+  FinishUpdate(local_ok);
   return result;
 }
 
@@ -175,17 +173,15 @@ Status IncrementalBitruss::Delete(EdgeId slot) {
   if (!graph_.IsLive(slot)) {
     return graph_.DeleteEdge(slot);  // the graph's kNotFound contract
   }
-  const VertexId u = graph_.EdgeUpper(slot);
-  const VertexId v = graph_.EdgeLower(slot);
   const SupportT k_star = phi_[slot];
-  const bool deferred = !recompute_seeds_.empty();
+  const bool deferred = batch_fell_back_;
   const Status status = graph_.DeleteEdge(slot, deferred ? nullptr : &delta_);
   if (!status.ok()) return status;
   phi_[slot] = 0;  // the slot is free until reused
   ++totals_.deletes;
   DynamicMetrics::Get().deletes->Inc();
   if (deferred) {
-    DeferEdit(u, v);
+    DeferEdit();
     return status;
   }
   update_ = IncrementalUpdateStats{};
@@ -202,23 +198,27 @@ Status IncrementalBitruss::Delete(EdgeId slot) {
   } else {
     local_ok = RepairDelete(k_star);
   }
-  FinishUpdate(local_ok, u, v);
+  FinishUpdate(local_ok);
   return status;
 }
 
 bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
-  const VertexId u = graph_.EdgeUpper(slot);
-  const VertexId v = graph_.EdgeLower(slot);
   const std::uint64_t budget = EffectiveBudget();
 
   // Band bound: phi_new(e0) <= K = h-index over e0's butterflies of
   // min(partner supports) — a butterfly can carry level k only if all its
-  // edges have support >= k.  Every edge phi can touch lies below K.
-  scratch_.weights.clear();
+  // edges have support >= k.  Every edge phi can touch lies below K.  The
+  // insert's own report already lists each butterfly's partners as one
+  // triplet (see UpdateDelta), so no butterfly is enumerated again here.
   const SupportT own_support = graph_.Support(slot);
-  update_.enumerated_butterflies += internal::CollectButterflyWeights(
-      graph_, u, v, [&](EdgeId f) { return graph_.Support(f); }, own_support,
-      &scratch_.weights);
+  const std::vector<EdgeId>& partners = delta_.touched;
+  scratch_.weights.clear();
+  for (std::size_t i = 0; i < partners.size(); i += 3) {
+    scratch_.weights.push_back(std::min({graph_.Support(partners[i]),
+                                         graph_.Support(partners[i + 1]),
+                                         graph_.Support(partners[i + 2]),
+                                         own_support}));
+  }
   const SupportT band =
       HIndexOfWeights(scratch_.weights, own_support, &scratch_.bucket);
   if (band == 0) return true;  // nothing can rise, the new edge stays at 0
@@ -232,7 +232,7 @@ bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
   frontier_.clear();
   Stamp(slot);
   frontier_.push_back(slot);
-  for (const EdgeId f : delta_.touched) {
+  for (const EdgeId f : partners) {
     if (!Stamped(f) && phi_[f] < band && graph_.Support(f) > phi_[f]) {
       Stamp(f);
       frontier_.push_back(f);
@@ -311,24 +311,22 @@ bool IncrementalBitruss::RepairDelete(const SupportT k_star) {
   return true;
 }
 
-void IncrementalBitruss::FinishUpdate(const bool local_ok, const VertexId u,
-                                      const VertexId v) {
+void IncrementalBitruss::FinishUpdate(const bool local_ok) {
   const DynamicMetrics& metrics = DynamicMetrics::Get();
   if (local_ok) {
     ++totals_.local_repairs;
     metrics.local_repairs->Inc();
   } else {
     // Roll the part-way repaired labels back to their pre-update values
-    // (reverse order: the first record per edge is the oldest); the
-    // batch's closing recompute then covers this edge's components.
+    // (reverse order: the first record per edge is the oldest), so the
+    // batch's closing recompute counts phi_changes from the pre-update phi.
     for (auto it = entry_labels_.rbegin(); it != entry_labels_.rend(); ++it) {
       phi_[it->first] = it->second;
     }
     update_.fallback = true;
     ++totals_.fallbacks;
     metrics.fallbacks->Inc();
-    recompute_seeds_.push_back(u);
-    recompute_seeds_.push_back(v);
+    batch_fell_back_ = true;
   }
   last_.fallback = last_.fallback || update_.fallback;
   last_.enumerated_butterflies += update_.enumerated_butterflies;
@@ -343,49 +341,23 @@ void IncrementalBitruss::FinishUpdate(const bool local_ok, const VertexId u,
       static_cast<double>(update_.enumerated_butterflies));
 }
 
-void IncrementalBitruss::DeferEdit(const VertexId u, const VertexId v) {
+void IncrementalBitruss::DeferEdit() {
   ++totals_.deferred_edits;
   DynamicMetrics::Get().deferred_edits->Inc();
-  recompute_seeds_.push_back(u);
-  recompute_seeds_.push_back(v);
 }
 
 void IncrementalBitruss::FinishBatch() {
-  if (recompute_seeds_.empty()) return;
-  RecomputeFrom(recompute_seeds_);
-  recompute_seeds_.clear();
+  if (!batch_fell_back_) return;
+  Recompute();
+  batch_fell_back_ = false;
 }
 
-void IncrementalBitruss::RecomputeFrom(const std::vector<VertexId>& seeds) {
-  // Butterflies and peeling cascades never cross connected components, so
-  // re-decomposing the components holding the touched endpoints (a
-  // deletion can split one into two) is exact; phi elsewhere is untouched.
-  std::vector<std::uint8_t> visited(graph_.NumVertices(), 0);
-  std::vector<VertexId> queue;
-  const auto push = [&](VertexId s) {
-    if (s < graph_.NumVertices() && !visited[s] && graph_.Degree(s) > 0) {
-      visited[s] = 1;
-      queue.push_back(s);
-    }
-  };
-  for (const VertexId s : seeds) push(s);
-
-  std::vector<EdgeId> slots;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const VertexId x = queue[head];
-    for (const DynamicBipartiteGraph::Entry& entry : graph_.Neighbors(x)) {
-      push(entry.neighbor);
-      // Each edge once, from its upper side.
-      if (x < graph_.NumUpper()) slots.push_back(entry.edge);
-    }
-  }
-  if (slots.empty()) return;
-
-  const GraphSnapshot component = graph_.SnapshotOf(slots);
-  const BitrussResult result = Decompose(component.graph, options_.decompose);
+void IncrementalBitruss::Recompute() {
+  const GraphSnapshot snapshot = graph_.Snapshot();
+  const BitrussResult result = Decompose(snapshot.graph, options_.decompose);
   std::uint64_t changes = 0;
-  for (EdgeId e = 0; e < component.graph.NumEdges(); ++e) {
-    const EdgeId slot = component.slot_of_edge[e];
+  for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
+    const EdgeId slot = snapshot.slot_of_edge[e];
     if (phi_[slot] != result.phi[e]) ++changes;
     phi_[slot] = result.phi[e];
   }

@@ -33,21 +33,19 @@
 //
 // Cascades are budgeted: once an update enumerates more than
 // `cascade_budget` butterflies (band expansion + repair combined), the
-// maintainer abandons the local path and recomputes the affected connected
-// component with a scoped Decompose() — still exact, since butterflies and
-// peeling cascades never cross connected components.
+// maintainer abandons the local path and recomputes phi with one
+// Decompose() of the whole graph's Snapshot() — exact, because phi
+// depends only on the final graph, not on the updates that led to it.
 //
 // Batches.  ApplyBatch() applies a run of updates with at most one such
 // recompute.  Updates are repaired locally until the first one that bails
 // out; its partial labels are rolled back, and it and every later update
 // in the batch become plain DynamicBipartiteGraph edits (supports stay
 // exact; inserted and freed slots read phi 0).  The batch ends with one
-// recompute of the components holding any endpoint touched since the
-// bail-out.  That is exact because phi depends only on the final graph: a
-// final component with no touched endpoint has had the same edges since
-// the bail-out, and its phi was exact then.  A batch never recomputes more
-// often than the per-update path would, and the repairs it skips become
-// edits that path pays for anyway, so no cost model decides when to batch.
+// recompute, which covers those edits for the same reason: phi depends
+// only on the final graph.  A batch never recomputes more often than the
+// per-update path would, and the repairs it skips become edits that path
+// pays for anyway, so no cost model decides when to batch.
 // InsertEdge / DeleteEdge / Apply are the batch-of-one case.
 
 #ifndef BITRUSS_DYNAMIC_INCREMENTAL_BITRUSS_H_
@@ -68,8 +66,8 @@ namespace bitruss {
 
 struct IncrementalBitrussOptions {
   /// Maximum butterflies enumerated by one update's local repair (band
-  /// expansion + fixpoint iteration) before falling back to the scoped
-  /// component recompute.  0 forces the fallback on every non-trivial
+  /// expansion + fixpoint iteration) before falling back to the
+  /// whole-graph recompute.  0 forces the fallback on every non-trivial
   /// update (useful for testing and as a recount-only baseline).
   std::uint64_t cascade_budget = 1u << 20;
   /// Additionally cap the effective per-update budget at half the graph's
@@ -88,7 +86,7 @@ struct IncrementalBitrussOptions {
 /// Repair telemetry of the last call (reset by each InsertEdge, DeleteEdge,
 /// Apply and ApplyBatch); after ApplyBatch it sums the batch's updates.
 struct IncrementalUpdateStats {
-  bool fallback = false;  ///< a repair bailed out -> component recompute
+  bool fallback = false;  ///< a repair bailed out -> whole-graph recompute
   std::uint64_t enumerated_butterflies = 0;  ///< local-repair work
   std::uint64_t frontier_edges = 0;  ///< dirty edges seeded + pulled in
   std::uint64_t phi_changes = 0;     ///< edges whose phi actually moved
@@ -208,16 +206,16 @@ class IncrementalBitruss {
   bool RepairInsert(EdgeId slot);
   /// Local repair after a successful delete whose edge had phi `k_star`.
   bool RepairDelete(SupportT k_star);
-  /// Books a repaired update; a failed repair is rolled back and its
-  /// endpoints u, v start the batch's recompute seeds.
-  void FinishUpdate(bool local_ok, VertexId u, VertexId v);
-  /// Books a plain edit of edge (u, v) made after the batch fell back.
-  void DeferEdit(VertexId u, VertexId v);
+  /// Books a repaired update; a failed repair is rolled back and marks the
+  /// batch as fallen back.
+  void FinishUpdate(bool local_ok);
+  /// Books a plain edit made after the batch fell back.
+  void DeferEdit();
   /// Ends a batch: runs the recompute if a repair bailed out.
   void FinishBatch();
-  /// Exact fallback: Decompose() the connected components holding the
-  /// global vertices `seeds` and scatter phi back to their slots.
-  void RecomputeFrom(const std::vector<VertexId>& seeds);
+  /// Exact fallback: Decompose() a Snapshot() of the whole graph and
+  /// scatter phi back to the slots.
+  void Recompute();
 
   IncrementalBitrussOptions options_;
   DynamicBipartiteGraph graph_;
@@ -230,9 +228,9 @@ class IncrementalBitruss {
   std::vector<EdgeId> frontier_;
   LocalPeelScratch scratch_;
   std::vector<std::pair<EdgeId, SupportT>> entry_labels_;
-  /// Endpoints touched since the current batch's first bail-out; non-empty
-  /// means the batch has fallen back and later updates are plain edits.
-  std::vector<VertexId> recompute_seeds_;
+  /// A repair in the current batch bailed out: later updates are plain
+  /// edits and the batch ends with a Recompute().
+  bool batch_fell_back_ = false;
 
   IncrementalUpdateStats update_;  // the update being repaired
   IncrementalUpdateStats last_;

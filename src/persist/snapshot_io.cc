@@ -17,7 +17,6 @@ using internal::FsyncDir;
 using internal::GetU32;
 using internal::GetU64;
 using internal::ReadWholeFile;
-using internal::WriteFully;
 
 namespace {
 
@@ -173,29 +172,8 @@ Status WriteSnapshotFile(const std::string& dir,
 
   const int fd = ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) return ErrnoError("open " + tmp_path);
-  Status st = OkStatus();
-  switch (BITRUSS_FAULT_POINT("snapshot.tmp_write")) {
-    case fault::FaultAction::kNone:
-      break;
-    case fault::FaultAction::kError:
-      st = InternalError("injected fault at snapshot.tmp_write");
-      break;
-    case fault::FaultAction::kEnospc:
-      st = InternalError(
-          "injected ENOSPC (No space left on device) at fault point "
-          "snapshot.tmp_write");
-      break;
-    case fault::FaultAction::kTornWrite: {
-      const std::size_t keep =
-          fault::TornKeepBytes("snapshot.tmp_write", file.size());
-      (void)WriteFully(fd, file.data(), keep);  // dying regardless
-      (void)::fsync(fd);
-      fault::KillNow();
-    }
-    case fault::FaultAction::kKill:
-      break;  // Hit() raises SIGKILL itself; never returned
-  }
-  if (st.ok()) st = WriteFully(fd, file.data(), file.size());
+  Status st =
+      BITRUSS_FAULT_WRITE("snapshot.tmp_write", fd, file.data(), file.size());
   if (st.ok() && ::fsync(fd) != 0) st = ErrnoError("fsync " + tmp_path);
   ::close(fd);
   if (!st.ok()) {
@@ -209,12 +187,7 @@ Status WriteSnapshotFile(const std::string& dir,
       BITRUSS_FAULT_POINT("snapshot.pre_rename");
   if (pre_rename != fault::FaultAction::kNone) {
     (void)::unlink(tmp_path.c_str());
-    if (pre_rename == fault::FaultAction::kEnospc) {
-      return InternalError(
-          "injected ENOSPC (No space left on device) at fault point "
-          "snapshot.pre_rename");
-    }
-    return InternalError("injected fault at snapshot.pre_rename");
+    return fault::ActionStatus(pre_rename, "snapshot.pre_rename");
   }
   if (::rename(tmp_path.c_str(), path.c_str()) != 0) {
     const Status rename_status = ErrnoError("rename " + tmp_path);

@@ -48,6 +48,21 @@ Status WriteFully(int fd, const unsigned char* data, std::size_t size) {
   return OkStatus();
 }
 
+Status FaultedWrite(const char* point, int fd, const unsigned char* data,
+                    std::size_t size) {
+  const fault::FaultAction action = BITRUSS_FAULT_POINT(point);
+  if (action == fault::FaultAction::kTornWrite) {
+    // The canonical torn-record crash: persist a strict prefix, die.
+    (void)WriteFully(fd, data, fault::TornKeepBytes(point, size));
+    (void)::fsync(fd);  // make the torn prefix visible
+    fault::KillNow();
+  }
+  if (action != fault::FaultAction::kNone) {
+    return fault::ActionStatus(action, point);
+  }
+  return WriteFully(fd, data, size);
+}
+
 Status FsyncDir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return ErrnoError("open dir " + dir);
@@ -383,26 +398,7 @@ Status WalWriter::AppendLocked(const WalRecord& record) {
   }
   unsigned char buf[kWalRecordBytes];
   EncodeRecord(record, buf);
-  switch (BITRUSS_FAULT_POINT("wal.append")) {
-    case fault::FaultAction::kNone:
-      break;
-    case fault::FaultAction::kError:
-      return InternalError("injected fault at wal.append");
-    case fault::FaultAction::kEnospc:
-      return InternalError(
-          "injected ENOSPC (No space left on device) at fault point "
-          "wal.append");
-    case fault::FaultAction::kTornWrite: {
-      // The canonical torn-record crash: persist a strict prefix, die.
-      const std::size_t keep = fault::TornKeepBytes("wal.append", sizeof buf);
-      (void)WriteFully(fd_, buf, keep);  // dying regardless of the outcome
-      (void)::fsync(fd_);                // make the torn prefix visible
-      fault::KillNow();
-    }
-    case fault::FaultAction::kKill:
-      break;  // Hit() raises SIGKILL itself; never returned
-  }
-  Status st = WriteFully(fd_, buf, sizeof buf);
+  Status st = BITRUSS_FAULT_WRITE("wal.append", fd_, buf, sizeof buf);
   if (!st.ok()) return st;
   segment_size_ += sizeof buf;
   bytes_appended_ += sizeof buf;

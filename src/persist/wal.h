@@ -183,10 +183,19 @@ Status ErrnoError(const std::string& what);
 std::uint32_t GetU32(const unsigned char* p);
 std::uint64_t GetU64(const unsigned char* p);
 Status WriteFully(int fd, const unsigned char* data, std::size_t size);
+/// WriteFully behind the fault point `point`: an armed error or ENOSPC
+/// returns fault::ActionStatus before writing anything; a torn write
+/// persists a seeded strict prefix, fsyncs it and dies by SIGKILL.  Call
+/// it through BITRUSS_FAULT_WRITE so tools/lint.py sees the point name.
+Status FaultedWrite(const char* point, int fd, const unsigned char* data,
+                    std::size_t size);
 Status FsyncDir(const std::string& dir);
 Status ReadWholeFile(const std::string& path, std::vector<unsigned char>* out);
 }  // namespace internal
 
 }  // namespace bitruss::persist
+
+#define BITRUSS_FAULT_WRITE(name, fd, data, size) \
+  (::bitruss::persist::internal::FaultedWrite(name, fd, data, size))
 
 #endif  // BITRUSS_PERSIST_WAL_H_

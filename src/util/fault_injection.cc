@@ -103,8 +103,8 @@ void KillNow() {
   std::abort();  // unreachable unless SIGKILL delivery itself failed
 }
 
-Status InjectedStatus(const char* point) {
-  switch (Hit(point)) {
+Status ActionStatus(FaultAction action, const char* point) {
+  switch (action) {
     case FaultAction::kNone:
       return OkStatus();
     case FaultAction::kEnospc:
@@ -113,11 +113,14 @@ Status InjectedStatus(const char* point) {
                            point);
     case FaultAction::kError:
     case FaultAction::kTornWrite:
-      return InternalError(std::string("injected fault at ") + point);
-    case FaultAction::kKill:
-      break;  // Hit() never returns kKill
+    case FaultAction::kKill:  // Hit() never returns kKill
+      break;
   }
   return InternalError(std::string("injected fault at ") + point);
+}
+
+Status InjectedStatus(const char* point) {
+  return ActionStatus(Hit(point), point);
 }
 
 }  // namespace bitruss::fault

@@ -23,8 +23,13 @@
 // BITRUSS_FAULT_INJECTION, default ON so the tier-1 crash suite runs; the
 // sanitizers CI job build-checks the OFF configuration):
 //
-//   switch (BITRUSS_FAULT_POINT("wal.append")) { ... }   // want the action
-//   BITRUSS_FAULT_POINT_STATUS("wal.pre_fsync");         // error-or-nothing
+//   BITRUSS_FAULT_POINT("snapshot.pre_rename")          // want the action
+//   BITRUSS_FAULT_POINT_STATUS("wal.pre_fsync");        // error-or-nothing
+//   BITRUSS_FAULT_WRITE("wal.append", fd, buf, size)    // a write that can
+//                                                       // fail or tear
+//
+// BITRUSS_FAULT_WRITE lives in persist/wal.h, next to the write it wraps;
+// with injection compiled out it is a plain write.
 //
 // tools/lint.py additionally requires every point name declared in src/ to
 // appear in tests/, so no point can exist without crash coverage.
@@ -84,9 +89,13 @@ std::size_t TornKeepBytes(const char* point, std::size_t full_size);
 /// persisting a torn prefix.
 [[noreturn]] void KillNow();
 
+/// The one action -> Status mapping of every injected error: kError,
+/// kEnospc and kTornWrite map to a non-OK Status naming the point
+/// (kTornWrite degenerates to kError here), kNone to OK.
+[[nodiscard]] Status ActionStatus(FaultAction action, const char* point);
+
 /// Status-flavored point for call sites with nothing torn to write:
-/// kError/kEnospc/kTornWrite map to a non-OK Status naming the point
-/// (kTornWrite degenerates to kError here), kKill dies, kNone returns OK.
+/// ActionStatus(Hit(point), point), so kKill dies.
 [[nodiscard]] Status InjectedStatus(const char* point);
 
 }  // namespace bitruss::fault

@@ -183,6 +183,30 @@ TEST(DynamicGraph, UpdateDeltaReportsTouchedEdges) {
   EXPECT_FALSE(dynamic.InsertEdge(9, 9, &delta).ok());
   EXPECT_FALSE(dynamic.DeleteEdge(0, &delta).ok());
   EXPECT_EQ(delta.touched, (std::vector<EdgeId>{42}));
+
+  // Each butterfly is one triplet: K(2,3) minus (u0, l2) gains two
+  // butterflies from (u0, l2), and each triplet closes one 2x2 block with it.
+  DynamicBipartiteGraph k23(
+      BipartiteGraph(2, 3, {{0, 0}, {0, 1}, {1, 0}, {1, 1}, {1, 2}}));
+  auto added = k23.InsertEdge(0, 2, &delta);
+  ASSERT_TRUE(added.ok());
+  ASSERT_EQ(delta.butterflies, 2u);
+  ASSERT_EQ(delta.touched.size(), 3 * delta.butterflies);
+  for (std::size_t i = 0; i < delta.touched.size(); i += 3) {
+    std::vector<EdgeId> block = {added.value(), delta.touched[i],
+                                 delta.touched[i + 1], delta.touched[i + 2]};
+    std::vector<VertexId> uppers, lowers;
+    for (const EdgeId e : block) {
+      uppers.push_back(k23.EdgeUpper(e));
+      lowers.push_back(k23.EdgeLower(e));
+    }
+    std::sort(block.begin(), block.end());
+    EXPECT_EQ(std::unique(block.begin(), block.end()), block.end());
+    std::sort(uppers.begin(), uppers.end());
+    std::sort(lowers.begin(), lowers.end());
+    EXPECT_EQ(std::unique(uppers.begin(), uppers.end()) - uppers.begin(), 2);
+    EXPECT_EQ(std::unique(lowers.begin(), lowers.end()) - lowers.begin(), 2);
+  }
 }
 
 TEST(DynamicGraph, SupportDeltaGuardsSaturate) {

@@ -60,6 +60,30 @@ TEST(IncrementalBitruss, SeedMatchesDecompose) {
   for (EdgeId e = 0; e < seed.NumEdges(); ++e) {
     ASSERT_EQ(inc.Phi(e), expected.phi[e]);
   }
+
+  // An expired deadline is ignored, by the seed decomposition and by the
+  // fallback recompute alike.  BiT-BS polls the deadline every 256 edges,
+  // so on this graph an honoured deadline would leave phi partial.
+  IncrementalBitrussOptions expired;
+  expired.decompose.algorithm = Algorithm::kBS;
+  expired.decompose.deadline = Deadline::After(0.0);
+  expired.cascade_budget = 0;
+  IncrementalBitruss timed(seed, expired);
+  for (EdgeId e = 0; e < seed.NumEdges(); ++e) {
+    ASSERT_EQ(timed.Phi(e), expected.phi[e]);
+  }
+  // Deleting the top-phi edge loses butterflies, so budget 0 falls back.
+  const EdgeId top = static_cast<EdgeId>(
+      std::max_element(expected.phi.begin(), expected.phi.end()) -
+      expected.phi.begin());
+  ASSERT_GT(expected.phi[top], 0u);
+  ASSERT_TRUE(timed.DeleteEdge(top).ok());
+  EXPECT_TRUE(timed.LastUpdateStats().fallback);
+  const GraphSnapshot after = timed.Graph().Snapshot();
+  const BitrussResult truth = Decompose(after.graph);
+  for (EdgeId e = 0; e < after.graph.NumEdges(); ++e) {
+    ASSERT_EQ(timed.Phi(after.slot_of_edge[e]), truth.phi[e]) << e;
+  }
 }
 
 TEST(IncrementalBitruss, HandComputedInsertAndDelete) {
@@ -477,7 +501,7 @@ BipartiteGraph Github() { return MakeDataset("Github", 0.02); }
 BipartiteGraph Twitter() { return MakeDataset("Twitter", 0.02); }
 // D-style's hub-heavy lower side is a complete block, so an update's
 // affected band spans most of the graph and the budget forces the
-// component-recompute fallback.
+// whole-graph recompute fallback.
 BipartiteGraph DStyle() { return MakeDataset("D-style", 0.01); }
 BipartiteGraph Dense() { return GenerateUniformBipartite(25, 20, 160, 7); }
 BipartiteGraph Denser() { return GenerateUniformBipartite(30, 25, 200, 13); }
@@ -557,8 +581,8 @@ TEST(IncrementalBitrussBatch, HandCasesMatchPerUpdateApply) {
     std::vector<EdgeUpdate> stream;
   } cases[] = {
       // (u1, l3) closes a butterfly with the bridge, so it falls back
-      // under budget 0; deleting the bridge then splits the component the
-      // recompute must cover.
+      // under budget 0; deleting the bridge then splits the graph into
+      // two components before the recompute runs.
       {"delete splits a component",
        {{Kind::kInsert, 1, 3}, {Kind::kDelete, 1, 2}, {Kind::kDelete, 1, 3}}},
       // Deleting (u0, l0) falls back under budget 0; with the bridge gone,
@@ -568,8 +592,8 @@ TEST(IncrementalBitrussBatch, HandCasesMatchPerUpdateApply) {
        {{Kind::kDelete, 0, 0}, {Kind::kDelete, 1, 2}, {Kind::kInsert, 0, 2},
         {Kind::kInsert, 1, 2}, {Kind::kInsert, 4, 4}}},
       // With the bridge gone, deleting (u0, l0) falls back in block A;
-      // the later delete in block B is a plain edit in a component the
-      // fallback's own endpoints do not reach.
+      // the later delete in block B is a plain edit in another component,
+      // which the recompute covers all the same.
       {"deferred edit in another component",
        {{Kind::kDelete, 1, 2}, {Kind::kDelete, 0, 0}, {Kind::kDelete, 2, 2}}},
       {"duplicate insert",

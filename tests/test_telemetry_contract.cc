@@ -2,12 +2,12 @@
 // the /metrics families and /healthz that dashboards and operators read.
 // Every lifecycle fact (publish, compaction, fallback recompute,
 // backpressure, slow batch, durable snapshot, degraded mode) is a registry
-// family; the degraded gauge is pinned by test_persist's degraded-mode case.  One fixture drives a durable
-// BitrussService through every lifecycle path deterministically — a paused
-// overfill (backpressure), cascade_budget = 0 (every non-trivial batch
-// falls back to a component recompute), slot compaction, durable snapshots,
-// reads through the timed wrappers — then Drain()s; each test reads one
-// surface of the result.
+// family; the degraded gauge is pinned by test_persist's degraded-mode
+// case.  One fixture drives a durable BitrussService through every
+// lifecycle path deterministically — a paused overfill (backpressure),
+// cascade_budget = 0 (every non-trivial batch falls back to a whole-graph
+// recompute), slot compaction, durable snapshots, reads through the timed
+// wrappers — then Drain()s; each test reads one surface of the result.
 
 #include <gtest/gtest.h>
 
@@ -164,7 +164,7 @@ TEST_F(TelemetryContract, HealthzIsOkJsonWithQueueCapacity) {
       << reply.body;
 }
 
-// A component recompute on a small graph takes microseconds to a few
+// A fallback recompute on a small graph takes microseconds to a few
 // milliseconds; the layouts must resolve it and still reach 10 s.
 TEST_F(TelemetryContract, RecomputeSecondsBucketsSpanTenMicrosToTenSeconds) {
   const obs::RegistrySnapshot snapshot =

@@ -24,9 +24,10 @@ Rules (each failure prints file:line and a one-line explanation):
      src/util/sync.h -> BITRUSS_UTIL_SYNC_H_); stale guards after a file
      move silently break the one-definition rule.
   5. fault-point-coverage  every fault point declared in src/ via
-     BITRUSS_FAULT_POINT("name") / BITRUSS_FAULT_POINT_STATUS("name") must
-     be referenced by name somewhere under tests/ — no fault point may
-     exist without crash/degradation coverage.
+     BITRUSS_FAULT_POINT("name") / BITRUSS_FAULT_POINT_STATUS("name") /
+     BITRUSS_FAULT_WRITE("name", ...) must be referenced by name somewhere
+     under tests/ — no fault point may exist without crash/degradation
+     coverage.
   6. sources-built  every src/**/*.cc must be named by its relative path in
      CMakeLists.txt, and every bench/*.cc and tests/test_*.cc by its stem,
      so a module, harness or suite that never compiles cannot sit in the
@@ -65,7 +66,9 @@ NAKED_STATUS_RE = re.compile(
     r"^\s*[\w.\->]*\b(" + "|".join(STATUS_APIS) + r")\s*\("
 )
 GUARD_RE = re.compile(r"^#ifndef\s+(\w+)\s*$", re.MULTILINE)
-FAULT_POINT_RE = re.compile(r'BITRUSS_FAULT_POINT(?:_STATUS)?\("([^"]+)"\)')
+FAULT_POINT_RE = re.compile(
+    r'BITRUSS_FAULT_(?:POINT(?:_STATUS)?|WRITE)\("([^"]+)"'
+)
 
 SOURCE_DIRS = ("src", "bench", "tests", "cmake")
 SOURCE_SUFFIXES = (".h", ".cc")
