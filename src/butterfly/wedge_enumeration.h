@@ -114,23 +114,33 @@ void ForEachBloom(const AdjT& a, PairFn&& on_pair, WedgeFn&& on_wedge,
 // Works both pre-insertion ((u, v) not yet in the adjacency) and
 // pre-deletion ((u, v) still present; its own entries are skipped).
 //
-// AdjT is any mutable-graph adjacency: Degree(v), Neighbors(v) -> range of
-// {neighbor, edge} entries, and FindEdge(a, b) -> EdgeId or kInvalidEdge
-// for endpoints given in either order.  Cost is
-// O(sum_{x in N(s)} d(x)) membership probes with s the smaller endpoint.
+// AdjT is any mutable-graph adjacency: NumVertices(), Degree(v) and
+// Neighbors(v) -> range of {neighbor, edge} entries.  The closing edge
+// (w, t) is read from `mark`, caller-owned scratch indexed by vertex:
+// mark[w] holds edge(w, t) for every neighbour w of t during the walk and
+// kInvalidEdge everywhere else before and after it.  The mark grows to
+// a.NumVertices() on first use, so an empty vector is a valid start.  Cost
+// is O(d(t)) to set and clear the mark plus O(sum_{x in N(s)} d(x)) array
+// reads, with s the smaller endpoint.
 template <typename AdjT, typename ButterflyFn>
 void ForEachButterflyThroughEdge(const AdjT& a, VertexId u, VertexId v,
+                                 std::vector<EdgeId>& mark,
                                  ButterflyFn&& on_butterfly) {
   VertexId s = u, t = v;
   if (a.Degree(t) < a.Degree(s)) std::swap(s, t);
+  if (mark.size() < a.NumVertices()) {
+    mark.resize(a.NumVertices(), kInvalidEdge);
+  }
+  for (const auto& y : a.Neighbors(t)) mark[y.neighbor] = y.edge;
   for (const auto& x : a.Neighbors(s)) {
     if (x.neighbor == t) continue;
     for (const auto& w : a.Neighbors(x.neighbor)) {
       if (w.neighbor == s) continue;
-      const EdgeId closing = a.FindEdge(w.neighbor, t);
+      const EdgeId closing = mark[w.neighbor];
       if (closing != kInvalidEdge) on_butterfly(x.edge, w.edge, closing);
     }
   }
+  for (const auto& y : a.Neighbors(t)) mark[y.neighbor] = kInvalidEdge;
 }
 
 // Delta-enumeration helper shared by the incremental-bitruss repair paths:
@@ -141,27 +151,30 @@ void ForEachButterflyThroughEdge(const AdjT& a, VertexId u, VertexId v,
 // clamping keeps the weight histogram small without changing any h-index
 // at or below cap).  When `partners` is non-null the three partner edge
 // ids of every butterfly are appended to it, duplicates included — callers
-// needing a distinct set dedupe with their own stamps.  Returns the number
-// of butterflies enumerated.
+// needing a distinct set dedupe with their own stamps.  `mark` is the
+// walk's closing-edge scratch (see above).  Returns the number of
+// butterflies enumerated.
 //
 // LabelFn is EdgeId -> SupportT (e.g. maintained supports for an upper
 // bound, or current phi labels for the fixpoint repair).
 template <typename AdjT, typename LabelFn>
 std::uint64_t CollectButterflyWeights(const AdjT& a, VertexId u, VertexId v,
+                                      std::vector<EdgeId>& mark,
                                       LabelFn&& label, SupportT cap,
                                       std::vector<SupportT>* weights,
                                       std::vector<EdgeId>* partners = nullptr) {
   std::uint64_t found = 0;
-  ForEachButterflyThroughEdge(a, u, v, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
-    ++found;
-    const SupportT w = std::min({label(e1), label(e2), label(e3), cap});
-    weights->push_back(w);
-    if (partners != nullptr) {
-      partners->push_back(e1);
-      partners->push_back(e2);
-      partners->push_back(e3);
-    }
-  });
+  ForEachButterflyThroughEdge(
+      a, u, v, mark, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
+        ++found;
+        const SupportT w = std::min({label(e1), label(e2), label(e3), cap});
+        weights->push_back(w);
+        if (partners != nullptr) {
+          partners->push_back(e1);
+          partners->push_back(e2);
+          partners->push_back(e3);
+        }
+      });
   return found;
 }
 

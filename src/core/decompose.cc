@@ -105,17 +105,11 @@ void PeelBS(const BipartiteGraph& g, std::vector<SupportT> sup,
   }
 }
 
-void RunIndexed(const BipartiteGraph& g, const PriorityAdjacency& adj,
-                std::vector<SupportT> sup, Peeler::Mode mode,
-                const DecomposeOptions& options, ThreadPool* pool,
-                BitrussResult* result) {
-  Timer timer;
-  BEIndex index = BEIndexBuilder::Build(g, adj, pool);
+void RunIndexed(BEIndex index, std::vector<SupportT> sup, Peeler::Mode mode,
+                const DecomposeOptions& options, BitrussResult* result) {
   result->counters.peak_index_bytes = index.MemoryBytes();
-  result->counters.counting_seconds += timer.Seconds();
-
   Peeler peeler(std::move(index), std::move(sup), {}, &result->counters);
-  timer.Reset();
+  const Timer timer;
   const bool completed =
       peeler.Run(mode, options.deadline,
                  [&](EdgeId e, SupportT level) { result->phi[e] = level; });
@@ -271,7 +265,20 @@ BitrussResult Decompose(const BipartiteGraph& g,
   Timer timer;
   const VertexPriority priority = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, priority);
-  std::vector<SupportT> sup = CountEdgeSupports(g, adj, pool);
+  // BU, BU+ and BU++ peel the full BE-Index, whose blooms already hold
+  // every support (Lemma 4), so one wedge enumeration serves both the
+  // index and the counts.  BS and PC have no full index and count.
+  const bool indexed = options.algorithm == Algorithm::kBU ||
+                       options.algorithm == Algorithm::kBUPlus ||
+                       options.algorithm == Algorithm::kBUPlusPlus;
+  BEIndex index;
+  std::vector<SupportT> sup;
+  if (indexed) {
+    index = BEIndexBuilder::Build(g, adj, pool);
+    sup = index.ComputeSupports(pool);
+  } else {
+    sup = CountEdgeSupports(g, adj, pool);
+  }
   result.original_support = sup;
   std::uint64_t support_sum = 0;
   for (const SupportT s : sup) support_sum += s;
@@ -286,16 +293,16 @@ BitrussResult Decompose(const BipartiteGraph& g,
       break;
     }
     case Algorithm::kBU:
-      RunIndexed(g, adj, std::move(sup), Peeler::Mode::kSingle, options, pool,
-                 &result);
+      RunIndexed(std::move(index), std::move(sup), Peeler::Mode::kSingle,
+                 options, &result);
       break;
     case Algorithm::kBUPlus:
-      RunIndexed(g, adj, std::move(sup), Peeler::Mode::kBatchEdges, options,
-                 pool, &result);
+      RunIndexed(std::move(index), std::move(sup), Peeler::Mode::kBatchEdges,
+                 options, &result);
       break;
     case Algorithm::kBUPlusPlus:
-      RunIndexed(g, adj, std::move(sup), Peeler::Mode::kBatchBlooms, options,
-                 pool, &result);
+      RunIndexed(std::move(index), std::move(sup), Peeler::Mode::kBatchBlooms,
+                 options, &result);
       break;
     case Algorithm::kPC:
       RunPC(g, adj, sup, options, pool, &result);

@@ -14,6 +14,13 @@
 //               `tau` sets the fraction of edges targeted per round
 //               (tau = 1 degenerates to a single full round).
 //
+// The counting phase yields BitrussResult::original_support.  kBU, kBUPlus
+// and kBUPlusPlus build the full BE-Index there and read every support off
+// its blooms (Lemma 4), so the phase is one wedge enumeration plus a scan
+// and the peel takes the built index.  kBS and kPC run the butterfly
+// counting pass (CountEdgeSupports) instead; kPC builds its compressed
+// indexes round by round.
+//
 // Each phase has one record per audience.  For callers and benches,
 // BitrussResult::counters carries the counting/peeling split (Fig. 5) and
 // BitrussResult::pc_trace one row per BiT-PC theta round (Fig. 8).  For

@@ -80,6 +80,9 @@ struct LocalPeelScratch {
   std::vector<SupportT> weights;
   std::vector<EdgeId> partners;
   std::vector<std::uint32_t> bucket;
+  /// Closing-edge mark of internal::ForEachButterflyThroughEdge; all
+  /// kInvalidEdge between walks.
+  std::vector<EdgeId> closing_mark;
 };
 
 /// Runs the worklist iteration described above.  `labels` is indexed by
@@ -120,7 +123,7 @@ bool LocalHIndexRepair(
     weights.clear();
     partners.clear();
     stats->enumerated_butterflies += internal::CollectButterflyWeights(
-        adj, adj.EdgeUpper(e), adj.EdgeLower(e),
+        adj, adj.EdgeUpper(e), adj.EdgeLower(e), scratch->closing_mark,
         [&](EdgeId f) { return labels[f]; }, cap, &weights, &partners);
     ++stats->recomputes;
     const SupportT h = HIndexOfWeights(weights, cap, &bucket);

@@ -99,7 +99,7 @@ std::uint64_t DynamicBipartiteGraph::ShiftPartnerSupports(
     VertexId u, VertexId v, bool gained, UpdateDelta* delta) {
   std::uint64_t found = 0;
   internal::ForEachButterflyThroughEdge(
-      *this, u, v, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
+      *this, u, v, closing_mark_, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
         ++found;
         for (const EdgeId e : {e1, e2, e3}) {
           slots_[e].support =
@@ -176,12 +176,9 @@ GraphSnapshot DynamicBipartiteGraph::Snapshot() const {
   snapshot.graph = BipartiteGraph(num_upper_, num_lower_, std::move(pairs));
   const EdgeId m = snapshot.graph.NumEdges();
   snapshot.slot_of_edge.resize(m);
-  snapshot.supports.resize(m);
   for (EdgeId e = 0; e < m; ++e) {
-    const EdgeId slot =
+    snapshot.slot_of_edge[e] =
         FindEdge(snapshot.graph.EdgeUpper(e), snapshot.graph.EdgeLower(e));
-    snapshot.slot_of_edge[e] = slot;
-    snapshot.supports[e] = slots_[slot].support;
   }
   return snapshot;
 }
@@ -277,7 +274,8 @@ std::uint64_t DynamicBipartiteGraph::MemoryBytes() const {
           (sizeof(std::uint64_t) + sizeof(EdgeId) + sizeof(void*)) +
       edge_index_.bucket_count() * sizeof(void*);
   return sizeof(*this) + adjacency + slots_.capacity() * sizeof(EdgeSlot) +
-         free_slots_.capacity() * sizeof(EdgeId) + index;
+         (free_slots_.capacity() + closing_mark_.capacity()) * sizeof(EdgeId) +
+         index;
 }
 
 }  // namespace bitruss

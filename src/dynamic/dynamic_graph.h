@@ -1,22 +1,23 @@
 // Mutable bipartite graph with incrementally maintained butterfly supports.
 //
-// `DynamicBipartiteGraph` wraps a seed `BipartiteGraph` in hashed adjacency
-// (per-vertex neighbor vectors + a pair->edge hash index) so edges can be
-// inserted and deleted between decomposition runs without recounting the
-// whole graph: each update enumerates only the butterflies through the
-// touched edge (internal::ForEachButterflyThroughEdge) and applies the
-// ±1 support delta to the O(affected) edges.  Aggregate counters — live
-// edge count and exact total butterflies — are maintained across the
-// stream.
+// `DynamicBipartiteGraph` wraps a seed `BipartiteGraph` in per-vertex
+// neighbor vectors plus a pair->edge hash index, so edges can be inserted
+// and deleted between decomposition runs without recounting the whole
+// graph: each update enumerates only the butterflies through the touched
+// edge (internal::ForEachButterflyThroughEdge) and applies the ±1 support
+// delta to the O(affected) edges.  That walk reads closing edges from a
+// vertex-indexed mark, not the hash index; the index serves the
+// endpoint-keyed lookups (FindEdge, the duplicate-insert check, Snapshot).
+// Aggregate counters — live edge count and exact total butterflies — are
+// maintained across the stream.
 //
 // Edge ids are stable SLOT ids: the seed's edges keep their CSR EdgeIds,
 // inserts reuse freed slots (free list) before growing, and a deleted
 // slot's id stays invalid until reused.  `Snapshot()` compacts the live
 // edges back to an immutable CSR `BipartiteGraph` (whose ids follow the
 // lexicographic invariant documented in graph/bipartite_graph.h) together
-// with the snapshot-id -> slot-id mapping and the maintained supports in
-// snapshot order, so a mutated graph feeds straight into `Decompose()` /
-// `BEIndexBuilder::Build()`.
+// with the snapshot-id -> slot-id mapping, so a mutated graph feeds
+// straight into `Decompose()` / `BEIndexBuilder::Build()`.
 //
 // Vertex ids use the same one global space as BipartiteGraph: upper in
 // [0, NumUpper()), lower in [NumUpper(), NumUpper() + NumLower()).  The
@@ -74,8 +75,6 @@ struct GraphSnapshot {
   BipartiteGraph graph;
   /// Snapshot EdgeId -> dynamic slot id (size graph.NumEdges()).
   std::vector<EdgeId> slot_of_edge;
-  /// Maintained butterfly supports reindexed to snapshot edge ids.
-  std::vector<SupportT> supports;
 };
 
 /// What one InsertEdge/DeleteEdge did to the maintained supports, for
@@ -237,6 +236,9 @@ class DynamicBipartiteGraph {
   std::vector<EdgeSlot> slots_;
   std::vector<EdgeId> free_slots_;
   std::unordered_map<std::uint64_t, EdgeId> edge_index_;  // PairKey -> slot
+  /// ShiftPartnerSupports' closing-edge mark; all kInvalidEdge between
+  /// updates (see internal::ForEachButterflyThroughEdge).
+  std::vector<EdgeId> closing_mark_;
 };
 
 }  // namespace bitruss

@@ -76,8 +76,12 @@ IncrementalBitruss::IncrementalBitruss(DynamicBipartiteGraph graph,
 
 std::uint64_t IncrementalBitruss::EffectiveBudget() const {
   if (!options_.adaptive_budget) return options_.cascade_budget;
-  // Below half the butterfly count a local repair is still cheaper than a
-  // recount; past it, bail out early.  The floor keeps tiny graphs from
+  // The recompute costs one wedge enumeration into the BE-Index plus a
+  // peel whose support updates grow with the butterfly count.  A local
+  // repair pays a few array reads per butterfly it enumerates (the walk
+  // reads closing edges from a vertex mark), plus its per-edge h-index
+  // work, so past half the butterfly count it is not expected to beat the
+  // recompute and bails out early.  The floor keeps tiny graphs from
   // falling back over trivial cascades.
   const std::uint64_t half = graph_.NumButterflies() / 2;
   return std::min(options_.cascade_budget,
@@ -244,7 +248,7 @@ bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
     const EdgeId f = frontier_[head];
     internal::ForEachButterflyThroughEdge(
         graph_, graph_.EdgeUpper(f), graph_.EdgeLower(f),
-        [&](EdgeId e1, EdgeId e2, EdgeId e3) {
+        scratch_.closing_mark, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
           ++update_.enumerated_butterflies;
           for (const EdgeId g : {e1, e2, e3}) {
             if (!Stamped(g) && phi_[g] < band && graph_.Support(g) > phi_[g]) {

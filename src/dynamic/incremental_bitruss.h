@@ -71,9 +71,11 @@ struct IncrementalBitrussOptions {
   /// update (useful for testing and as a recount-only baseline).
   std::uint64_t cascade_budget = 1u << 20;
   /// Additionally cap the effective per-update budget at half the graph's
-  /// current NumButterflies() (floor 1024): a full recount costs on the
-  /// order of the butterfly count, so a local repair that enumerates more
-  /// can never beat the fallback — dense blocks (hub-heavy graphs like
+  /// current NumButterflies() (floor 1024): the fallback Decompose costs
+  /// on the order of the butterfly count (one wedge enumeration, then a
+  /// peel), and a local repair pays a few array reads per enumerated
+  /// butterfly plus its h-index work, so one that enumerates more is not
+  /// expected to beat the fallback — dense blocks (hub-heavy graphs like
   /// D-style) bail out early instead of paying budget + recount.  Disable
   /// to take cascade_budget literally.
   bool adaptive_budget = true;

@@ -137,13 +137,21 @@ TEST(BitrussOracle, AllAlgorithmsMatchBruteForceAcrossSeeds) {
 }
 
 TEST(BitrussOracle, InitialSupportsMatchBruteForce) {
+  // BU, BU+ and BU++ read supports off the BE-Index (Lemma 4); BS and PC
+  // count them.  Both sources must agree with brute force.
   for (std::uint64_t seed = 50; seed < 56; ++seed) {
     const BipartiteGraph g = GenerateUniformBipartite(8, 7, 35, seed);
     const std::vector<bool> alive(g.NumEdges(), true);
-    DecomposeOptions options;
-    const BitrussResult result = Decompose(g, options);
-    EXPECT_EQ(result.original_support, BruteForceSupports(g, alive))
-        << "seed " << seed;
+    const std::vector<SupportT> expected = BruteForceSupports(g, alive);
+    for (const Algorithm algorithm :
+         {Algorithm::kBS, Algorithm::kBU, Algorithm::kBUPlus,
+          Algorithm::kBUPlusPlus, Algorithm::kPC}) {
+      DecomposeOptions options;
+      options.algorithm = algorithm;
+      const BitrussResult result = Decompose(g, options);
+      EXPECT_EQ(result.original_support, expected)
+          << "seed " << seed << " algorithm " << static_cast<int>(algorithm);
+    }
   }
 }
 

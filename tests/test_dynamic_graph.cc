@@ -1,17 +1,20 @@
 // Tests for the dynamic bipartite graph: random insert/delete streams on
 // suite graphs with the maintained supports and butterfly total checked
 // against the recount truth of differential_oracle.h, Snapshot()+Decompose()
-// equivalence with an identically built static graph, slot compaction, and
-// the Status contract for duplicate inserts / missing deletes.
+// equivalence with an identically built static graph, the mark-based
+// butterfly walk against a hash-probe reference, slot compaction, and the
+// Status contract for duplicate inserts / missing deletes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "butterfly/butterfly_counting.h"
+#include "butterfly/wedge_enumeration.h"
 #include "core/decompose.h"
 #include "differential_oracle.h"
 #include "dynamic/dynamic_graph.h"
@@ -104,16 +107,97 @@ TEST(DynamicGraph, SnapshotDecomposeMatchesStaticBuild) {
   const GraphSnapshot snapshot = dynamic.Snapshot();
   ASSERT_EQ(snapshot.graph.NumEdges(), static_graph.NumEdges());
   ASSERT_EQ(snapshot.graph.EdgeList(), static_graph.EdgeList());
-  // The stable mapping points each snapshot edge back at its slot.
+  // The stable mapping points each snapshot edge back at its slot, whose
+  // maintained support matches an independent count of the snapshot.
+  const std::vector<SupportT> counted = CountEdgeSupports(snapshot.graph);
   for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
     const EdgeId slot = snapshot.slot_of_edge[e];
     ASSERT_TRUE(dynamic.IsLive(slot));
     EXPECT_EQ(snapshot.graph.EdgeUpper(e), dynamic.EdgeUpper(slot));
     EXPECT_EQ(snapshot.graph.EdgeLower(e), dynamic.EdgeLower(slot));
-    EXPECT_EQ(snapshot.supports[e], dynamic.Support(slot));
+    EXPECT_EQ(dynamic.Support(slot), counted[e]);
   }
 
   EXPECT_EQ(Decompose(snapshot.graph).phi, Decompose(static_graph).phi);
+}
+
+using Triplets = std::vector<std::array<EdgeId, 3>>;
+
+// The walk of internal::ForEachButterflyThroughEdge with every closing edge
+// found by a FindEdge hash probe instead of the mark.
+Triplets ProbeTriplets(const DynamicBipartiteGraph& g, VertexId u,
+                       VertexId v) {
+  VertexId s = u, t = v;
+  if (g.Degree(t) < g.Degree(s)) std::swap(s, t);
+  Triplets out;
+  for (const auto& x : g.Neighbors(s)) {
+    if (x.neighbor == t) continue;
+    for (const auto& w : g.Neighbors(x.neighbor)) {
+      if (w.neighbor == s) continue;
+      const EdgeId closing = g.FindEdge(w.neighbor, t);
+      if (closing != kInvalidEdge) out.push_back({x.edge, w.edge, closing});
+    }
+  }
+  return out;
+}
+
+TEST(DynamicGraph, MarkedWalkMatchesHashProbeWalk) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    // A uniform graph plus an upper hub adjacent to most lower vertices and
+    // a lower hub adjacent to most upper ones: the hubs put high-degree
+    // vertices on both sides of the walk, as t and as closing endpoints.
+    constexpr VertexId kUpper = 30, kLower = 24;
+    const BipartiteGraph base =
+        GenerateUniformBipartite(kUpper, kLower, 150, seed);
+    std::vector<std::pair<VertexId, VertexId>> pairs;
+    for (EdgeId e = 0; e < base.NumEdges(); ++e) {
+      pairs.emplace_back(base.EdgeUpper(e), base.EdgeLower(e) - kUpper);
+    }
+    Rng rng(seed);
+    for (VertexId l = 0; l < kLower; ++l) {
+      if (rng.NextBool(0.8)) pairs.emplace_back(0, l);
+    }
+    for (VertexId u = 0; u < kUpper; ++u) {
+      if (rng.NextBool(0.8)) pairs.emplace_back(u, 0);
+    }
+    DynamicBipartiteGraph dynamic(
+        BipartiteGraph(kUpper, kLower, std::move(pairs)));
+
+    std::vector<EdgeId> mark;
+    std::size_t butterflies = 0;
+    const auto expect_walk_matches = [&](VertexId u, VertexId v) {
+      Triplets walked;
+      internal::ForEachButterflyThroughEdge(
+          dynamic, u, v, mark, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
+            walked.push_back({e1, e2, e3});
+          });
+      butterflies += walked.size();
+      EXPECT_EQ(walked, ProbeTriplets(dynamic, u, v))
+          << "edge (" << u << ", " << v << ")";
+      ASSERT_EQ(mark.size(), dynamic.NumVertices());
+      for (VertexId x = 0; x < dynamic.NumVertices(); ++x) {
+        ASSERT_EQ(mark[x], kInvalidEdge) << "mark left set at vertex " << x;
+      }
+    };
+
+    // Interleave walks before a delete (the edge still present) and before
+    // an insert (the pair still absent), hub pairs included, mutating the
+    // graph after each so later walks see a changed adjacency.
+    for (int step = 0; step < 120; ++step) {
+      const VertexId u = step % 4 == 0 ? 0 : rng.Below(kUpper);
+      const VertexId l = step % 4 == 1 ? 0 : rng.Below(kLower);
+      const VertexId v = kUpper + l;
+      const EdgeId present = dynamic.FindEdge(u, v);
+      ASSERT_NO_FATAL_FAILURE(expect_walk_matches(u, v));
+      if (present != kInvalidEdge) {
+        ASSERT_TRUE(dynamic.DeleteEdge(present).ok());
+      } else {
+        ASSERT_TRUE(dynamic.InsertEdge(u, l).ok());
+      }
+    }
+    EXPECT_GT(butterflies, 0u);
+  }
 }
 
 TEST(DynamicGraph, DuplicateInsertAndMissingDeleteFail) {
