@@ -29,7 +29,7 @@ int main() {
       const VertexPriority prio = VertexPriority::Compute(g, rule);
       const PriorityAdjacency adj(g, prio);
       Timer timer;
-      const std::vector<SupportT> sup = CountEdgeSupports(g, adj);
+      const std::vector<SupportT> sup = CountEdgeSupports(g.NumEdges(), adj);
       const double count_seconds = timer.Seconds();
       timer.Reset();
       const BEIndex index = BEIndexBuilder::Build(g, adj);

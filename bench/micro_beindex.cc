@@ -43,7 +43,7 @@ void BM_BuildCompressedIndexHalfAssigned(benchmark::State& state) {
   for (EdgeId e = 0; e < g.NumEdges(); e += 2) assigned[e] = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        BEIndexBuilder::BuildCompressed(g, adj, assigned, {}));
+        BEIndexBuilder::BuildCompressed(g.NumEdges(), adj, assigned, {}));
   }
 }
 BENCHMARK(BM_BuildCompressedIndexHalfAssigned)->Arg(50000);
@@ -57,7 +57,7 @@ void BM_PeelThroughIndex(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     BEIndex index = BEIndexBuilder::Build(g, adj);
-    std::vector<SupportT> sup = CountEdgeSupports(g, adj);
+    std::vector<SupportT> sup = CountEdgeSupports(g.NumEdges(), adj);
     UpdateCounters counters;
     Peeler peeler(std::move(index), std::move(sup), {}, &counters);
     state.ResumeTiming();

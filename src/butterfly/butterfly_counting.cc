@@ -36,18 +36,53 @@ constexpr unsigned kChunksPerThread = 8;
 
 }  // namespace
 
-std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
-                                        const PriorityAdjacency& adj) {
+std::vector<SupportT> CountEdgeSupports(EdgeId num_edges,
+                                        const PriorityAdjacency& adj,
+                                        ThreadPool* pool) {
+  const VertexId n = adj.NumVertices();
   const CountingMetrics& metrics = CountingMetrics::Get();
   Timer timer;
-  std::vector<SupportT> sup(g.NumEdges(), 0);
-  internal::ForEachBloom<true>(
-      adj, [](VertexId, SupportT) {},
-      [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
-        sup[anchor_edge] += c - 1;
-        sup[far_edge] += c - 1;
-      },
-      kNoopAnchorDone);
+  const unsigned num_threads = pool == nullptr ? 1 : pool->NumThreads();
+  std::vector<std::vector<SupportT>> partial(num_threads);
+  std::vector<internal::BloomScratch> scratch(num_threads);
+  const auto count_range = [&](std::uint64_t begin, std::uint64_t end,
+                               unsigned thread) {
+    std::vector<SupportT>& sup = partial[thread];
+    if (sup.empty()) {
+      sup.assign(num_edges, 0);
+      scratch[thread].Prepare(n);
+    }
+    internal::ForEachBloomRange<true>(
+        adj, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+        scratch[thread], [](VertexId, SupportT) {},
+        [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
+          sup[anchor_edge] += c - 1;
+          sup[far_edge] += c - 1;
+        },
+        kNoopAnchorDone);
+  };
+  if (num_threads <= 1) {
+    count_range(0, n, 0);
+  } else {
+    pool->ParallelForChunks(
+        0, n, num_threads * kChunksPerThread,
+        [&](std::uint64_t begin, std::uint64_t end, unsigned,
+            unsigned thread) { count_range(begin, end, thread); });
+  }
+
+  // Deterministic merge: sup(e) is a per-edge integer sum over the thread
+  // partials, independent of which thread ran which chunk.
+  std::vector<SupportT> sup = std::move(partial[0]);
+  sup.resize(num_edges, 0);
+  if (num_threads > 1) {
+    pool->ParallelFor(0, num_edges, [&](std::uint64_t begin,
+                                        std::uint64_t end, unsigned) {
+      for (unsigned t = 1; t < num_threads; ++t) {
+        if (partial[t].empty()) continue;
+        for (std::uint64_t e = begin; e < end; ++e) sup[e] += partial[t][e];
+      }
+    });
+  }
   metrics.runs->Inc();
   metrics.seconds->Observe(timer.Seconds());
   return sup;
@@ -56,64 +91,15 @@ std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
 std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g) {
   const VertexPriority priority = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, priority);
-  return CountEdgeSupports(g, adj);
+  return CountEdgeSupports(g.NumEdges(), adj);
 }
 
-std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
-                                        const PriorityAdjacency& adj,
-                                        ThreadPool* pool) {
-  if (pool == nullptr || pool->NumThreads() <= 1) {
-    return CountEdgeSupports(g, adj);
-  }
-  const EdgeId m = g.NumEdges();
-  const VertexId n = adj.NumVertices();
-  const CountingMetrics& metrics = CountingMetrics::Get();
-  Timer timer;
-  const unsigned num_threads = pool->NumThreads();
-  std::vector<std::vector<SupportT>> partial(num_threads);
-  std::vector<internal::BloomScratch> scratch(num_threads);
-
-  pool->ParallelForChunks(
-      0, n, num_threads * kChunksPerThread,
-      [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned thread) {
-        std::vector<SupportT>& sup = partial[thread];
-        if (sup.empty()) {
-          sup.assign(m, 0);
-          scratch[thread].Prepare(n);
-        }
-        internal::ForEachBloomRange<true>(
-            adj, static_cast<VertexId>(begin), static_cast<VertexId>(end),
-            scratch[thread], [](VertexId, SupportT) {},
-            [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
-              sup[anchor_edge] += c - 1;
-              sup[far_edge] += c - 1;
-            },
-            kNoopAnchorDone);
-      });
-
-  // Deterministic merge: sup(e) is a per-edge integer sum over the thread
-  // partials, independent of which thread ran which chunk.
-  std::vector<SupportT> sup(m, 0);
-  pool->ParallelFor(0, m, [&](std::uint64_t begin, std::uint64_t end,
-                              unsigned) {
-    for (const std::vector<SupportT>& part : partial) {
-      if (part.empty()) continue;
-      for (std::uint64_t e = begin; e < end; ++e) {
-        sup[e] += part[e];
-      }
-    }
-  });
-  metrics.runs->Inc();
-  metrics.seconds->Observe(timer.Seconds());
-  return sup;
-}
-
-std::uint64_t CountTotalButterflies(const BipartiteGraph& g,
-                                    const PriorityAdjacency& adj) {
-  (void)g;
+std::uint64_t CountTotalButterflies(const PriorityAdjacency& adj) {
+  internal::BloomScratch scratch;
+  scratch.Prepare(adj.NumVertices());
   std::uint64_t total = 0;
-  internal::ForEachBloom<false>(
-      adj,
+  internal::ForEachBloomRange<false>(
+      adj, 0, adj.NumVertices(), scratch,
       [&](VertexId, SupportT c) {
         total += static_cast<std::uint64_t>(c) * (c - 1) / 2;
       },
@@ -124,7 +110,7 @@ std::uint64_t CountTotalButterflies(const BipartiteGraph& g,
 std::uint64_t CountTotalButterflies(const BipartiteGraph& g) {
   const VertexPriority priority = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, priority);
-  return CountTotalButterflies(g, adj);
+  return CountTotalButterflies(adj);
 }
 
 }  // namespace bitruss

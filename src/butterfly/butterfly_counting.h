@@ -10,7 +10,7 @@
 // support c - 1 from the pair.  Total work is
 // O(sum_{(u,v) in E} min{d(u), d(v)}) under the degree priority.
 //
-// Parallel variants partition the ANCHOR vertices across a ThreadPool:
+// A pool-backed count partitions the ANCHOR vertices across a ThreadPool:
 // every wedge has exactly one anchor, so anchor chunks partition the wedge
 // set, each thread accumulates supports into a private array, and the
 // per-edge merge sums thread arrays — integer sums, so the output is
@@ -29,22 +29,19 @@
 
 namespace bitruss {
 
-/// Per-edge butterfly support sup(e) for every edge of g.
-std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
-                                        const PriorityAdjacency& adj);
+/// Per-edge butterfly support sup(e) for every edge id in [0, num_edges)
+/// of the graph `adj` was built from: NumEdges() for a CSR graph,
+/// NumSlots() for a DynamicBipartiteGraph (free slots read 0).  A non-null
+/// `pool` with more than one thread partitions the anchors over it.
+std::vector<SupportT> CountEdgeSupports(EdgeId num_edges,
+                                        const PriorityAdjacency& adj,
+                                        ThreadPool* pool = nullptr);
 
 /// Convenience overload computing the default (degree, id) priority.
 std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g);
 
-/// Parallel per-edge supports over `pool` (nullptr or a 1-thread pool runs
-/// the sequential path).
-std::vector<SupportT> CountEdgeSupports(const BipartiteGraph& g,
-                                        const PriorityAdjacency& adj,
-                                        ThreadPool* pool);
-
-/// Total number of butterflies in g.
-std::uint64_t CountTotalButterflies(const BipartiteGraph& g,
-                                    const PriorityAdjacency& adj);
+/// Total number of butterflies in the graph `adj` was built from.
+std::uint64_t CountTotalButterflies(const PriorityAdjacency& adj);
 std::uint64_t CountTotalButterflies(const BipartiteGraph& g);
 
 }  // namespace bitruss

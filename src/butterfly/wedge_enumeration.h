@@ -93,17 +93,7 @@ void ForEachBloomRange(const AdjT& a, VertexId anchor_begin,
   }
 }
 
-template <bool kNeedWedges, typename AdjT, typename PairFn, typename WedgeFn,
-          typename AnchorDoneFn>
-void ForEachBloom(const AdjT& a, PairFn&& on_pair, WedgeFn&& on_wedge,
-                  AnchorDoneFn&& on_anchor_done) {
-  BloomScratch scratch;
-  scratch.Prepare(a.NumVertices());
-  ForEachBloomRange<kNeedWedges>(a, 0, a.NumVertices(), scratch, on_pair,
-                                 on_wedge, on_anchor_done);
-}
-
-// Local analogue of ForEachBloom for dynamic updates: enumerates every
+// Local analogue of ForEachBloomRange for dynamic updates: enumerates every
 // butterfly containing the single edge (u, v) by walking only the wedges
 // through its endpoints, instead of re-anchoring the whole graph.  A
 // butterfly {u, w, v, x} containing (u, v) is reached exactly once — via

@@ -11,7 +11,7 @@ namespace bitruss {
 
 namespace {
 
-// Build telemetry, reported once per public Build/BuildCompressed call.
+// Build telemetry, reported once per BuildCompressed call.
 // The bytes gauge tracks the most recent build's footprint (a level, not a
 // sum): compressed PC rounds overwrite it as the candidate shrinks.
 struct IndexBuildMetrics {
@@ -61,10 +61,6 @@ std::uint32_t BEIndex::EdgeLiveCount(EdgeId e) const {
     live += wedge_alive[edge_wedges[i]];
   }
   return live;
-}
-
-std::vector<SupportT> BEIndex::ComputeSupports() const {
-  return ComputeSupports(nullptr);
 }
 
 std::vector<SupportT> BEIndex::ComputeSupports(ThreadPool* pool) const {
@@ -331,20 +327,17 @@ BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
 
 BEIndex BEIndexBuilder::Build(const BipartiteGraph& g,
                               const PriorityAdjacency& adj, ThreadPool* pool) {
-  Timer timer;
-  BEIndex index = BuildImpl(g.NumEdges(), adj, {}, pool);
-  RecordBuild(index, timer.Seconds());
-  return index;
+  return BuildCompressed(g.NumEdges(), adj, {}, {}, pool);
 }
 
 BEIndex BEIndexBuilder::BuildCompressed(
-    const BipartiteGraph& g, const PriorityAdjacency& adj,
+    EdgeId num_edges, const PriorityAdjacency& adj,
     const std::vector<std::uint8_t>& assigned,
     const std::vector<std::uint8_t>& included, ThreadPool* pool) {
   Timer timer;
   BEIndex index = included.empty()
-                      ? BuildImpl(g.NumEdges(), adj, assigned, pool)
-                      : BuildImpl(g.NumEdges(), FilteredAdj(adj, included),
+                      ? BuildImpl(num_edges, adj, assigned, pool)
+                      : BuildImpl(num_edges, FilteredAdj(adj, included),
                                   assigned, pool);
   RecordBuild(index, timer.Seconds());
   return index;

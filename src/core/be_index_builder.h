@@ -70,30 +70,32 @@ struct BEIndex {
   std::uint32_t EdgeLiveCount(EdgeId e) const;
 
   /// sup(e) = sum of (k(B) - 1) over live wedges of e (Lemma 4).  Edges
-  /// without wedges (or excluded from a compressed index) read 0.  The
-  /// pool-taking overload parallelizes over edge ranges (each edge is an
-  /// independent read), bit-identical at every thread count; BiT-PC's
-  /// cascade recount passes go through it.
-  std::vector<SupportT> ComputeSupports() const;
-  std::vector<SupportT> ComputeSupports(ThreadPool* pool) const;
+  /// without wedges (or excluded from a compressed index) read 0.  A
+  /// non-null `pool` parallelizes over edge ranges (each edge is an
+  /// independent read), bit-identical at every thread count.
+  std::vector<SupportT> ComputeSupports(ThreadPool* pool = nullptr) const;
 
   std::uint64_t MemoryBytes() const;
 };
 
 class BEIndexBuilder {
  public:
-  /// Full BE-Index over every edge of g.  When `pool` is non-null with more
-  /// than one thread, the wedge enumeration is partitioned over anchor
-  /// chunks and the fragments concatenated in anchor order — the result is
-  /// byte-identical to the sequential build at every thread count.
+  /// Full BE-Index over every edge of g; the same as BuildCompressed with
+  /// nothing assigned and every edge included.
   static BEIndex Build(const BipartiteGraph& g, const PriorityAdjacency& adj,
                        ThreadPool* pool = nullptr);
 
-  /// Compressed index over the subgraph {e : included[e] != 0}, folding
-  /// wedges whose two edges are both `assigned` into the bloom base counts;
-  /// wedges with an excluded edge are dropped entirely.  `included` may be
-  /// empty to mean "all edges".
-  static BEIndex BuildCompressed(const BipartiteGraph& g,
+  /// Index over the edge ids [0, num_edges) of the graph `adj` was built
+  /// from (NumEdges() for a CSR graph, NumSlots() for a
+  /// DynamicBipartiteGraph), restricted to the subgraph
+  /// {e : included[e] != 0} and folding wedges whose two edges are both
+  /// `assigned` into the bloom base counts; wedges with an excluded edge
+  /// are dropped entirely.  Either vector may be empty, meaning "nothing
+  /// assigned" and "all edges".  When `pool` is non-null with more than
+  /// one thread, the wedge enumeration is partitioned over anchor chunks
+  /// and the fragments concatenated in anchor order — the result is
+  /// byte-identical to the sequential build at every thread count.
+  static BEIndex BuildCompressed(EdgeId num_edges,
                                  const PriorityAdjacency& adj,
                                  const std::vector<std::uint8_t>& assigned,
                                  const std::vector<std::uint8_t>& included,

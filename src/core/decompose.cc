@@ -8,6 +8,7 @@
 #include "butterfly/butterfly_counting.h"
 #include "core/be_index_builder.h"
 #include "core/peeling_state.h"
+#include "dynamic/dynamic_graph.h"
 #include "graph/vertex_priority.h"
 #include "obs/metrics.h"
 
@@ -44,10 +45,12 @@ struct DecomposeMetrics {
 
 // BiT-BS peeling: on every removal, re-enumerate the butterflies of the
 // removed edge on the current (shrinking) graph and decrement the other
-// three edges of each.  O(d(u) + sum_{w in N(v)} d(w)) per removal.
-void PeelBS(const BipartiteGraph& g, std::vector<SupportT> sup,
+// three edges of each.  O(d(u) + sum_{w in N(v)} d(w)) per removal.  An
+// edge taken at support 0 lies in no surviving butterfly, so its walk is
+// skipped; that also covers a free slot, which has no endpoints.
+template <typename GraphT>
+void PeelBS(const GraphT& g, EdgeId m, std::vector<SupportT> sup,
             const DecomposeOptions& options, BitrussResult* result) {
-  const EdgeId m = g.NumEdges();
   const VertexId n = g.NumVertices();
   std::vector<std::uint8_t> removed(m, 0);
   std::vector<std::uint32_t> stamp(n, 0);
@@ -82,6 +85,7 @@ void PeelBS(const BipartiteGraph& g, std::vector<SupportT> sup,
     const EdgeId e = taken.front();
     removed[e] = 1;
     result->phi[e] = level;
+    if (at == 0) continue;
 
     const VertexId u = g.EdgeUpper(e);
     const VertexId v = g.EdgeLower(e);
@@ -126,10 +130,9 @@ void RunIndexed(BEIndex index, std::vector<SupportT> sup, Peeler::Mode mode,
 // the round assigns every edge it peels, each edge is peeled exactly once
 // across the whole run, and hub edges never absorb the low-level update
 // storm (Figure 7's observation).
-void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
+void RunPC(EdgeId m, const PriorityAdjacency& adj,
            const std::vector<SupportT>& sup_g, const DecomposeOptions& options,
            ThreadPool* pool, BitrussResult* result) {
-  const EdgeId m = g.NumEdges();
   Timer timer;
   std::vector<std::uint8_t> assigned(m, 0);
   std::vector<std::uint8_t> included(m, 0);
@@ -183,7 +186,7 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
     while (!converged && !options.deadline.Expired()) {
       // The cascade recount is the PC hot path: both the compressed build
       // and the Lemma 4 support scan run over the pool.
-      index = BEIndexBuilder::BuildCompressed(g, adj, assigned, included, pool);
+      index = BEIndexBuilder::BuildCompressed(m, adj, assigned, included, pool);
       sup_sub = index.ComputeSupports(pool);
       converged = true;
       if (theta == 0) break;
@@ -243,12 +246,11 @@ void RunPC(const BipartiteGraph& g, const PriorityAdjacency& adj,
   result->counters.peeling_seconds = timer.Seconds();
 }
 
-}  // namespace
-
-BitrussResult Decompose(const BipartiteGraph& g,
-                        const DecomposeOptions& options) {
+// The pipeline over either graph type; `m` bounds its edge ids.
+template <typename GraphT>
+BitrussResult DecomposeGraph(const GraphT& g, EdgeId m,
+                             const DecomposeOptions& options) {
   BitrussResult result;
-  const EdgeId m = g.NumEdges();
   result.phi.assign(m, 0);
   if (options.track_per_edge_updates) {
     result.counters.per_edge_updates.assign(m, 0);
@@ -274,10 +276,10 @@ BitrussResult Decompose(const BipartiteGraph& g,
   BEIndex index;
   std::vector<SupportT> sup;
   if (indexed) {
-    index = BEIndexBuilder::Build(g, adj, pool);
+    index = BEIndexBuilder::BuildCompressed(m, adj, {}, {}, pool);
     sup = index.ComputeSupports(pool);
   } else {
-    sup = CountEdgeSupports(g, adj, pool);
+    sup = CountEdgeSupports(m, adj, pool);
   }
   result.original_support = sup;
   std::uint64_t support_sum = 0;
@@ -288,7 +290,7 @@ BitrussResult Decompose(const BipartiteGraph& g,
   switch (options.algorithm) {
     case Algorithm::kBS: {
       timer.Reset();
-      PeelBS(g, std::move(sup), options, &result);
+      PeelBS(g, m, std::move(sup), options, &result);
       result.counters.peeling_seconds = timer.Seconds();
       break;
     }
@@ -305,12 +307,24 @@ BitrussResult Decompose(const BipartiteGraph& g,
                  options, &result);
       break;
     case Algorithm::kPC:
-      RunPC(g, adj, sup, options, pool, &result);
+      RunPC(m, adj, sup, options, pool, &result);
       break;
   }
   metrics.counting_seconds->Observe(result.counters.counting_seconds);
   metrics.peeling_seconds->Observe(result.counters.peeling_seconds);
   return result;
+}
+
+}  // namespace
+
+BitrussResult Decompose(const BipartiteGraph& g,
+                        const DecomposeOptions& options) {
+  return DecomposeGraph(g, g.NumEdges(), options);
+}
+
+BitrussResult Decompose(const DynamicBipartiteGraph& g,
+                        const DecomposeOptions& options) {
+  return DecomposeGraph(g, g.NumSlots(), options);
 }
 
 }  // namespace bitruss

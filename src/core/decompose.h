@@ -21,6 +21,16 @@
 // counting pass (CountEdgeSupports) instead; kPC builds its compressed
 // indexes round by round.
 //
+// Two overloads run the same pipeline.  The CSR one decomposes a
+// BipartiteGraph over its edge ids [0, NumEdges()).  The slot-table one
+// decomposes a DynamicBipartiteGraph in place, with no CSR copy: its
+// arrays (phi, original_support, per_edge_updates) are sized by the
+// edge-id bound NumSlots(), not by the live NumEdges(), and are indexed by
+// slot id.  A free slot is in no adjacency entry, so it has no wedge, is
+// peeled at level 0 and reads 0 in every array.  Phi is unique, so both
+// overloads agree edge for edge on a graph and its
+// DynamicBipartiteGraph::Snapshot().
+//
 // Each phase has one record per audience.  For callers and benches,
 // BitrussResult::counters carries the counting/peeling split (Fig. 5) and
 // BitrussResult::pc_trace one row per BiT-PC theta round (Fig. 8).  For
@@ -37,6 +47,8 @@
 #include "util/timer.h"
 
 namespace bitruss {
+
+class DynamicBipartiteGraph;
 
 enum class Algorithm {
   kBS,
@@ -62,6 +74,8 @@ struct DecomposeOptions {
 };
 
 BitrussResult Decompose(const BipartiteGraph& g,
+                        const DecomposeOptions& options = {});
+BitrussResult Decompose(const DynamicBipartiteGraph& g,
                         const DecomposeOptions& options = {});
 
 }  // namespace bitruss

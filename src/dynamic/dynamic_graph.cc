@@ -9,11 +9,15 @@
 namespace bitruss {
 
 DynamicBipartiteGraph::DynamicBipartiteGraph(const BipartiteGraph& seed)
+    : DynamicBipartiteGraph(seed, CountEdgeSupports(seed)) {}
+
+DynamicBipartiteGraph::DynamicBipartiteGraph(const BipartiteGraph& seed,
+                                             const std::vector<SupportT>& sup)
     : num_upper_(seed.NumUpper()),
       num_lower_(seed.NumLower()),
       num_live_(seed.NumEdges()),
       adj_(seed.NumVertices()) {
-  const std::vector<SupportT> sup = CountEdgeSupports(seed);
+  assert(sup.size() == seed.NumEdges());
   slots_.resize(seed.NumEdges());
   edge_index_.reserve(seed.NumEdges());
   std::uint64_t support_sum = 0;

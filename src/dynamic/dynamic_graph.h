@@ -13,11 +13,14 @@
 //
 // Edge ids are stable SLOT ids: the seed's edges keep their CSR EdgeIds,
 // inserts reuse freed slots (free list) before growing, and a deleted
-// slot's id stays invalid until reused.  `Snapshot()` compacts the live
-// edges back to an immutable CSR `BipartiteGraph` (whose ids follow the
-// lexicographic invariant documented in graph/bipartite_graph.h) together
-// with the snapshot-id -> slot-id mapping, so a mutated graph feeds
-// straight into `Decompose()` / `BEIndexBuilder::Build()`.
+// slot's id stays invalid until reused.  The graph exposes the same
+// NumVertices() / Degree() / Neighbors() surface as BipartiteGraph, so
+// `Decompose(const DynamicBipartiteGraph&)` runs the whole pipeline over
+// the slot table directly, indexed by slot id.  `Snapshot()` compacts the
+// live edges back to an immutable CSR `BipartiteGraph` (whose ids follow
+// the lexicographic invariant documented in graph/bipartite_graph.h)
+// together with the snapshot-id -> slot-id mapping; it is the oracle and
+// bench path, off the writer's (tools/lint.py rule 7).
 //
 // Vertex ids use the same one global space as BipartiteGraph: upper in
 // [0, NumUpper()), lower in [NumUpper(), NumUpper() + NumLower()).  The
@@ -131,6 +134,11 @@ class DynamicBipartiteGraph {
   /// the initial slot ids, and runs one exact counting pass for the
   /// starting supports.
   explicit DynamicBipartiteGraph(const BipartiteGraph& seed);
+  /// The same, with the starting supports supplied by the caller: `sup`
+  /// (indexed by seed EdgeId) must be the seed's exact butterfly supports,
+  /// e.g. a Decompose() result's original_support.
+  DynamicBipartiteGraph(const BipartiteGraph& seed,
+                        const std::vector<SupportT>& sup);
 
   VertexId NumUpper() const { return num_upper_; }
   VertexId NumLower() const { return num_lower_; }
@@ -175,7 +183,8 @@ class DynamicBipartiteGraph {
   /// or kInvalidEdge if absent.
   EdgeId FindEdge(VertexId a, VertexId b) const;
 
-  /// Compacts the live edges to CSR; see GraphSnapshot.
+  /// Compacts the live edges to CSR; see GraphSnapshot.  For oracles and
+  /// benches: the writer decomposes the slot table itself.
   GraphSnapshot Snapshot() const;
 
   /// Serializable image of the current state; see DynamicGraphState.
@@ -196,9 +205,11 @@ class DynamicBipartiteGraph {
   /// their vector capacity are released.  Returns the old-slot -> new-slot
   /// mapping (kInvalidEdge for slots that were free).  Every EdgeId handed
   /// out before the call is invalidated; callers owning slot-indexed state
-  /// must remap it through the returned vector.  Without periodic calls,
-  /// sustained insert/delete churn grows the slot table monotonically even
-  /// when NumEdges() stays flat.
+  /// must remap it through the returned vector.  Churn alone does not grow
+  /// the table: InsertEdge reuses freed slots first, so NumSlots() stays at
+  /// the high-water mark of live edges.  Compaction returns the slots freed
+  /// since that mark, which slot-indexed arrays (phi, the decomposition's
+  /// NumSlots()-sized scratch) would otherwise keep paying for.
   std::vector<EdgeId> CompactSlots();
 
   std::uint64_t MemoryBytes() const;

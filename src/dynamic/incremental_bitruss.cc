@@ -46,17 +46,28 @@ struct DynamicMetrics {
   }
 };
 
+// A finite deadline could leave the initial phi (or a fallback) partial,
+// poisoning every later repair; maintenance always runs to completion.
+DecomposeOptions Untimed(DecomposeOptions options) {
+  options.deadline = Deadline();
+  return options;
+}
+
 }  // namespace
 
 IncrementalBitruss::IncrementalBitruss(const BipartiteGraph& seed,
                                        IncrementalBitrussOptions options)
-    : IncrementalBitruss(DynamicBipartiteGraph(seed),
-                         std::vector<SupportT>(seed.NumEdges(), 0),
-                         std::move(options)) {
-  // The seed's EdgeIds are its initial slot ids, so its phi is indexed by
-  // slot as it stands.
-  phi_ = Decompose(seed, options_.decompose).phi;
-}
+    : IncrementalBitruss(seed, Decompose(seed, Untimed(options.decompose)),
+                         options) {}
+
+// The seed's EdgeIds are its initial slot ids, so its phi and supports are
+// indexed by slot as they stand, and the decomposition's one wedge
+// enumeration also seeds the maintained supports.
+IncrementalBitruss::IncrementalBitruss(const BipartiteGraph& seed,
+                                       BitrussResult seeded,
+                                       IncrementalBitrussOptions options)
+    : IncrementalBitruss(DynamicBipartiteGraph(seed, seeded.original_support),
+                         std::move(seeded.phi), std::move(options)) {}
 
 IncrementalBitruss::IncrementalBitruss(DynamicBipartiteGraph graph,
                                        std::vector<SupportT> phi,
@@ -68,9 +79,7 @@ IncrementalBitruss::IncrementalBitruss(DynamicBipartiteGraph graph,
     throw std::invalid_argument(
         "IncrementalBitruss: phi size does not match the slot table");
   }
-  // A finite deadline could leave the initial phi (or a fallback) partial,
-  // poisoning every later repair; maintenance always runs to completion.
-  options_.decompose.deadline = Deadline();
+  options_.decompose = Untimed(options_.decompose);
   stamp_.assign(graph_.NumSlots(), 0);
 }
 
@@ -357,14 +366,13 @@ void IncrementalBitruss::FinishBatch() {
 }
 
 void IncrementalBitruss::Recompute() {
-  const GraphSnapshot snapshot = graph_.Snapshot();
-  const BitrussResult result = Decompose(snapshot.graph, options_.decompose);
+  // Both vectors are slot-indexed, size NumSlots(), with 0 at free slots.
+  std::vector<SupportT> phi = Decompose(graph_, options_.decompose).phi;
   std::uint64_t changes = 0;
-  for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
-    const EdgeId slot = snapshot.slot_of_edge[e];
-    if (phi_[slot] != result.phi[e]) ++changes;
-    phi_[slot] = result.phi[e];
+  for (EdgeId slot = 0; slot < phi.size(); ++slot) {
+    changes += phi_[slot] != phi[slot];
   }
+  phi_ = std::move(phi);
   last_.phi_changes += changes;
   totals_.phi_changes += changes;
   DynamicMetrics::Get().phi_changes->Inc(changes);

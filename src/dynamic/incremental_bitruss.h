@@ -3,10 +3,11 @@
 // `IncrementalBitruss` keeps exact bitruss numbers current across an edge
 // update stream: it owns a DynamicBipartiteGraph (which already maintains
 // exact butterfly supports per update), computes the initial phi with one
-// full Decompose(), and on each InsertEdge/DeleteEdge repairs phi by a
-// bounded local re-peel instead of recounting the world.  After every
-// update the maintained phi is bit-identical to a from-scratch
-// Snapshot() + Decompose() — the repair is exact, not approximate.
+// full Decompose() of the seed (whose supports also seed the graph's), and
+// on each InsertEdge/DeleteEdge repairs phi by a bounded local re-peel
+// instead of recounting the world.  After every update the maintained phi
+// is bit-identical to a from-scratch Decompose() of the graph — the repair
+// is exact, not approximate.
 //
 // Why a local repair is exact.  Updates move phi monotonically (an insert
 // can only raise bitruss numbers, a delete only lower them) and inside a
@@ -34,8 +35,8 @@
 // Cascades are budgeted: once an update enumerates more than
 // `cascade_budget` butterflies (band expansion + repair combined), the
 // maintainer abandons the local path and recomputes phi with one
-// Decompose() of the whole graph's Snapshot() — exact, because phi
-// depends only on the final graph, not on the updates that led to it.
+// Decompose() of the whole slot table — exact, because phi depends only
+// on the final graph, not on the updates that led to it.
 //
 // Batches.  ApplyBatch() applies a run of updates with at most one such
 // recompute.  Updates are repaired locally until the first one that bails
@@ -185,6 +186,9 @@ class IncrementalBitruss {
   const IncrementalTotals& Totals() const { return totals_; }
 
  private:
+  /// Seeds graph and phi from one decomposition of the seed.
+  IncrementalBitruss(const BipartiteGraph& seed, BitrussResult seeded,
+                     IncrementalBitrussOptions options);
   /// Resizes/resets every piece of slot-indexed scratch to the current
   /// slot table in one place — called after CompactSlots() renumbers the
   /// slots, so no stale-sized buffer (stamps, frontier, peel scratch,
@@ -215,8 +219,8 @@ class IncrementalBitruss {
   void DeferEdit();
   /// Ends a batch: runs the recompute if a repair bailed out.
   void FinishBatch();
-  /// Exact fallback: Decompose() a Snapshot() of the whole graph and
-  /// scatter phi back to the slots.
+  /// Exact fallback: Decompose() the slot table in place and adopt its
+  /// slot-indexed phi.
   void Recompute();
 
   IncrementalBitrussOptions options_;

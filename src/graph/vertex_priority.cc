@@ -1,48 +1,6 @@
 #include "graph/vertex_priority.h"
 
-#include <algorithm>
-#include <numeric>
-
 namespace bitruss {
-
-VertexPriority VertexPriority::Compute(const BipartiteGraph& g,
-                                       PriorityRule rule) {
-  const VertexId n = g.NumVertices();
-  VertexPriority p;
-  p.order_.resize(n);
-  std::iota(p.order_.begin(), p.order_.end(), 0);
-  if (rule == PriorityRule::kDegreeThenId) {
-    std::sort(p.order_.begin(), p.order_.end(), [&](VertexId a, VertexId b) {
-      const VertexId da = g.Degree(a), db = g.Degree(b);
-      if (da != db) return da > db;
-      return a > b;
-    });
-  } else {
-    std::sort(p.order_.begin(), p.order_.end(),
-              [](VertexId a, VertexId b) { return a > b; });
-  }
-  p.rank_.resize(n);
-  for (VertexId r = 0; r < n; ++r) p.rank_[p.order_[r]] = r;
-  return p;
-}
-
-PriorityAdjacency::PriorityAdjacency(const BipartiteGraph& g,
-                                     const VertexPriority& priority) {
-  const VertexId n = g.NumVertices();
-  offsets_.assign(n + 1, 0);
-  for (VertexId r = 0; r < n; ++r) {
-    offsets_[r + 1] = offsets_[r] + g.Degree(priority.VertexAtRank(r));
-  }
-  entries_.resize(offsets_[n]);
-  for (VertexId r = 0; r < n; ++r) {
-    Entry* out = entries_.data() + offsets_[r];
-    for (const auto& [neighbor, edge] : g.Neighbors(priority.VertexAtRank(r))) {
-      *out++ = {priority.Rank(neighbor), edge};
-    }
-    std::sort(entries_.data() + offsets_[r], out,
-              [](const Entry& a, const Entry& b) { return a.rank < b.rank; });
-  }
-}
 
 const PriorityAdjacency::Entry* PriorityAdjacency::FirstBelowPriority(
     VertexId r, VertexId bound) const {

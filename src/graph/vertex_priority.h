@@ -6,14 +6,20 @@
 // wedges — and with it counting time, index build time, and index size —
 // by O(sum_{(u,v) in E} min{d(u), d(v)}).  Any total order is correct
 // (Lemma 3 holds regardless); kIdOnly exists for the ablation bench.
+//
+// Both are built from any graph exposing NumVertices(), Degree(v) and
+// Neighbors(v) -> range of {neighbor, edge} entries: the CSR
+// BipartiteGraph, or DynamicBipartiteGraph's slot table, whose edge ids
+// are slot ids (free slots appear in no adjacency entry).
 
 #ifndef BITRUSS_GRAPH_VERTEX_PRIORITY_H_
 #define BITRUSS_GRAPH_VERTEX_PRIORITY_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
 #include "graph/types.h"
 
 namespace bitruss {
@@ -26,7 +32,8 @@ enum class PriorityRule {
 /// A total order on vertices.  Rank 0 is the HIGHEST priority vertex.
 class VertexPriority {
  public:
-  static VertexPriority Compute(const BipartiteGraph& g,
+  template <typename GraphT>
+  static VertexPriority Compute(const GraphT& g,
                                 PriorityRule rule = PriorityRule::kDegreeThenId);
 
   VertexId NumVertices() const { return static_cast<VertexId>(rank_.size()); }
@@ -59,7 +66,8 @@ class PriorityAdjacency {
     std::size_t size() const { return static_cast<std::size_t>(last - first); }
   };
 
-  PriorityAdjacency(const BipartiteGraph& g, const VertexPriority& priority);
+  template <typename GraphT>
+  PriorityAdjacency(const GraphT& g, const VertexPriority& priority);
 
   VertexId NumVertices() const {
     return static_cast<VertexId>(offsets_.size() - 1);
@@ -80,6 +88,46 @@ class PriorityAdjacency {
   std::vector<std::uint64_t> offsets_;
   std::vector<Entry> entries_;
 };
+
+template <typename GraphT>
+VertexPriority VertexPriority::Compute(const GraphT& g, PriorityRule rule) {
+  const VertexId n = g.NumVertices();
+  VertexPriority p;
+  p.order_.resize(n);
+  std::iota(p.order_.begin(), p.order_.end(), 0);
+  if (rule == PriorityRule::kDegreeThenId) {
+    std::sort(p.order_.begin(), p.order_.end(), [&](VertexId a, VertexId b) {
+      const VertexId da = g.Degree(a), db = g.Degree(b);
+      if (da != db) return da > db;
+      return a > b;
+    });
+  } else {
+    std::sort(p.order_.begin(), p.order_.end(),
+              [](VertexId a, VertexId b) { return a > b; });
+  }
+  p.rank_.resize(n);
+  for (VertexId r = 0; r < n; ++r) p.rank_[p.order_[r]] = r;
+  return p;
+}
+
+template <typename GraphT>
+PriorityAdjacency::PriorityAdjacency(const GraphT& g,
+                                     const VertexPriority& priority) {
+  const VertexId n = g.NumVertices();
+  offsets_.assign(n + 1, 0);
+  for (VertexId r = 0; r < n; ++r) {
+    offsets_[r + 1] = offsets_[r] + g.Degree(priority.VertexAtRank(r));
+  }
+  entries_.resize(offsets_[n]);
+  for (VertexId r = 0; r < n; ++r) {
+    Entry* out = entries_.data() + offsets_[r];
+    for (const auto& [neighbor, edge] : g.Neighbors(priority.VertexAtRank(r))) {
+      *out++ = {priority.Rank(neighbor), edge};
+    }
+    std::sort(entries_.data() + offsets_[r], out,
+              [](const Entry& a, const Entry& b) { return a.rank < b.rank; });
+  }
+}
 
 }  // namespace bitruss
 

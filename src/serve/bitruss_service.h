@@ -172,10 +172,12 @@ struct BitrussServiceOptions {
   /// Publish at least every T milliseconds while updates keep arriving
   /// (0 disables the time trigger).
   double publish_interval_ms = 10.0;
-  /// Compact the slot table every N consumed updates (0 = never).  Under
-  /// sustained churn the slot table otherwise grows monotonically; see
-  /// DynamicBipartiteGraph::CompactSlots.  Snapshots published after a
-  /// compaction use the new slot numbering.
+  /// Compact the slot table every N consumed updates (0 = never).  Inserts
+  /// reuse freed slots, so the table stays at the live-edge high-water
+  /// mark; compaction releases the slots freed since then, which every
+  /// published snapshot and fallback recompute otherwise keeps sizing for.
+  /// See DynamicBipartiteGraph::CompactSlots.  Snapshots published after
+  /// a compaction use the new slot numbering.
   std::uint64_t compact_every_updates = 0;
   /// Knobs for the owned IncrementalBitruss (cascade budget, fallback
   /// decompose algorithm).

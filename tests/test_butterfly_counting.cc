@@ -81,9 +81,9 @@ TEST(ButterflyCounting, PriorityRuleDoesNotChangeCounts) {
   const VertexPriority by_id = VertexPriority::Compute(g, PriorityRule::kIdOnly);
   const PriorityAdjacency adj_degree(g, by_degree);
   const PriorityAdjacency adj_id(g, by_id);
-  EXPECT_EQ(CountEdgeSupports(g, adj_degree), CountEdgeSupports(g, adj_id));
-  EXPECT_EQ(CountTotalButterflies(g, adj_degree),
-            CountTotalButterflies(g, adj_id));
+  EXPECT_EQ(CountEdgeSupports(g.NumEdges(), adj_degree),
+            CountEdgeSupports(g.NumEdges(), adj_id));
+  EXPECT_EQ(CountTotalButterflies(adj_degree), CountTotalButterflies(adj_id));
 }
 
 TEST(ButterflyCounting, SupportSumIsFourTimesTotal) {
@@ -109,7 +109,7 @@ TEST(BEIndex, SupportIdentityMatchesDirectCounting) {
   const VertexPriority priority = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, priority);
   const BEIndex index = BEIndexBuilder::Build(g, adj);
-  EXPECT_EQ(index.ComputeSupports(), CountEdgeSupports(g, adj));
+  EXPECT_EQ(index.ComputeSupports(), CountEdgeSupports(g.NumEdges(), adj));
   EXPECT_GT(index.MemoryBytes(), 0u);
 }
 

@@ -1,7 +1,9 @@
 // Tests for the dynamic bipartite graph: random insert/delete streams on
 // suite graphs with the maintained supports and butterfly total checked
 // against the recount truth of differential_oracle.h, Snapshot()+Decompose()
-// equivalence with an identically built static graph, the mark-based
+// equivalence with an identically built static graph, Decompose() of the
+// slot table itself (free slots included) against that of its Snapshot(),
+// the mark-based
 // butterfly walk against a hash-probe reference, slot compaction, and the
 // Status contract for duplicate inserts / missing deletes.
 
@@ -119,6 +121,42 @@ TEST(DynamicGraph, SnapshotDecomposeMatchesStaticBuild) {
   }
 
   EXPECT_EQ(Decompose(snapshot.graph).phi, Decompose(static_graph).phi);
+}
+
+TEST(DynamicGraph, DecomposeOfTheSlotTableMatchesItsSnapshot) {
+  const BipartiteGraph seed = MakeDataset("Github", 0.05);
+  DynamicBipartiteGraph dynamic(seed);
+  // Free slots in the middle and at the end of the table, no compaction.
+  const EdgeId num_slots = dynamic.NumSlots();
+  const std::vector<EdgeId> freed = {num_slots / 3, num_slots / 2,
+                                     num_slots - 2, num_slots - 1};
+  for (const EdgeId slot : freed) ASSERT_TRUE(dynamic.DeleteEdge(slot).ok());
+  ASSERT_EQ(dynamic.NumSlots(), num_slots);
+  ASSERT_GT(dynamic.NumButterflies(), 0u);
+  const GraphSnapshot snapshot = dynamic.Snapshot();
+
+  for (const Algorithm algorithm :
+       {Algorithm::kBS, Algorithm::kBU, Algorithm::kBUPlus,
+        Algorithm::kBUPlusPlus, Algorithm::kPC}) {
+    DecomposeOptions options;
+    options.algorithm = algorithm;
+    const BitrussResult slots = Decompose(dynamic, options);
+    const BitrussResult csr = Decompose(snapshot.graph, options);
+    const int id = static_cast<int>(algorithm);
+    ASSERT_EQ(slots.phi.size(), num_slots) << id;
+    ASSERT_EQ(slots.original_support.size(), num_slots) << id;
+    EXPECT_EQ(slots.total_butterflies, dynamic.NumButterflies()) << id;
+    for (const EdgeId slot : freed) {
+      EXPECT_EQ(slots.phi[slot], 0u) << id;
+      EXPECT_EQ(slots.original_support[slot], 0u) << id;
+    }
+    for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
+      const EdgeId slot = snapshot.slot_of_edge[e];
+      ASSERT_EQ(slots.phi[slot], csr.phi[e]) << id << " slot " << slot;
+      ASSERT_EQ(slots.original_support[slot], csr.original_support[e]) << id;
+      ASSERT_EQ(slots.original_support[slot], dynamic.Support(slot)) << id;
+    }
+  }
 }
 
 using Triplets = std::vector<std::array<EdgeId, 3>>;
@@ -322,8 +360,9 @@ TEST(DynamicGraph, CompactSlotsBoundsSlotGrowthUnderChurn) {
   DynamicBipartiteGraph dynamic(seed);
 
   // Sustained churn keeps NumEdges() roughly flat.  Without compaction
-  // the slot table only ever grows; with a periodic CompactSlots() it
-  // must return to exactly the live-edge count.
+  // the slot table stays at the live-edge high-water mark, holding the
+  // slots freed since; a periodic CompactSlots() must return it to
+  // exactly the live-edge count.
   for (int cycle = 0; cycle < 4; ++cycle) {
     for (int i = 0; i < kOpsPerCycle; ++i) {
       ASSERT_TRUE(ApplyTo(dynamic, ops[cycle * kOpsPerCycle + i]).ok());

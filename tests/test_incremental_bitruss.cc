@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "butterfly/butterfly_counting.h"
 #include "core/decompose.h"
 #include "core/local_peel.h"
 #include "differential_oracle.h"
@@ -84,6 +85,28 @@ TEST(IncrementalBitruss, SeedMatchesDecompose) {
   for (EdgeId e = 0; e < after.graph.NumEdges(); ++e) {
     ASSERT_EQ(timed.Phi(after.slot_of_edge[e]), truth.phi[e]) << e;
   }
+}
+
+TEST(IncrementalBitruss, SeedEnumeratesWedgesOnce) {
+  const BipartiteGraph seed = MakeDataset("Writer", 0.03);
+  const std::vector<SupportT> counted = CountEdgeSupports(seed);
+  const auto counter = [](const char* name) -> std::uint64_t {
+    const obs::RegistrySnapshot snap = obs::MetricsRegistry::Default().Snapshot();
+    const obs::CounterSample* sample = snap.FindCounter(name);
+    return sample == nullptr ? 0 : sample->value;
+  };
+  const std::uint64_t counts = counter("bitruss_butterfly_count_runs_total");
+  const std::uint64_t builds = counter("bitruss_beindex_builds_total");
+  // The default BiT-BU++ seed decomposition builds one BE-Index and reads
+  // both phi and the maintained supports off it: no counting pass.
+  const IncrementalBitruss inc(seed);
+  EXPECT_EQ(counter("bitruss_butterfly_count_runs_total") - counts, 0u);
+  EXPECT_EQ(counter("bitruss_beindex_builds_total") - builds, 1u);
+  ASSERT_EQ(inc.Graph().NumSlots(), seed.NumEdges());
+  for (EdgeId e = 0; e < seed.NumEdges(); ++e) {
+    ASSERT_EQ(inc.Graph().Support(e), counted[e]) << e;
+  }
+  EXPECT_EQ(inc.Graph().NumButterflies(), CountTotalButterflies(seed));
 }
 
 TEST(IncrementalBitruss, HandComputedInsertAndDelete) {

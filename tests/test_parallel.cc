@@ -146,10 +146,11 @@ TEST(ParallelCounting, SupportsMatchSequentialAtEveryThreadCount) {
     const BipartiteGraph g = MakeDataset(name, kSuiteScale);
     const VertexPriority priority = VertexPriority::Compute(g);
     const PriorityAdjacency adj(g, priority);
-    const std::vector<SupportT> expect_sup = CountEdgeSupports(g, adj);
+    const std::vector<SupportT> expect_sup =
+        CountEdgeSupports(g.NumEdges(), adj);
     for (const unsigned threads : kThreadCounts) {
       ThreadPool pool(threads);
-      EXPECT_EQ(CountEdgeSupports(g, adj, &pool), expect_sup)
+      EXPECT_EQ(CountEdgeSupports(g.NumEdges(), adj, &pool), expect_sup)
           << name << " x" << threads;
     }
   }

@@ -32,6 +32,16 @@ Rules (each failure prints file:line and a one-line explanation):
      CMakeLists.txt, and every bench/*.cc and tests/test_*.cc by its stem,
      so a module, harness or suite that never compiles cannot sit in the
      tree unnoticed.
+  7. graph-snapshot-off-path  nothing under src/ except
+     src/dynamic/dynamic_graph.cc (which defines it) calls
+     DynamicBipartiteGraph::Snapshot(): the writer decomposes the slot
+     table in place, and the CSR copy is for oracles and benches.  A call
+     is spotted by its receiver's name, which for every dynamic-graph
+     handle in src/ contains "graph" (graph_.Snapshot(),
+     Graph().Snapshot(), dynamic_graph->Snapshot()); the other Snapshot()
+     functions (BitrussService's, MetricsRegistry's) are called on
+     receivers without it and do not trip the rule.  Line comments are
+     ignored.
 
 Exit status: 0 clean, 1 any violation (CI fails the build on it).
 """
@@ -66,6 +76,9 @@ NAKED_STATUS_RE = re.compile(
     r"^\s*[\w.\->]*\b(" + "|".join(STATUS_APIS) + r")\s*\("
 )
 GUARD_RE = re.compile(r"^#ifndef\s+(\w+)\s*$", re.MULTILINE)
+GRAPH_SNAPSHOT_RE = re.compile(
+    r"\b\w*graph\w*(?:\(\))?\s*(?:\.|->)\s*Snapshot\s*\(", re.IGNORECASE
+)
 FAULT_POINT_RE = re.compile(
     r'BITRUSS_FAULT_(?:POINT(?:_STATUS)?|WRITE)\("([^"]+)"'
 )
@@ -209,6 +222,20 @@ def check_sources_built(root, errors):
         )
 
 
+def check_graph_snapshot_off_path(root, errors):
+    allowed = root / "src" / "dynamic" / "dynamic_graph.cc"
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in SOURCE_SUFFIXES or path == allowed:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if GRAPH_SNAPSHOT_RE.search(line.split("//", 1)[0]):
+                errors.append(
+                    f"{path.relative_to(root)}:{lineno}: "
+                    "DynamicBipartiteGraph::Snapshot() called in src/; "
+                    "decompose the slot table (Decompose(graph)) instead"
+                )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -227,6 +254,7 @@ def main():
     check_include_guards(root, errors)
     check_fault_point_coverage(root, errors)
     check_sources_built(root, errors)
+    check_graph_snapshot_off_path(root, errors)
 
     if errors:
         for error in errors:
