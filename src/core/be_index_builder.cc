@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "butterfly/wedge_enumeration.h"
 #include "obs/metrics.h"
@@ -44,13 +45,14 @@ void RecordBuild(const BEIndex& index, double seconds) {
 
 void BEIndex::KillWedge(WedgeId w) {
   const BloomId b = wedge_bloom[w];
-  const std::uint64_t slot = wedge_slot[w];
-  const std::uint64_t last = bloom_offsets[b] + bloom_live[b] - 1;
+  const std::uint32_t slot = wedge_slot[w];
+  const std::uint32_t last = bloom_offsets[b] + bloom_live[b] - 1;
   const WedgeId moved = bloom_slots[last];
   bloom_slots[slot] = moved;
-  wedge_slot[moved] = static_cast<std::uint32_t>(slot);
+  wedge_slot[moved] = slot;
   bloom_slots[last] = w;
-  wedge_slot[w] = static_cast<std::uint32_t>(last);
+  wedge_slot[w] = last;
+  std::swap(slot_edges[slot], slot_edges[last]);
   --bloom_live[b];
   wedge_alive[w] = 0;
 }
@@ -88,14 +90,14 @@ std::vector<SupportT> BEIndex::ComputeSupports(ThreadPool* pool) const {
 }
 
 std::uint64_t BEIndex::MemoryBytes() const {
-  return wedge_e1.size() * sizeof(EdgeId) + wedge_e2.size() * sizeof(EdgeId) +
-         wedge_bloom.size() * sizeof(BloomId) +
+  return wedge_bloom.size() * sizeof(BloomId) +
          wedge_alive.size() * sizeof(std::uint8_t) +
          wedge_slot.size() * sizeof(std::uint32_t) +
          edge_offsets.size() * sizeof(std::uint64_t) +
          edge_wedges.size() * sizeof(WedgeId) +
-         bloom_offsets.size() * sizeof(std::uint64_t) +
+         bloom_offsets.size() * sizeof(std::uint32_t) +
          bloom_slots.size() * sizeof(WedgeId) +
+         slot_edges.size() * sizeof(WedgeEdges) +
          bloom_live.size() * sizeof(SupportT) +
          bloom_base.size() * sizeof(SupportT);
 }
@@ -143,10 +145,9 @@ struct FilteredAdj {
 // fragments and concatenating fragments in anchor order reproduces the
 // sequential bloom/wedge numbering exactly.
 struct BuildFragment {
-  std::vector<EdgeId> wedge_e1;
-  std::vector<EdgeId> wedge_e2;
-  std::vector<BloomId> wedge_bloom;   // fragment-local ids
-  std::vector<SupportT> bloom_count;  // stored wedges per local bloom
+  std::vector<BEIndex::WedgeEdges> wedge_edges;  // by wedge id
+  std::vector<BloomId> wedge_bloom;              // fragment-local ids
+  std::vector<SupportT> bloom_count;             // stored wedges per bloom
   std::vector<SupportT> bloom_base;
 };
 
@@ -191,8 +192,7 @@ void EnumerateFragment(const AdjT& a, VertexId anchor_begin,
           frag->bloom_base.push_back(0);
         }
         ++frag->bloom_count[b];
-        frag->wedge_e1.push_back(e1);
-        frag->wedge_e2.push_back(e2);
+        frag->wedge_edges.push_back({e1, e2});
         frag->wedge_bloom.push_back(b);
       },
       [&](const std::vector<VertexId>& touched) {
@@ -214,6 +214,8 @@ BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
   index.num_edges = num_edges;
   const VertexId n = a.NumVertices();
 
+  // Wedge pairs by wedge id; permuted into slot order (slot_edges) last.
+  std::vector<BEIndex::WedgeEdges> pairs;
   std::vector<SupportT> bloom_count;  // stored wedges per bloom
 
   if (pool == nullptr || pool->NumThreads() <= 1) {
@@ -221,8 +223,7 @@ BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
     scratch.Prepare(n);
     BuildFragment frag;
     EnumerateFragment(a, 0, n, assigned, scratch, &frag);
-    index.wedge_e1 = std::move(frag.wedge_e1);
-    index.wedge_e2 = std::move(frag.wedge_e2);
+    pairs = std::move(frag.wedge_edges);
     index.wedge_bloom = std::move(frag.wedge_bloom);
     index.bloom_base = std::move(frag.bloom_base);
     bloom_count = std::move(frag.bloom_count);
@@ -250,20 +251,17 @@ BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
     std::uint64_t total_wedges = 0;
     std::uint64_t total_blooms = 0;
     for (const BuildFragment& frag : fragments) {
-      total_wedges += frag.wedge_e1.size();
+      total_wedges += frag.wedge_edges.size();
       total_blooms += frag.bloom_count.size();
     }
-    index.wedge_e1.reserve(total_wedges);
-    index.wedge_e2.reserve(total_wedges);
+    pairs.reserve(total_wedges);
     index.wedge_bloom.reserve(total_wedges);
     index.bloom_base.reserve(total_blooms);
     bloom_count.reserve(total_blooms);
     for (BuildFragment& frag : fragments) {
       const BloomId bloom_offset = static_cast<BloomId>(bloom_count.size());
-      index.wedge_e1.insert(index.wedge_e1.end(), frag.wedge_e1.begin(),
-                            frag.wedge_e1.end());
-      index.wedge_e2.insert(index.wedge_e2.end(), frag.wedge_e2.begin(),
-                            frag.wedge_e2.end());
+      pairs.insert(pairs.end(), frag.wedge_edges.begin(),
+                   frag.wedge_edges.end());
       for (const BloomId b : frag.wedge_bloom) {
         index.wedge_bloom.push_back(b + bloom_offset);
       }
@@ -275,39 +273,37 @@ BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
     }
   }
 
-  const std::uint64_t num_wedges = index.wedge_e1.size();
+  const std::uint64_t num_wedges = pairs.size();
   if (num_wedges > UINT32_MAX) {
     // Wedge count is bounded by sum min{d(u), d(v)}, which can exceed the
     // 2^32 edge-id cap on hub-heavy graphs; fail loudly, never truncate.
     throw std::length_error("BEIndex: wedge count exceeds 32-bit id space");
   }
   const BloomId num_blooms = static_cast<BloomId>(bloom_count.size());
-  index.wedge_alive.assign(num_wedges, 1);
   index.bloom_live.assign(bloom_count.begin(), bloom_count.end());
 
-  // Bloom slot segments.
+  // Bloom slot segments, filled in wedge-id order; the same pass counts
+  // each edge's wedges for the per-edge CSR.
   index.bloom_offsets.assign(num_blooms + 1, 0);
   for (BloomId b = 0; b < num_blooms; ++b) {
     index.bloom_offsets[b + 1] = index.bloom_offsets[b] + bloom_count[b];
   }
   index.bloom_slots.resize(num_wedges);
   index.wedge_slot.resize(num_wedges);
+  index.edge_offsets.assign(num_edges + 1, 0);
   {
-    std::vector<std::uint64_t> cursor(index.bloom_offsets.begin(),
+    std::vector<std::uint32_t> cursor(index.bloom_offsets.begin(),
                                       index.bloom_offsets.end() - 1);
     for (std::uint64_t w = 0; w < num_wedges; ++w) {
-      const std::uint64_t slot = cursor[index.wedge_bloom[w]]++;
+      const std::uint32_t slot = cursor[index.wedge_bloom[w]]++;
       index.bloom_slots[slot] = static_cast<WedgeId>(w);
-      index.wedge_slot[w] = static_cast<std::uint32_t>(slot);
+      index.wedge_slot[w] = slot;
+      ++index.edge_offsets[pairs[w].e1 + 1];
+      ++index.edge_offsets[pairs[w].e2 + 1];
     }
   }
 
-  // Static per-edge CSR.
-  index.edge_offsets.assign(num_edges + 1, 0);
-  for (std::uint64_t w = 0; w < num_wedges; ++w) {
-    ++index.edge_offsets[index.wedge_e1[w] + 1];
-    ++index.edge_offsets[index.wedge_e2[w] + 1];
-  }
+  // Static per-edge CSR, each edge's wedges in increasing id order.
   for (EdgeId e = 0; e < num_edges; ++e) {
     index.edge_offsets[e + 1] += index.edge_offsets[e];
   }
@@ -316,10 +312,28 @@ BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
     std::vector<std::uint64_t> cursor(index.edge_offsets.begin(),
                                       index.edge_offsets.end() - 1);
     for (std::uint64_t w = 0; w < num_wedges; ++w) {
-      index.edge_wedges[cursor[index.wedge_e1[w]]++] = static_cast<WedgeId>(w);
-      index.edge_wedges[cursor[index.wedge_e2[w]]++] = static_cast<WedgeId>(w);
+      index.edge_wedges[cursor[pairs[w].e1]++] = static_cast<WedgeId>(w);
+      index.edge_wedges[cursor[pairs[w].e2]++] = static_cast<WedgeId>(w);
     }
   }
+
+  // Permute the pairs into slot order in place, so the index never holds
+  // a second copy: follow each cycle of w -> wedge_slot[w], carrying the
+  // pair each step displaces.  wedge_alive marks the wedges whose pair has
+  // been carried, and ends all ones.
+  index.wedge_alive.assign(num_wedges, 0);
+  for (std::uint64_t start = 0; start < num_wedges; ++start) {
+    if (index.wedge_alive[start]) continue;
+    index.wedge_alive[start] = 1;
+    BEIndex::WedgeEdges carry = pairs[start];
+    for (std::uint32_t w = index.wedge_slot[start]; w != start;
+         w = index.wedge_slot[w]) {
+      std::swap(carry, pairs[w]);  // pairs[w] was still wedge w's own pair
+      index.wedge_alive[w] = 1;
+    }
+    pairs[start] = carry;
+  }
+  index.slot_edges = std::move(pairs);
   return index;
 }
 

@@ -9,9 +9,18 @@
 //
 // and removing an edge e updates, per bloom containing e, the twin edge in
 // bulk (-= k(B)-1) and every other wedge edge by 1 — O(sup(e)) total work
-// (Lemma 5).  The index stores wedges once, a static per-edge CSR of wedge
-// ids, and per-bloom slot arrays with a live prefix so wedge removal is
-// O(1) swap-remove.
+// (Lemma 5).
+//
+// Layout.  The index is bloom-major: each bloom owns a contiguous run of
+// slots, [bloom_offsets[b], bloom_offsets[b+1]), whose first bloom_live[b]
+// slots are its live wedges.  bloom_slots holds the wedge id in each slot
+// and slot_edges the wedge's two edges (e1, e2) in the same slot, so the
+// peel walks a bloom's wedge pairs in sequence instead of one random read
+// per wedge.  KillWedge swap-removes a wedge from the live prefix in O(1),
+// swapping bloom_slots, slot_edges and wedge_slot together.  Per wedge id
+// the index keeps only its bloom, its liveness and its slot; Twin reads
+// the pair through wedge_slot.  A static per-edge CSR (edge_offsets,
+// edge_wedges) lists each edge's wedge ids in increasing order.
 //
 // BuildCompressed implements BiT-PC's compressed index: edges outside the
 // candidate subgraph are excluded entirely, and wedges whose two edges both
@@ -34,21 +43,31 @@ namespace bitruss {
 struct BEIndex {
   EdgeId num_edges = 0;
 
-  // Wedge store (parallel arrays).
-  std::vector<EdgeId> wedge_e1;       ///< anchor-side edge (anchor, mid)
-  std::vector<EdgeId> wedge_e2;       ///< far-side edge (mid, endpoint)
+  /// A wedge's two edges: e1 = (anchor, mid), e2 = (mid, endpoint).
+  struct WedgeEdges {
+    EdgeId e1;
+    EdgeId e2;
+    bool operator==(const WedgeEdges& o) const {
+      return e1 == o.e1 && e2 == o.e2;
+    }
+  };
+
+  // Per wedge id.
   std::vector<BloomId> wedge_bloom;
   std::vector<std::uint8_t> wedge_alive;
   std::vector<std::uint32_t> wedge_slot;  ///< position within the bloom slots
 
   // Static per-edge CSR of wedge ids (never mutated during peeling).
+  // 64-bit: it holds two entries per wedge, up to 2^33.
   std::vector<std::uint64_t> edge_offsets;  ///< size num_edges + 1
   std::vector<WedgeId> edge_wedges;
 
   // Per-bloom wedge slots; [bloom_offsets[b], bloom_offsets[b]+bloom_live[b])
   // is the live prefix, maintained by swap-remove.
-  std::vector<std::uint64_t> bloom_offsets;  ///< size NumBlooms() + 1
-  std::vector<WedgeId> bloom_slots;
+  // 32-bit: one slot per wedge, and the build caps wedges at 2^32.
+  std::vector<std::uint32_t> bloom_offsets;  ///< size NumBlooms() + 1
+  std::vector<WedgeId> bloom_slots;      ///< wedge id in each slot
+  std::vector<WedgeEdges> slot_edges;    ///< that wedge's edges, same slot
   std::vector<SupportT> bloom_live;
   std::vector<SupportT> bloom_base;  ///< compressed (both-assigned) wedges
 
@@ -59,11 +78,15 @@ struct BEIndex {
   /// Current k(B): live stored wedges plus the compressed base.
   SupportT BloomK(BloomId b) const { return bloom_base[b] + bloom_live[b]; }
 
+  /// The other edge of wedge w, which contains edge e.
   EdgeId Twin(WedgeId w, EdgeId e) const {
-    return wedge_e1[w] == e ? wedge_e2[w] : wedge_e1[w];
+    const WedgeEdges& pair = slot_edges[wedge_slot[w]];
+    return pair.e1 == e ? pair.e2 : pair.e1;
   }
 
-  /// Removes wedge w from its bloom's live prefix (O(1)) and marks it dead.
+  /// Removes wedge w from its bloom's live prefix (O(1)) and marks it dead:
+  /// w and its pair trade slots with the prefix's last wedge, so the dead
+  /// wedges of a bloom sit right after its live prefix, latest first.
   void KillWedge(WedgeId w);
 
   /// Number of live wedges containing edge e.

@@ -35,9 +35,8 @@
 #define BITRUSS_CORE_LOCAL_PEEL_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -72,11 +71,16 @@ inline SupportT HIndexOfWeights(const std::vector<SupportT>& weights,
 }
 
 /// Caller-owned scratch for LocalHIndexRepair so a streaming caller (one
-/// repair per update) pays no per-call container allocations; contents
-/// are reset by each run.
+/// repair per update) pays no per-call container allocations; each run
+/// opens a new epoch instead of clearing it.
 struct LocalPeelScratch {
-  std::unordered_set<EdgeId> queued;
-  std::deque<EdgeId> work;
+  /// queued[e] == epoch while edge e waits in `work` during the current
+  /// run; grown on demand to the label count, so a stamp left by an
+  /// earlier run (or an earlier slot numbering) never matches.
+  std::vector<std::uint32_t> queued;
+  std::uint32_t epoch = 0;
+  /// FIFO worklist of the current run, read through a moving head.
+  std::vector<EdgeId> work;
   std::vector<SupportT> weights;
   std::vector<EdgeId> partners;
   std::vector<std::uint32_t> bucket;
@@ -100,12 +104,16 @@ bool LocalHIndexRepair(
     const std::vector<EdgeId>& frontier, MutableFn&& is_mutable,
     std::uint64_t budget, LocalPeelStats* stats, LocalPeelScratch* scratch,
     std::vector<std::pair<EdgeId, SupportT>>* entry_labels = nullptr) {
-  std::unordered_set<EdgeId>& queued = scratch->queued;
-  std::deque<EdgeId>& work = scratch->work;
-  queued.clear();
-  work.clear();
-  queued.insert(frontier.begin(), frontier.end());
-  work.insert(work.end(), frontier.begin(), frontier.end());
+  std::vector<std::uint32_t>& queued = scratch->queued;
+  std::vector<EdgeId>& work = scratch->work;
+  if (queued.size() < labels.size()) queued.resize(labels.size(), 0);
+  if (++scratch->epoch == 0) {  // wrapped: drop every stale stamp
+    std::fill(queued.begin(), queued.end(), 0);
+    scratch->epoch = 1;
+  }
+  const std::uint32_t epoch = scratch->epoch;
+  work.assign(frontier.begin(), frontier.end());
+  for (const EdgeId e : frontier) queued[e] = epoch;
   if (entry_labels != nullptr) {
     for (const EdgeId e : frontier) entry_labels->emplace_back(e, labels[e]);
   }
@@ -113,10 +121,9 @@ bool LocalHIndexRepair(
   std::vector<SupportT>& weights = scratch->weights;
   std::vector<EdgeId>& partners = scratch->partners;
   std::vector<std::uint32_t>& bucket = scratch->bucket;
-  while (!work.empty()) {
-    const EdgeId e = work.front();
-    work.pop_front();
-    queued.erase(e);
+  for (std::size_t head = 0; head < work.size(); ++head) {
+    const EdgeId e = work[head];
+    queued[e] = 0;  // epochs start at 1
     const SupportT cap = labels[e];
     if (cap == 0) continue;  // labels never drop below zero
 
@@ -133,7 +140,8 @@ bool LocalHIndexRepair(
       // Partners at or below h count e's butterflies with weight >= their
       // own level either way; only labels above h can be invalidated.
       for (const EdgeId g : partners) {
-        if (labels[g] > h && is_mutable(g) && queued.insert(g).second) {
+        if (labels[g] > h && is_mutable(g) && queued[g] != epoch) {
+          queued[g] = epoch;
           work.push_back(g);
           if (entry_labels != nullptr) {
             entry_labels->emplace_back(g, labels[g]);

@@ -6,20 +6,6 @@
 
 namespace bitruss {
 
-namespace {
-constexpr std::uint32_t kDeadlinePollInterval = 1024;
-
-// One "round" = one assignment step of the peel loop: a single edge in
-// kSingle mode, a drained support level in the batch modes.  Accumulated
-// locally and flushed once per Run so the hot loop touches no atomics.
-obs::Counter* PeelRoundsCounter() {
-  static obs::Counter* const counter =
-      obs::MetricsRegistry::Default().GetCounter(
-          "bitruss_core_peel_rounds_total");
-  return counter;
-}
-}  // namespace
-
 SupportBuckets::SupportBuckets(const std::vector<SupportT>& support,
                                const std::vector<std::uint8_t>& skip) {
   const EdgeId m = static_cast<EdgeId>(support.size());
@@ -101,15 +87,15 @@ void Peeler::RemoveEdgeWedges(EdgeId e) {
     const WedgeId w = index_.edge_wedges[i];
     if (!index_.wedge_alive[w]) continue;
     const BloomId b = index_.wedge_bloom[w];
-    const SupportT kb = index_.BloomK(b);
-    ApplyUpdate(index_.Twin(w, e), kb - 1);
-    const std::uint64_t begin = index_.bloom_offsets[b];
-    const std::uint64_t end = begin + index_.bloom_live[b];
-    for (std::uint64_t slot = begin; slot < end; ++slot) {
-      const WedgeId other = index_.bloom_slots[slot];
-      if (other == w) continue;
-      ApplyUpdate(index_.wedge_e1[other], 1);
-      ApplyUpdate(index_.wedge_e2[other], 1);
+    const std::uint32_t own = index_.wedge_slot[w];
+    ApplyUpdate(index_.Twin(w, e), index_.BloomK(b) - 1);
+    const std::uint32_t begin = index_.bloom_offsets[b];
+    const std::uint32_t end = begin + index_.bloom_live[b];
+    for (std::uint32_t slot = begin; slot < end; ++slot) {
+      if (slot == own) continue;
+      const BEIndex::WedgeEdges& pair = index_.slot_edges[slot];
+      ApplyUpdate(pair.e1, 1);
+      ApplyUpdate(pair.e2, 1);
     }
     index_.KillWedge(w);
   }
@@ -135,66 +121,43 @@ void Peeler::ProcessBatchBlooms(const std::vector<EdgeId>& batch) {
     // KillWedge parked this batch's t dead wedges in the slots right after
     // the live prefix, and k(B) before the batch was the live k plus t.
     const SupportT kb = index_.BloomK(b) + t;
-    const std::uint64_t live_end =
-        index_.bloom_offsets[b] + index_.bloom_live[b];
+    const std::uint32_t begin = index_.bloom_offsets[b];
+    const std::uint32_t live_end = begin + index_.bloom_live[b];
     // Surviving twin of each dead wedge loses every butterfly it formed in
     // this bloom: one bulk update of k(B) - 1.
-    for (std::uint64_t slot = live_end; slot < live_end + t; ++slot) {
-      const WedgeId w = index_.bloom_slots[slot];
-      ApplyUpdate(index_.wedge_e1[w], kb - 1);
-      ApplyUpdate(index_.wedge_e2[w], kb - 1);
+    for (std::uint32_t slot = live_end; slot < live_end + t; ++slot) {
+      const BEIndex::WedgeEdges& pair = index_.slot_edges[slot];
+      ApplyUpdate(pair.e1, kb - 1);
+      ApplyUpdate(pair.e2, kb - 1);
     }
     // Each surviving wedge pairs with each of the t dead wedges: one -t
     // update per endpoint.
-    for (std::uint64_t slot = index_.bloom_offsets[b]; slot < live_end;
-         ++slot) {
-      const WedgeId other = index_.bloom_slots[slot];
-      ApplyUpdate(index_.wedge_e1[other], t);
-      ApplyUpdate(index_.wedge_e2[other], t);
+    for (std::uint32_t slot = begin; slot < live_end; ++slot) {
+      const BEIndex::WedgeEdges& pair = index_.slot_edges[slot];
+      ApplyUpdate(pair.e1, t);
+      ApplyUpdate(pair.e2, t);
     }
   }
   dirty_blooms_.clear();
 }
 
-bool Peeler::Run(Mode mode, const Deadline& deadline,
-                 const std::function<void(EdgeId, SupportT)>& on_assign) {
-  // kSingle takes one edge per step; the batch modes take a whole level,
-  // all of it marked done before any update is applied.
-  const std::size_t limit =
-      mode == Mode::kSingle ? 1 : static_cast<std::size_t>(index_.num_edges);
-  SupportT level = 0;
-  std::size_t since_poll = 0;
-  std::uint64_t rounds = 0;
-  bool completed = true;
-  std::vector<EdgeId> batch;
-
-  for (;;) {
-    const SupportT at = queue_.TakeLowest(limit, &batch);
-    if (batch.empty()) break;
-    ++rounds;
-    level = std::max(level, at);
-    for (const EdgeId e : batch) {
-      done_[e] = 1;
-      on_assign(e, level);
-    }
-    if (mode == Mode::kBatchBlooms) {
-      ProcessBatchBlooms(batch);
-    } else {
-      for (const EdgeId e : batch) RemoveEdgeWedges(e);
-    }
-    // Poll by edges peeled, so the deadline stays responsive whether a
-    // step is one edge or a whole level.
-    since_poll += batch.size();
-    if (since_poll >= kDeadlinePollInterval) {
-      since_poll = 0;
-      if (deadline.Expired()) {
-        completed = false;
-        break;
-      }
-    }
+void Peeler::RemoveBatch(Mode mode, const std::vector<EdgeId>& batch) {
+  if (mode == Mode::kBatchBlooms) {
+    ProcessBatchBlooms(batch);
+  } else {
+    for (const EdgeId e : batch) RemoveEdgeWedges(e);
   }
-  if (rounds > 0) PeelRoundsCounter()->Inc(rounds);
-  return completed;
+}
+
+// One "round" = one assignment step of the peel loop: a single edge in
+// kSingle mode, a drained support level in the batch modes.  Accumulated
+// locally and flushed once per Run so the hot loop touches no atomics.
+void Peeler::RecordRounds(std::uint64_t rounds) {
+  if (rounds == 0) return;
+  static obs::Counter* const counter =
+      obs::MetricsRegistry::Default().GetCounter(
+          "bitruss_core_peel_rounds_total");
+  counter->Inc(rounds);
 }
 
 }  // namespace bitruss

@@ -18,6 +18,12 @@
 //                are read from there.  Results are identical; only the
 //                number of update operations shrinks.
 //
+// Every bloom walk reads the index's slot_edges, the wedge pairs in bloom
+// slot order (be_index_builder.h), front to back: the update targets of a
+// bloom come from one contiguous run, not one wedge-id lookup per wedge.
+// Run takes its assignment callback as a template parameter, so the loop
+// makes no indirect call per peeled edge.
+//
 // Frozen edges (BiT-PC's assigned or out-of-candidate edges) are never
 // queued, never taken, and never updated; updates that would land on
 // them are skipped without being counted — that skip is exactly the
@@ -26,9 +32,9 @@
 #ifndef BITRUSS_CORE_PEELING_STATE_H_
 #define BITRUSS_CORE_PEELING_STATE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/be_index_builder.h"
@@ -80,13 +86,19 @@ class Peeler {
   /// Peels every non-frozen edge, invoking on_assign(e, phi) as each edge's
   /// bitruss number is fixed.  Returns false if the deadline expired before
   /// completion (the remaining edges keep their current state).
-  bool Run(Mode mode, const Deadline& deadline,
-           const std::function<void(EdgeId, SupportT)>& on_assign);
+  template <typename OnAssign>
+  bool Run(Mode mode, const Deadline& deadline, OnAssign&& on_assign);
 
  private:
+  static constexpr std::size_t kDeadlinePollInterval = 1024;
+
   void ApplyUpdate(EdgeId e, SupportT delta);
   void RemoveEdgeWedges(EdgeId e);
   void ProcessBatchBlooms(const std::vector<EdgeId>& batch);
+  /// Applies Lemma 5's updates for a batch already marked done.
+  void RemoveBatch(Mode mode, const std::vector<EdgeId>& batch);
+  /// Adds one Run's assignment steps to bitruss_core_peel_rounds_total.
+  static void RecordRounds(std::uint64_t rounds);
 
   BEIndex index_;
   std::vector<SupportT> support_;
@@ -100,6 +112,43 @@ class Peeler {
   std::vector<SupportT> bloom_killed_;
   std::vector<BloomId> dirty_blooms_;
 };
+
+template <typename OnAssign>
+bool Peeler::Run(Mode mode, const Deadline& deadline, OnAssign&& on_assign) {
+  // kSingle takes one edge per step; the batch modes take a whole level,
+  // all of it marked done before any update is applied.
+  const std::size_t limit =
+      mode == Mode::kSingle ? 1 : static_cast<std::size_t>(index_.num_edges);
+  SupportT level = 0;
+  std::size_t since_poll = 0;
+  std::uint64_t rounds = 0;
+  bool completed = true;
+  std::vector<EdgeId> batch;
+
+  for (;;) {
+    const SupportT at = queue_.TakeLowest(limit, &batch);
+    if (batch.empty()) break;
+    ++rounds;
+    level = std::max(level, at);
+    for (const EdgeId e : batch) {
+      done_[e] = 1;
+      on_assign(e, level);
+    }
+    RemoveBatch(mode, batch);
+    // Poll by edges peeled, so the deadline stays responsive whether a
+    // step is one edge or a whole level.
+    since_poll += batch.size();
+    if (since_poll >= kDeadlinePollInterval) {
+      since_poll = 0;
+      if (deadline.Expired()) {
+        completed = false;
+        break;
+      }
+    }
+  }
+  RecordRounds(rounds);
+  return completed;
+}
 
 }  // namespace bitruss
 

@@ -17,6 +17,7 @@
 #include "gen/random_bipartite.h"
 #include "graph/bipartite_graph.h"
 #include "graph/vertex_priority.h"
+#include "util/random.h"
 
 namespace bitruss {
 namespace {
@@ -122,7 +123,7 @@ TEST(BEIndex, EdgeLiveCountSumsTwoPerWedge) {
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     incidences += index.EdgeLiveCount(e);
   }
-  EXPECT_EQ(incidences, 2 * index.wedge_e1.size());
+  EXPECT_EQ(incidences, 2 * index.bloom_slots.size());
 }
 
 TEST(BEIndex, KillWedgeParksDeadWedgesAfterTheLivePrefix) {
@@ -168,6 +169,61 @@ TEST(BEIndex, KillWedgeParksDeadWedgesAfterTheLivePrefix) {
     EXPECT_EQ(index.wedge_slot[w], slot);
   }
   for (const WedgeId w : killed) EXPECT_FALSE(index.wedge_alive[w]);
+}
+
+TEST(BEIndex, SlotPairsFollowTheirWedgeThroughKills) {
+  // The peel reads each wedge's edges from slot_edges in bloom slot order,
+  // so KillWedge must carry a wedge's pair along with its slot.
+  ChungLuParams params;
+  params.num_upper = 40;
+  params.num_lower = 30;
+  params.num_edges = 400;
+  params.seed = 99;
+  const BipartiteGraph g = GenerateChungLu(params);
+  const VertexPriority priority = VertexPriority::Compute(g);
+  const PriorityAdjacency adj(g, priority);
+  BEIndex index = BEIndexBuilder::Build(g, adj);
+  const WedgeId num_wedges = static_cast<WedgeId>(index.bloom_slots.size());
+  ASSERT_GT(num_wedges, 100u);
+
+  // After the build, every wedge's pair holds both edges whose CSR lists
+  // the wedge.
+  std::vector<BEIndex::WedgeEdges> pair_of(num_wedges);
+  for (WedgeId w = 0; w < num_wedges; ++w) {
+    ASSERT_EQ(index.bloom_slots[index.wedge_slot[w]], w);
+    pair_of[w] = index.slot_edges[index.wedge_slot[w]];
+    EXPECT_EQ(index.Twin(w, pair_of[w].e1), pair_of[w].e2);
+    EXPECT_EQ(index.Twin(w, pair_of[w].e2), pair_of[w].e1);
+  }
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    for (std::uint64_t i = index.edge_offsets[e];
+         i < index.edge_offsets[e + 1]; ++i) {
+      const BEIndex::WedgeEdges& pair = pair_of[index.edge_wedges[i]];
+      EXPECT_TRUE(pair.e1 == e || pair.e2 == e) << "edge " << e;
+    }
+  }
+
+  // Kill a seeded random third of the wedges, in random order.
+  Rng rng(7);
+  std::vector<WedgeId> doomed;
+  for (WedgeId w = 0; w < num_wedges; ++w) {
+    if (rng.Below(3) == 0) doomed.push_back(w);
+  }
+  for (std::size_t i = doomed.size(); i > 1; --i) {
+    std::swap(doomed[i - 1], doomed[rng.Below(i)]);
+  }
+  for (const WedgeId w : doomed) index.KillWedge(w);
+
+  std::vector<std::uint8_t> dead(num_wedges, 0);
+  for (const WedgeId w : doomed) dead[w] = 1;
+  for (WedgeId w = 0; w < num_wedges; ++w) {
+    const std::uint32_t slot = index.wedge_slot[w];
+    ASSERT_EQ(index.bloom_slots[slot], w);
+    EXPECT_EQ(index.slot_edges[slot], pair_of[w]) << "wedge " << w;
+    EXPECT_EQ(index.Twin(w, pair_of[w].e1), pair_of[w].e2) << "wedge " << w;
+    EXPECT_EQ(index.Twin(w, pair_of[w].e2), pair_of[w].e1) << "wedge " << w;
+    EXPECT_EQ(index.wedge_alive[w], dead[w] ? 0 : 1) << "wedge " << w;
+  }
 }
 
 TEST(SupportBuckets, MovesTakesAndSkipsExactly) {
