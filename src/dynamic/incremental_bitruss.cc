@@ -46,6 +46,11 @@ struct DynamicMetrics {
   }
 };
 
+// A touched report longer than NumSlots() / kTouchedShare collapses to
+// all: past that, rewriting the listed slots saves little over copying
+// every slot, and the list stays O(slots) however long it goes untaken.
+constexpr EdgeId kTouchedShare = 4;
+
 // A finite deadline could leave the initial phi (or a fallback) partial,
 // poisoning every later repair; maintenance always runs to completion.
 DecomposeOptions Untimed(DecomposeOptions options) {
@@ -159,6 +164,7 @@ StatusOr<EdgeId> IncrementalBitruss::Insert(VertexId upper_local,
   const EdgeId slot = result.value();
   if (phi_.size() < graph_.NumSlots()) phi_.resize(graph_.NumSlots(), 0);
   phi_[slot] = 0;
+  TouchEdit(slot, deferred);
   ++totals_.inserts;
   DynamicMetrics::Get().inserts->Inc();
   if (deferred) {
@@ -191,6 +197,7 @@ Status IncrementalBitruss::Delete(EdgeId slot) {
   const Status status = graph_.DeleteEdge(slot, deferred ? nullptr : &delta_);
   if (!status.ok()) return status;
   phi_[slot] = 0;  // the slot is free until reused
+  TouchEdit(slot, deferred);
   ++totals_.deletes;
   DynamicMetrics::Get().deletes->Inc();
   if (deferred) {
@@ -327,6 +334,8 @@ bool IncrementalBitruss::RepairDelete(const SupportT k_star) {
 void IncrementalBitruss::FinishUpdate(const bool local_ok) {
   const DynamicMetrics& metrics = DynamicMetrics::Get();
   if (local_ok) {
+    // Every label the repair moved was recorded on entry.
+    for (const auto& entry : entry_labels_) Touch(entry.first);
     ++totals_.local_repairs;
     metrics.local_repairs->Inc();
   } else {
@@ -373,9 +382,44 @@ void IncrementalBitruss::Recompute() {
     changes += phi_[slot] != phi[slot];
   }
   phi_ = std::move(phi);
+  TouchAll();
   last_.phi_changes += changes;
   totals_.phi_changes += changes;
   DynamicMetrics::Get().phi_changes->Inc(changes);
+}
+
+void IncrementalBitruss::Touch(const EdgeId slot) {
+  if (touched_.all) return;
+  if (touched_mark_.size() < graph_.NumSlots()) {
+    touched_mark_.resize(graph_.NumSlots(), 0);
+  }
+  if (touched_mark_[slot] != 0) return;
+  if (touched_.slots.size() >= graph_.NumSlots() / kTouchedShare) {
+    TouchAll();
+    return;
+  }
+  touched_mark_[slot] = 1;
+  touched_.slots.push_back(slot);
+}
+
+void IncrementalBitruss::TouchAll() {
+  for (const EdgeId slot : touched_.slots) touched_mark_[slot] = 0;
+  touched_.slots.clear();
+  touched_.all = true;
+}
+
+void IncrementalBitruss::TouchEdit(const EdgeId slot, const bool deferred) {
+  Touch(slot);
+  // A deferred edit's partners are covered by the batch's recompute.
+  if (deferred) return;
+  for (const EdgeId partner : delta_.touched) Touch(partner);
+}
+
+void IncrementalBitruss::TakeTouchedSlots(TouchedSlots* out) {
+  std::swap(*out, touched_);
+  for (const EdgeId slot : out->slots) touched_mark_[slot] = 0;
+  touched_.all = false;
+  touched_.slots.clear();
 }
 
 std::vector<EdgeId> IncrementalBitruss::CompactSlots() {
@@ -404,6 +448,9 @@ void IncrementalBitruss::ResetSlotScratch() {
   entry_labels_.shrink_to_fit();
   delta_.Clear();
   delta_.touched.shrink_to_fit();
+  TouchAll();
+  touched_mark_.assign(graph_.NumSlots(), 0);
+  touched_mark_.shrink_to_fit();
   scratch_ = LocalPeelScratch{};
   update_ = IncrementalUpdateStats{};
   last_ = IncrementalUpdateStats{};

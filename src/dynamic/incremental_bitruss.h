@@ -48,6 +48,15 @@
 // per-update path would, and the repairs it skips become edits that path
 // pays for anyway, so no cost model decides when to batch.
 // InsertEdge / DeleteEdge / Apply are the batch-of-one case.
+//
+// Touched slots.  Alongside phi the maintainer records which slots the
+// updates since the last TakeTouchedSlots() may have changed — each
+// updated slot, its butterfly partners (support moved) and the repair's
+// frontier (phi moved) — so a reader holding a copy of the slot arrays
+// can refresh it by rewriting only those.  A recompute, a compaction or a
+// restore reports every slot, and so does a list that outgrows a fixed
+// share of NumSlots(): a caller that never takes the report holds O(slots)
+// at most.
 
 #ifndef BITRUSS_DYNAMIC_INCREMENTAL_BITRUSS_H_
 #define BITRUSS_DYNAMIC_INCREMENTAL_BITRUSS_H_
@@ -103,6 +112,15 @@ struct EdgeUpdate {
   Kind kind = Kind::kInsert;
   VertexId upper_local = 0;
   VertexId lower_local = 0;
+};
+
+/// The slots a run of updates may have changed (phi, support or
+/// liveness); see "Touched slots" above.
+struct TouchedSlots {
+  /// Every slot may have changed; `slots` is then empty.
+  bool all = true;
+  /// Duplicate-free slot ids, in first-touch order, when !all.
+  std::vector<EdgeId> slots;
 };
 
 /// Stream-lifetime aggregates.
@@ -182,6 +200,11 @@ class IncrementalBitruss {
   /// new-slot mapping; previously handed-out EdgeIds are invalidated.
   std::vector<EdgeId> CompactSlots();
 
+  /// Moves the slots touched since the previous call (since construction
+  /// for the first, which reports all) into *out and starts an empty
+  /// report; out's old buffer is reused for it.
+  void TakeTouchedSlots(TouchedSlots* out);
+
   const IncrementalUpdateStats& LastUpdateStats() const { return last_; }
   const IncrementalTotals& Totals() const { return totals_; }
 
@@ -222,6 +245,14 @@ class IncrementalBitruss {
   /// Exact fallback: Decompose() the slot table in place and adopt its
   /// slot-indexed phi.
   void Recompute();
+  /// Adds `slot` to the touched report, collapsing it to all past
+  /// NumSlots() / kTouchedShare entries.
+  void Touch(EdgeId slot);
+  /// Reports every slot and drops the list.
+  void TouchAll();
+  /// Touches an applied update's slot and, unless the batch fell back,
+  /// the butterfly partners its delta lists.
+  void TouchEdit(EdgeId slot, bool deferred);
 
   IncrementalBitrussOptions options_;
   DynamicBipartiteGraph graph_;
@@ -237,6 +268,11 @@ class IncrementalBitruss {
   /// A repair in the current batch bailed out: later updates are plain
   /// edits and the batch ends with a Recompute().
   bool batch_fell_back_ = false;
+
+  /// The report TakeTouchedSlots() hands out, and its membership by slot
+  /// (1 iff listed in touched_.slots).
+  TouchedSlots touched_;
+  std::vector<std::uint8_t> touched_mark_;
 
   IncrementalUpdateStats update_;  // the update being repaired
   IncrementalUpdateStats last_;

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 namespace bitruss {
@@ -95,33 +94,63 @@ StatusOr<IncrementalBitruss> FromState(
 
 std::vector<std::pair<EdgeId, SupportT>> PhiSnapshot::TopKPhi(
     std::size_t k) const {
-  std::vector<std::pair<EdgeId, SupportT>> ranked;
-  ranked.reserve(num_edges);
-  for (EdgeId slot = 0; slot < num_slots; ++slot) {
-    if (live[slot]) ranked.emplace_back(slot, phi[slot]);
+  std::vector<std::pair<EdgeId, SupportT>> top;
+  if (k == 0) return top;
+  // The answer is every live edge above `floor` plus the first `at_floor`
+  // live edges at it by ascending slot; with fewer than k live edges,
+  // every one.
+  SupportT floor = 0;
+  std::uint64_t at_floor = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t above = 0;
+  for (std::size_t level = phi_counts.size(); level-- > 0;) {
+    if (above + phi_counts[level] >= k) {
+      floor = static_cast<SupportT>(level);
+      at_floor = k - above;
+      break;
+    }
+    above += phi_counts[level];
   }
-  const auto better = [](const std::pair<EdgeId, SupportT>& a,
-                         const std::pair<EdgeId, SupportT>& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  };
-  if (k < ranked.size()) {
-    std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                      better);
-    ranked.resize(k);
-  } else {
-    std::sort(ranked.begin(), ranked.end(), better);
+  top.reserve(std::min<std::uint64_t>(k, num_edges));
+  for (EdgeId slot = 0; slot < num_slots && top.size() < k; ++slot) {
+    if (live[slot] == 0 || phi[slot] < floor) continue;
+    if (phi[slot] == floor) {
+      if (at_floor == 0) continue;
+      --at_floor;
+    }
+    top.emplace_back(slot, phi[slot]);
   }
-  return ranked;
+  std::sort(top.begin(), top.end(),
+            [](const std::pair<EdgeId, SupportT>& a,
+               const std::pair<EdgeId, SupportT>& b) {
+              return a.second != b.second ? a.second > b.second
+                                          : a.first < b.first;
+            });
+  return top;
 }
 
 std::vector<std::pair<SupportT, std::uint64_t>> PhiSnapshot::PhiHistogram()
     const {
-  std::map<SupportT, std::uint64_t> counts;
-  for (EdgeId slot = 0; slot < num_slots; ++slot) {
-    if (live[slot]) ++counts[phi[slot]];
+  std::vector<std::pair<SupportT, std::uint64_t>> levels;
+  for (std::size_t level = 0; level < phi_counts.size(); ++level) {
+    if (phi_counts[level] != 0) {
+      levels.emplace_back(static_cast<SupportT>(level), phi_counts[level]);
+    }
   }
-  return std::vector<std::pair<SupportT, std::uint64_t>>(counts.begin(),
-                                                         counts.end());
+  return levels;
+}
+
+void BitrussService::SnapshotRecycler::Give(
+    std::unique_ptr<PhiSnapshot> snapshot) {
+  MutexLock lock(mu);
+  // The newer buffer is fewer reports behind, so cheaper to patch.
+  if (spare == nullptr || spare->version < snapshot->version) {
+    spare.swap(snapshot);
+  }
+}
+
+std::unique_ptr<PhiSnapshot> BitrussService::SnapshotRecycler::Take() {
+  MutexLock lock(mu);
+  return std::move(spare);
 }
 
 BitrussService::BitrussService(const BipartiteGraph& seed,
@@ -136,7 +165,9 @@ BitrussService::BitrussService(RestoredState state,
       num_lower_(inc_.Graph().NumLower()),
       recovered_base_(state.applied),
       wal_(std::move(state.wal)),
-      publish_seconds_(obs::ExponentialBuckets(1e-5, 2.0, 16)),
+      // A patched publish takes microseconds, a full copy of a large slot
+      // table up to milliseconds.
+      publish_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 20)),
       staleness_updates_(obs::ExponentialBuckets(1.0, 2.0, 12)),
       // Lifecycle latencies: applies can take microseconds (trivial
       // updates) to seconds (fallback recomputes, long queue waits);
@@ -149,7 +180,10 @@ BitrussService::BitrussService(RestoredState state,
       batch_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 27)),
       read_phi_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
       read_topk_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
-      read_histogram_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)) {
+      read_histogram_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
+      // An fsync takes tens of microseconds on a cache-backed disk and can
+      // stall for seconds on a busy one.
+      persist_wal_sync_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 24)) {
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   RegisterMetrics();
   if (!state.degraded_reason.empty()) EnterDegraded(state.degraded_reason);
@@ -200,6 +234,8 @@ std::vector<BitrussService::InstrumentEntry> BitrussService::Instruments()
       {"bitruss_serve_published_snapshots_total", &published_snapshots_,
        nullptr},
       {"bitruss_serve_compactions_total", &compactions_, nullptr},
+      {"bitruss_serve_publish_full_copies_total", &publish_full_copies_,
+       nullptr},
       {"bitruss_serve_reads_total", &snapshot_reads_, nullptr},
       {"bitruss_serve_publish_seconds", nullptr, &publish_seconds_},
       {"bitruss_serve_staleness_updates", nullptr, &staleness_updates_},
@@ -219,6 +255,8 @@ std::vector<BitrussService::InstrumentEntry> BitrussService::Instruments()
        nullptr},
       {"bitruss_persist_wal_truncated_segments_total",
        &persist_wal_truncated_segments_, nullptr},
+      {"bitruss_persist_wal_sync_seconds", nullptr,
+       &persist_wal_sync_seconds_},
   };
 }
 
@@ -533,20 +571,39 @@ void BitrussService::ApplyBatch() {
 }
 
 void BitrussService::PublishSnapshot() {
-  const Clock::time_point publish_start = Clock::now();
   // Publication is the durability boundary under kEveryPublish: every WAL
   // record acknowledged so far reaches disk before the covering snapshot
   // becomes visible to readers.
   if (wal_ != nullptr &&
       options_.persist.fsync_policy == persist::FsyncPolicy::kEveryPublish &&
       !Degraded()) {
-    if (Status st = wal_->Sync(); !st.ok()) {
-      EnterDegraded("WAL sync at publish failed: " + st.message());
-    }
+    const Clock::time_point sync_start = Clock::now();
+    const Status st = wal_->Sync();
+    persist_wal_sync_seconds_.Observe(
+        std::chrono::duration<double>(Clock::now() - sync_start).count());
+    if (!st.ok()) EnterDegraded("WAL sync at publish failed: " + st.message());
   }
+  const Clock::time_point publish_start = Clock::now();
   const DynamicBipartiteGraph& graph = inc_.Graph();
-  auto snapshot = std::make_shared<PhiSnapshot>();
   const std::uint64_t version = published_snapshots_.Value() + 1;
+  inc_.TakeTouchedSlots(&kept_reports_[version % kKeptReports]);
+  const std::shared_ptr<const PhiSnapshot> previous =
+      std::atomic_load_explicit(&snapshot_, std::memory_order_relaxed);
+  std::unique_ptr<PhiSnapshot> snapshot = recycler_->Take();
+  // The spare can be patched when every report since its version is kept
+  // and none of them is "all" (which the constructor's first one is).
+  bool patch = snapshot != nullptr && previous != nullptr &&
+               version - snapshot->version <= kKeptReports;
+  for (std::uint64_t v = version; patch && v > snapshot->version; --v) {
+    patch = !kept_reports_[v % kKeptReports].all;
+  }
+  if (patch) {
+    PatchTouchedSlots(*snapshot, version, *previous);
+  } else {
+    if (snapshot == nullptr) snapshot = std::make_unique<PhiSnapshot>();
+    CopyAllSlots(*snapshot);
+    publish_full_copies_.Inc();
+  }
   const std::uint64_t covers = applied_.Value();
   const std::uint64_t prev_covered =
       published_applied_.load(std::memory_order_relaxed);
@@ -559,19 +616,14 @@ void BitrussService::PublishSnapshot() {
   snapshot->num_edges = graph.NumEdges();
   snapshot->num_slots = graph.NumSlots();
   snapshot->num_butterflies = graph.NumButterflies();
-  snapshot->phi = inc_.PhiBySlot();
-  snapshot->support.assign(graph.NumSlots(), 0);
-  snapshot->live.assign(graph.NumSlots(), 0);
-  for (EdgeId slot = 0; slot < graph.NumSlots(); ++slot) {
-    if (graph.IsLive(slot)) {
-      snapshot->live[slot] = 1;
-      snapshot->support[slot] = graph.Support(slot);
-    }
-  }
-  std::atomic_store_explicit(
-      &snapshot_,
-      std::shared_ptr<const PhiSnapshot>(std::move(snapshot)),
-      std::memory_order_release);
+  // The last reader to drop this snapshot hands it back for a later
+  // publication to patch.
+  std::shared_ptr<const PhiSnapshot> published(
+      snapshot.release(), [recycler = recycler_](PhiSnapshot* done) {
+        recycler->Give(std::unique_ptr<PhiSnapshot>(done));
+      });
+  std::atomic_store_explicit(&snapshot_, std::move(published),
+                             std::memory_order_release);
   // Ordered after the snapshot store: once these counters say "covered",
   // Snapshot() already returns the covering version.  IncOrdered keeps the
   // release semantics the raw version store had.
@@ -580,9 +632,8 @@ void BitrussService::PublishSnapshot() {
   applied_since_publish_ = 0;
   staleness_updates_.Observe(static_cast<double>(staleness));
   const Clock::time_point published_at = Clock::now();
-  const double publish_cost =
-      std::chrono::duration<double>(published_at - publish_start).count();
-  publish_seconds_.Observe(publish_cost);
+  publish_seconds_.Observe(
+      std::chrono::duration<double>(published_at - publish_start).count());
   last_publish_ns_.store(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           published_at.time_since_epoch())
@@ -595,6 +646,64 @@ void BitrussService::PublishSnapshot() {
         std::chrono::duration<double>(published_at - submit_time).count());
   }
   pending_visibility_.clear();
+}
+
+void BitrussService::CopyAllSlots(PhiSnapshot& snapshot) const {
+  const DynamicBipartiteGraph& graph = inc_.Graph();
+  snapshot.phi = inc_.PhiBySlot();
+  snapshot.support.assign(graph.NumSlots(), 0);
+  snapshot.live.assign(graph.NumSlots(), 0);
+  snapshot.phi_counts.clear();
+  for (EdgeId slot = 0; slot < graph.NumSlots(); ++slot) {
+    if (!graph.IsLive(slot)) continue;
+    snapshot.live[slot] = 1;
+    snapshot.support[slot] = graph.Support(slot);
+    const SupportT phi = snapshot.phi[slot];
+    if (phi >= snapshot.phi_counts.size()) {
+      snapshot.phi_counts.resize(phi + std::size_t{1}, 0);
+    }
+    ++snapshot.phi_counts[phi];
+  }
+}
+
+void BitrussService::PatchTouchedSlots(PhiSnapshot& snapshot,
+                                       const std::uint64_t version,
+                                       const PhiSnapshot& previous) const {
+  const DynamicBipartiteGraph& graph = inc_.Graph();
+  const std::vector<SupportT>& phi = inc_.PhiBySlot();
+  // Without a compaction the slot table only grows, and every new slot is
+  // in some report (it was inserted); resize fills the rest with 0.  The
+  // buffers grow by a sixteenth, not the doubling resize would pick, so
+  // each recycled one stays close to the slot count it mirrors.
+  const EdgeId slots = graph.NumSlots();
+  const auto grow = [slots](auto& vec) {
+    if (vec.capacity() < slots) vec.reserve(slots + slots / 16);
+    vec.resize(slots, 0);
+  };
+  grow(snapshot.phi);
+  grow(snapshot.support);
+  grow(snapshot.live);
+  for (std::uint64_t v = snapshot.version + 1; v <= version; ++v) {
+    for (const EdgeId slot : kept_reports_[v % kKeptReports].slots) {
+      const bool live = graph.IsLive(slot);
+      snapshot.phi[slot] = phi[slot];
+      snapshot.support[slot] = live ? graph.Support(slot) : 0;
+      snapshot.live[slot] = live ? 1 : 0;
+    }
+  }
+  // The histogram moves from the previous publication's by this batch's
+  // report alone: each listed slot leaves its old level and joins its new.
+  std::vector<std::uint64_t>& counts = snapshot.phi_counts;
+  counts = previous.phi_counts;
+  for (const EdgeId slot : kept_reports_[version % kKeptReports].slots) {
+    if (previous.IsLive(slot)) --counts[previous.phi[slot]];
+    if (!graph.IsLive(slot)) continue;
+    if (phi[slot] >= counts.size()) {
+      counts.resize(phi[slot] + std::size_t{1}, 0);
+    }
+    ++counts[phi[slot]];
+  }
+  while (!counts.empty() && counts.back() == 0) counts.pop_back();
 }
 
 void BitrussService::WriterLoop() {

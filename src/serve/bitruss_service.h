@@ -82,10 +82,12 @@
 
 namespace bitruss {
 
-/// An immutable, versioned freeze of the maintained bitruss state.  All
-/// vectors are indexed by slot id in [0, num_slots); free slots read phi
-/// and support 0 with live == 0.  Query helpers are const and safe to call
-/// from any number of threads concurrently.
+/// An immutable, versioned freeze of the maintained bitruss state.  The
+/// slot vectors are indexed by slot id in [0, num_slots); free slots read
+/// phi and support 0 with live == 0.  `phi_counts` carries the phi
+/// histogram, so the size of every k-bitruss (a suffix sum of it) and the
+/// top-k threshold are read without a scan.  Query helpers are const and
+/// safe to call from any number of threads concurrently.
 struct PhiSnapshot {
   /// Publication sequence number, strictly increasing from 1 (the initial
   /// snapshot of the seed graph).
@@ -101,6 +103,9 @@ struct PhiSnapshot {
   std::vector<SupportT> phi;
   std::vector<SupportT> support;
   std::vector<std::uint8_t> live;
+  /// phi_counts[p] = live edges with phi p, up to the largest live phi
+  /// (empty when no edge is live); sums to num_edges.
+  std::vector<std::uint64_t> phi_counts;
 
   /// Bitruss number of a slot; 0 for free slots and any id >= num_slots
   /// (a stale id from before a compaction reads 0, never out of bounds).
@@ -115,11 +120,14 @@ struct PhiSnapshot {
 
   /// The k live edges with the largest phi, sorted by (phi desc, slot
   /// asc) — deterministic for a given snapshot.  Returns fewer than k
-  /// pairs when fewer live edges exist.
+  /// pairs when fewer live edges exist.  The phi threshold comes off
+  /// phi_counts; one pass over the slots collects the answer (ties at the
+  /// threshold by ascending slot) and only those at most k pairs are
+  /// sorted.
   std::vector<std::pair<EdgeId, SupportT>> TopKPhi(std::size_t k) const;
 
   /// (phi value, live-edge count) pairs sorted by phi ascending; counts
-  /// sum to num_edges.
+  /// sum to num_edges.  O(distinct phi levels), read off phi_counts.
   std::vector<std::pair<SupportT, std::uint64_t>> PhiHistogram() const;
 };
 
@@ -372,8 +380,34 @@ class BitrussService {
   /// a caller's predicate check and its wait.
   void NotifyDrained();
   /// Freezes the current state into a snapshot and publishes it (writer
-  /// thread, or the constructor before the writer starts).
+  /// thread, or the constructor before the writer starts).  The cost is
+  /// O(slots the batch touched): the snapshot no reader holds any more
+  /// comes back through the recycler, and the writer rewrites only the
+  /// slots touched since its version (IncrementalBitruss::
+  /// TakeTouchedSlots), updating phi_counts from the last published
+  /// snapshot.  It copies every slot, and counts a full copy, when no
+  /// buffer is free, when the buffer is older than the kept reports, or
+  /// when one of them is "all" (recompute, compaction, restore).
   void PublishSnapshot();
+  /// The full-copy and the patch halves of PublishSnapshot: bring
+  /// `snapshot`'s slot vectors and phi_counts up to the current state.
+  void CopyAllSlots(PhiSnapshot& snapshot) const;
+  void PatchTouchedSlots(PhiSnapshot& snapshot, std::uint64_t version,
+                         const PhiSnapshot& previous) const;
+
+  /// One-entry pool of published snapshots whose last reader let go.
+  /// Each published snapshot's deleter holds a reference to it, so a
+  /// snapshot that outlives the service frees itself with the pool.
+  struct SnapshotRecycler {
+    Mutex mu;
+    std::unique_ptr<PhiSnapshot> spare GUARDED_BY(mu);
+    /// Keeps the newer of `snapshot` and the spare; frees the other.
+    void Give(std::unique_ptr<PhiSnapshot> snapshot) EXCLUDES(mu);
+    std::unique_ptr<PhiSnapshot> Take() EXCLUDES(mu);
+  };
+  /// Touched-slot reports of the last kKeptReports publications: the one
+  /// that produced version v sits at v % kKeptReports.
+  static constexpr std::uint64_t kKeptReports = 4;
   /// One row of the name -> instrument table; exactly one pointer is set.
   struct InstrumentEntry {
     const char* name;
@@ -441,6 +475,9 @@ class BitrussService {
   mutable obs::Counter snapshot_reads_;
   obs::Gauge queue_depth_;       ///< instantaneous, set under mu_
   obs::Gauge queue_depth_peak_;  ///< high-water mark across the run
+  /// Publications that copied every slot instead of patching.
+  obs::Counter publish_full_copies_;
+  /// Snapshot build time at publication (the WAL sync is timed apart).
   obs::Histogram publish_seconds_;
   obs::Histogram staleness_updates_;
   // Request-lifecycle latency instruments (PR 8): exact per-update
@@ -462,6 +499,8 @@ class BitrussService {
   obs::Counter persist_snapshots_;
   obs::Counter persist_snapshot_failures_;
   obs::Counter persist_wal_truncated_segments_;
+  /// WAL fsync at each publication under FsyncPolicy::kEveryPublish.
+  obs::Histogram persist_wal_sync_seconds_;
   std::vector<std::uint64_t> gauge_callback_handles_;
   /// Steady-clock nanosecond stamp of the last publication, for
   /// SnapshotAgeSeconds: release-stored by the writer at publication,
@@ -488,6 +527,11 @@ class BitrussService {
   std::vector<std::chrono::steady_clock::time_point> pending_visibility_;
   /// The updates popped for the current batch.
   std::vector<EdgeUpdate> batch_;
+  /// Where published snapshots return once no reader holds them.
+  std::shared_ptr<SnapshotRecycler> recycler_ =
+      std::make_shared<SnapshotRecycler>();
+  std::vector<TouchedSlots> kept_reports_ =
+      std::vector<TouchedSlots>(kKeptReports);
 
   Mutex join_mu_;  // serializes the writer join across Shutdown races
   /// Started last in the constructor (unguarded there: the object is not

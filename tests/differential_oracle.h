@@ -5,8 +5,9 @@
 // total and phi from an independent CountEdgeSupports +
 // CountTotalButterflies + Decompose of its Snapshot()), and one comparison
 // of any slot view against that truth (ExpectMatches): a PhiSnapshot as a
-// service publishes it, or the slot table of an IncrementalBitruss or of a
-// bare DynamicBipartiteGraph (which has no phi).
+// service publishes it — its arrays and its PhiHistogram()/TopKPhi()
+// summaries — or the slot table of an IncrementalBitruss or of a bare
+// DynamicBipartiteGraph (which has no phi).
 
 #ifndef BITRUSS_TESTS_DIFFERENTIAL_ORACLE_H_
 #define BITRUSS_TESTS_DIFFERENTIAL_ORACLE_H_
@@ -18,6 +19,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -185,14 +187,56 @@ class Oracle {
     truth->live.assign(truth->num_slots, 0);
     truth->support.assign(truth->num_slots, 0);
     truth->phi.assign(truth->num_slots, 0);
+    truth->phi_counts.clear();
     for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
       const EdgeId slot = snapshot.slot_of_edge[e];
       truth->live[slot] = 1;
       truth->support[slot] = supports[e];
       truth->phi[slot] = phi[e];
+      if (phi[e] >= truth->phi_counts.size()) {
+        truth->phi_counts.resize(phi[e] + std::size_t{1}, 0);
+      }
+      ++truth->phi_counts[phi[e]];
     }
   }
 };
+
+// Every live slot of `snap` as (slot, phi), sorted by (phi desc, slot
+// asc): TopKPhi(k) is its first k entries.
+inline std::vector<std::pair<EdgeId, SupportT>> RankLiveSlots(
+    const PhiSnapshot& snap) {
+  std::vector<std::pair<EdgeId, SupportT>> ranked;
+  for (EdgeId slot = 0; slot < snap.live.size(); ++slot) {
+    if (snap.live[slot] != 0) ranked.emplace_back(slot, snap.phi[slot]);
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const std::pair<EdgeId, SupportT>& a,
+               const std::pair<EdgeId, SupportT>& b) {
+              return a.second != b.second ? a.second > b.second
+                                          : a.first < b.first;
+            });
+  return ranked;
+}
+
+// The (phi, live-edge count) pairs of `snap`, by a scan of its arrays.
+inline std::vector<std::pair<SupportT, std::uint64_t>> CountLivePhi(
+    const PhiSnapshot& snap) {
+  std::map<SupportT, std::uint64_t> levels;
+  for (EdgeId slot = 0; slot < snap.live.size(); ++slot) {
+    if (snap.live[slot] != 0) ++levels[snap.phi[slot]];
+  }
+  return {levels.begin(), levels.end()};
+}
+
+// TopKPhi(k) of `view` against the first k of `ranked`.
+inline void ExpectTopK(const PhiSnapshot& view,
+                       const std::vector<std::pair<EdgeId, SupportT>>& ranked,
+                       std::size_t k) {
+  const auto end = ranked.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(k, ranked.size()));
+  const std::vector<std::pair<EdgeId, SupportT>> expected(ranked.begin(), end);
+  ASSERT_EQ(view.TopKPhi(k), expected) << "k " << k;
+}
 
 enum class Match {
   kSlots,     // slot for slot: the view numbers slots as the replay does
@@ -210,6 +254,15 @@ inline void ExpectMatches(const PhiSnapshot& view, const Truth& truth,
   ASSERT_EQ(view.live, truth.live);
   ASSERT_EQ(view.support, truth.support);
   ASSERT_EQ(view.phi, truth.phi);
+  // The carried summaries, against a brute-force scan of the truth.
+  ASSERT_EQ(view.phi_counts, truth.phi_counts);
+  ASSERT_EQ(view.PhiHistogram(), CountLivePhi(truth));
+  const std::vector<std::pair<EdgeId, SupportT>> ranked = RankLiveSlots(truth);
+  for (const std::size_t k :
+       {std::size_t{0}, std::size_t{1}, std::size_t{8},
+        std::size_t{truth.num_edges}, std::size_t{truth.num_edges} + 1}) {
+    ASSERT_NO_FATAL_FAILURE(ExpectTopK(view, ranked, k));
+  }
 }
 
 // Slot for slot down to each slot's endpoints and the order of the

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -52,40 +53,114 @@ TEST(BitrussService, InitialSnapshotMatchesSeedDecompose) {
 }
 
 TEST(BitrussService, SnapshotQueriesAreConsistentWithArrays) {
-  // Complete K(2,3): every edge sits in 2 butterflies and phi is uniform.
+  // Slots 0-8 a K(3,3) block (phi 4 on every edge), 9-11 pendant edges
+  // (phi 0), 12-17 a K(2,3) block (phi 2); seed edges take slots in
+  // (upper, lower) order.  Deleting a pendant and a K(2,3) edge frees two
+  // slots in the middle and leaves levels 0, 1 and 4 with runs of equal
+  // phi, so ties at every top-k threshold fall to the slot order.
   const BipartiteGraph seed(
-      2, 3, {{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}});
+      7, 8, {{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}, {2, 0},
+             {2, 1}, {2, 2}, {3, 6}, {3, 7}, {4, 6}, {5, 3}, {5, 4},
+             {5, 5}, {6, 3}, {6, 4}, {6, 5}});
   BitrussService service(seed);
+  ASSERT_TRUE(service.SubmitDelete(5, 4).ok());
+  ASSERT_TRUE(service.SubmitDelete(4, 6).ok());
+  ASSERT_TRUE(service.Drain().ok());
   const auto snap = service.Snapshot();
+  ASSERT_EQ(snap->num_edges, seed.NumEdges() - 2);
+  ASSERT_FALSE(snap->IsLive(11));  // (4, 6)
+  ASSERT_FALSE(snap->IsLive(13));  // (5, 4)
 
-  const auto top = snap->TopKPhi(4);
-  ASSERT_EQ(top.size(), 4u);
-  for (std::size_t i = 1; i < top.size(); ++i) {
-    // (phi desc, slot asc) order.
-    EXPECT_TRUE(top[i - 1].second > top[i].second ||
-                (top[i - 1].second == top[i].second &&
-                 top[i - 1].first < top[i].first));
-  }
-  const auto all = snap->TopKPhi(100);
-  EXPECT_EQ(all.size(), seed.NumEdges());
-
-  std::map<SupportT, std::uint64_t> expected;
-  for (EdgeId slot = 0; slot < snap->num_slots; ++slot) {
-    if (snap->IsLive(slot)) ++expected[snap->Phi(slot)];
-  }
   const auto histogram = snap->PhiHistogram();
-  ASSERT_EQ(histogram.size(), expected.size());
+  EXPECT_EQ(histogram, differential::CountLivePhi(*snap));
+  ASSERT_EQ(histogram.size(), 3u);
+  EXPECT_EQ(histogram.front(), (std::pair<SupportT, std::uint64_t>{0, 3}));
   std::uint64_t total = 0;
+  std::uint64_t widest = 0;
   for (const auto& [phi, count] : histogram) {
-    EXPECT_EQ(count, expected[phi]) << "phi " << phi;
     total += count;
+    widest = std::max(widest, count);
   }
   EXPECT_EQ(total, snap->num_edges);
+  EXPECT_EQ(widest, 9u);
+
+  // Every k, including 0 and past the live count, against a full sort by
+  // (phi desc, slot asc).
+  const auto ranked = differential::RankLiveSlots(*snap);
+  ASSERT_EQ(ranked.size(), snap->num_edges);
+  for (std::size_t k = 0; k <= snap->num_edges + 1; ++k) {
+    ASSERT_NO_FATAL_FAILURE(differential::ExpectTopK(*snap, ranked, k));
+  }
 
   // Out-of-range ids answer 0/false, never fault.
   EXPECT_EQ(snap->Phi(1u << 30), 0u);
   EXPECT_EQ(snap->SupportOf(1u << 30), 0u);
   EXPECT_FALSE(snap->IsLive(1u << 30));
+}
+
+// Published snapshots are recycled once their last reader lets go, and the
+// writer then rewrites only the slots touched since the buffer's version.
+// A snapshot still held must never be among them.  Runs under TSan in CI
+// (serve label): readers drop snapshots on their own threads.
+TEST(BitrussService, RecycledSnapshotsLeaveHeldOnesIntact) {
+  const BipartiteGraph seed = GenerateUniformBipartite(30, 25, 200, 13);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 120, 0x5ec1);
+  BitrussServiceOptions options;
+  options.publish_every_updates = 1;
+  options.publish_interval_ms = 0;
+  BitrussService service(seed, options);
+  const auto full_copies = [] {
+    const obs::RegistrySnapshot snap =
+        obs::MetricsRegistry::Default().Snapshot();
+    const obs::CounterSample* family =
+        snap.FindCounter("bitruss_serve_publish_full_copies_total");
+    return family == nullptr ? std::uint64_t{0} : family->value;
+  };
+  const std::uint64_t copies_before = full_copies();
+  const std::uint64_t published_before = service.Stats().published_snapshots;
+
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    std::uint64_t sink = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      const auto snap = service.Snapshot();
+      sink += snap->TopKPhi(3).size() + snap->Phi(0);
+    }
+    EXPECT_GE(sink, 0u);
+  });
+  std::shared_ptr<const PhiSnapshot> held;
+  PhiSnapshot copy;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    ASSERT_TRUE(service.Submit(ops[i]).ok());
+    ASSERT_TRUE(service.Drain().ok());
+    if (i == 20) {
+      held = service.Snapshot();
+      copy = *held;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  const auto latest = service.Snapshot();
+  ASSERT_GE(latest->version, held->version + 3);
+  EXPECT_EQ(held->version, copy.version);
+  EXPECT_EQ(held->applied_updates, copy.applied_updates);
+  EXPECT_EQ(held->num_edges, copy.num_edges);
+  EXPECT_EQ(held->num_slots, copy.num_slots);
+  EXPECT_EQ(held->num_butterflies, copy.num_butterflies);
+  EXPECT_EQ(held->phi, copy.phi);
+  EXPECT_EQ(held->support, copy.support);
+  EXPECT_EQ(held->live, copy.live);
+  EXPECT_EQ(held->phi_counts, copy.phi_counts);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMatches(*latest, Oracle(seed, ops).At(ops.size())));
+
+  // Most publications took the patch path.
+  const std::uint64_t publishes =
+      service.Stats().published_snapshots - published_before;
+  EXPECT_EQ(publishes, ops.size());
+  EXPECT_LT(full_copies() - copies_before, publishes);
+  service.Shutdown();
 }
 
 TEST(BitrussService, BackpressureWhenQueueFills) {

@@ -129,6 +129,7 @@ TEST_F(TelemetryContract, MetricsEndpointCarriesEveryServingFamily) {
            "bitruss_serve_reads_total",
            "bitruss_serve_rejected_overflow_total",
            "bitruss_serve_compactions_total",
+           "bitruss_serve_publish_full_copies_total",
            "bitruss_dynamic_fallbacks_total",
            "bitruss_persist_wal_records_total",
            "bitruss_persist_snapshots_total",
@@ -146,9 +147,20 @@ TEST_F(TelemetryContract, MetricsEndpointCarriesEveryServingFamily) {
            "bitruss_serve_read_phi_seconds",
            "bitruss_serve_read_topk_seconds",
            "bitruss_serve_read_histogram_seconds",
+           "bitruss_persist_wal_sync_seconds",
        }) {
     EXPECT_GT(value(std::string(histogram) + "_count"), 0) << histogram;
   }
+  // A full copy is one way to publish (the fallbacks force it here), the
+  // patched recycled buffer the other.
+  EXPECT_LE(value("bitruss_serve_publish_full_copies_total"),
+            value("bitruss_serve_published_snapshots_total"));
+  // The publish histogram times the snapshot build alone, the WAL sync
+  // its own family: one observation each per publication.
+  EXPECT_EQ(value("bitruss_serve_publish_seconds_count"),
+            value("bitruss_serve_published_snapshots_total"));
+  EXPECT_EQ(value("bitruss_persist_wal_sync_seconds_count"),
+            value("bitruss_serve_published_snapshots_total"));
   EXPECT_GE(value("bitruss_serve_queue_depth_peak"),
             static_cast<double>(kQueueCapacity));
 }
@@ -188,6 +200,12 @@ TEST_F(TelemetryContract, NoNonEmptyHistogramP99IsClampedToItsTopBound) {
   const obs::RegistrySnapshot snapshot =
       obs::MetricsRegistry::Default().Snapshot();
   ASSERT_FALSE(snapshot.histograms.empty());
+  for (const char* name :
+       {"bitruss_serve_publish_seconds", "bitruss_persist_wal_sync_seconds"}) {
+    const obs::HistogramSample* family = snapshot.FindHistogram(name);
+    ASSERT_NE(family, nullptr) << name;
+    EXPECT_GT(family->count, 0u) << name;
+  }
   for (const obs::HistogramSample& family : snapshot.histograms) {
     if (family.count == 0 || family.bounds.empty()) continue;
     EXPECT_NE(family.Quantile(0.99), family.bounds.back()) << family.name;
