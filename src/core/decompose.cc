@@ -43,20 +43,16 @@ struct DecomposeMetrics {
   }
 };
 
-// BiT-BS peeling: on every removal, re-enumerate the butterflies of the
-// removed edge on the current (shrinking) graph and decrement the other
-// three edges of each.  O(d(u) + sum_{w in N(v)} d(w)) per removal.  An
-// edge taken at support 0 lies in no surviving butterfly, so its walk is
-// skipped; that also covers a free slot, which has no endpoints.
-template <typename GraphT>
-void PeelBS(const GraphT& g, EdgeId m, std::vector<SupportT> sup,
+// BiT-BS peeling: the peel deletes each taken edge from a
+// DynamicBipartiteGraph copy, whose DeleteEdge re-enumerates the removed
+// edge's butterflies on the current (shrinking) graph and reports the
+// three other edges of each; every reported edge takes one support update.
+// O(d(t) + sum_{x in N(s)} d(x)) per removal, s the endpoint of smaller
+// degree and t the other.  DeleteEdge skips the walk of an edge at support
+// 0, which lies in no surviving butterfly, and answers kNotFound for a
+// free slot, which is taken at level 0 and updates nothing.
+void PeelBS(DynamicBipartiteGraph g, std::vector<SupportT> sup,
             const DecomposeOptions& options, BitrussResult* result) {
-  const VertexId n = g.NumVertices();
-  std::vector<std::uint8_t> removed(m, 0);
-  std::vector<std::uint32_t> stamp(n, 0);
-  std::vector<EdgeId> stamp_edge(n, kInvalidEdge);
-  std::uint32_t epoch = 0;
-
   SupportBuckets queue(sup, {});
   const bool track = options.track_per_edge_updates;
   const auto update = [&](EdgeId e) {
@@ -71,6 +67,7 @@ void PeelBS(const GraphT& g, EdgeId m, std::vector<SupportT> sup,
   SupportT level = 0;
   std::uint32_t since_poll = 0;
   std::vector<EdgeId> taken;
+  UpdateDelta delta;
   for (;;) {
     if (++since_poll >= kDeadlinePollInterval) {
       since_poll = 0;
@@ -83,30 +80,21 @@ void PeelBS(const GraphT& g, EdgeId m, std::vector<SupportT> sup,
     if (taken.empty()) break;
     level = std::max(level, at);
     const EdgeId e = taken.front();
-    removed[e] = 1;
     result->phi[e] = level;
-    if (at == 0) continue;
-
-    const VertexId u = g.EdgeUpper(e);
-    const VertexId v = g.EdgeLower(e);
-    ++epoch;
-    for (const auto& [y, ey] : g.Neighbors(u)) {
-      if (!removed[ey] && y != v) {
-        stamp[y] = epoch;
-        stamp_edge[y] = ey;
-      }
-    }
-    for (const auto& [w, ew] : g.Neighbors(v)) {
-      if (removed[ew] || w == u) continue;
-      for (const auto& [y, ewy] : g.Neighbors(w)) {
-        if (removed[ewy] || y == v || stamp[y] != epoch) continue;
-        // Butterfly {u, v, w, y}: the three surviving edges lose it.
-        update(stamp_edge[y]);
-        update(ew);
-        update(ewy);
-      }
-    }
+    if (!g.DeleteEdge(e, &delta).ok()) continue;  // a free slot
+    for (const EdgeId f : delta.touched) update(f);
   }
+}
+
+// The graph BiT-BS peels: a slot table is copied as is, and a CSR graph is
+// seeded with its counted supports.
+DynamicBipartiteGraph PeelCopy(const BipartiteGraph& g,
+                               const std::vector<SupportT>& sup) {
+  return DynamicBipartiteGraph(g, sup);
+}
+DynamicBipartiteGraph PeelCopy(const DynamicBipartiteGraph& g,
+                               const std::vector<SupportT>& /*sup*/) {
+  return g;
 }
 
 void RunIndexed(BEIndex index, std::vector<SupportT> sup, Peeler::Mode mode,
@@ -290,7 +278,8 @@ BitrussResult DecomposeGraph(const GraphT& g, EdgeId m,
   switch (options.algorithm) {
     case Algorithm::kBS: {
       timer.Reset();
-      PeelBS(g, m, std::move(sup), options, &result);
+      DynamicBipartiteGraph peeled = PeelCopy(g, sup);
+      PeelBS(std::move(peeled), std::move(sup), options, &result);
       result.counters.peeling_seconds = timer.Seconds();
       break;
     }

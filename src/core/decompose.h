@@ -2,7 +2,8 @@
 // variants of Wang et al. (ICDE'20).
 //
 //   kBS         baseline: peel with direct butterfly re-enumeration on the
-//               shrinking graph (no index) — Section III.
+//               shrinking graph (no index), deleting each peeled edge
+//               from a DynamicBipartiteGraph copy — Section III.
 //   kBU         BE-Index peeling, one edge at a time — Section IV.
 //   kBUPlus     + batch edge processing — Section V-A.
 //   kBUPlusPlus + batch bloom processing — Section V-B.

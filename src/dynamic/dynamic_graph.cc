@@ -19,13 +19,11 @@ DynamicBipartiteGraph::DynamicBipartiteGraph(const BipartiteGraph& seed,
       adj_(seed.NumVertices()) {
   assert(sup.size() == seed.NumEdges());
   slots_.resize(seed.NumEdges());
-  edge_index_.reserve(seed.NumEdges());
   std::uint64_t support_sum = 0;
   for (EdgeId e = 0; e < seed.NumEdges(); ++e) {
     const VertexId u = seed.EdgeUpper(e);
     const VertexId v = seed.EdgeLower(e);
     Link(e, u, v, sup[e]);
-    edge_index_.emplace(PairKey(u, v), e);
     support_sum += sup[e];
   }
   // Every butterfly contributes +1 support to each of its four edges.
@@ -33,9 +31,12 @@ DynamicBipartiteGraph::DynamicBipartiteGraph(const BipartiteGraph& seed,
 }
 
 EdgeId DynamicBipartiteGraph::FindEdge(VertexId a, VertexId b) const {
-  const std::uint64_t key = a < num_upper_ ? PairKey(a, b) : PairKey(b, a);
-  const auto it = edge_index_.find(key);
-  return it == edge_index_.end() ? kInvalidEdge : it->second;
+  if (a >= NumVertices() || b >= NumVertices()) return kInvalidEdge;
+  if (Degree(b) < Degree(a)) std::swap(a, b);
+  for (const Entry& entry : adj_[a]) {
+    if (entry.neighbor == b) return entry.edge;
+  }
+  return kInvalidEdge;
 }
 
 StatusOr<EdgeId> DynamicBipartiteGraph::InsertEdge(VertexId upper_local,
@@ -46,8 +47,7 @@ StatusOr<EdgeId> DynamicBipartiteGraph::InsertEdge(VertexId upper_local,
   }
   const VertexId u = upper_local;
   const VertexId v = num_upper_ + lower_local;
-  const std::uint64_t key = PairKey(u, v);
-  if (edge_index_.count(key) != 0) {
+  if (FindEdge(u, v) != kInvalidEdge) {
     return AlreadyExistsError("InsertEdge: edge already present");
   }
   if (delta != nullptr) delta->Clear();
@@ -66,7 +66,6 @@ StatusOr<EdgeId> DynamicBipartiteGraph::InsertEdge(VertexId upper_local,
     slots_.emplace_back();
   }
   Link(e, u, v, internal::SaturatingSupportCast(found));
-  edge_index_.emplace(key, e);
   ++num_live_;
   return e;
 }
@@ -92,7 +91,6 @@ Status DynamicBipartiteGraph::DeleteEdge(EdgeId e, UpdateDelta* delta) {
 
   RemoveAdjEntry(u, slot.upper_pos);
   RemoveAdjEntry(v, slot.lower_pos);
-  edge_index_.erase(PairKey(u, v));
   slot = EdgeSlot{};  // upper == kInvalidVertex marks the slot free
   free_slots_.push_back(e);
   --num_live_;
@@ -162,7 +160,6 @@ std::vector<EdgeId> DynamicBipartiteGraph::CompactSlots() {
   for (std::vector<Entry>& list : adj_) {
     for (Entry& entry : list) entry.edge = mapping[entry.edge];
   }
-  for (auto& [key, slot] : edge_index_) slot = mapping[slot];
   return mapping;
 }
 
@@ -175,7 +172,7 @@ GraphSnapshot DynamicBipartiteGraph::Snapshot() const {
     }
   }
   // The constructor sorts the pairs into BipartiteGraph's lexicographic
-  // edge-id order; each CSR edge then finds its slot through the index.
+  // edge-id order; each CSR edge then finds its slot with FindEdge.
   GraphSnapshot snapshot;
   snapshot.graph = BipartiteGraph(num_upper_, num_lower_, std::move(pairs));
   const EdgeId m = snapshot.graph.NumEdges();
@@ -219,7 +216,6 @@ StatusOr<DynamicBipartiteGraph> DynamicBipartiteGraph::FromState(
   graph.num_lower_ = state.num_lower;
   graph.adj_.assign(graph.NumVertices(), {});
   graph.slots_.resize(num_slots);
-  graph.edge_index_.reserve(num_slots);
 
   std::vector<char> is_free(num_slots, 0);
   std::uint64_t support_sum = 0;
@@ -238,13 +234,20 @@ StatusOr<DynamicBipartiteGraph> DynamicBipartiteGraph::FromState(
         v >= state.num_upper + state.num_lower) {
       return DataLossError("graph state: edge endpoint out of range");
     }
-    if (!graph.edge_index_.emplace(PairKey(u, v), static_cast<EdgeId>(s))
-             .second) {
-      return DataLossError("graph state: duplicate edge");
-    }
     graph.Link(static_cast<EdgeId>(s), u, v, state.support[s]);
     support_sum += state.support[s];
     ++live;
+  }
+  // A duplicate edge lists the same lower vertex twice in one upper
+  // vertex's adjacency; last_upper[w] is the last upper vertex seen at w.
+  std::vector<VertexId> last_upper(graph.NumVertices(), kInvalidVertex);
+  for (VertexId u = 0; u < graph.num_upper_; ++u) {
+    for (const Entry& entry : graph.adj_[u]) {
+      if (last_upper[entry.neighbor] == u) {
+        return DataLossError("graph state: duplicate edge");
+      }
+      last_upper[entry.neighbor] = u;
+    }
   }
   // Every butterfly contributes +1 support to each of its four edges.
   if (support_sum != 4 * state.num_butterflies) {
@@ -272,14 +275,8 @@ std::uint64_t DynamicBipartiteGraph::MemoryBytes() const {
   for (const std::vector<Entry>& list : adj_) {
     adjacency += list.capacity() * sizeof(Entry);
   }
-  // Hash index estimate: nodes (key, value, next pointer) + bucket array.
-  const std::uint64_t index =
-      edge_index_.size() *
-          (sizeof(std::uint64_t) + sizeof(EdgeId) + sizeof(void*)) +
-      edge_index_.bucket_count() * sizeof(void*);
   return sizeof(*this) + adjacency + slots_.capacity() * sizeof(EdgeSlot) +
-         (free_slots_.capacity() + closing_mark_.capacity()) * sizeof(EdgeId) +
-         index;
+         (free_slots_.capacity() + closing_mark_.capacity()) * sizeof(EdgeId);
 }
 
 }  // namespace bitruss

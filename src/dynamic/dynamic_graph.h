@@ -1,15 +1,15 @@
 // Mutable bipartite graph with incrementally maintained butterfly supports.
 //
 // `DynamicBipartiteGraph` wraps a seed `BipartiteGraph` in per-vertex
-// neighbor vectors plus a pair->edge hash index, so edges can be inserted
-// and deleted between decomposition runs without recounting the whole
-// graph: each update enumerates only the butterflies through the touched
-// edge (internal::ForEachButterflyThroughEdge) and applies the ±1 support
-// delta to the O(affected) edges.  That walk reads closing edges from a
-// vertex-indexed mark, not the hash index; the index serves the
-// endpoint-keyed lookups (FindEdge, the duplicate-insert check, Snapshot).
-// Aggregate counters — live edge count and exact total butterflies — are
-// maintained across the stream.
+// neighbor vectors, so edges can be inserted and deleted between
+// decomposition runs without recounting the whole graph: each update
+// enumerates only the butterflies through the touched edge
+// (internal::ForEachButterflyThroughEdge) and applies the ±1 support delta
+// to the O(affected) edges.  The adjacency lists are the only edge index:
+// FindEdge scans the shorter endpoint list, O(min(d(a), d(b))), which never
+// exceeds the butterfly walk an insert (or a delete of an edge in any
+// butterfly) runs right after its lookup.  Aggregate counters — live edge
+// count and exact total butterflies — are maintained across the stream.
 //
 // Edge ids are stable SLOT ids: the seed's edges keep their CSR EdgeIds,
 // inserts reuse freed slots (free list) before growing, and a deleted
@@ -35,7 +35,6 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -180,7 +179,8 @@ class DynamicBipartiteGraph {
   const std::vector<Entry>& Neighbors(VertexId v) const { return adj_[v]; }
 
   /// Slot id of the edge between global vertices a and b (either order),
-  /// or kInvalidEdge if absent.
+  /// or kInvalidEdge if absent or either id is out of range.  Scans the
+  /// adjacency list of the endpoint with fewer entries.
   EdgeId FindEdge(VertexId a, VertexId b) const;
 
   /// Compacts the live edges to CSR; see GraphSnapshot.  For oracles and
@@ -225,10 +225,6 @@ class DynamicBipartiteGraph {
     SupportT support = 0;
   };
 
-  static std::uint64_t PairKey(VertexId upper, VertexId lower) {
-    return (static_cast<std::uint64_t>(upper) << 32) | lower;
-  }
-
   /// Moves the support of every other edge of each butterfly through
   /// (u, v) one step up (`gained`) or down, reporting them in `delta`;
   /// returns the butterfly count.
@@ -246,7 +242,6 @@ class DynamicBipartiteGraph {
   std::vector<std::vector<Entry>> adj_;  // size NumVertices()
   std::vector<EdgeSlot> slots_;
   std::vector<EdgeId> free_slots_;
-  std::unordered_map<std::uint64_t, EdgeId> edge_index_;  // PairKey -> slot
   /// ShiftPartnerSupports' closing-edge mark; all kInvalidEdge between
   /// updates (see internal::ForEachButterflyThroughEdge).
   std::vector<EdgeId> closing_mark_;

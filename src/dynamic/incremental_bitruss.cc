@@ -1,6 +1,7 @@
 #include "dynamic/incremental_bitruss.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -89,7 +90,10 @@ IncrementalBitruss::IncrementalBitruss(DynamicBipartiteGraph graph,
 }
 
 std::uint64_t IncrementalBitruss::EffectiveBudget() const {
-  if (!options_.adaptive_budget) return options_.cascade_budget;
+  // UINT64_MAX asks for no fallback at all, so it is taken literally.
+  if (options_.cascade_budget == std::numeric_limits<std::uint64_t>::max()) {
+    return options_.cascade_budget;
+  }
   // The recompute costs one wedge enumeration into the BE-Index plus a
   // peel whose support updates grow with the butterfly count.  A local
   // repair pays a few array reads per butterfly it enumerates (the walk
@@ -123,13 +127,6 @@ StatusOr<EdgeId> IncrementalBitruss::InsertEdge(VertexId upper_local,
 Status IncrementalBitruss::DeleteEdge(EdgeId slot) {
   last_ = IncrementalUpdateStats{};
   Status status = Delete(slot);
-  FinishBatch();
-  return status;
-}
-
-Status IncrementalBitruss::Apply(const EdgeUpdate& update) {
-  last_ = IncrementalUpdateStats{};
-  Status status = ApplyOne(update);
   FinishBatch();
   return status;
 }

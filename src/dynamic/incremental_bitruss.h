@@ -47,7 +47,7 @@
 // only on the final graph.  A batch never recomputes more often than the
 // per-update path would, and the repairs it skips become edits that path
 // pays for anyway, so no cost model decides when to batch.
-// InsertEdge / DeleteEdge / Apply are the batch-of-one case.
+// InsertEdge / DeleteEdge / ApplyBatch({update}) are the batch-of-one case.
 //
 // Touched slots.  Alongside phi the maintainer records which slots the
 // updates since the last TakeTouchedSlots() may have changed — each
@@ -78,25 +78,24 @@ struct IncrementalBitrussOptions {
   /// Maximum butterflies enumerated by one update's local repair (band
   /// expansion + fixpoint iteration) before falling back to the
   /// whole-graph recompute.  0 forces the fallback on every non-trivial
-  /// update (useful for testing and as a recount-only baseline).
+  /// update (useful for testing and as a recount-only baseline).  Any
+  /// value but UINT64_MAX is further capped at half the graph's current
+  /// NumButterflies() (floor 1024): the fallback Decompose costs on the
+  /// order of the butterfly count (one wedge enumeration, then a peel),
+  /// and a local repair pays a few array reads per enumerated butterfly
+  /// plus its h-index work, so one that enumerates more is not expected
+  /// to beat the fallback — dense blocks (hub-heavy graphs like D-style)
+  /// bail out early instead of paying budget + recount.  UINT64_MAX is
+  /// taken literally: every repair stays local, with no fallback.
   std::uint64_t cascade_budget = 1u << 20;
-  /// Additionally cap the effective per-update budget at half the graph's
-  /// current NumButterflies() (floor 1024): the fallback Decompose costs
-  /// on the order of the butterfly count (one wedge enumeration, then a
-  /// peel), and a local repair pays a few array reads per enumerated
-  /// butterfly plus its h-index work, so one that enumerates more is not
-  /// expected to beat the fallback — dense blocks (hub-heavy graphs like
-  /// D-style) bail out early instead of paying budget + recount.  Disable
-  /// to take cascade_budget literally.
-  bool adaptive_budget = true;
   /// Algorithm/options for the initial decomposition and the fallback
   /// recomputes.  The deadline is ignored (cleared at construction): a
   /// timed-out partial phi would poison every later repair.
   DecomposeOptions decompose;
 };
 
-/// Repair telemetry of the last call (reset by each InsertEdge, DeleteEdge,
-/// Apply and ApplyBatch); after ApplyBatch it sums the batch's updates.
+/// Repair telemetry of the last call (reset by each InsertEdge, DeleteEdge
+/// and ApplyBatch); after ApplyBatch it sums the batch's updates.
 struct IncrementalUpdateStats {
   bool fallback = false;  ///< a repair bailed out -> whole-graph recompute
   std::uint64_t enumerated_butterflies = 0;  ///< local-repair work
@@ -187,12 +186,11 @@ class IncrementalBitruss {
   [[nodiscard]] StatusOr<EdgeId> InsertEdge(VertexId upper_local,
                                             VertexId lower_local);
   [[nodiscard]] Status DeleteEdge(EdgeId slot);
-  /// Applies one endpoint-addressed update: InsertEdge, or DeleteEdge of
-  /// the slot holding the pair (kNotFound when no such edge is live).
-  [[nodiscard]] Status Apply(const EdgeUpdate& update);
   /// Applies `updates` in order, as a batch (see the header comment), and
-  /// returns how many failed under Apply's contract.  Slots, supports and
-  /// phi afterwards are identical to calling Apply on each update.
+  /// returns how many failed.  An insert fails as InsertEdge does; a
+  /// delete is DeleteEdge of the slot holding the pair and fails when no
+  /// such edge is live.  Slots, supports and phi afterwards are identical
+  /// to applying each update as a batch of its own.
   std::uint64_t ApplyBatch(const std::vector<EdgeUpdate>& updates);
 
   /// Compacts the underlying slot table (DynamicBipartiteGraph::
@@ -217,8 +215,9 @@ class IncrementalBitruss {
   /// slots, so no stale-sized buffer (stamps, frontier, peel scratch,
   /// delta report) survives a compaction.
   void ResetSlotScratch();
-  /// Per-update enumeration budget: cascade_budget capped at half the
-  /// current butterfly count (see IncrementalBitrussOptions).
+  /// Per-update enumeration budget: cascade_budget, capped at half the
+  /// current butterfly count unless it is UINT64_MAX (see
+  /// IncrementalBitrussOptions).
   std::uint64_t EffectiveBudget() const;
   /// Lazily sizes the stamp scratch to NumSlots() and opens a new epoch.
   void NewEpoch();

@@ -66,7 +66,7 @@ struct TempDir {
 };
 
 // One endpoint-addressed update on a bare graph, under
-// IncrementalBitruss::Apply's status contract.
+// IncrementalBitruss::ApplyBatch's status contract.
 inline Status ApplyTo(DynamicBipartiteGraph& graph, const EdgeUpdate& op) {
   if (op.kind == EdgeUpdate::Kind::kInsert) {
     return graph.InsertEdge(op.upper_local, op.lower_local).status();

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -174,7 +176,8 @@ TEST(BitrussOracle, CountersBehaveAsThePaperPredicts) {
   // Edge batching (BU+) and then bloom batching (BU++) can only reduce
   // update operations vs BU (Figure 13), and PC's compression can only
   // reduce them further on hub-heavy graphs (Figure 10); all on identical
-  // phi (checked above).
+  // phi (checked above).  BS re-enumerates butterflies instead, and its
+  // count is fixed by the butterflies alone.
   ChungLuParams params;
   params.num_upper = 300;
   params.num_lower = 20;
@@ -192,6 +195,8 @@ TEST(BitrussOracle, CountersBehaveAsThePaperPredicts) {
   const BitrussResult buplus = Decompose(g, options);
   options.algorithm = Algorithm::kBUPlusPlus;
   const BitrussResult bupp = Decompose(g, options);
+  options.algorithm = Algorithm::kBS;
+  const BitrussResult bs = Decompose(g, options);
   options.algorithm = Algorithm::kPC;
   options.tau = 0.05;
   const BitrussResult pc = Decompose(g, options);
@@ -199,6 +204,15 @@ TEST(BitrussOracle, CountersBehaveAsThePaperPredicts) {
   EXPECT_EQ(bu.phi, buplus.phi);
   EXPECT_EQ(bu.phi, bupp.phi);
   EXPECT_EQ(bu.phi, pc.phi);
+  EXPECT_EQ(bu.phi, bs.phi);
+  // Each butterfly dies once, with its first peeled edge, and charges its
+  // other three edges one update each.
+  EXPECT_GT(bs.total_butterflies, 0u);
+  EXPECT_EQ(bs.counters.support_updates, 3 * bs.total_butterflies);
+  EXPECT_EQ(std::accumulate(bs.counters.per_edge_updates.begin(),
+                            bs.counters.per_edge_updates.end(),
+                            std::uint64_t{0}),
+            bs.counters.support_updates);
   EXPECT_GT(bu.counters.support_updates, 0u);
   EXPECT_LE(bupp.counters.support_updates, buplus.counters.support_updates);
   EXPECT_LE(buplus.counters.support_updates, bu.counters.support_updates);

@@ -4,8 +4,8 @@
 // equivalence with an identically built static graph, Decompose() of the
 // slot table itself (free slots included) against that of its Snapshot(),
 // the mark-based
-// butterfly walk against a hash-probe reference, slot compaction, and the
-// Status contract for duplicate inserts / missing deletes.
+// butterfly walk against a FindEdge-lookup reference, slot compaction, and
+// the Status contract for duplicate inserts / missing deletes.
 
 #include <gtest/gtest.h>
 
@@ -162,7 +162,7 @@ TEST(DynamicGraph, DecomposeOfTheSlotTableMatchesItsSnapshot) {
 using Triplets = std::vector<std::array<EdgeId, 3>>;
 
 // The walk of internal::ForEachButterflyThroughEdge with every closing edge
-// found by a FindEdge hash probe instead of the mark.
+// found by a FindEdge lookup instead of the mark.
 Triplets ProbeTriplets(const DynamicBipartiteGraph& g, VertexId u,
                        VertexId v) {
   VertexId s = u, t = v;
@@ -241,6 +241,20 @@ TEST(DynamicGraph, MarkedWalkMatchesHashProbeWalk) {
 TEST(DynamicGraph, DuplicateInsertAndMissingDeleteFail) {
   DynamicBipartiteGraph dynamic(BipartiteGraph(3, 3, {{0, 0}, {1, 1}}));
   const EdgeId live = dynamic.NumEdges();
+  const VertexId l0 = dynamic.NumUpper();  // global id of lower vertex 0
+  const VertexId n = dynamic.NumVertices();
+
+  // FindEdge takes the pair in either order; absent pairs, same-side pairs
+  // and out-of-range ids all read kInvalidEdge.
+  EXPECT_EQ(dynamic.FindEdge(0, l0), 0u);
+  EXPECT_EQ(dynamic.FindEdge(l0, 0), 0u);
+  EXPECT_EQ(dynamic.FindEdge(1, l0 + 1), 1u);
+  EXPECT_EQ(dynamic.FindEdge(l0 + 1, 1), 1u);
+  EXPECT_EQ(dynamic.FindEdge(0, l0 + 1), kInvalidEdge);
+  EXPECT_EQ(dynamic.FindEdge(0, 1), kInvalidEdge);
+  EXPECT_EQ(dynamic.FindEdge(n, l0), kInvalidEdge);
+  EXPECT_EQ(dynamic.FindEdge(0, n), kInvalidEdge);
+  EXPECT_EQ(dynamic.FindEdge(l0, kInvalidVertex), kInvalidEdge);
 
   auto duplicate = dynamic.InsertEdge(0, 0);
   EXPECT_FALSE(duplicate.ok());
@@ -256,9 +270,19 @@ TEST(DynamicGraph, DuplicateInsertAndMissingDeleteFail) {
   EXPECT_EQ(dynamic.DeleteEdge(17).code(), StatusCode::kNotFound);
   ASSERT_TRUE(dynamic.DeleteEdge(0).ok());
   EXPECT_EQ(dynamic.DeleteEdge(0).code(), StatusCode::kNotFound);  // double
+  EXPECT_EQ(dynamic.FindEdge(0, l0), kInvalidEdge);
+  EXPECT_EQ(dynamic.FindEdge(l0, 0), kInvalidEdge);
 
   // Failed operations leave the graph untouched (one successful delete).
   EXPECT_EQ(dynamic.NumEdges(), live - 1);
+
+  // Re-inserting the deleted pair reuses its slot, and FindEdge finds it.
+  auto reinserted = dynamic.InsertEdge(0, 0);
+  ASSERT_TRUE(reinserted.ok());
+  EXPECT_EQ(reinserted.value(), 0u);
+  EXPECT_EQ(dynamic.FindEdge(0, l0), 0u);
+  EXPECT_EQ(dynamic.FindEdge(l0, 0), 0u);
+  EXPECT_EQ(dynamic.FindEdge(1, l0 + 1), 1u);
 }
 
 TEST(DynamicGraph, FreedSlotsAreReused) {
@@ -385,7 +409,7 @@ TEST(DynamicGraph, CompactSlotsBoundsSlotGrowthUnderChurn) {
     }
     EXPECT_EQ(expected, live);
 
-    // Adjacency, hash index, and maintained supports all survive, and the
+    // Adjacency, FindEdge, and maintained supports all survive, and the
     // graph keeps mutating correctly in the next cycle.
     for (EdgeId e = 0; e < dynamic.NumSlots(); ++e) {
       ASSERT_TRUE(dynamic.IsLive(e));

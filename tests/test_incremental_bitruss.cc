@@ -1,10 +1,10 @@
 // Tests for incremental bitruss maintenance.  The Differential table runs
 // every maintained path over each case against the recount truth of
-// differential_oracle.h: per-update Apply (checking phi_changes after every
-// update), ApplyBatch at widths 1, 7, 64 and the whole stream, the service
-// at publish cadence 1 and 64, and Recover() from a drained and from a
-// WAL-only directory.  Around it: hand-computed updates, compaction, stale
-// slot ids, stats plumbing and the batch hand cases.
+// differential_oracle.h: ApplyBatch at widths 1 (the per-update path,
+// checking phi_changes after every update), 7, 64 and the whole stream, the
+// service at publish cadence 1 and 64, and Recover() from a drained and
+// from a WAL-only directory.  Around it: hand-computed updates, compaction,
+// stale slot ids, stats plumbing and the batch hand cases.
 
 #include <gtest/gtest.h>
 
@@ -134,7 +134,9 @@ TEST(IncrementalBitruss, CompactSlotsPreservesMaintainedState) {
   const std::vector<EdgeUpdate> ops = MakeStream(seed, 180, 4242);
   Oracle oracle(seed, ops, /*compact_every=*/120);
   IncrementalBitruss inc(seed);
-  for (std::size_t i = 0; i < 120; ++i) ASSERT_TRUE(inc.Apply(ops[i]).ok());
+  for (std::size_t i = 0; i < 120; ++i) {
+    ASSERT_EQ(inc.ApplyBatch({ops[i]}), 0u);
+  }
 
   const EdgeId live = inc.Graph().NumEdges();
   const DynamicGraphState before = inc.Graph().ExportState();
@@ -158,7 +160,7 @@ TEST(IncrementalBitruss, CompactSlotsPreservesMaintainedState) {
 
   // The maintainer keeps working across the compaction.
   for (std::size_t i = 120; i < ops.size(); ++i) {
-    ASSERT_TRUE(inc.Apply(ops[i]).ok());
+    ASSERT_EQ(inc.ApplyBatch({ops[i]}), 0u);
   }
   ASSERT_NO_FATAL_FAILURE(ExpectMatches(inc, oracle.At(ops.size())));
 }
@@ -182,7 +184,7 @@ TEST(IncrementalBitruss, StaleSlotIdsAfterCompactionReadZero) {
   const BipartiteGraph seed = MakeDataset("Writer", 0.02);
   IncrementalBitruss inc(seed);
   for (const EdgeUpdate& op : MakeStream(seed, 80, 7777)) {
-    ASSERT_TRUE(inc.Apply(op).ok());
+    ASSERT_EQ(inc.ApplyBatch({op}), 0u);
   }
   // Free a few slots explicitly so the table is guaranteed sparse.
   for (EdgeId slot = 0, freed = 0; freed < 3; ++slot) {
@@ -303,13 +305,12 @@ struct ApplyRun {
   std::uint64_t batches = 0;
 };
 
-// Applies the stream one update at a time through Apply() (`per_update`,
-// checking phi_changes after each update) or through ApplyBatch() in
-// batches of `width` (0 = the whole stream), cut at compaction points as
-// the writer cuts them.
+// Applies the stream through ApplyBatch() in batches of `width` (0 = the
+// whole stream), cut at compaction points as the writer cuts them.  Width
+// 1 is the per-update path and also checks phi_changes after each update.
 void RunApply(const DifferentialCase& c, const BipartiteGraph& seed,
-              const std::vector<EdgeUpdate>& ops, bool per_update,
-              std::uint64_t width, Oracle& oracle, ApplyRun* run) {
+              const std::vector<EdgeUpdate>& ops, std::uint64_t width,
+              Oracle& oracle, ApplyRun* run) {
   IncrementalBitruss inc(seed, c.options);
   const std::uint64_t total = ops.size();
   std::uint64_t failures = 0;
@@ -318,18 +319,15 @@ void RunApply(const DifferentialCase& c, const BipartiteGraph& seed,
     if (c.compact_every != 0) {
       end = std::min(end, (begin / c.compact_every + 1) * c.compact_every);
     }
-    if (per_update) {
-      const std::vector<SupportT> before = inc.PhiBySlot();
-      if (inc.Apply(ops[begin]).ok()) {
-        ASSERT_EQ(inc.LastUpdateStats().phi_changes, PhiChanges(before, inc))
-            << "update " << end;
-      } else {
-        ++failures;
-      }
-    } else {
-      failures += inc.ApplyBatch(
-          std::vector<EdgeUpdate>(ops.begin() + begin, ops.begin() + end));
+    const std::vector<SupportT> before =
+        width == 1 ? inc.PhiBySlot() : std::vector<SupportT>{};
+    const std::uint64_t failed = inc.ApplyBatch(
+        std::vector<EdgeUpdate>(ops.begin() + begin, ops.begin() + end));
+    if (width == 1 && failed == 0) {
+      ASSERT_EQ(inc.LastUpdateStats().phi_changes, PhiChanges(before, inc))
+          << "update " << end;
     }
+    failures += failed;
     if (c.compact_every != 0 && end % c.compact_every == 0) {
       inc.CompactSlots();
     }
@@ -430,10 +428,11 @@ void RunRecover(const DifferentialCase& c, const BipartiteGraph& seed,
   service.Shutdown();
 }
 
-// Every path over one stream, with ApplyBatch at each of `widths`;
-// returns the per-update path's totals.  The paths only read truths
-// computed up front, so they run side by side; recovery runs after them,
-// when no other path moves the fallback counter it watches.
+// Every path over one stream, with ApplyBatch at each of `widths`, whose
+// first must be 1 (the per-update path); returns that path's totals.  The
+// paths only read truths computed up front, so they run side by side;
+// recovery runs after them, when no other path moves the fallback counter
+// it watches.
 void RunEveryPath(const DifferentialCase& c, const BipartiteGraph& seed,
                   const std::vector<EdgeUpdate>& ops,
                   const std::vector<std::uint64_t>& widths,
@@ -450,8 +449,8 @@ void RunEveryPath(const DifferentialCase& c, const BipartiteGraph& seed,
     if (IsCheckpoint(c, count, total)) checkpoints.push_back(count);
   }
   oracle.Prefetch(checkpoints);
-  // runs[0] is the per-update path, runs[i] ApplyBatch at widths[i - 1].
-  std::vector<ApplyRun> runs(widths.size() + 1);
+  // runs[i] is ApplyBatch at widths[i]; runs[0] the per-update path.
+  std::vector<ApplyRun> runs(widths.size());
   TempDir drained;
   TempDir wal_only;
   std::vector<std::thread> paths;
@@ -466,12 +465,9 @@ void RunEveryPath(const DifferentialCase& c, const BipartiteGraph& seed,
     });
   };
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const std::uint64_t width = i == 0 ? 1 : widths[i - 1];
-    spawn(i == 0 ? "per-update Apply"
-                 : "ApplyBatch width " + std::to_string(width),
-          [&, i, width] {
-            RunApply(c, seed, ops, i == 0, width, oracle, &runs[i]);
-          });
+    spawn("ApplyBatch width " + std::to_string(widths[i]), [&, i] {
+      RunApply(c, seed, ops, widths[i], oracle, &runs[i]);
+    });
   }
   spawn("service publishing every update", [&] {
     RunService(c, seed, ops, resume_at, 1, drained.path,
@@ -485,7 +481,7 @@ void RunEveryPath(const DifferentialCase& c, const BipartiteGraph& seed,
   ASSERT_FALSE(testing::Test::HasFatalFailure());
 
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    SCOPED_TRACE("ApplyBatch width " + std::to_string(widths[i - 1]));
+    SCOPED_TRACE("ApplyBatch width " + std::to_string(widths[i]));
     // A batch recomputes at most once, and never more often than the
     // per-update path.
     EXPECT_LE(runs[i].totals.fallbacks, runs[i].batches);
@@ -511,9 +507,8 @@ IncrementalBitrussOptions Budget(std::uint64_t budget,
                                  unsigned threads = 0) {
   IncrementalBitrussOptions options;
   options.cascade_budget = budget;
-  // The literal unlimited budget leaves every repair to the local re-peel,
-  // with no fallback recompute to mask a repair bug.
-  options.adaptive_budget = budget != kUnlimited;
+  // kUnlimited is taken literally: every repair stays local, with no
+  // fallback recompute to mask a repair bug.
   options.decompose.algorithm = algorithm;
   options.decompose.parallel.num_threads = threads;
   return options;
