@@ -1,25 +1,23 @@
 #include "serve/bitruss_service.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
-#include <stdexcept>
 
 namespace bitruss {
 
 namespace {
 using Clock = std::chrono::steady_clock;
 
-Status EnsureDir(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST) return OkStatus();
-  return InternalError("mkdir(" + dir + "): " + std::strerror(errno));
+// phi_block_max entries for a table of `slots` slots.
+std::size_t NumPhiBlocks(EdgeId slots) {
+  return (std::size_t{slots} + PhiSnapshot::kPhiBlock - 1) /
+         PhiSnapshot::kPhiBlock;
 }
+
+// A phi no slot reaches: PatchTouchedSlots' mark on a block to rescan.
+constexpr SupportT kStale = std::numeric_limits<SupportT>::max();
 
 // Runs one read and records its latency (acquisition + query) in
 // `seconds`.
@@ -30,72 +28,12 @@ auto TimedRead(obs::Histogram& seconds, const Read& read) {
   seconds.Observe(std::chrono::duration<double>(Clock::now() - start).count());
   return result;
 }
-
-// EdgeUpdate <-> WalRecord: the log stores kind 0 for insert, 1 for delete.
-persist::WalRecord ToWalRecord(const EdgeUpdate& update, std::uint64_t seq) {
-  persist::WalRecord record;
-  record.seq = seq;
-  record.kind = update.kind == EdgeUpdate::Kind::kInsert ? 0 : 1;
-  record.upper_local = update.upper_local;
-  record.lower_local = update.lower_local;
-  return record;
-}
-
-EdgeUpdate ToEdgeUpdate(const persist::WalRecord& record) {
-  return {record.kind == 0 ? EdgeUpdate::Kind::kInsert
-                           : EdgeUpdate::Kind::kDelete,
-          record.upper_local, record.lower_local};
-}
-
-// IncrementalBitruss <-> StateSnapshot: the full image at absolute update
-// count `applied`, and its restore against the seed's vertex universe.
-persist::StateSnapshot ToState(const IncrementalBitruss& inc,
-                               std::uint64_t applied) {
-  DynamicGraphState graph = inc.Graph().ExportState();
-  persist::StateSnapshot state;
-  state.applied = applied;
-  state.num_upper = graph.num_upper;
-  state.num_lower = graph.num_lower;
-  state.num_butterflies = graph.num_butterflies;
-  state.upper = std::move(graph.upper);
-  state.lower = std::move(graph.lower);
-  state.support = std::move(graph.support);
-  state.phi = inc.PhiBySlot();
-  state.free_slots = std::move(graph.free_slots);
-  return state;
-}
-
-StatusOr<IncrementalBitruss> FromState(
-    const BipartiteGraph& seed, persist::StateSnapshot snap,
-    const IncrementalBitrussOptions& options) {
-  if (snap.num_upper != seed.NumUpper() || snap.num_lower != seed.NumLower()) {
-    return DataLossError("durable snapshot vertex universe (" +
-                         std::to_string(snap.num_upper) + "x" +
-                         std::to_string(snap.num_lower) +
-                         ") does not match the seed graph (" +
-                         std::to_string(seed.NumUpper()) + "x" +
-                         std::to_string(seed.NumLower()) + ")");
-  }
-  DynamicGraphState graph_state;
-  graph_state.num_upper = snap.num_upper;
-  graph_state.num_lower = snap.num_lower;
-  graph_state.num_butterflies = snap.num_butterflies;
-  graph_state.upper = std::move(snap.upper);
-  graph_state.lower = std::move(snap.lower);
-  graph_state.support = std::move(snap.support);
-  graph_state.free_slots = std::move(snap.free_slots);
-  StatusOr<DynamicBipartiteGraph> graph =
-      DynamicBipartiteGraph::FromState(graph_state);
-  if (!graph.ok()) return graph.status();
-  return IncrementalBitruss(std::move(graph).value(), std::move(snap.phi),
-                            options);
-}
 }  // namespace
 
 std::vector<std::pair<EdgeId, SupportT>> PhiSnapshot::TopKPhi(
     std::size_t k) const {
   std::vector<std::pair<EdgeId, SupportT>> top;
-  if (k == 0) return top;
+  if (k == 0 || num_edges == 0) return top;
   // The answer is every live edge above `floor` plus the first `at_floor`
   // live edges at it by ascending slot; with fewer than k live edges,
   // every one.
@@ -111,13 +49,22 @@ std::vector<std::pair<EdgeId, SupportT>> PhiSnapshot::TopKPhi(
     above += phi_counts[level];
   }
   top.reserve(std::min<std::uint64_t>(k, num_edges));
-  for (EdgeId slot = 0; slot < num_slots && top.size() < k; ++slot) {
-    if (live[slot] == 0 || phi[slot] < floor) continue;
-    if (phi[slot] == floor) {
-      if (at_floor == 0) continue;
-      --at_floor;
+  // A block is scanned only when its max can join the answer, so with a
+  // floor above 0 every scanned block yields at least one pair.
+  for (std::size_t block = 0; block < phi_block_max.size() && top.size() < k;
+       ++block) {
+    const SupportT block_max = phi_block_max[block];
+    if (block_max < floor || (block_max == floor && at_floor == 0)) continue;
+    const auto first = static_cast<EdgeId>(block * kPhiBlock);
+    const EdgeId end = first + std::min(kPhiBlock, num_slots - first);
+    for (EdgeId slot = first; slot < end && top.size() < k; ++slot) {
+      if (live[slot] == 0 || phi[slot] < floor) continue;
+      if (phi[slot] == floor) {
+        if (at_floor == 0) continue;
+        --at_floor;
+      }
+      top.emplace_back(slot, phi[slot]);
     }
-    top.emplace_back(slot, phi[slot]);
   }
   std::sort(top.begin(), top.end(),
             [](const std::pair<EdgeId, SupportT>& a,
@@ -192,29 +139,6 @@ BitrussService::BitrussService(RestoredState state,
   // the store itself: thread creation orders everything before it.
   PublishSnapshot();
   writer_ = std::thread(&BitrussService::WriterLoop, this);
-}
-
-BitrussService::RestoredState BitrussService::StartFresh(
-    const BipartiteGraph& seed, const BitrussServiceOptions& options) {
-  const std::string& dir = options.persist.dir;
-  if (dir.empty()) {
-    return RestoredState(IncrementalBitruss(seed, options.incremental));
-  }
-  // Construction failures throw: unlike a mid-stream disk error there is
-  // no accepted state worth serving read-only yet, and silently running
-  // without the durability the caller configured would be worse.
-  if (Status st = EnsureDir(dir); !st.ok()) {
-    throw std::invalid_argument(st.message());
-  }
-  if (!persist::ListStampedFiles(dir, "wal-", ".seg").empty() ||
-      !persist::ListStampedFiles(dir, "snapshot-", ".snap").empty()) {
-    throw std::invalid_argument(
-        "persist dir '" + dir +
-        "' holds prior WAL/snapshot state; use BitrussService::Recover");
-  }
-  StatusOr<RestoredState> state = Restore(seed, options, /*fresh=*/true);
-  if (!state.ok()) throw std::runtime_error(state.status().message());
-  return std::move(state).value();
 }
 
 BitrussService::~BitrussService() {
@@ -654,6 +578,7 @@ void BitrussService::CopyAllSlots(PhiSnapshot& snapshot) const {
   snapshot.support.assign(graph.NumSlots(), 0);
   snapshot.live.assign(graph.NumSlots(), 0);
   snapshot.phi_counts.clear();
+  snapshot.phi_block_max.assign(NumPhiBlocks(graph.NumSlots()), 0);
   for (EdgeId slot = 0; slot < graph.NumSlots(); ++slot) {
     if (!graph.IsLive(slot)) continue;
     snapshot.live[slot] = 1;
@@ -663,6 +588,8 @@ void BitrussService::CopyAllSlots(PhiSnapshot& snapshot) const {
       snapshot.phi_counts.resize(phi + std::size_t{1}, 0);
     }
     ++snapshot.phi_counts[phi];
+    SupportT& block_max = snapshot.phi_block_max[slot / PhiSnapshot::kPhiBlock];
+    block_max = std::max(block_max, phi);
   }
 }
 
@@ -691,12 +618,26 @@ void BitrussService::PatchTouchedSlots(PhiSnapshot& snapshot,
       snapshot.live[slot] = live ? 1 : 0;
     }
   }
-  // The histogram moves from the previous publication's by this batch's
-  // report alone: each listed slot leaves its old level and joins its new.
+  // The histogram and the block maxima move from the previous
+  // publication's by this batch's report alone: each listed slot leaves its
+  // old level and joins its new, and raises its block's max.  A block whose
+  // max slot dropped is marked kStale and rescanned once, after the pass.
+  const std::vector<EdgeId>& report =
+      kept_reports_[version % kKeptReports].slots;
   std::vector<std::uint64_t>& counts = snapshot.phi_counts;
   counts = previous.phi_counts;
-  for (const EdgeId slot : kept_reports_[version % kKeptReports].slots) {
-    if (previous.IsLive(slot)) --counts[previous.phi[slot]];
+  std::vector<SupportT>& block_max = snapshot.phi_block_max;
+  block_max = previous.phi_block_max;
+  block_max.resize(NumPhiBlocks(slots), 0);
+  for (const EdgeId slot : report) {
+    const SupportT old_phi = previous.Phi(slot);
+    SupportT& max = block_max[slot / PhiSnapshot::kPhiBlock];
+    if (phi[slot] > max) {
+      max = phi[slot];
+    } else if (phi[slot] < old_phi && old_phi == max) {
+      max = kStale;
+    }
+    if (previous.IsLive(slot)) --counts[old_phi];
     if (!graph.IsLive(slot)) continue;
     if (phi[slot] >= counts.size()) {
       counts.resize(phi[slot] + std::size_t{1}, 0);
@@ -704,6 +645,14 @@ void BitrussService::PatchTouchedSlots(PhiSnapshot& snapshot,
     ++counts[phi[slot]];
   }
   while (!counts.empty() && counts.back() == 0) counts.pop_back();
+  for (const EdgeId slot : report) {
+    SupportT& max = block_max[slot / PhiSnapshot::kPhiBlock];
+    if (max != kStale) continue;
+    const EdgeId first = slot - slot % PhiSnapshot::kPhiBlock;
+    const auto begin = snapshot.phi.begin() + first;
+    max = *std::max_element(
+        begin, begin + std::min(PhiSnapshot::kPhiBlock, slots - first));
+  }
 }
 
 void BitrussService::WriterLoop() {
@@ -783,144 +732,6 @@ void BitrussService::WriterLoop() {
       return;
     }
   }
-}
-
-void BitrussService::WriteDurableSnapshot() {
-  const std::uint64_t applied = recovered_base_ + applied_.Value();
-  if (Status st = persist::WriteSnapshotFile(options_.persist.dir,
-                                             ToState(inc_, applied));
-      !st.ok()) {
-    persist_snapshot_failures_.Inc();
-    EnterDegraded("durable snapshot failed: " + st.message());
-    return;
-  }
-  persist_snapshots_.Inc();
-  applied_since_durable_ = 0;
-  // The snapshot covers every record through `applied`; whole segments
-  // behind it are dead weight for recovery.
-  const StatusOr<int> removed = wal_->TruncateThrough(applied);
-  if (!removed.ok()) {
-    EnterDegraded("WAL truncation failed: " + removed.status().message());
-    return;
-  }
-  if (removed.value() > 0) {
-    persist_wal_truncated_segments_.Inc(
-        static_cast<std::uint64_t>(removed.value()));
-  }
-  persist::RemoveOldSnapshots(options_.persist.dir, kKeepSnapshots);
-}
-
-StatusOr<BitrussService::RestoredState> BitrussService::Restore(
-    const BipartiteGraph& seed, const BitrussServiceOptions& options,
-    bool fresh) {
-  const std::string& dir = options.persist.dir;
-  RecoveryStats stats;
-  // 1. Newest intact durable snapshot — or, when none survives, the seed
-  // (full Decompose), leaning entirely on WAL replay.
-  StatusOr<persist::StateSnapshot> loaded =
-      persist::LoadNewestSnapshot(dir, &stats.corrupt_snapshots_skipped);
-  if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound) {
-    return loaded.status();
-  }
-  stats.from_seed = !loaded.ok();
-  const std::uint64_t base = stats.snapshot_applied =
-      loaded.ok() ? loaded.value().applied : 0;
-  StatusOr<IncrementalBitruss> inc =
-      stats.from_seed
-          ? StatusOr<IncrementalBitruss>(
-                IncrementalBitruss(seed, options.incremental))
-          : FromState(seed, std::move(loaded).value(), options.incremental);
-  if (!inc.ok()) return inc.status();
-
-  // 2. Collect the WAL suffix, repairing (physically truncating) a torn
-  // final tail; mid-log corruption or sequence gaps surface as kDataLoss.
-  // Then apply it as one batch through the writer's own routine, so the
-  // whole replay recomputes at most once.  A record that no longer applies
-  // (duplicate insert, vanished delete target) is a stream-level no-op,
-  // exactly as it was for the original writer.
-  std::vector<EdgeUpdate> suffix;
-  persist::WalReplayStats replay;
-  Status replayed = persist::ReplayWal(
-      dir, /*after_seq=*/base,
-      [&suffix](const persist::WalRecord& record) {
-        suffix.push_back(ToEdgeUpdate(record));
-        return OkStatus();
-      },
-      &replay, /*repair_torn_tail=*/true);
-  if (!replayed.ok()) return replayed;
-  (void)inc.value().ApplyBatch(suffix);
-  stats.wal_replayed = replay.records_replayed;
-  stats.torn_records_discarded = replay.torn_records_discarded;
-  RestoredState state(std::move(inc).value(), base + replay.records_replayed);
-  state.stats = stats;
-
-  // 3. Re-arm durability: persist a snapshot covering everything restored,
-  // drop the now-covered WAL segments, and reopen the WAL at the next
-  // sequence.  Failures here degrade instead of aborting — the restored
-  // state is intact and worth serving read-only.
-  Status rearm =
-      persist::WriteSnapshotFile(dir, ToState(state.inc, state.applied));
-  if (rearm.ok()) {
-    // Every old record has seq <= state.applied (the snapshot's coverage,
-    // by construction), so ALL segments are disposable — including a stale
-    // tail below an os-buffered-era snapshot.
-    for (const std::uint64_t first_seq :
-         persist::ListStampedFiles(dir, "wal-", ".seg")) {
-      const std::string path =
-          persist::StampedPath(dir, "wal-", first_seq, ".seg");
-      if (::unlink(path.c_str()) != 0) {
-        rearm = InternalError("unlink(" + path + "): " + std::strerror(errno));
-        break;
-      }
-    }
-  }
-  if (rearm.ok()) {
-    persist::RemoveOldSnapshots(dir, kKeepSnapshots);
-    persist::WalOptions wal_options;
-    wal_options.fsync_policy = options.persist.fsync_policy;
-    wal_options.segment_bytes = options.persist.segment_bytes;
-    StatusOr<std::unique_ptr<persist::WalWriter>> opened =
-        persist::WalWriter::Open(dir, state.applied + 1, wal_options);
-    if (opened.ok()) {
-      state.wal = std::move(opened).value();
-    } else if (fresh) {
-      return InternalError("opening WAL in '" + dir +
-                           "': " + opened.status().message());
-    } else {
-      rearm = opened.status();
-    }
-  }
-  if (!rearm.ok()) {
-    state.degraded_reason = "re-arming durability failed: " + rearm.message();
-  }
-  return StatusOr<RestoredState>(std::move(state));
-}
-
-StatusOr<std::unique_ptr<BitrussService>> BitrussService::Recover(
-    const BipartiteGraph& seed, BitrussServiceOptions options,
-    RecoveryStats* stats) {
-  const Clock::time_point start = Clock::now();
-  const std::string& dir = options.persist.dir;
-  if (dir.empty()) {
-    return InvalidArgumentError("Recover requires options.persist.dir");
-  }
-  if (Status st = EnsureDir(dir); !st.ok()) return st;
-  StatusOr<RestoredState> state = Restore(seed, options, /*fresh=*/false);
-  if (!state.ok()) return state.status();
-
-  RecoveryStats& out = state.value().stats;
-  out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  auto& registry = obs::MetricsRegistry::Default();
-  registry.GetCounter("bitruss_recovery_replayed_total")->Inc(out.wal_replayed);
-  registry.GetCounter("bitruss_recovery_torn_records_total")
-      ->Inc(out.torn_records_discarded);
-  registry
-      .GetHistogram("bitruss_recovery_seconds",
-                    obs::ExponentialBuckets(1e-4, 2.0, 20))
-      ->Observe(out.seconds);
-  if (stats != nullptr) *stats = out;
-  return std::unique_ptr<BitrussService>(
-      new BitrussService(std::move(state).value(), std::move(options)));
 }
 
 }  // namespace bitruss

@@ -86,9 +86,14 @@ namespace bitruss {
 /// slot vectors are indexed by slot id in [0, num_slots); free slots read
 /// phi and support 0 with live == 0.  `phi_counts` carries the phi
 /// histogram, so the size of every k-bitruss (a suffix sum of it) and the
-/// top-k threshold are read without a scan.  Query helpers are const and
-/// safe to call from any number of threads concurrently.
+/// top-k threshold are read without a scan; `phi_block_max` carries the
+/// largest phi of every kPhiBlock-slot block, so TopKPhi visits only the
+/// blocks that can hold an answer.  Query helpers are const and safe to
+/// call from any number of threads concurrently.
 struct PhiSnapshot {
+  /// Slots per phi_block_max entry.
+  static constexpr EdgeId kPhiBlock = 64;
+
   /// Publication sequence number, strictly increasing from 1 (the initial
   /// snapshot of the seed graph).
   std::uint64_t version = 0;
@@ -106,6 +111,10 @@ struct PhiSnapshot {
   /// phi_counts[p] = live edges with phi p, up to the largest live phi
   /// (empty when no edge is live); sums to num_edges.
   std::vector<std::uint64_t> phi_counts;
+  /// phi_block_max[b] = the largest phi in slots [kPhiBlock * b,
+  /// kPhiBlock * (b + 1)); ceil(num_slots / kPhiBlock) entries.  Free
+  /// slots read phi 0, so a block of free slots reads 0.
+  std::vector<SupportT> phi_block_max;
 
   /// Bitruss number of a slot; 0 for free slots and any id >= num_slots
   /// (a stale id from before a compaction reads 0, never out of bounds).
@@ -121,13 +130,16 @@ struct PhiSnapshot {
   /// The k live edges with the largest phi, sorted by (phi desc, slot
   /// asc) — deterministic for a given snapshot.  Returns fewer than k
   /// pairs when fewer live edges exist.  The phi threshold comes off
-  /// phi_counts; one pass over the slots collects the answer (ties at the
-  /// threshold by ascending slot) and only those at most k pairs are
-  /// sorted.
+  /// phi_counts; a walk of phi_block_max skips every block whose max is
+  /// below it, scans the rest in slot order until k answers are found
+  /// (ties at the threshold by ascending slot), and only those at most k
+  /// pairs are sorted.  With a threshold above 0 every scanned block adds
+  /// an answer, so the cost is O(num_slots / kPhiBlock + kPhiBlock * k)
+  /// past the threshold's walk down phi_counts.
   std::vector<std::pair<EdgeId, SupportT>> TopKPhi(std::size_t k) const;
 
   /// (phi value, live-edge count) pairs sorted by phi ascending; counts
-  /// sum to num_edges.  O(distinct phi levels), read off phi_counts.
+  /// sum to num_edges.  Read off phi_counts: O(largest live phi).
   std::vector<std::pair<SupportT, std::uint64_t>> PhiHistogram() const;
 };
 
@@ -354,6 +366,12 @@ class BitrussService {
     std::string degraded_reason;  ///< why re-arming failed; "" when healthy
     RecoveryStats stats;
   };
+  /// The log record of `update` at WAL sequence `seq`: kind 0 for an
+  /// insert, 1 for a delete.  This and the rest of the durability wiring
+  /// (StartFresh, Restore, Recover, WriteDurableSnapshot) live in
+  /// service_durability.cc.
+  static persist::WalRecord ToWalRecord(const EdgeUpdate& update,
+                                        std::uint64_t seq);
   /// The public constructor's Restore(), throwing its documented errors.
   static RestoredState StartFresh(const BipartiteGraph& seed,
                                   const BitrussServiceOptions& options);
@@ -384,13 +402,15 @@ class BitrussService {
   /// O(slots the batch touched): the snapshot no reader holds any more
   /// comes back through the recycler, and the writer rewrites only the
   /// slots touched since its version (IncrementalBitruss::
-  /// TakeTouchedSlots), updating phi_counts from the last published
-  /// snapshot.  It copies every slot, and counts a full copy, when no
-  /// buffer is free, when the buffer is older than the kept reports, or
-  /// when one of them is "all" (recompute, compaction, restore).
+  /// TakeTouchedSlots), updating phi_counts and phi_block_max from the
+  /// last published snapshot.  It copies every slot, and counts a full
+  /// copy, when no buffer is free, when the buffer is older than the kept
+  /// reports, or when one of them is "all" (recompute, compaction,
+  /// restore).
   void PublishSnapshot();
   /// The full-copy and the patch halves of PublishSnapshot: bring
-  /// `snapshot`'s slot vectors and phi_counts up to the current state.
+  /// `snapshot`'s slot vectors, phi_counts and phi_block_max up to the
+  /// current state.
   void CopyAllSlots(PhiSnapshot& snapshot) const;
   void PatchTouchedSlots(PhiSnapshot& snapshot, std::uint64_t version,
                          const PhiSnapshot& previous) const;

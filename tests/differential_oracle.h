@@ -5,9 +5,10 @@
 // total and phi from an independent CountEdgeSupports +
 // CountTotalButterflies + Decompose of its Snapshot()), and one comparison
 // of any slot view against that truth (ExpectMatches): a PhiSnapshot as a
-// service publishes it — its arrays and its PhiHistogram()/TopKPhi()
-// summaries — or the slot table of an IncrementalBitruss or of a bare
-// DynamicBipartiteGraph (which has no phi).
+// service publishes it — its arrays, its carried phi_counts and
+// phi_block_max, and its PhiHistogram()/TopKPhi() answers — or the slot
+// table of an IncrementalBitruss or of a bare DynamicBipartiteGraph (which
+// has no phi).
 
 #ifndef BITRUSS_TESTS_DIFFERENTIAL_ORACLE_H_
 #define BITRUSS_TESTS_DIFFERENTIAL_ORACLE_H_
@@ -188,6 +189,8 @@ class Oracle {
     truth->support.assign(truth->num_slots, 0);
     truth->phi.assign(truth->num_slots, 0);
     truth->phi_counts.clear();
+    constexpr EdgeId kBlock = PhiSnapshot::kPhiBlock;
+    truth->phi_block_max.assign((truth->num_slots + kBlock - 1) / kBlock, 0);
     for (EdgeId e = 0; e < snapshot.graph.NumEdges(); ++e) {
       const EdgeId slot = snapshot.slot_of_edge[e];
       truth->live[slot] = 1;
@@ -197,6 +200,8 @@ class Oracle {
         truth->phi_counts.resize(phi[e] + std::size_t{1}, 0);
       }
       ++truth->phi_counts[phi[e]];
+      SupportT& block_max = truth->phi_block_max[slot / kBlock];
+      block_max = std::max(block_max, phi[e]);
     }
   }
 };
@@ -256,6 +261,7 @@ inline void ExpectMatches(const PhiSnapshot& view, const Truth& truth,
   ASSERT_EQ(view.phi, truth.phi);
   // The carried summaries, against a brute-force scan of the truth.
   ASSERT_EQ(view.phi_counts, truth.phi_counts);
+  ASSERT_EQ(view.phi_block_max, truth.phi_block_max);
   ASSERT_EQ(view.PhiHistogram(), CountLivePhi(truth));
   const std::vector<std::pair<EdgeId, SupportT>> ranked = RankLiveSlots(truth);
   for (const std::size_t k :

@@ -152,6 +152,7 @@ TEST(BitrussService, RecycledSnapshotsLeaveHeldOnesIntact) {
   EXPECT_EQ(held->support, copy.support);
   EXPECT_EQ(held->live, copy.live);
   EXPECT_EQ(held->phi_counts, copy.phi_counts);
+  EXPECT_EQ(held->phi_block_max, copy.phi_block_max);
   ASSERT_NO_FATAL_FAILURE(
       ExpectMatches(*latest, Oracle(seed, ops).At(ops.size())));
 
@@ -161,6 +162,101 @@ TEST(BitrussService, RecycledSnapshotsLeaveHeldOnesIntact) {
   EXPECT_EQ(publishes, ops.size());
   EXPECT_LT(full_copies() - copies_before, publishes);
   service.Shutdown();
+}
+
+// TopKPhi skips every phi_block_max block that cannot hold an answer.
+// Slots 0-5 are a K(2,3) block (phi 2), 6-173 paths (phi 0) and 174-189 a
+// K(4,4) block (phi 9): a 190-slot table, its top edges in the last,
+// partial block.  Deletes free slots inside three blocks; inserts widen
+// the K(4,4) to a K(4,6) (phi 15) through those slots and into a fourth
+// block; a compaction shrinks the table back to three blocks; then every
+// edge goes, the top ones first.  Every update is published on its own,
+// by the patch path except at compactions, and each step's snapshot is
+// checked slot for slot, summaries included, and at every k.
+TEST(BitrussService, TopKPhiAcrossBlockBoundaries) {
+  using Kind = EdgeUpdate::Kind;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < 2; ++u) {
+    for (VertexId l = 0; l < 3; ++l) edges.emplace_back(u, l);
+  }
+  for (VertexId u = 2; u < 86; ++u) {
+    edges.emplace_back(u, u + 1);
+    edges.emplace_back(u, u + 2);
+  }
+  for (VertexId u = 86; u < 90; ++u) {
+    for (VertexId l = 88; l < 92; ++l) edges.emplace_back(u, l);
+  }
+  const BipartiteGraph seed(90, 94, edges);
+  ASSERT_EQ(seed.NumEdges(), 190u);
+
+  std::vector<EdgeUpdate> ops;
+  // Frees slots 5, 22, 103 and 162: blocks 0, 0, 1 and 2.
+  for (const auto& [u, l] : std::vector<std::pair<VertexId, VertexId>>{
+           {1, 2}, {10, 11}, {50, 52}, {80, 81}}) {
+    ops.push_back({Kind::kDelete, u, l});
+  }
+  const std::size_t freed = ops.size();
+  for (VertexId u = 86; u < 90; ++u) {
+    for (VertexId l = 92; l < 94; ++l) ops.push_back({Kind::kInsert, u, l});
+  }
+  const std::size_t widened = ops.size();
+  for (VertexId u = 20; u < 25; ++u) ops.push_back({Kind::kDelete, u, u + 1});
+  const std::size_t compacted = ops.size();
+  // Every edge still live after the compaction, the top ones (last slots)
+  // first, so their blocks' maxima drop between compactions.
+  {
+    DynamicBipartiteGraph replay(seed);
+    for (const EdgeUpdate& op : ops) {
+      ASSERT_TRUE(differential::ApplyTo(replay, op).ok());
+    }
+    for (EdgeId slot = replay.NumSlots(); slot-- > 0;) {
+      if (!replay.IsLive(slot)) continue;
+      ops.push_back({Kind::kDelete, replay.EdgeUpper(slot),
+                     replay.EdgeLower(slot) - replay.NumUpper()});
+    }
+  }
+
+  BitrussServiceOptions options;
+  options.publish_every_updates = 1;
+  options.publish_interval_ms = 0;
+  options.compact_every_updates = compacted;
+  BitrussService service(seed, options);
+  Oracle oracle(seed, ops, compacted);
+  std::size_t submitted = 0;
+  const auto step = [&](std::size_t until) {
+    for (; submitted < until; ++submitted) {
+      ASSERT_TRUE(service.Submit(ops[submitted]).ok());
+    }
+    ASSERT_TRUE(service.Drain().ok());
+    const auto snap = service.Snapshot();
+    ASSERT_EQ(snap->phi_block_max.size(),
+              (snap->num_slots + PhiSnapshot::kPhiBlock - 1) /
+                  PhiSnapshot::kPhiBlock);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(*snap, oracle.At(until)));
+    const auto ranked = differential::RankLiveSlots(*snap);
+    for (std::size_t k = 0; k <= snap->num_edges + 1; ++k) {
+      ASSERT_NO_FATAL_FAILURE(differential::ExpectTopK(*snap, ranked, k));
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(step(0));
+  EXPECT_EQ(service.Snapshot()->num_slots, 190u);
+  EXPECT_EQ(service.Snapshot()->Phi(189), 9u);
+  ASSERT_NO_FATAL_FAILURE(step(freed));
+  EXPECT_EQ(service.Snapshot()->num_slots, 190u);
+  ASSERT_NO_FATAL_FAILURE(step(widened));
+  EXPECT_EQ(service.Snapshot()->num_slots, 194u);
+  EXPECT_EQ(service.Snapshot()->TopKPhi(1).front().second, 15u);
+  ASSERT_NO_FATAL_FAILURE(step(compacted));
+  EXPECT_EQ(service.Snapshot()->num_slots, 189u);
+  // Three of the top edges, half the remaining edges, then the rest.
+  ASSERT_NO_FATAL_FAILURE(step(compacted + 3));
+  EXPECT_LT(service.Snapshot()->TopKPhi(1).front().second, 15u);
+  ASSERT_NO_FATAL_FAILURE(step(compacted + (ops.size() - compacted) / 2));
+  ASSERT_NO_FATAL_FAILURE(step(ops.size()));
+  const auto last = service.Snapshot();
+  EXPECT_EQ(last->num_edges, 0u);
+  EXPECT_TRUE(last->TopKPhi(1).empty());
+  EXPECT_TRUE(last->TopKPhi(8).empty());
 }
 
 TEST(BitrussService, BackpressureWhenQueueFills) {
