@@ -7,7 +7,7 @@
 #include <cstring>
 
 #include "persist/crc32c.h"
-#include "persist/wal.h"  // StampedPath, ListStampedFiles, internal helpers
+#include "persist/wal.h"  // file-name scans, internal helpers
 #include "util/fault_injection.h"
 
 namespace bitruss::persist {
@@ -222,18 +222,22 @@ StatusOr<StateSnapshot> LoadNewestSnapshot(const std::string& dir,
                 "no intact snapshot under " + dir);
 }
 
-int RemoveOldSnapshots(const std::string& dir, int keep) {
-  if (keep < 0) keep = 0;
-  const std::vector<std::uint64_t> stamps =
-      ListStampedFiles(dir, kSnapshotPrefix, kSnapshotSuffix);
+int RetainSnapshots(const std::string& dir, std::uint64_t previous,
+                    std::uint64_t current) {
   int removed = 0;
-  const std::size_t total = stamps.size();
-  for (std::size_t i = 0; i + static_cast<std::size_t>(keep) < total; ++i) {
+  for (const std::uint64_t stamp :
+       ListStampedFiles(dir, kSnapshotPrefix, kSnapshotSuffix)) {
+    if (stamp == previous || stamp == current) continue;
     const std::string path =
-        StampedPath(dir, kSnapshotPrefix, stamps[i], kSnapshotSuffix);
+        StampedPath(dir, kSnapshotPrefix, stamp, kSnapshotSuffix);
     if (::unlink(path.c_str()) == 0) ++removed;
   }
   return removed;
+}
+
+bool HoldsDurableState(const std::string& dir) {
+  return !ListStampedFiles(dir, kSnapshotPrefix, kSnapshotSuffix).empty() ||
+         !ListWalSegments(dir).empty();
 }
 
 }  // namespace bitruss::persist

@@ -3,7 +3,8 @@
 // A snapshot pairs with the WAL (wal.h): it captures the full in-memory
 // state — graph slots, support, phi, and the free-slot stack — as of a
 // WAL sequence (`applied`), so recovery loads the newest intact snapshot
-// and replays only the WAL records after it.  Files:
+// and replays only the WAL records after it; the serving layer keeps the
+// previous snapshot too (RetainSnapshots), with its WAL suffix.  Files:
 //
 //   <dir>/snapshot-%016llx.snap    (hex value = applied sequence)
 //
@@ -66,10 +67,14 @@ struct StateSnapshot {
 [[nodiscard]] StatusOr<StateSnapshot> LoadNewestSnapshot(
     const std::string& dir, int* corrupt_skipped = nullptr);
 
-/// Deletes all but the `keep` newest snapshot files (best effort: unlink
-/// errors are swallowed — an extra old snapshot is harmless).  Returns
-/// the number removed.
-int RemoveOldSnapshots(const std::string& dir, int keep);
+/// Deletes every snapshot file except those stamped `previous` and
+/// `current` (best effort: unlink errors are swallowed — an extra snapshot
+/// is harmless).  Returns the number removed.
+int RetainSnapshots(const std::string& dir, std::uint64_t previous,
+                    std::uint64_t current);
+
+/// True when `dir` holds any WAL segment or snapshot file.
+bool HoldsDurableState(const std::string& dir);
 
 }  // namespace bitruss::persist
 

@@ -165,26 +165,18 @@ std::vector<std::uint64_t> ListStampedFiles(const std::string& dir,
     if (name.size() != prefix.size() + 16 + suffix.size()) continue;
     if (name.compare(0, prefix.size(), prefix) != 0) continue;
     if (name.compare(prefix.size() + 16, suffix.size(), suffix) != 0) continue;
-    std::uint64_t value = 0;
-    bool all_hex = true;
-    for (std::size_t i = prefix.size(); i < prefix.size() + 16; ++i) {
-      const char c = name[i];
-      std::uint64_t digit = 0;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<std::uint64_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<std::uint64_t>(c - 'a') + 10;
-      } else {
-        all_hex = false;
-        break;
-      }
-      value = (value << 4) | digit;
+    const std::string stamp = name.substr(prefix.size(), 16);
+    if (stamp.find_first_not_of("0123456789abcdef") == std::string::npos) {
+      values.push_back(std::stoull(stamp, nullptr, 16));
     }
-    if (all_hex) values.push_back(value);
   }
   ::closedir(d);
   std::sort(values.begin(), values.end());
   return values;
+}
+
+std::vector<std::uint64_t> ListWalSegments(const std::string& dir) {
+  return ListStampedFiles(dir, kSegmentPrefix, kSegmentSuffix);
 }
 
 Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
@@ -194,8 +186,7 @@ Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
   WalReplayStats* stats = stats_out != nullptr ? stats_out : &local_stats;
   *stats = WalReplayStats{};
 
-  const std::vector<std::uint64_t> segment_seqs =
-      ListStampedFiles(dir, kSegmentPrefix, kSegmentSuffix);
+  const std::vector<std::uint64_t> segment_seqs = ListWalSegments(dir);
   if (segment_seqs.empty()) return OkStatus();
 
   std::uint64_t expected = 0;  // next raw seq across segments; 0 = unset
@@ -206,7 +197,6 @@ Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
     std::vector<unsigned char> buf;
     Status read_status = ReadWholeFile(path, &buf);
     if (!read_status.ok()) return read_status;
-    ++stats->segments_read;
 
     const bool header_ok =
         buf.size() >= kWalSegmentHeaderBytes &&
@@ -221,7 +211,6 @@ Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
       // A torn CREATION of the final segment: rotation died before the
       // header landed.  Nothing in it was ever acknowledged as durable.
       ++stats->torn_records_discarded;
-      stats->truncated_bytes += buf.size();
       if (repair_torn_tail && ::unlink(path.c_str()) != 0) {
         return ErrnoError("unlink torn segment " + path);
       }
@@ -261,10 +250,8 @@ Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
                                std::to_string(off));
         }
         // Torn tail of the final segment: discard from the first bad byte.
-        const std::size_t tail = remaining;
         stats->torn_records_discarded +=
-            (tail + kWalRecordBytes - 1) / kWalRecordBytes;
-        stats->truncated_bytes += tail;
+            (remaining + kWalRecordBytes - 1) / kWalRecordBytes;
         torn = true;
         break;
       }
@@ -314,14 +301,16 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
     return ErrnoError("mkdir " + dir);
   }
   BITRUSS_FAULT_POINT_STATUS("wal.open");
-  if (!ListStampedFiles(dir, kSegmentPrefix, kSegmentSuffix).empty()) {
-    return FailedPreconditionError(
-        "WAL directory " + dir +
-        " already holds segments; recover and clear them before opening");
+  std::vector<std::uint64_t> kept = ListWalSegments(dir);
+  if (!kept.empty() && kept.back() > next_seq) {
+    return FailedPreconditionError("WAL directory " + dir +
+                                   " holds a segment past the next seq");
   }
+  if (!kept.empty() && kept.back() == next_seq) kept.pop_back();  // replaced
   std::unique_ptr<WalWriter> writer(new WalWriter(dir, next_seq, options));
   {
     MutexLock lock(writer->mu_);
+    writer->segment_first_seqs_ = std::move(kept);
     Status st = writer->OpenFreshSegmentLocked(next_seq);
     if (!st.ok()) return st;
   }
@@ -363,7 +352,6 @@ Status WalWriter::OpenFreshSegmentLocked(std::uint64_t first_seq) {
     return st;
   }
   fd_ = fd;
-  segment_size_ = sizeof header;
   segment_first_seqs_.push_back(first_seq);
   return OkStatus();
 }
@@ -388,19 +376,10 @@ Status WalWriter::Append(const WalRecord& record) {
 }
 
 Status WalWriter::AppendLocked(const WalRecord& record) {
-  if (segment_size_ + kWalRecordBytes > options_.segment_bytes &&
-      segment_size_ > kWalSegmentHeaderBytes) {
-    if (::fsync(fd_) != 0) return ErrnoError("fsync before rotation");
-    ++fsyncs_;
-    BITRUSS_FAULT_POINT_STATUS("wal.rotate");
-    Status st = OpenFreshSegmentLocked(record.seq);
-    if (!st.ok()) return st;
-  }
   unsigned char buf[kWalRecordBytes];
   EncodeRecord(record, buf);
   Status st = BITRUSS_FAULT_WRITE("wal.append", fd_, buf, sizeof buf);
   if (!st.ok()) return st;
-  segment_size_ += sizeof buf;
   bytes_appended_ += sizeof buf;
   ++next_seq_;
   if (options_.fsync_policy == FsyncPolicy::kEveryRecord) {
@@ -426,6 +405,25 @@ Status WalWriter::SyncLocked() {
   ++fsyncs_;
   BITRUSS_FAULT_POINT_STATUS("wal.post_fsync");
   return OkStatus();
+}
+
+Status WalWriter::Rotate() {
+  MutexLock lock(mu_);
+  if (failed_) {
+    return FailedPreconditionError(
+        "WAL writer failed earlier; rotation is fenced off");
+  }
+  if (segment_first_seqs_.back() == next_seq_) return OkStatus();  // empty
+  Status st = RotateLocked();
+  if (!st.ok()) failed_ = true;
+  return st;
+}
+
+Status WalWriter::RotateLocked() {
+  if (::fsync(fd_) != 0) return ErrnoError("fsync before rotation");
+  ++fsyncs_;
+  BITRUSS_FAULT_POINT_STATUS("wal.rotate");
+  return OpenFreshSegmentLocked(next_seq_);
 }
 
 StatusOr<int> WalWriter::TruncateThrough(std::uint64_t seq_inclusive) {

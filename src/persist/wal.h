@@ -3,7 +3,7 @@
 // The serving layer appends one record per ACCEPTED Submit() — before the
 // update is acknowledged to the caller — so a crash can lose at most the
 // unacknowledged tail.  Records are length-prefixed and CRC32C-checksummed
-// in segment files that rotate at a size bound:
+// in segment files, rotated at each durable snapshot (Rotate):
 //
 //   <dir>/wal-%016llx.seg        (hex value = first sequence in the file)
 //
@@ -21,8 +21,8 @@
 // boundary, os-buffered never fsyncs (page cache only — survives process
 // death but not power loss).
 //
-// Failure model: once any append or sync fails — including injected
-// faults — the writer latches FAILED and every later call returns
+// Failure model: once any append, sync or rotation fails — including
+// injected faults — the writer latches FAILED and every later call returns
 // kFailedPrecondition without touching the file, so a torn partial write
 // can never be buried under later appends (which would turn a benign torn
 // tail into unrecoverable middle corruption).  The serving layer reacts by
@@ -32,10 +32,11 @@
 // unparsable tail of the FINAL segment — short header, short record,
 // checksum mismatch — is a TORN WRITE: everything from the first bad byte
 // on is discarded (and physically truncated with repair_torn_tail, so the
-// next writer appends at a clean boundary).  The same damage anywhere
-// else, or a sequence gap, is kDataLoss: acknowledged records are missing
-// and replay refuses to fabricate state.  Fault points: wal.open,
-// wal.append, wal.pre_fsync, wal.post_fsync, wal.rotate, wal.truncate.
+// segment stays valid once the next writer opens a fresh one after it).
+// The same damage anywhere else, or a sequence gap, is kDataLoss:
+// acknowledged records are missing and replay refuses to fabricate state.
+// Fault points: wal.open, wal.append, wal.pre_fsync, wal.post_fsync,
+// wal.rotate, wal.truncate.
 
 #ifndef BITRUSS_PERSIST_WAL_H_
 #define BITRUSS_PERSIST_WAL_H_
@@ -59,8 +60,6 @@ enum class FsyncPolicy : std::uint8_t {
 
 struct WalOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryPublish;
-  /// Rotate to a fresh segment once the current one reaches this size.
-  std::uint64_t segment_bytes = 4ull << 20;
 };
 
 struct WalRecord {
@@ -78,12 +77,9 @@ inline constexpr std::size_t kWalRecordBytes = 4 + 4 + kWalRecordPayloadBytes;
 
 struct WalReplayStats {
   std::uint64_t records_replayed = 0;
-  std::uint64_t segments_read = 0;
   /// Records discarded from the torn tail of the final segment (0 or the
   /// count of unparsable trailing byte-runs treated as one torn region).
   std::uint64_t torn_records_discarded = 0;
-  /// Bytes truncated off the final segment by repair_torn_tail.
-  std::uint64_t truncated_bytes = 0;
   /// Highest valid sequence PARSED — including records at or below
   /// after_seq that were validated but not handed to `fn` (0 if none).
   std::uint64_t last_seq = 0;
@@ -105,11 +101,9 @@ class WalWriter {
  public:
   /// Opens `dir` (created if absent) for appending with `next_seq` as the
   /// sequence of the first future record, starting a fresh segment named
-  /// by it.  The directory must hold NO segment files: a fresh service
-  /// starts empty, and recovery replays the old log, writes a durable
-  /// snapshot covering it, and deletes the old segments before reopening
-  /// — so Open never has to splice onto an arbitrary tail.  Returns
-  /// kFailedPrecondition if segments are present.
+  /// by it beside the segments already there (the log the caller
+  /// replayed, which TruncateThrough may delete later).  A segment
+  /// starting AT `next_seq` is replaced; one past it is kFailedPrecondition.
   static StatusOr<std::unique_ptr<WalWriter>> Open(const std::string& dir,
                                                    std::uint64_t next_seq,
                                                    WalOptions options);
@@ -118,21 +112,24 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
   ~WalWriter();
 
-  /// Appends one record (record.seq must equal NextSeq()), rotating
-  /// segments as needed; fsyncs when the policy is kEveryRecord.
+  /// Appends one record (record.seq must equal NextSeq()) to the active
+  /// segment; fsyncs when the policy is kEveryRecord.
   /// Thread-safe.  After any failure the writer is latched FAILED and
   /// every call returns kFailedPrecondition (see header comment).
   [[nodiscard]] Status Append(const WalRecord& record);
 
-  /// fsyncs the active segment (publication boundary under
-  /// kEveryPublish); a no-op stat under kOsBuffered is NOT applied — Sync
-  /// always syncs when called.
+  /// fsyncs the active segment (the publication boundary under
+  /// kEveryPublish).  It syncs whatever the policy: under kOsBuffered the
+  /// policy only keeps Append from syncing.
   [[nodiscard]] Status Sync();
 
+  /// Seals the active segment (fsync) and starts a fresh one at
+  /// NextSeq(); does nothing when the active segment holds no record.
+  [[nodiscard]] Status Rotate();
+
   /// Deletes whole segments every record of which has seq <=
-  /// seq_inclusive (the active segment is never deleted).  Called after a
-  /// durable snapshot covering those records.  Returns the number of
-  /// segment files removed.
+  /// seq_inclusive (the active segment is never deleted).  Returns the
+  /// number of segment files removed.
   [[nodiscard]] StatusOr<int> TruncateThrough(std::uint64_t seq_inclusive);
 
   /// Sequence the next Append must carry.
@@ -151,6 +148,7 @@ class WalWriter {
       REQUIRES(mu_);
   [[nodiscard]] Status AppendLocked(const WalRecord& record) REQUIRES(mu_);
   [[nodiscard]] Status SyncLocked() REQUIRES(mu_);
+  [[nodiscard]] Status RotateLocked() REQUIRES(mu_);
 
   const std::string dir_;
   const WalOptions options_;
@@ -159,10 +157,10 @@ class WalWriter {
   int fd_ GUARDED_BY(mu_) = -1;
   bool failed_ GUARDED_BY(mu_) = false;
   std::uint64_t next_seq_ GUARDED_BY(mu_);
-  std::uint64_t segment_size_ GUARDED_BY(mu_) = 0;
   std::uint64_t bytes_appended_ GUARDED_BY(mu_) = 0;
   std::uint64_t fsyncs_ GUARDED_BY(mu_) = 0;
-  /// Existing segment first-seqs, ascending; back() is the active one.
+  /// Existing segment first-seqs, ascending; back() is the active one
+  /// (empty while it equals next_seq_).
   std::vector<std::uint64_t> segment_first_seqs_ GUARDED_BY(mu_);
 };
 
@@ -174,6 +172,8 @@ std::vector<std::uint64_t> ListStampedFiles(const std::string& dir,
 /// `<dir>/<prefix>%016llx<suffix>` formatting used by the scan above.
 std::string StampedPath(const std::string& dir, const std::string& prefix,
                         std::uint64_t value, const std::string& suffix);
+/// The first sequences of the WAL segments under `dir`, ascending.
+std::vector<std::uint64_t> ListWalSegments(const std::string& dir);
 
 // Helpers shared by wal.cc and snapshot_io.cc: an errno-carrying
 // kInternal status, little-endian loads, EINTR-safe whole-buffer write and

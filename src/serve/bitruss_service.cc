@@ -78,6 +78,9 @@ std::vector<std::pair<EdgeId, SupportT>> PhiSnapshot::TopKPhi(
 std::vector<std::pair<SupportT, std::uint64_t>> PhiSnapshot::PhiHistogram()
     const {
   std::vector<std::pair<SupportT, std::uint64_t>> levels;
+  levels.reserve(static_cast<std::size_t>(
+      phi_counts.size() -
+      std::count(phi_counts.begin(), phi_counts.end(), std::uint64_t{0})));
   for (std::size_t level = 0; level < phi_counts.size(); ++level) {
     if (phi_counts[level] != 0) {
       levels.emplace_back(static_cast<SupportT>(level), phi_counts[level]);
@@ -134,6 +137,9 @@ BitrussService::BitrussService(RestoredState state,
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   RegisterMetrics();
   if (!state.degraded_reason.empty()) EnterDegraded(state.degraded_reason);
+  // The startup checkpoint: snapshot-0, or one covering all recovered.
+  checkpoint_ = state.loaded;
+  if (wal_ != nullptr) WriteDurableSnapshot();
   // Version 1 covers the restored state; readers never observe a null
   // snapshot.  Publishing before the writer starts needs no atomics beyond
   // the store itself: thread creation orders everything before it.
@@ -455,7 +461,8 @@ std::uint64_t BitrussService::BatchLimit() const {
   stop_at(options_.publish_every_updates, applied_since_publish_);
   stop_at(options_.compact_every_updates, applied_since_compact_);
   if (wal_ != nullptr && !Degraded()) {
-    stop_at(options_.persist.snapshot_every_updates, applied_since_durable_);
+    stop_at(options_.persist.snapshot_every_updates,
+            recovered_base_ + applied_.Value() - checkpoint_);
   }
   return limit;
 }
@@ -477,7 +484,6 @@ void BitrussService::ApplyBatch() {
   batch_seconds_.Observe(work_seconds);
   applied_.IncOrdered(count);
   applied_since_publish_ += count;
-  applied_since_durable_ += count;
 
   if (options_.compact_every_updates != 0 &&
       (applied_since_compact_ += count) >= options_.compact_every_updates) {
@@ -489,7 +495,8 @@ void BitrussService::ApplyBatch() {
   // persisted image reflects the numbering later snapshots serve.
   if (wal_ != nullptr && !Degraded() &&
       options_.persist.snapshot_every_updates != 0 &&
-      applied_since_durable_ >= options_.persist.snapshot_every_updates) {
+      recovered_base_ + applied_.Value() - checkpoint_ >=
+          options_.persist.snapshot_every_updates) {
     WriteDurableSnapshot();
   }
 }

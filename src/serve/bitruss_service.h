@@ -161,10 +161,9 @@ struct PersistOptions {
   /// every-publish (default) fsyncs at snapshot publications, os-buffered
   /// survives process death only.
   persist::FsyncPolicy fsync_policy = persist::FsyncPolicy::kEveryPublish;
-  /// WAL segment rotation threshold (persist::WalOptions::segment_bytes).
-  std::uint64_t segment_bytes = 4ull << 20;
-  /// Write a durable state snapshot (and truncate the WAL behind it)
-  /// every N applied updates; 0 means only at drain-shutdown.
+  /// Checkpoint (durable state snapshot, WAL rotation, retention back to
+  /// the previous checkpoint) every N applied updates; 0 means only at
+  /// startup and drain-shutdown.
   std::uint64_t snapshot_every_updates = 4096;
 };
 
@@ -222,9 +221,6 @@ struct BitrussServiceStats {
 
 class BitrussService {
  public:
-  /// Durable snapshots kept on disk; older ones are pruned.
-  static constexpr int kKeepSnapshots = 2;
-
   /// Builds the initial phi state from `seed` (one full Decompose) on the
   /// calling thread, publishes it as snapshot version 1, then starts the
   /// writer thread.  With options.persist.dir set this is Recover() from
@@ -240,10 +236,10 @@ class BitrussService {
   /// intact snapshot (falling back to older ones past corrupt files, and
   /// to a fresh Decompose of `seed` when none exists), replays the WAL
   /// records after it — a torn final record is discarded, any other
-  /// damage or sequence gap returns kDataLoss — writes a fresh durable
-  /// snapshot covering everything recovered, clears the old WAL, and
-  /// starts serving.  The recovered phi is bit-identical to replaying the
-  /// same accepted updates against a fresh service.  If re-establishing
+  /// damage or sequence gap returns kDataLoss (`stats` is filled either
+  /// way) — reopens the WAL, checkpoints everything recovered, and starts
+  /// serving.  The recovered phi is bit-identical to replaying the same
+  /// accepted updates against a fresh service.  If re-establishing
   /// durability fails (disk full at the recovery snapshot, WAL reopen
   /// error) the service still starts, DEGRADED to read-only, so the
   /// recovered state remains queryable.
@@ -361,10 +357,11 @@ class BitrussService {
         : inc(std::move(restored)), applied(applied_updates) {}
     IncrementalBitruss inc;
     std::uint64_t applied = 0;  ///< absolute update count the state reflects
-    /// Null when persistence is off or could not be re-armed.
+    /// Applied count of the snapshot restored from (0: the seed).
+    std::uint64_t loaded = 0;
+    /// Null when persistence is off or the WAL could not be reopened.
     std::unique_ptr<persist::WalWriter> wal;
-    std::string degraded_reason;  ///< why re-arming failed; "" when healthy
-    RecoveryStats stats;
+    std::string degraded_reason;  ///< why reopening failed; "" when healthy
   };
   /// The log record of `update` at WAL sequence `seq`: kind 0 for an
   /// insert, 1 for a delete.  This and the rest of the durability wiring
@@ -375,13 +372,13 @@ class BitrussService {
   /// The public constructor's Restore(), throwing its documented errors.
   static RestoredState StartFresh(const BipartiteGraph& seed,
                                   const BitrussServiceOptions& options);
-  /// Newest snapshot (or the seed), WAL replay, covering snapshot, WAL
-  /// reopened at the next sequence.  A failed re-arm degrades, except that
-  /// with `fresh` a failed WAL open is an error.
+  /// Newest snapshot (or the seed), WAL replay, WAL reopened at the next
+  /// sequence (a failed open leaves `wal` null with the reason); fills
+  /// `stats` as it goes.
   static StatusOr<RestoredState> Restore(const BipartiteGraph& seed,
                                          const BitrussServiceOptions& options,
-                                         bool fresh);
-  /// Both entry points end here: instruments, version 1, writer thread.
+                                         RecoveryStats* stats);
+  /// Both entry points end here: instruments, checkpoint, version 1, writer.
   BitrussService(RestoredState state, BitrussServiceOptions options);
 
   void WriterLoop();
@@ -444,8 +441,9 @@ class BitrussService {
   /// `reason` (the first reason sticks; see HealthJson).
   void EnterDegraded(const std::string& reason) EXCLUDES(mu_);
 
-  /// Writer thread: persists a durable snapshot, truncates the WAL behind
-  /// it, prunes old snapshots; any failure degrades the service.
+  /// The checkpoint, the only code that writes snapshots, rotates the WAL
+  /// or prunes: at startup (constructor), then on the writer thread at the
+  /// snapshot cadence and drain shutdown.  Any failure degrades.
   void WriteDurableSnapshot();
 
   BitrussServiceOptions options_;
@@ -461,10 +459,10 @@ class BitrussService {
   const std::uint64_t recovered_base_ = 0;
 
   /// Write-ahead log, or null when persistence is off (and after a failed
-  /// recovery re-arm).  The pointer is set once in the constructor and
+  /// reopen at recovery).  The pointer is set once in the constructor and
   /// never reassigned; WalWriter itself is internally synchronized, so
-  /// Submit (under mu_) and the writer thread (Sync/TruncateThrough) may
-  /// call into it concurrently.
+  /// Submit (under mu_) and the writer thread (Sync/Rotate/TruncateThrough)
+  /// may call into it concurrently.
   std::unique_ptr<persist::WalWriter> wal_;
   /// Ordering: release store under mu_ (after degraded_reason_ is
   /// written), acquire loads elsewhere — a reader that observes true and
@@ -539,7 +537,9 @@ class BitrussService {
   // Writer-thread-local publication bookkeeping (no locking needed).
   std::uint64_t applied_since_publish_ = 0;
   std::uint64_t applied_since_compact_ = 0;
-  std::uint64_t applied_since_durable_ = 0;
+  /// Absolute applied count of the last checkpoint, written or loaded at
+  /// startup; the snapshot cadence counts from it.
+  std::uint64_t checkpoint_ = 0;
   /// Submit timestamps of applied-but-not-yet-published updates; drained
   /// into visibility_seconds_ at each publication (bounded by the publish
   /// cadence: the writer publishes at the latest when its queue drains).

@@ -1,17 +1,17 @@
 // BitrussService's durability wiring: the entry points that build or
 // recover the state a service starts from (StartFresh, Restore, Recover),
-// the writer's durable snapshots, and the conversions between the
+// the checkpoint (WriteDurableSnapshot), and the conversions between the
 // in-memory state and the WAL and snapshot file formats.
 
 #include "serve/bitruss_service.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace bitruss {
 
@@ -97,59 +97,67 @@ BitrussService::RestoredState BitrussService::StartFresh(
   if (Status st = EnsureDir(dir); !st.ok()) {
     throw std::invalid_argument(st.message());
   }
-  if (!persist::ListStampedFiles(dir, "wal-", ".seg").empty() ||
-      !persist::ListStampedFiles(dir, "snapshot-", ".snap").empty()) {
+  if (persist::HoldsDurableState(dir)) {
     throw std::invalid_argument(
         "persist dir '" + dir +
         "' holds prior WAL/snapshot state; use BitrussService::Recover");
   }
-  StatusOr<RestoredState> state = Restore(seed, options, /*fresh=*/true);
+  RecoveryStats stats;
+  StatusOr<RestoredState> state = Restore(seed, options, &stats);
   if (!state.ok()) throw std::runtime_error(state.status().message());
+  if (state.value().wal == nullptr) {
+    throw std::runtime_error(state.value().degraded_reason);
+  }
   return std::move(state).value();
 }
 
 void BitrussService::WriteDurableSnapshot() {
+  const std::string& dir = options_.persist.dir;
   const std::uint64_t applied = recovered_base_ + applied_.Value();
-  if (Status st = persist::WriteSnapshotFile(options_.persist.dir,
-                                             ToState(inc_, applied));
+  if (Status st = persist::WriteSnapshotFile(dir, ToState(inc_, applied));
       !st.ok()) {
     persist_snapshot_failures_.Inc();
     EnterDegraded("durable snapshot failed: " + st.message());
     return;
   }
   persist_snapshots_.Inc();
-  applied_since_durable_ = 0;
-  // The snapshot covers every record through `applied`; whole segments
-  // behind it are dead weight for recovery.
-  const StatusOr<int> removed = wal_->TruncateThrough(applied);
+  // A rewrite at the last checkpoint's count moves nothing retention uses.
+  if (applied == checkpoint_) return;
+  // Retention reaches back to the previous checkpoint: should the snapshot
+  // just written turn out damaged, recovery falls back to that one and
+  // replays the WAL after it.
+  const std::uint64_t previous = std::exchange(checkpoint_, applied);
+  if (Status st = wal_->Rotate(); !st.ok()) {
+    EnterDegraded("WAL rotation failed: " + st.message());
+    return;
+  }
+  const StatusOr<int> removed = wal_->TruncateThrough(previous);
   if (!removed.ok()) {
     EnterDegraded("WAL truncation failed: " + removed.status().message());
     return;
   }
-  if (removed.value() > 0) {
-    persist_wal_truncated_segments_.Inc(
-        static_cast<std::uint64_t>(removed.value()));
-  }
-  persist::RemoveOldSnapshots(options_.persist.dir, kKeepSnapshots);
+  persist_wal_truncated_segments_.Inc(
+      static_cast<std::uint64_t>(removed.value()));
+  persist::RetainSnapshots(dir, previous, applied);
 }
 
 StatusOr<BitrussService::RestoredState> BitrussService::Restore(
     const BipartiteGraph& seed, const BitrussServiceOptions& options,
-    bool fresh) {
+    RecoveryStats* stats) {
   const std::string& dir = options.persist.dir;
-  RecoveryStats stats;
+  *stats = RecoveryStats{};
   // 1. Newest intact durable snapshot — or, when none survives, the seed
   // (full Decompose), leaning entirely on WAL replay.
   StatusOr<persist::StateSnapshot> loaded =
-      persist::LoadNewestSnapshot(dir, &stats.corrupt_snapshots_skipped);
+      persist::LoadNewestSnapshot(dir, &stats->corrupt_snapshots_skipped);
   if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound) {
     return loaded.status();
   }
-  stats.from_seed = !loaded.ok();
-  const std::uint64_t base = stats.snapshot_applied =
+  stats->from_seed = !loaded.ok();
+  const std::uint64_t base = stats->snapshot_applied =
       loaded.ok() ? loaded.value().applied : 0;
   StatusOr<IncrementalBitruss> inc =
-      stats.from_seed
+      stats->from_seed
           ? StatusOr<IncrementalBitruss>(
                 IncrementalBitruss(seed, options.incremental))
           : FromState(seed, std::move(loaded).value(), options.incremental);
@@ -172,49 +180,24 @@ StatusOr<BitrussService::RestoredState> BitrussService::Restore(
       &replay, /*repair_torn_tail=*/true);
   if (!replayed.ok()) return replayed;
   (void)inc.value().ApplyBatch(suffix);
-  stats.wal_replayed = replay.records_replayed;
-  stats.torn_records_discarded = replay.torn_records_discarded;
+  stats->wal_replayed = replay.records_replayed;
+  stats->torn_records_discarded = replay.torn_records_discarded;
   RestoredState state(std::move(inc).value(), base + replay.records_replayed);
-  state.stats = stats;
+  state.loaded = base;
 
-  // 3. Re-arm durability: persist a snapshot covering everything restored,
-  // drop the now-covered WAL segments, and reopen the WAL at the next
-  // sequence.  Failures here degrade instead of aborting — the restored
-  // state is intact and worth serving read-only.
-  Status rearm =
-      persist::WriteSnapshotFile(dir, ToState(state.inc, state.applied));
-  if (rearm.ok()) {
-    // Every old record has seq <= state.applied (the snapshot's coverage,
-    // by construction), so ALL segments are disposable — including a stale
-    // tail below an os-buffered-era snapshot.
-    for (const std::uint64_t first_seq :
-         persist::ListStampedFiles(dir, "wal-", ".seg")) {
-      const std::string path =
-          persist::StampedPath(dir, "wal-", first_seq, ".seg");
-      if (::unlink(path.c_str()) != 0) {
-        rearm = InternalError("unlink(" + path + "): " + std::strerror(errno));
-        break;
-      }
-    }
-  }
-  if (rearm.ok()) {
-    persist::RemoveOldSnapshots(dir, kKeepSnapshots);
-    persist::WalOptions wal_options;
-    wal_options.fsync_policy = options.persist.fsync_policy;
-    wal_options.segment_bytes = options.persist.segment_bytes;
-    StatusOr<std::unique_ptr<persist::WalWriter>> opened =
-        persist::WalWriter::Open(dir, state.applied + 1, wal_options);
-    if (opened.ok()) {
-      state.wal = std::move(opened).value();
-    } else if (fresh) {
-      return InternalError("opening WAL in '" + dir +
-                           "': " + opened.status().message());
-    } else {
-      rearm = opened.status();
-    }
-  }
-  if (!rearm.ok()) {
-    state.degraded_reason = "re-arming durability failed: " + rearm.message();
+  // 3. Reopen the WAL at the next sequence, beside the segments just
+  // replayed; the constructor's checkpoint then covers everything
+  // restored.  A failed open degrades a recovery instead of aborting it —
+  // the restored state is intact and worth serving read-only.
+  persist::WalOptions wal_options;
+  wal_options.fsync_policy = options.persist.fsync_policy;
+  StatusOr<std::unique_ptr<persist::WalWriter>> opened =
+      persist::WalWriter::Open(dir, state.applied + 1, wal_options);
+  if (opened.ok()) {
+    state.wal = std::move(opened).value();
+  } else {
+    state.degraded_reason = "opening the WAL in '" + dir +
+                            "' failed: " + opened.status().message();
   }
   return StatusOr<RestoredState>(std::move(state));
 }
@@ -223,15 +206,17 @@ StatusOr<std::unique_ptr<BitrussService>> BitrussService::Recover(
     const BipartiteGraph& seed, BitrussServiceOptions options,
     RecoveryStats* stats) {
   const Clock::time_point start = Clock::now();
-  const std::string& dir = options.persist.dir;
-  if (dir.empty()) {
+  if (options.persist.dir.empty()) {
     return InvalidArgumentError("Recover requires options.persist.dir");
   }
-  if (Status st = EnsureDir(dir); !st.ok()) return st;
-  StatusOr<RestoredState> state = Restore(seed, options, /*fresh=*/false);
+  if (Status st = EnsureDir(options.persist.dir); !st.ok()) return st;
+  RecoveryStats local;
+  RecoveryStats& out = stats != nullptr ? *stats : local;
+  StatusOr<RestoredState> state = Restore(seed, options, &out);
   if (!state.ok()) return state.status();
+  std::unique_ptr<BitrussService> service(
+      new BitrussService(std::move(state).value(), std::move(options)));
 
-  RecoveryStats& out = state.value().stats;
   out.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   auto& registry = obs::MetricsRegistry::Default();
   registry.GetCounter("bitruss_recovery_replayed_total")->Inc(out.wal_replayed);
@@ -241,9 +226,7 @@ StatusOr<std::unique_ptr<BitrussService>> BitrussService::Recover(
       .GetHistogram("bitruss_recovery_seconds",
                     obs::ExponentialBuckets(1e-4, 2.0, 20))
       ->Observe(out.seconds);
-  if (stats != nullptr) *stats = out;
-  return std::unique_ptr<BitrussService>(
-      new BitrussService(std::move(state).value(), std::move(options)));
+  return service;
 }
 
 }  // namespace bitruss

@@ -59,8 +59,8 @@ using persist::Crc32c;
 using persist::FsyncPolicy;
 using persist::ListStampedFiles;
 using persist::LoadNewestSnapshot;
-using persist::RemoveOldSnapshots;
 using persist::ReplayWal;
+using persist::RetainSnapshots;
 using persist::StampedPath;
 using persist::StateSnapshot;
 using persist::WalOptions;
@@ -278,15 +278,57 @@ TEST(Wal, AppendThenReplayRoundTrips) {
   EXPECT_EQ(none.records_replayed, 0u);
 }
 
-TEST(Wal, OpenRefusesDirWithSegments) {
+// Appends records first..last, then rotates when `rotate` is set.
+void AppendRange(WalWriter& writer, std::uint64_t first, std::uint64_t last,
+                 bool rotate) {
+  for (std::uint64_t seq = first; seq <= last; ++seq) {
+    ASSERT_TRUE(writer.Append(TestRecord(seq)).ok()) << seq;
+  }
+  if (rotate) {
+    ASSERT_TRUE(writer.Rotate().ok());
+  }
+}
+
+TEST(Wal, OpenAdoptsOlderSegmentsAndRefusesOnePastNextSeq) {
   TempDir tmp;
   {
     auto writer_or = WalWriter::Open(tmp.path, 1, {});
     ASSERT_TRUE(writer_or.ok());
-    ASSERT_TRUE(writer_or.value()->Append(TestRecord(1)).ok());
+    AppendRange(*writer_or.value(), 1, 3, /*rotate=*/false);
   }
-  auto reopened = WalWriter::Open(tmp.path, 2, {});
-  EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
+  {
+    // Reopening after the log starts a fresh segment beside the old one.
+    auto writer_or = WalWriter::Open(tmp.path, 4, {});
+    ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
+    AppendRange(*writer_or.value(), 4, 5, /*rotate=*/true);
+    EXPECT_EQ(ListStampedFiles(tmp.path, "wal-", ".seg"),
+              (std::vector<std::uint64_t>{1, 4, 6}));
+  }
+  // A segment starting past next_seq holds records the caller never
+  // replayed: refused, and nothing is created.
+  EXPECT_EQ(WalWriter::Open(tmp.path, 5, {}).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ListStampedFiles(tmp.path, "wal-", ".seg"),
+            (std::vector<std::uint64_t>{1, 4, 6}));
+
+  // The empty segment starting AT next_seq is replaced, and the adopted
+  // segments are the writer's to truncate.
+  auto writer_or = WalWriter::Open(tmp.path, 6, {});
+  ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
+  auto writer = std::move(writer_or).value();
+  AppendRange(*writer, 6, 7, /*rotate=*/false);
+  auto removed = writer->TruncateThrough(3);
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(removed.value(), 1);
+  writer.reset();
+  EXPECT_EQ(ListStampedFiles(tmp.path, "wal-", ".seg"),
+            (std::vector<std::uint64_t>{4, 6}));
+  std::vector<std::uint64_t> seqs;
+  ASSERT_TRUE(ReplayWal(tmp.path, 3, [&](const WalRecord& r) {
+                seqs.push_back(r.seq);
+                return OkStatus();
+              }).ok());
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{4, 5, 6, 7}));
 }
 
 // ---------------------------------------------------------------------------
@@ -297,15 +339,16 @@ TEST(Wal, RotatesSegmentsAndTruncatesBehindSnapshots) {
   TempDir tmp;
   WalOptions options;
   options.fsync_policy = FsyncPolicy::kEveryRecord;
-  // header 20 + 4 records * 25 = 120; a 5th record would hit 145 > 128, so
-  // each segment holds exactly 4 records.
-  options.segment_bytes = 128;
   auto writer_or = WalWriter::Open(tmp.path, 1, options);
   ASSERT_TRUE(writer_or.ok());
   auto writer = std::move(writer_or).value();
-  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
-    ASSERT_TRUE(writer->Append(TestRecord(seq)).ok()) << seq;
-  }
+  AppendRange(*writer, 1, 4, /*rotate=*/true);
+  // Rotating an empty segment does nothing.
+  const std::uint64_t fsyncs = writer->Fsyncs();
+  ASSERT_TRUE(writer->Rotate().ok());
+  EXPECT_EQ(writer->Fsyncs(), fsyncs);
+  AppendRange(*writer, 5, 8, /*rotate=*/true);
+  AppendRange(*writer, 9, 10, /*rotate=*/false);
   EXPECT_EQ(ListStampedFiles(tmp.path, "wal-", ".seg"),
             (std::vector<std::uint64_t>{1, 5, 9}));
 
@@ -454,13 +497,12 @@ TEST(Wal, MidLogCorruptionIsDataLoss) {
   const auto build_three_segments = [](const std::string& dir) {
     WalOptions options;
     options.fsync_policy = FsyncPolicy::kEveryRecord;
-    options.segment_bytes = 128;  // 4 records/segment
     auto writer_or = WalWriter::Open(dir, 1, options);
     ASSERT_TRUE(writer_or.ok());
     auto writer = std::move(writer_or).value();
-    for (std::uint64_t seq = 1; seq <= 10; ++seq) {
-      ASSERT_TRUE(writer->Append(TestRecord(seq)).ok());
-    }
+    AppendRange(*writer, 1, 4, /*rotate=*/true);  // segments 1, 5, 9
+    AppendRange(*writer, 5, 8, /*rotate=*/true);
+    AppendRange(*writer, 9, 10, /*rotate=*/false);
   };
   const auto replay = [](const std::string& dir) {
     return ReplayWal(dir, 0, [](const WalRecord&) { return OkStatus(); },
@@ -556,20 +598,21 @@ TEST(SnapshotIo, FallsBackPastCorruptSnapshots) {
             StatusCode::kNotFound);
 }
 
-TEST(SnapshotIo, EmptyDirIsNotFoundAndPruneKeepsNewest) {
+TEST(SnapshotIo, EmptyDirIsNotFoundAndRetainKeepsTheTwoNamed) {
   TempDir tmp;
   EXPECT_EQ(LoadNewestSnapshot(tmp.path).status().code(),
             StatusCode::kNotFound);
 
-  ASSERT_TRUE(WriteSnapshotFile(tmp.path, TestState(1)).ok());
-  ASSERT_TRUE(WriteSnapshotFile(tmp.path, TestState(2)).ok());
-  ASSERT_TRUE(WriteSnapshotFile(tmp.path, TestState(3)).ok());
-  EXPECT_EQ(RemoveOldSnapshots(tmp.path, 1), 2);
+  for (const std::uint64_t applied : {1, 2, 3, 5, 8}) {
+    ASSERT_TRUE(WriteSnapshotFile(tmp.path, TestState(applied)).ok());
+  }
+  // Older, in between and newer stamps all go.
+  EXPECT_EQ(RetainSnapshots(tmp.path, 2, 5), 3);
   EXPECT_EQ(ListStampedFiles(tmp.path, "snapshot-", ".snap"),
-            (std::vector<std::uint64_t>{3}));
+            (std::vector<std::uint64_t>{2, 5}));
   auto loaded_or = LoadNewestSnapshot(tmp.path);
   ASSERT_TRUE(loaded_or.ok());
-  EXPECT_EQ(loaded_or.value().applied, 3u);
+  EXPECT_EQ(loaded_or.value().applied, 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -646,7 +689,6 @@ BitrussServiceOptions DurableOptions(const std::string& dir) {
   BitrussServiceOptions options;
   options.persist.dir = dir;
   options.persist.fsync_policy = FsyncPolicy::kEveryRecord;
-  options.persist.segment_bytes = 256;
   options.persist.snapshot_every_updates = 8;
   options.publish_every_updates = 4;
   return options;
@@ -749,13 +791,117 @@ TEST(BitrussServicePersist, NoDrainShutdownRecoversAckedTail) {
   recovered_or.value()->Shutdown(true);
 }
 
+// Submits ops[begin, end) one at a time, each drained before the next, so
+// a checkpoint lands with nothing submitted past it and its rotation
+// starts the next segment at exactly its count.
+void FeedDrained(BitrussService& service, const std::vector<EdgeUpdate>& ops,
+                 std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) {
+    ASSERT_TRUE(service.Submit(ops[i]).ok()) << i;
+    ASSERT_TRUE(service.Drain().ok()) << i;
+  }
+}
+
+// Flips a payload byte of the newest snapshot under `dir`.
+void CorruptNewestSnapshot(const std::string& dir) {
+  const std::vector<std::uint64_t> stamps =
+      ListStampedFiles(dir, "snapshot-", ".snap");
+  ASSERT_FALSE(stamps.empty());
+  FlipByte(StampedPath(dir, "snapshot-", stamps.back(), ".snap"), 30);
+}
+
+// Recover() from `dir` must pass over exactly one corrupt snapshot, load
+// the one stamped `fallback`, and match the truth after `count` updates.
+void ExpectFallbackRecovery(const BipartiteGraph& seed,
+                            const BitrussServiceOptions& options,
+                            std::uint64_t fallback, std::uint64_t count,
+                            Oracle& oracle) {
+  RecoveryStats stats;
+  auto recovered_or = BitrussService::Recover(seed, options, &stats);
+  EXPECT_EQ(stats.corrupt_snapshots_skipped, 1);
+  EXPECT_EQ(stats.snapshot_applied, fallback);
+  ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+  EXPECT_EQ(stats.wal_replayed, count - fallback);
+  BitrussService& service = *recovered_or.value();
+  EXPECT_FALSE(service.Degraded()) << service.DegradedReason();
+  EXPECT_EQ(service.RecoveredBase(), count);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMatches(*service.Snapshot(), oracle.At(count)));
+  service.Shutdown(/*drain=*/false);
+}
+
+TEST(BitrussServicePersist, RecoverFallsBackPastACorruptNewestSnapshot) {
+  const BipartiteGraph seed = GenerateUniformBipartite(12, 10, 40, 5);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 30, 57);
+  Oracle oracle(seed, ops);
+  {
+    SCOPED_TRACE("(a) after writer checkpoints");
+    TempDir tmp;
+    BitrussServiceOptions options = DurableOptions(tmp.path);
+    options.persist.snapshot_every_updates = 4;
+    {
+      BitrussService service(seed, options);
+      ASSERT_NO_FATAL_FAILURE(FeedDrained(service, ops, 0, 22));
+      service.Shutdown(/*drain=*/false);
+    }
+    // Retention after the checkpoints at 4..20: the current and the
+    // previous snapshot, and the segments from the previous checkpoint's
+    // rotation on.
+    EXPECT_EQ(ListStampedFiles(tmp.path, "snapshot-", ".snap"),
+              (std::vector<std::uint64_t>{16, 20}));
+    EXPECT_EQ(ListStampedFiles(tmp.path, "wal-", ".seg"),
+              (std::vector<std::uint64_t>{17, 21}));
+    ASSERT_NO_FATAL_FAILURE(CorruptNewestSnapshot(tmp.path));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectFallbackRecovery(seed, options, 16, 22, oracle));
+  }
+  {
+    SCOPED_TRACE("(b) after a clean Recover and a no-drain shutdown");
+    TempDir tmp;
+    BitrussServiceOptions options;  // the default checkpoint cadence
+    options.persist.dir = tmp.path;
+    {
+      BitrussService service(seed, options);
+      ASSERT_NO_FATAL_FAILURE(FeedDrained(service, ops, 0, 10));
+      service.Shutdown(/*drain=*/true);  // checkpoint at 10
+    }
+    {
+      RecoveryStats stats;
+      auto recovered_or = BitrussService::Recover(seed, options, &stats);
+      ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+      EXPECT_EQ(stats.snapshot_applied, 10u);
+      ASSERT_NO_FATAL_FAILURE(
+          FeedDrained(*recovered_or.value(), ops, 10, 20));
+      recovered_or.value()->Shutdown(/*drain=*/false);
+    }
+    ASSERT_NO_FATAL_FAILURE(CorruptNewestSnapshot(tmp.path));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectFallbackRecovery(seed, options, 0, 20, oracle));
+
+    SCOPED_TRACE("(c) a second Recover after a fallback recovery");
+    // The fallback recovery checkpointed at 20, kept snapshot 0 (the one
+    // it loaded) with the whole WAL, and dropped the corrupt snapshot 10.
+    EXPECT_EQ(ListStampedFiles(tmp.path, "snapshot-", ".snap"),
+              (std::vector<std::uint64_t>{0, 20}));
+    {
+      auto recovered_or = BitrussService::Recover(seed, options, nullptr);
+      ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
+      ASSERT_NO_FATAL_FAILURE(
+          FeedDrained(*recovered_or.value(), ops, 20, 30));
+      recovered_or.value()->Shutdown(/*drain=*/false);
+    }
+    ASSERT_NO_FATAL_FAILURE(CorruptNewestSnapshot(tmp.path));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectFallbackRecovery(seed, options, 0, 30, oracle));
+  }
+}
+
 TEST(BitrussServicePersist, CorruptedMiddleOfWalFailsRecovery) {
   TempDir tmp;
   // Hand-build a WAL with two sealed segments and no snapshot, then damage
   // the FIRST segment: acknowledged records are gone, Recover must refuse.
   WalOptions options;
   options.fsync_policy = FsyncPolicy::kEveryRecord;
-  options.segment_bytes = 128;
   {
     auto writer_or = WalWriter::Open(tmp.path, 1, options);
     ASSERT_TRUE(writer_or.ok());
@@ -766,6 +912,9 @@ TEST(BitrussServicePersist, CorruptedMiddleOfWalFailsRecovery) {
       ASSERT_TRUE(writer->Append(
           {i + 1, static_cast<std::uint8_t>(ops[i].kind), ops[i].upper_local,
            ops[i].lower_local}).ok());
+      if (i == 3) {
+        ASSERT_TRUE(writer->Rotate().ok());  // segments 1 and 5
+      }
     }
   }
   FlipByte(StampedPath(tmp.path, "wal-", 1, ".seg"),
@@ -804,8 +953,7 @@ struct CrashCase {
   BitrussServiceOptions options;
   options.persist.dir = dir;
   options.persist.fsync_policy = FsyncPolicy::kEveryRecord;
-  options.persist.segment_bytes = 128;  // rotate every 4 records
-  options.persist.snapshot_every_updates = 4;
+  options.persist.snapshot_every_updates = 4;  // rotates every 4 records
   options.publish_every_updates = 2;
   options.compact_every_updates = c.compact_every;
   try {
@@ -828,7 +976,9 @@ TEST(BitrussServiceCrash, RecoversBitExactAfterKillAtEveryFaultPoint) {
       {"wal.append", fault::FaultAction::kTornWrite, 6},
       {"wal.pre_fsync", fault::FaultAction::kKill, 6},
       {"wal.post_fsync", fault::FaultAction::kKill, 6},
-      {"wal.rotate", fault::FaultAction::kKill, 1},
+      // The first checkpoint's rotation (the startup one has nothing to
+      // rotate; later ones may find every record already submitted).
+      {"wal.rotate", fault::FaultAction::kKill, 0},
       {"wal.truncate", fault::FaultAction::kKill, 1},
       {"snapshot.tmp_write", fault::FaultAction::kKill, 1},
       {"snapshot.tmp_write", fault::FaultAction::kTornWrite, 1},
@@ -897,7 +1047,6 @@ struct DegradeCase {
   const char* point;
   fault::FaultAction action;
   std::uint64_t skip_first;
-  std::uint64_t segment_bytes = 4ull << 20;
 };
 
 TEST(BitrussServiceDegrade, PersistFailuresLatchReadOnlyMode) {
@@ -905,7 +1054,7 @@ TEST(BitrussServiceDegrade, PersistFailuresLatchReadOnlyMode) {
       {"wal.append", fault::FaultAction::kEnospc, 2},
       {"wal.pre_fsync", fault::FaultAction::kError, 2},
       {"wal.post_fsync", fault::FaultAction::kError, 2},
-      {"wal.rotate", fault::FaultAction::kError, 0, /*segment_bytes=*/128},
+      {"wal.rotate", fault::FaultAction::kError, 0},
       {"wal.truncate", fault::FaultAction::kError, 0},
       {"snapshot.tmp_write", fault::FaultAction::kEnospc, 0},
       {"snapshot.pre_rename", fault::FaultAction::kError, 0},
@@ -921,7 +1070,6 @@ TEST(BitrussServiceDegrade, PersistFailuresLatchReadOnlyMode) {
     BitrussServiceOptions options;
     options.persist.dir = tmp.path;
     options.persist.fsync_policy = FsyncPolicy::kEveryRecord;
-    options.persist.segment_bytes = c.segment_bytes;
     options.persist.snapshot_every_updates = 4;
     options.publish_every_updates = 2;
     BitrussService service(seed, options);

@@ -42,6 +42,11 @@ Rules (each failure prints file:line and a one-line explanation):
      functions (BitrussService's, MetricsRegistry's) are called on
      receivers without it and do not trip the rule.  Line comments are
      ignored.
+  8. durable-file-names-in-persist  the string literals "wal-", ".seg",
+     "snapshot-" and ".snap" appear in src/ only under src/persist/: the
+     durable file layout is persist's to name, so code outside it asks
+     persist (ListWalSegments, HoldsDurableState, ...) instead of scanning
+     or unlinking those files itself.
 
 Exit status: 0 clean, 1 any violation (CI fails the build on it).
 """
@@ -79,6 +84,7 @@ GUARD_RE = re.compile(r"^#ifndef\s+(\w+)\s*$", re.MULTILINE)
 GRAPH_SNAPSHOT_RE = re.compile(
     r"\b\w*graph\w*(?:\(\))?\s*(?:\.|->)\s*Snapshot\s*\(", re.IGNORECASE
 )
+DURABLE_NAME_RE = re.compile(r'"(?:wal-|\.seg|snapshot-|\.snap)"')
 FAULT_POINT_RE = re.compile(
     r'BITRUSS_FAULT_(?:POINT(?:_STATUS)?|WRITE)\("([^"]+)"'
 )
@@ -236,6 +242,21 @@ def check_graph_snapshot_off_path(root, errors):
                 )
 
 
+def check_durable_file_names(root, errors):
+    persist = root / "src" / "persist"
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in SOURCE_SUFFIXES or persist in path.parents:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            match = DURABLE_NAME_RE.search(line)
+            if match:
+                errors.append(
+                    f"{path.relative_to(root)}:{lineno}: durable file name "
+                    f"{match.group(0)} outside src/persist/; call a persist "
+                    "function instead"
+                )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -255,6 +276,7 @@ def main():
     check_fault_point_coverage(root, errors)
     check_sources_built(root, errors)
     check_graph_snapshot_off_path(root, errors)
+    check_durable_file_names(root, errors)
 
     if errors:
         for error in errors:
