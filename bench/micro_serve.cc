@@ -1,19 +1,24 @@
 // Google-benchmark micro suite: BitrussService snapshot reads — TopKPhi,
 // a Snapshot() acquisition with a point Phi read, and PhiHistogram — over
-// a service seeded with a 30k-edge tracker-shaped Chung-Lu graph.  The
-// *TopLast variants relabel the upper vertices so that the highest-phi
-// edges take the last slots of the table, the layout where a slot scan
-// for the top k walks every slot.
+// a service seeded with a 30k-edge tracker-shaped Chung-Lu graph, and the
+// WAL append behind every Submit.  The *TopLast variants relabel the upper
+// vertices so that the highest-phi edges take the last slots of the table,
+// the layout where a slot scan for the top k walks every slot.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/decompose.h"
 #include "gen/chung_lu.h"
+#include "persist/wal.h"
 #include "serve/bitruss_service.h"
 
 namespace {
@@ -99,6 +104,61 @@ void BM_PhiHistogram(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PhiHistogram);
+
+// WalWriter::Append into a scratch directory under /tmp, one record per
+// iteration.  Under kEveryPublish the loop also syncs every 64 records, as
+// perfbench's WAL replay does; under kOsBuffered it never syncs.  Every
+// 2^16 records the segment is rotated out and deleted, untimed, so the
+// directory stays small.
+void BM_WalAppend(benchmark::State& state, persist::FsyncPolicy policy) {
+  char dir_template[] = "/tmp/bitruss_micro_wal_XXXXXX";
+  if (::mkdtemp(dir_template) == nullptr) {
+    state.SkipWithError("mkdtemp failed");
+    return;
+  }
+  const std::string dir = dir_template;
+  {
+    persist::WalOptions options;
+    options.fsync_policy = policy;
+    auto opened = persist::WalWriter::Open(dir, 1, options);
+    if (!opened.ok()) {
+      state.SkipWithError(opened.status().ToString().c_str());
+      return;
+    }
+    persist::WalWriter& wal = *opened.value();
+    std::uint64_t seq = 0;
+    for (auto _ : state) {
+      persist::WalRecord record;
+      record.seq = ++seq;
+      record.kind = static_cast<std::uint8_t>(seq & 1);
+      record.upper_local = static_cast<std::uint32_t>(seq % 5000);
+      record.lower_local = static_cast<std::uint32_t>(seq % 2400);
+      Status st = wal.Append(record);
+      if (st.ok() && policy == persist::FsyncPolicy::kEveryPublish &&
+          seq % 64 == 0) {
+        st = wal.Sync();
+      }
+      if (st.ok() && seq % (1 << 16) == 0) {
+        state.PauseTiming();
+        st = wal.Rotate();
+        if (st.ok()) st = wal.TruncateThrough(seq).status();
+        state.ResumeTiming();
+      }
+      if (!st.ok()) {
+        state.SkipWithError(st.ToString().c_str());
+        break;
+      }
+    }
+    state.SetItemsProcessed(state.iterations());
+  }
+  for (const std::uint64_t first : persist::ListWalSegments(dir)) {
+    ::unlink(persist::StampedPath(dir, "wal-", first, ".seg").c_str());
+  }
+  ::rmdir(dir.c_str());
+}
+BENCHMARK_CAPTURE(BM_WalAppend, EveryPublish,
+                  persist::FsyncPolicy::kEveryPublish);
+BENCHMARK_CAPTURE(BM_WalAppend, OsBuffered, persist::FsyncPolicy::kOsBuffered);
 
 }  // namespace
 

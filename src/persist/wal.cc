@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -76,8 +77,8 @@ Status FsyncDir(const std::string& dir) {
   return OkStatus();
 }
 
-Status ReadWholeFile(const std::string& path,
-                     std::vector<unsigned char>* out) {
+Status ReadWholeFile(const std::string& path, std::vector<unsigned char>* out,
+                     std::size_t max_bytes) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return ErrnoError("open " + path);
   struct stat st {};
@@ -86,7 +87,7 @@ Status ReadWholeFile(const std::string& path,
     ::close(fd);
     return status;
   }
-  out->resize(static_cast<std::size_t>(st.st_size));
+  out->resize(std::min(static_cast<std::size_t>(st.st_size), max_bytes));
   std::size_t done = 0;
   while (done < out->size()) {
     const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
@@ -130,6 +131,24 @@ void PutU32(unsigned char* p, std::uint32_t v) {
 void PutU64(unsigned char* p, std::uint64_t v) {
   PutU32(p, static_cast<std::uint32_t>(v));
   PutU32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+std::uint64_t PageBytes() {
+  static const auto bytes = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  return bytes;
+}
+
+/// Bytes of the active segment kept mapped: kWalWindowBytes, or two pages
+/// where a page is larger, so a record always fits past a page-aligned
+/// window start.
+std::uint64_t WindowBytes() {
+  static const std::uint64_t bytes =
+      std::max<std::uint64_t>(kWalWindowBytes, 2 * PageBytes());
+  return bytes;
+}
+
+std::uint64_t PageFloor(std::uint64_t offset) {
+  return offset / PageBytes() * PageBytes();
 }
 
 /// Encodes the 25-byte on-disk record: length, payload CRC, payload.
@@ -192,10 +211,15 @@ Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
   std::uint64_t expected = 0;  // next raw seq across segments; 0 = unset
   for (std::size_t i = 0; i < segment_seqs.size(); ++i) {
     const bool is_final = (i + 1 == segment_seqs.size());
+    // A segment whose successor starts at or below after_seq + 1 holds only
+    // records the caller already has: its header is checked, its records
+    // are skipped unread.
+    const bool covered = !is_final && segment_seqs[i + 1] <= after_seq + 1;
     const std::string path =
         StampedPath(dir, kSegmentPrefix, segment_seqs[i], kSegmentSuffix);
     std::vector<unsigned char> buf;
-    Status read_status = ReadWholeFile(path, &buf);
+    Status read_status = ReadWholeFile(
+        path, &buf, covered ? kWalSegmentHeaderBytes : SIZE_MAX);
     if (!read_status.ok()) return read_status;
 
     const bool header_ok =
@@ -228,10 +252,14 @@ Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
                            " but records after seq " +
                            std::to_string(after_seq) + " are needed");
     }
+    if (covered) {
+      expected = segment_seqs[i + 1];
+      continue;
+    }
 
     std::size_t off = kWalSegmentHeaderBytes;
     std::uint64_t next = first_seq;
-    bool torn = false;
+    bool cut_tail = false;  // bytes from `off` on are no records
     while (off < buf.size()) {
       const std::size_t remaining = buf.size() - off;
       bool valid = remaining >= 8;
@@ -244,6 +272,14 @@ Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
         valid = Crc32c(buf.data() + off + 8, len) == GetU32(buf.data() + off + 4);
       }
       if (!valid) {
+        // Zeros from a record boundary to the end are the preallocated
+        // space a crash leaves behind, the segment's clean end: a record's
+        // length prefix is never 0.
+        cut_tail = true;
+        if (std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(off),
+                        buf.end(), [](unsigned char b) { return b == 0; })) {
+          break;
+        }
         if (!is_final) {
           return DataLossError("WAL segment " + path +
                                " has a corrupt record mid-log at offset " +
@@ -252,7 +288,6 @@ Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
         // Torn tail of the final segment: discard from the first bad byte.
         stats->torn_records_discarded +=
             (remaining + kWalRecordBytes - 1) / kWalRecordBytes;
-        torn = true;
         break;
       }
       const unsigned char* payload = buf.data() + off + 8;
@@ -278,9 +313,9 @@ Status ReplayWal(const std::string& dir, std::uint64_t after_seq,
       }
     }
     expected = next;
-    if (torn && repair_torn_tail) {
+    if (cut_tail && repair_torn_tail) {
       if (::truncate(path.c_str(), static_cast<off_t>(off)) != 0) {
-        return ErrnoError("truncate torn tail of " + path);
+        return ErrnoError("truncate the tail of " + path);
       }
     }
   }
@@ -320,22 +355,16 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
 WalWriter::~WalWriter() {
   MutexLock lock(mu_);
   if (fd_ >= 0) {
-    if (!failed_ && options_.fsync_policy != FsyncPolicy::kOsBuffered) {
-      (void)::fsync(fd_);  // best effort; shutdown paths Sync() explicitly
-    }
-    ::close(fd_);
-    fd_ = -1;
+    // Best effort; shutdown paths Sync() explicitly.
+    (void)SealLocked(/*sync=*/failure_.ok() &&
+                     options_.fsync_policy != FsyncPolicy::kOsBuffered);
   }
 }
 
 Status WalWriter::OpenFreshSegmentLocked(std::uint64_t first_seq) {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
   const std::string path =
       StampedPath(dir_, kSegmentPrefix, first_seq, kSegmentSuffix);
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
   if (fd < 0) return ErrnoError("open " + path);
   unsigned char header[kWalSegmentHeaderBytes];
   std::memcpy(header, kSegmentMagic, sizeof kSegmentMagic);
@@ -352,16 +381,63 @@ Status WalWriter::OpenFreshSegmentLocked(std::uint64_t first_seq) {
     return st;
   }
   fd_ = fd;
+  end_ = synced_ = allocated_ = sizeof header;
   segment_first_seqs_.push_back(first_seq);
+  return SlideWindowLocked();
+}
+
+Status WalWriter::SlideWindowLocked() {
+  BITRUSS_FAULT_POINT_STATUS("wal.grow");
+  const std::uint64_t offset = PageFloor(end_);
+  const std::uint64_t limit = offset + WindowBytes();
+  if (limit > allocated_) {
+    // Reserve the blocks before mapping them: a full disk fails here, as a
+    // Status, never as SIGBUS on a store into the window.
+    const int rc = ::posix_fallocate(fd_, static_cast<off_t>(allocated_),
+                                     static_cast<off_t>(limit - allocated_));
+    if (rc != 0) {
+      errno = rc;
+      return ErrnoError("preallocate wal segment");
+    }
+    allocated_ = limit;
+  }
+  if (map_ != nullptr) ::munmap(map_, WindowBytes());
+  map_ = nullptr;
+  void* map = ::mmap(nullptr, WindowBytes(), PROT_READ | PROT_WRITE,
+                     MAP_SHARED, fd_, static_cast<off_t>(offset));
+  if (map == MAP_FAILED) return ErrnoError("mmap wal segment");
+  map_ = static_cast<unsigned char*>(map);
+  map_offset_ = offset;
   return OkStatus();
+}
+
+Status WalWriter::SealLocked(bool sync) {
+  if (map_ != nullptr) ::munmap(map_, WindowBytes());
+  map_ = nullptr;
+  Status st = OkStatus();
+  if (::ftruncate(fd_, static_cast<off_t>(end_)) != 0) {
+    st = ErrnoError("trim wal segment");
+  } else if (sync) {
+    if (::fsync(fd_) == 0) {
+      ++fsyncs_;
+    } else {
+      st = ErrnoError("fsync wal segment");
+    }
+  }
+  ::close(fd_);
+  fd_ = -1;
+  return st;
+}
+
+Status WalWriter::FencedLocked(const std::string& what) const {
+  return FailedPreconditionError("WAL writer failed earlier (" +
+                                 failure_.message() + "); " + what +
+                                 " are fenced off");
 }
 
 Status WalWriter::Append(const WalRecord& record) {
   MutexLock lock(mu_);
-  if (failed_) {
-    return FailedPreconditionError(
-        "WAL writer failed earlier; appends are fenced off");
-  }
+  if (!failure_.ok()) return FencedLocked("appends");
   if (record.seq != next_seq_) {
     return InvalidArgumentError("WAL append out of order: got seq " +
                                 std::to_string(record.seq) + ", expected " +
@@ -371,15 +447,32 @@ Status WalWriter::Append(const WalRecord& record) {
   // Latch on ANY failure: the file may hold a torn prefix, and a later
   // append landing after it would turn a benign torn tail into
   // unrecoverable mid-log corruption.
-  if (!st.ok()) failed_ = true;
+  if (!st.ok()) failure_ = st;
   return st;
 }
 
 Status WalWriter::AppendLocked(const WalRecord& record) {
+  if (end_ + kWalRecordBytes > map_offset_ + WindowBytes()) {
+    Status st = SlideWindowLocked();
+    if (!st.ok()) return st;
+  }
   unsigned char buf[kWalRecordBytes];
   EncodeRecord(record, buf);
-  Status st = BITRUSS_FAULT_WRITE("wal.append", fd_, buf, sizeof buf);
-  if (!st.ok()) return st;
+  unsigned char* dst = map_ + (end_ - map_offset_);
+  const fault::FaultAction action = BITRUSS_FAULT_POINT("wal.append");
+  if (action == fault::FaultAction::kTornWrite) {
+    // The canonical torn-record crash: persist a strict prefix, die.
+    const std::size_t keep = fault::TornKeepBytes("wal.append", sizeof buf);
+    std::memcpy(dst, buf, keep);
+    const std::uint64_t from = PageFloor(end_);
+    (void)::msync(map_ + (from - map_offset_), end_ + keep - from, MS_SYNC);
+    fault::KillNow();
+  }
+  if (action != fault::FaultAction::kNone) {
+    return fault::ActionStatus(action, "wal.append");
+  }
+  std::memcpy(dst, buf, sizeof buf);
+  end_ += sizeof buf;
   bytes_appended_ += sizeof buf;
   ++next_seq_;
   if (options_.fsync_policy == FsyncPolicy::kEveryRecord) {
@@ -390,18 +483,25 @@ Status WalWriter::AppendLocked(const WalRecord& record) {
 
 Status WalWriter::Sync() {
   MutexLock lock(mu_);
-  if (failed_) {
-    return FailedPreconditionError(
-        "WAL writer failed earlier; syncs are fenced off");
-  }
+  if (!failure_.ok()) return FencedLocked("syncs");
   Status st = SyncLocked();
-  if (!st.ok()) failed_ = true;
+  if (!st.ok()) failure_ = st;
   return st;
 }
 
 Status WalWriter::SyncLocked() {
   BITRUSS_FAULT_POINT_STATUS("wal.pre_fsync");
-  if (::fsync(fd_) != 0) return ErrnoError("fsync wal segment");
+  // The bytes appended since the last sync are still mapped unless the
+  // window slid past some of them; fdatasync then covers the whole file.
+  if (synced_ < map_offset_) {
+    if (::fdatasync(fd_) != 0) return ErrnoError("fdatasync wal segment");
+  } else {
+    const std::uint64_t from = PageFloor(synced_);
+    if (::msync(map_ + (from - map_offset_), end_ - from, MS_SYNC) != 0) {
+      return ErrnoError("msync wal segment");
+    }
+  }
+  synced_ = end_;
   ++fsyncs_;
   BITRUSS_FAULT_POINT_STATUS("wal.post_fsync");
   return OkStatus();
@@ -409,33 +509,27 @@ Status WalWriter::SyncLocked() {
 
 Status WalWriter::Rotate() {
   MutexLock lock(mu_);
-  if (failed_) {
-    return FailedPreconditionError(
-        "WAL writer failed earlier; rotation is fenced off");
-  }
+  if (!failure_.ok()) return FencedLocked("rotations");
   if (segment_first_seqs_.back() == next_seq_) return OkStatus();  // empty
   Status st = RotateLocked();
-  if (!st.ok()) failed_ = true;
+  if (!st.ok()) failure_ = st;
   return st;
 }
 
 Status WalWriter::RotateLocked() {
-  if (::fsync(fd_) != 0) return ErrnoError("fsync before rotation");
-  ++fsyncs_;
+  Status st = SealLocked(/*sync=*/true);
+  if (!st.ok()) return st;
   BITRUSS_FAULT_POINT_STATUS("wal.rotate");
   return OpenFreshSegmentLocked(next_seq_);
 }
 
 StatusOr<int> WalWriter::TruncateThrough(std::uint64_t seq_inclusive) {
   MutexLock lock(mu_);
-  if (failed_) {
-    return Status(StatusCode::kFailedPrecondition,
-                  "WAL writer failed earlier; truncation is fenced off");
-  }
+  if (!failure_.ok()) return FencedLocked("truncations");
   BITRUSS_FAULT_POINT_STATUS("wal.truncate");
   // A segment is removable when the NEXT one starts at or below
   // seq_inclusive + 1 (its own last record is then <= seq_inclusive); the
-  // active segment always stays.  Failures here do NOT latch failed_ — an
+  // active segment always stays.  Failures here do NOT latch failure_ — an
   // unremoved segment is just replayed-and-skipped on the next recovery.
   int removed = 0;
   while (segment_first_seqs_.size() >= 2 &&

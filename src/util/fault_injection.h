@@ -25,7 +25,8 @@
 //
 //   BITRUSS_FAULT_POINT("snapshot.pre_rename")          // want the action
 //   BITRUSS_FAULT_POINT_STATUS("wal.pre_fsync");        // error-or-nothing
-//   BITRUSS_FAULT_WRITE("wal.append", fd, buf, size)    // a write that can
+//   BITRUSS_FAULT_WRITE("snapshot.tmp_write", fd, buf, size)
+//                                                       // a write that can
 //                                                       // fail or tear
 //
 // BITRUSS_FAULT_WRITE lives in persist/wal.h, next to the write it wraps;

@@ -70,6 +70,7 @@ using persist::WalWriter;
 using persist::WriteSnapshotFile;
 using persist::kWalRecordBytes;
 using persist::kWalSegmentHeaderBytes;
+using persist::kWalWindowBytes;
 using differential::ApplyTo;
 using differential::ExpectMatches;
 using differential::MakeStream;
@@ -526,6 +527,175 @@ TEST(Wal, MidLogCorruptionIsDataLoss) {
   }
 }
 
+// A segment wholly at or below after_seq is skipped unread: only its header
+// is checked, so damage in its records is not the replay's business.
+TEST(Wal, CoveredSegmentsAreSkippedUnread) {
+  const auto build_three_segments = [](const std::string& dir) {
+    auto writer_or = WalWriter::Open(dir, 1, {});
+    ASSERT_TRUE(writer_or.ok());
+    auto writer = std::move(writer_or).value();
+    AppendRange(*writer, 1, 4, /*rotate=*/true);  // segments 1, 5, 9
+    AppendRange(*writer, 5, 8, /*rotate=*/true);
+    AppendRange(*writer, 9, 10, /*rotate=*/false);
+  };
+  const auto replay = [](const std::string& dir, std::uint64_t after_seq,
+                         std::vector<std::uint64_t>* seqs,
+                         WalReplayStats* stats) {
+    return ReplayWal(dir, after_seq,
+                     [seqs](const WalRecord& r) {
+                       seqs->push_back(r.seq);
+                       return OkStatus();
+                     },
+                     stats, /*repair_torn_tail=*/true);
+  };
+  TempDir tmp;
+  build_three_segments(tmp.path);
+  const std::string first = StampedPath(tmp.path, "wal-", 1, ".seg");
+  FlipByte(first, kWalSegmentHeaderBytes + 10);
+
+  // Segment 1 holds 1..4 and its successor starts at 5 = after_seq + 1.
+  std::vector<std::uint64_t> seqs;
+  WalReplayStats stats;
+  ASSERT_TRUE(replay(tmp.path, 4, &seqs, &stats).ok());
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(stats.records_replayed, 6u);
+  EXPECT_EQ(stats.last_seq, 10u);
+  EXPECT_EQ(stats.torn_records_discarded, 0u);
+
+  // Record 4 is needed from after_seq 3: segment 1 straddles it, is
+  // parsed, and the same flip is mid-log corruption.
+  seqs.clear();
+  EXPECT_EQ(replay(tmp.path, 3, &seqs, nullptr).code(),
+            StatusCode::kDataLoss);
+
+  // A covered segment's header is still checked.
+  FlipByte(first, kWalSegmentHeaderBytes + 10);  // undo the record flip
+  FlipByte(first, 9);
+  seqs.clear();
+  EXPECT_EQ(replay(tmp.path, 4, &seqs, nullptr).code(),
+            StatusCode::kDataLoss);
+}
+
+// Appends zero bytes to `path`, as the preallocated space of a crashed
+// writer's active segment.
+void AppendZeros(const std::string& path, std::int64_t bytes) {
+  TruncateFile(path, FileSize(path) + bytes);
+}
+
+TEST(Wal, ZeroTailIsTheCleanEndOfASegment) {
+  const std::int64_t header = kWalSegmentHeaderBytes;
+  const std::int64_t record = kWalRecordBytes;
+  const auto replay = [](const std::string& dir, WalReplayStats* stats,
+                         bool repair) {
+    return ReplayWal(dir, 0, [](const WalRecord&) { return OkStatus(); },
+                     stats, repair);
+  };
+  {
+    SCOPED_TRACE("final segment: every record replays, repair trims");
+    TempDir tmp;
+    const std::string segment = BuildSingleSegment(tmp.path, 5);
+    AppendZeros(segment, 3 * record + 11);
+    WalReplayStats stats;
+    ASSERT_TRUE(replay(tmp.path, &stats, /*repair=*/false).ok());
+    EXPECT_EQ(stats.records_replayed, 5u);
+    EXPECT_EQ(stats.torn_records_discarded, 0u);
+    EXPECT_EQ(FileSize(segment), header + 8 * record + 11);  // not repaired
+    ASSERT_TRUE(replay(tmp.path, &stats, /*repair=*/true).ok());
+    EXPECT_EQ(stats.records_replayed, 5u);
+    EXPECT_EQ(stats.torn_records_discarded, 0u);
+    EXPECT_EQ(FileSize(segment), header + 5 * record);
+  }
+  {
+    SCOPED_TRACE("zeros then one nonzero byte are torn");
+    TempDir tmp;
+    const std::string segment = BuildSingleSegment(tmp.path, 5);
+    AppendZeros(segment, 2 * record);
+    FlipByte(segment, FileSize(segment) - 1);
+    WalReplayStats stats;
+    ASSERT_TRUE(replay(tmp.path, &stats, /*repair=*/true).ok());
+    EXPECT_EQ(stats.records_replayed, 5u);
+    EXPECT_GE(stats.torn_records_discarded, 1u);
+    EXPECT_EQ(FileSize(segment), header + 5 * record);
+  }
+  // Segment 1 holds records 1..`last` and a zero tail, segment 6 holds
+  // 6..8: the zero tail is fine, and losing record 5 to it is not.
+  for (const std::uint64_t last : {5, 4}) {
+    SCOPED_TRACE("non-final segment ending at " + std::to_string(last));
+    TempDir tmp;
+    {
+      auto writer_or = WalWriter::Open(tmp.path, 1, {});
+      ASSERT_TRUE(writer_or.ok());
+      AppendRange(*writer_or.value(), 1, 5, /*rotate=*/true);
+      AppendRange(*writer_or.value(), 6, 8, /*rotate=*/false);
+    }
+    const std::string first = StampedPath(tmp.path, "wal-", 1, ".seg");
+    TruncateFile(first, header + static_cast<std::int64_t>(last) * record);
+    AppendZeros(first, 4096);
+    std::vector<std::uint64_t> seqs;
+    WalReplayStats stats;
+    const Status status = ReplayWal(
+        tmp.path, 0,
+        [&](const WalRecord& r) {
+          seqs.push_back(r.seq);
+          return OkStatus();
+        },
+        &stats);
+    if (last == 5) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+      EXPECT_EQ(stats.torn_records_discarded, 0u);
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    }
+  }
+}
+
+// More than two windows of records: the window slides and the file grows
+// under a live writer, a replay of the unsealed segment reads the
+// preallocated rest as its clean end, and sealing trims it.
+TEST(Wal, RoundTripsAcrossWindows) {
+  const std::uint64_t records = 3 * kWalWindowBytes / kWalRecordBytes;
+  TempDir tmp;
+  auto writer_or = WalWriter::Open(tmp.path, 1, {});
+  ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
+  auto writer = std::move(writer_or).value();
+  for (std::uint64_t seq = 1; seq <= records; ++seq) {
+    ASSERT_TRUE(writer->Append(TestRecord(seq)).ok()) << seq;
+    // Syncs a window slide lies between, and syncs within one window.
+    if (seq % 1000 == 0 || seq % 1000 == 7) {
+      ASSERT_TRUE(writer->Sync().ok()) << seq;
+    }
+  }
+  const std::string segment = StampedPath(tmp.path, "wal-", 1, ".seg");
+  const std::int64_t sealed_size =
+      kWalSegmentHeaderBytes + static_cast<std::int64_t>(records) *
+                                   static_cast<std::int64_t>(kWalRecordBytes);
+  EXPECT_GT(FileSize(segment), sealed_size);  // preallocated ahead
+  const auto expect_all = [&](const char* when) {
+    SCOPED_TRACE(when);
+    std::uint64_t next = 1;
+    WalReplayStats stats;
+    ASSERT_TRUE(ReplayWal(tmp.path, 0,
+                          [&](const WalRecord& r) {
+                            const WalRecord want = TestRecord(next++);
+                            EXPECT_EQ(r.seq, want.seq);
+                            EXPECT_EQ(r.kind, want.kind);
+                            EXPECT_EQ(r.upper_local, want.upper_local);
+                            EXPECT_EQ(r.lower_local, want.lower_local);
+                            return OkStatus();
+                          },
+                          &stats)
+                    .ok());
+    EXPECT_EQ(stats.records_replayed, records);
+    EXPECT_EQ(stats.torn_records_discarded, 0u);
+  };
+  expect_all("live writer");
+  EXPECT_EQ(writer->BytesAppended(), records * kWalRecordBytes);
+  writer.reset();
+  EXPECT_EQ(FileSize(segment), sealed_size);
+  expect_all("sealed");
+}
+
 // ---------------------------------------------------------------------------
 // G: snapshot file I/O
 // ---------------------------------------------------------------------------
@@ -936,6 +1106,7 @@ struct CrashCase {
   fault::FaultAction action;
   std::uint64_t skip_first;
   std::uint64_t compact_every = 0;  // child-side compaction cadence
+  FsyncPolicy policy = FsyncPolicy::kEveryRecord;  // the child's
 };
 
 // Child body: arm the fault, run a durable service over the deterministic
@@ -952,7 +1123,7 @@ struct CrashCase {
 
   BitrussServiceOptions options;
   options.persist.dir = dir;
-  options.persist.fsync_policy = FsyncPolicy::kEveryRecord;
+  options.persist.fsync_policy = c.policy;
   options.persist.snapshot_every_updates = 4;  // rotates every 4 records
   options.publish_every_updates = 2;
   options.compact_every_updates = c.compact_every;
@@ -979,6 +1150,9 @@ TEST(BitrussServiceCrash, RecoversBitExactAfterKillAtEveryFaultPoint) {
       // The first checkpoint's rotation (the startup one has nothing to
       // rotate; later ones may find every record already submitted).
       {"wal.rotate", fault::FaultAction::kKill, 0},
+      // Growing the first checkpoint's fresh segment (hit 0 maps the
+      // startup segment).
+      {"wal.grow", fault::FaultAction::kKill, 1},
       {"wal.truncate", fault::FaultAction::kKill, 1},
       {"snapshot.tmp_write", fault::FaultAction::kKill, 1},
       {"snapshot.tmp_write", fault::FaultAction::kTornWrite, 1},
@@ -988,6 +1162,15 @@ TEST(BitrussServiceCrash, RecoversBitExactAfterKillAtEveryFaultPoint) {
       // recovered phi HISTOGRAM must still match the truth.
       {"snapshot.tmp_write", fault::FaultAction::kKill, 2,
        /*compact_every=*/6},
+      // An append copied into the page cache survives process death under
+      // every policy, synced or not.
+      {"wal.append", fault::FaultAction::kTornWrite, 6, 0,
+       FsyncPolicy::kEveryPublish},
+      {"wal.append", fault::FaultAction::kTornWrite, 6, 0,
+       FsyncPolicy::kOsBuffered},
+      {"wal.pre_fsync", fault::FaultAction::kKill, 6, 0,
+       FsyncPolicy::kEveryPublish},
+      {"wal.grow", fault::FaultAction::kKill, 1, 0, FsyncPolicy::kOsBuffered},
   };
   const BipartiteGraph seed = GenerateUniformBipartite(12, 10, 40, 5);
   const std::vector<EdgeUpdate> ops = MakeStream(seed, 24, 99);
@@ -996,7 +1179,8 @@ TEST(BitrussServiceCrash, RecoversBitExactAfterKillAtEveryFaultPoint) {
   for (const CrashCase& c : cases) {
     SCOPED_TRACE(std::string(c.point) + "/" +
                  std::to_string(static_cast<int>(c.action)) + "/skip" +
-                 std::to_string(c.skip_first));
+                 std::to_string(c.skip_first) + "/policy" +
+                 std::to_string(static_cast<int>(c.policy)));
     TempDir tmp;
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0) << std::strerror(errno);
@@ -1030,6 +1214,80 @@ TEST(BitrussServiceCrash, RecoversBitExactAfterKillAtEveryFaultPoint) {
   }
 }
 
+// The record that straddles the first window's edge is appended into the
+// slid window.  A child dies appending it (torn or killed) under each
+// policy; the parent must recover exactly the records before it, all of
+// them acknowledged, and a writer reopened after the repair continues the
+// log.
+TEST(WalCrash, DeathAtTheWindowEdgeRecoversEveryAcknowledgedRecord) {
+  const std::uint64_t straddler =
+      (kWalWindowBytes - kWalSegmentHeaderBytes) / kWalRecordBytes + 1;
+  ASSERT_LT(kWalSegmentHeaderBytes + (straddler - 1) * kWalRecordBytes,
+            kWalWindowBytes);
+  ASSERT_GT(kWalSegmentHeaderBytes + straddler * kWalRecordBytes,
+            kWalWindowBytes);
+  for (const FsyncPolicy policy :
+       {FsyncPolicy::kEveryRecord, FsyncPolicy::kEveryPublish,
+        FsyncPolicy::kOsBuffered}) {
+    for (const fault::FaultAction action :
+         {fault::FaultAction::kTornWrite, fault::FaultAction::kKill}) {
+      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)) +
+                   ", action " + std::to_string(static_cast<int>(action)));
+      TempDir tmp;
+      const pid_t pid = ::fork();
+      ASSERT_GE(pid, 0) << std::strerror(errno);
+      if (pid == 0) {
+        fault::ArmSpec spec;
+        spec.action = action;
+        spec.skip_first = straddler - 1;
+        spec.seed = 7;
+        fault::Arm("wal.append", spec);
+        WalOptions options;
+        options.fsync_policy = policy;
+        auto writer_or = WalWriter::Open(tmp.path, 1, options);
+        if (!writer_or.ok()) _exit(3);
+        for (std::uint64_t seq = 1; seq <= straddler + 10; ++seq) {
+          if (!writer_or.value()->Append(TestRecord(seq)).ok()) _exit(4);
+          if (seq % 100 == 0 && !writer_or.value()->Sync().ok()) _exit(5);
+        }
+        _exit(0);  // the armed fault never fired
+      }
+      int wstatus = 0;
+      ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+      ASSERT_TRUE(WIFSIGNALED(wstatus))
+          << "child exited with " << WEXITSTATUS(wstatus);
+      ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
+
+      std::uint64_t next = 1;
+      WalReplayStats stats;
+      ASSERT_TRUE(ReplayWal(tmp.path, 0,
+                            [&](const WalRecord& r) {
+                              EXPECT_EQ(r.seq, next);
+                              ++next;
+                              return OkStatus();
+                            },
+                            &stats, /*repair_torn_tail=*/true)
+                      .ok());
+      EXPECT_EQ(stats.records_replayed, straddler - 1);
+      EXPECT_EQ(FileSize(StampedPath(tmp.path, "wal-", 1, ".seg")),
+                static_cast<std::int64_t>(kWalSegmentHeaderBytes +
+                                          (straddler - 1) * kWalRecordBytes));
+
+      auto writer_or = WalWriter::Open(tmp.path, straddler, {});
+      ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
+      ASSERT_TRUE(writer_or.value()->Append(TestRecord(straddler)).ok());
+      writer_or.value().reset();
+      WalReplayStats again;
+      ASSERT_TRUE(ReplayWal(tmp.path, 0,
+                            [](const WalRecord&) { return OkStatus(); },
+                            &again)
+                      .ok());
+      EXPECT_EQ(again.records_replayed, straddler);
+      EXPECT_EQ(again.torn_records_discarded, 0u);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // L: injected write errors degrade to read-only — in-process, no fork
 // ---------------------------------------------------------------------------
@@ -1055,6 +1313,8 @@ TEST(BitrussServiceDegrade, PersistFailuresLatchReadOnlyMode) {
       {"wal.pre_fsync", fault::FaultAction::kError, 2},
       {"wal.post_fsync", fault::FaultAction::kError, 2},
       {"wal.rotate", fault::FaultAction::kError, 0},
+      // A full disk when the first checkpoint's fresh segment preallocates.
+      {"wal.grow", fault::FaultAction::kEnospc, 0},
       {"wal.truncate", fault::FaultAction::kError, 0},
       {"snapshot.tmp_write", fault::FaultAction::kEnospc, 0},
       {"snapshot.pre_rename", fault::FaultAction::kError, 0},
