@@ -381,7 +381,7 @@ Status WalWriter::OpenFreshSegmentLocked(std::uint64_t first_seq) {
     return st;
   }
   fd_ = fd;
-  end_ = synced_ = allocated_ = sizeof header;
+  end_ = sizeof header;
   segment_first_seqs_.push_back(first_seq);
   return SlideWindowLocked();
 }
@@ -389,17 +389,14 @@ Status WalWriter::OpenFreshSegmentLocked(std::uint64_t first_seq) {
 Status WalWriter::SlideWindowLocked() {
   BITRUSS_FAULT_POINT_STATUS("wal.grow");
   const std::uint64_t offset = PageFloor(end_);
-  const std::uint64_t limit = offset + WindowBytes();
-  if (limit > allocated_) {
-    // Reserve the blocks before mapping them: a full disk fails here, as a
-    // Status, never as SIGBUS on a store into the window.
-    const int rc = ::posix_fallocate(fd_, static_cast<off_t>(allocated_),
-                                     static_cast<off_t>(limit - allocated_));
-    if (rc != 0) {
-      errno = rc;
-      return ErrnoError("preallocate wal segment");
-    }
-    allocated_ = limit;
+  // Reserve the blocks before mapping them: a full disk fails here, as a
+  // Status, never as SIGBUS on a store into the window.  The part that
+  // overlaps the previous window is already reserved; that is a no-op.
+  const int rc = ::posix_fallocate(fd_, static_cast<off_t>(offset),
+                                   static_cast<off_t>(WindowBytes()));
+  if (rc != 0) {
+    errno = rc;
+    return ErrnoError("preallocate wal segment");
   }
   if (map_ != nullptr) ::munmap(map_, WindowBytes());
   map_ = nullptr;
@@ -464,8 +461,7 @@ Status WalWriter::AppendLocked(const WalRecord& record) {
     // The canonical torn-record crash: persist a strict prefix, die.
     const std::size_t keep = fault::TornKeepBytes("wal.append", sizeof buf);
     std::memcpy(dst, buf, keep);
-    const std::uint64_t from = PageFloor(end_);
-    (void)::msync(map_ + (from - map_offset_), end_ + keep - from, MS_SYNC);
+    (void)::fdatasync(fd_);
     fault::KillNow();
   }
   if (action != fault::FaultAction::kNone) {
@@ -491,17 +487,9 @@ Status WalWriter::Sync() {
 
 Status WalWriter::SyncLocked() {
   BITRUSS_FAULT_POINT_STATUS("wal.pre_fsync");
-  // The bytes appended since the last sync are still mapped unless the
-  // window slid past some of them; fdatasync then covers the whole file.
-  if (synced_ < map_offset_) {
-    if (::fdatasync(fd_) != 0) return ErrnoError("fdatasync wal segment");
-  } else {
-    const std::uint64_t from = PageFloor(synced_);
-    if (::msync(map_ + (from - map_offset_), end_ - from, MS_SYNC) != 0) {
-      return ErrnoError("msync wal segment");
-    }
-  }
-  synced_ = end_;
+  // fdatasync writes back the pages dirtied through the mapping too, mapped
+  // or already slid past.
+  if (::fdatasync(fd_) != 0) return ErrnoError("fdatasync wal segment");
   ++fsyncs_;
   BITRUSS_FAULT_POINT_STATUS("wal.post_fsync");
   return OkStatus();

@@ -31,8 +31,8 @@
 // Durability policy (FsyncPolicy): every-record syncs inside Append,
 // every-publish leaves the sync to the caller's Sync() at its publication
 // boundary, os-buffered never syncs (page cache only — survives process
-// death but not power loss).  A sync is msync(MS_SYNC) over the bytes
-// appended since the previous one.
+// death but not power loss).  A sync is fdatasync of the segment; it writes
+// back the pages the mapping dirtied.
 //
 // Failure model: once any append, sync or rotation fails — including
 // injected faults — the writer latches FAILED and every later call returns
@@ -199,11 +199,8 @@ class WalWriter {
   /// page-aligned file offset map_offset_ (nullptr once sealed).
   unsigned char* map_ GUARDED_BY(mu_) = nullptr;
   std::uint64_t map_offset_ GUARDED_BY(mu_) = 0;
-  /// Active-segment file offsets: end of the last record, end of the
-  /// synced bytes, end of the preallocated space.
+  /// Active-segment file offset of the end of the last record.
   std::uint64_t end_ GUARDED_BY(mu_) = 0;
-  std::uint64_t synced_ GUARDED_BY(mu_) = 0;
-  std::uint64_t allocated_ GUARDED_BY(mu_) = 0;
   /// The first failure; non-OK latches the writer (see header comment).
   Status failure_ GUARDED_BY(mu_);
   std::uint64_t next_seq_ GUARDED_BY(mu_);
