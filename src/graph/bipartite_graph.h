@@ -49,8 +49,6 @@ class BipartiteGraph {
   VertexId NumVertices() const { return num_upper_ + num_lower_; }
   EdgeId NumEdges() const { return static_cast<EdgeId>(edge_upper_.size()); }
 
-  bool IsUpper(VertexId v) const { return v < num_upper_; }
-
   VertexId Degree(VertexId v) const {
     return static_cast<VertexId>(offsets_[v + 1] - offsets_[v]);
   }

@@ -60,19 +60,6 @@ void Histogram::Observe(double value) {
   }
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  if (other.Bounds() != bounds_) return;
-  for (std::size_t i = 0; i < NumBuckets(); ++i) {
-    buckets_[i].fetch_add(other.BucketCount(i), std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.TotalCount(), std::memory_order_relaxed);
-  const double add = other.Sum();
-  double sum = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(sum, sum + add,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 HistogramSample Histogram::Sample(std::string name) const {
   HistogramSample sample;
   sample.name = std::move(name);
@@ -197,9 +184,9 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::vector<double>& bounds) {
   MutexLock lock(mu_);
-  HistogramFamily& family = histograms_[name];
-  if (!family.owned) family.owned = std::make_unique<Histogram>(bounds);
-  return family.owned.get();
+  std::unique_ptr<Histogram>& histogram = histograms_[name];
+  if (!histogram) histogram = std::make_unique<Histogram>(bounds);
+  return histogram.get();
 }
 
 void MetricsRegistry::RegisterCounter(const std::string& name,
@@ -220,27 +207,6 @@ void MetricsRegistry::UnregisterCounter(const std::string& name,
   // Absorb the departing instrument so family totals stay process-lifetime.
   if (!it->second.owned) it->second.owned = std::make_unique<Counter>();
   it->second.owned->Inc(counter->Value());
-}
-
-void MetricsRegistry::RegisterHistogram(const std::string& name,
-                                        const Histogram* histogram) {
-  MutexLock lock(mu_);
-  histograms_[name].external.push_back(histogram);
-}
-
-void MetricsRegistry::UnregisterHistogram(const std::string& name,
-                                          const Histogram* histogram) {
-  MutexLock lock(mu_);
-  const auto it = histograms_.find(name);
-  if (it == histograms_.end()) return;
-  auto& external = it->second.external;
-  const auto pos = std::remove(external.begin(), external.end(), histogram);
-  if (pos == external.end()) return;  // was not registered
-  external.erase(pos, external.end());
-  if (!it->second.owned) {
-    it->second.owned = std::make_unique<Histogram>(histogram->Bounds());
-  }
-  it->second.owned->MergeFrom(*histogram);
 }
 
 std::uint64_t MetricsRegistry::AddGaugeCallback(
@@ -287,30 +253,8 @@ RegistrySnapshot MetricsRegistry::Snapshot() const {
   }
 
   snapshot.histograms.reserve(histograms_.size());
-  for (const auto& [name, family] : histograms_) {
-    HistogramSample sample;
-    sample.name = name;
-    const Histogram* shape =
-        family.owned ? family.owned.get()
-                     : (family.external.empty() ? nullptr
-                                                : family.external.front());
-    if (shape == nullptr) continue;
-    sample.bounds = shape->Bounds();
-    sample.bucket_counts.assign(shape->NumBuckets(), 0);
-    const auto merge = [&sample, shape](const Histogram* h) {
-      // Instances registered under one name must share the family's bucket
-      // layout; anything else is a naming bug and is skipped rather than
-      // merged into the wrong buckets.
-      if (h->Bounds() != shape->Bounds()) return;
-      for (std::size_t i = 0; i < sample.bucket_counts.size(); ++i) {
-        sample.bucket_counts[i] += h->BucketCount(i);
-      }
-      sample.count += h->TotalCount();
-      sample.sum += h->Sum();
-    };
-    if (family.owned) merge(family.owned.get());
-    for (const Histogram* h : family.external) merge(h);
-    snapshot.histograms.push_back(std::move(sample));
+  for (const auto& [name, histogram] : histograms_) {
+    snapshot.histograms.push_back(histogram->Sample(name));
   }
   return snapshot;
 }

@@ -17,13 +17,15 @@
 // `bitruss_serve_applied_total`, `bitruss_dynamic_repair_frontier_edges`.
 //
 // Scope model.  Registry instruments are process-wide aggregates (what a
-// scrape wants).  Objects that need per-instance numbers own their
-// instruments and register them with `Register*` / `Unregister*`: the
-// snapshot then reports the SUM across the owned family instrument and
-// every registered instance (BitrussService does exactly this, so its
-// stats are kept once, not twice).  Gauge callbacks cover values that are
-// cheaper to read than to maintain (queue depths, process RSS): they are
-// evaluated at snapshot time and summed into the named family.
+// scrape wants): the registry owns every histogram and most counters and
+// gauges, and call sites hold pointers to them.  A counter that an object
+// must also read per instance (BitrussService's Stats() counters) is owned
+// by the object and attached with `RegisterCounter` / `UnregisterCounter`:
+// the snapshot then reports the SUM across the owned family counter and
+// every registered instance, so the stat is kept once, not twice.  Gauge
+// callbacks cover values that are cheaper to read than to maintain (queue
+// depths, process RSS): they are evaluated at snapshot time and summed
+// into the named family.
 //
 // `Snapshot()` is consistent per instrument (each value is one atomic
 // load), not across instruments: a counter incremented between two loads
@@ -107,12 +109,6 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Observe(double value);
-
-  /// Adds every bucket count, the total count, and the sum of `other`
-  /// (which must share this histogram's bounds) into this instrument; used
-  /// by the registry to fold a dying external instrument into the owned
-  /// family instrument.  `other` must be quiescent during the merge.
-  void MergeFrom(const Histogram& other);
 
   /// Point-in-time copy of this instrument as a snapshot sample (one
   /// atomic load per field — same consistency contract as
@@ -220,17 +216,14 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name,
                           const std::vector<double>& bounds);
 
-  /// Attaches an externally-owned instrument to the named family; the
-  /// snapshot sums it with the owned instrument and every other registered
-  /// instance.  The caller must Unregister* before the instrument dies;
-  /// unregistration folds the instrument's final value into the family's
-  /// owned instrument, so registry totals cover the whole process
-  /// lifetime, not just the instruments currently alive.
+  /// Attaches an externally-owned counter to the named family; the
+  /// snapshot sums it with the owned counter and every other registered
+  /// instance.  The caller must UnregisterCounter before the counter dies;
+  /// unregistration folds its final value into the family's owned
+  /// counter, so registry totals cover the whole process lifetime, not
+  /// just the counters currently alive.
   void RegisterCounter(const std::string& name, const Counter* counter);
   void UnregisterCounter(const std::string& name, const Counter* counter);
-  void RegisterHistogram(const std::string& name, const Histogram* histogram);
-  void UnregisterHistogram(const std::string& name,
-                           const Histogram* histogram);
 
   /// Snapshot-time gauge: `fn` runs under the registry lock during
   /// Snapshot() (it must not call back into the registry) and its value is
@@ -246,10 +239,6 @@ class MetricsRegistry {
     std::unique_ptr<Counter> owned;
     std::vector<const Counter*> external;
   };
-  struct HistogramFamily {
-    std::unique_ptr<Histogram> owned;
-    std::vector<const Histogram*> external;
-  };
   struct GaugeCallback {
     std::uint64_t handle = 0;
     std::string name;
@@ -259,7 +248,8 @@ class MetricsRegistry {
   mutable Mutex mu_;
   std::map<std::string, CounterFamily> counters_ GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, HistogramFamily> histograms_ GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_
+      GUARDED_BY(mu_);
   std::vector<GaugeCallback> callbacks_ GUARDED_BY(mu_);
   std::uint64_t next_handle_ GUARDED_BY(mu_) = 1;
 };

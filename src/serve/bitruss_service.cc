@@ -22,11 +22,22 @@ constexpr SupportT kStale = std::numeric_limits<SupportT>::max();
 // Runs one read and records its latency (acquisition + query) in
 // `seconds`.
 template <typename Read>
-auto TimedRead(obs::Histogram& seconds, const Read& read) {
+auto TimedRead(obs::Histogram* seconds, const Read& read) {
   const Clock::time_point start = Clock::now();
   auto result = read();
-  seconds.Observe(std::chrono::duration<double>(Clock::now() - start).count());
+  seconds->Observe(
+      std::chrono::duration<double>(Clock::now() - start).count());
   return result;
+}
+
+// The process-wide families of the default registry that every service
+// reports into.
+obs::Counter* CounterFamily(const char* name) {
+  return obs::MetricsRegistry::Default().GetCounter(name);
+}
+obs::Histogram* HistogramFamily(const char* name,
+                                const std::vector<double>& bounds) {
+  return obs::MetricsRegistry::Default().GetHistogram(name, bounds);
 }
 }  // namespace
 
@@ -115,25 +126,53 @@ BitrussService::BitrussService(RestoredState state,
       num_lower_(inc_.Graph().NumLower()),
       recovered_base_(state.applied),
       wal_(std::move(state.wal)),
+      queue_depth_peak_(obs::MetricsRegistry::Default().GetGauge(
+          "bitruss_serve_queue_depth_peak")),
+      publish_full_copies_(
+          CounterFamily("bitruss_serve_publish_full_copies_total")),
       // A patched publish takes microseconds, a full copy of a large slot
       // table up to milliseconds.
-      publish_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 20)),
-      staleness_updates_(obs::ExponentialBuckets(1.0, 2.0, 12)),
+      publish_seconds_(HistogramFamily("bitruss_serve_publish_seconds",
+                                       obs::ExponentialBuckets(1e-6, 2.0, 20))),
+      staleness_updates_(
+          HistogramFamily("bitruss_serve_staleness_updates",
+                          obs::ExponentialBuckets(1.0, 2.0, 12))),
       // Lifecycle latencies: applies can take microseconds (trivial
       // updates) to seconds (fallback recomputes, long queue waits);
       // visibility adds the publish cadence on top.  Both top out past
       // 60 s so a backlogged p99 is measured, not clamped.  Reads are
       // nanoseconds to milliseconds (top-k scans).
-      apply_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 27)),
-      visibility_seconds_(obs::ExponentialBuckets(1e-5, 2.0, 24)),
-      batch_updates_(obs::ExponentialBuckets(1.0, 2.0, 14)),
-      batch_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 27)),
-      read_phi_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
-      read_topk_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
-      read_histogram_seconds_(obs::ExponentialBuckets(1e-7, 2.0, 18)),
+      apply_seconds_(HistogramFamily("bitruss_serve_apply_seconds",
+                                     obs::ExponentialBuckets(1e-6, 2.0, 27))),
+      visibility_seconds_(
+          HistogramFamily("bitruss_serve_visibility_seconds",
+                          obs::ExponentialBuckets(1e-5, 2.0, 24))),
+      batch_updates_(HistogramFamily("bitruss_serve_batch_updates",
+                                     obs::ExponentialBuckets(1.0, 2.0, 14))),
+      batch_seconds_(HistogramFamily("bitruss_serve_batch_seconds",
+                                     obs::ExponentialBuckets(1e-6, 2.0, 27))),
+      read_phi_seconds_(
+          HistogramFamily("bitruss_serve_read_phi_seconds",
+                          obs::ExponentialBuckets(1e-7, 2.0, 18))),
+      read_topk_seconds_(
+          HistogramFamily("bitruss_serve_read_topk_seconds",
+                          obs::ExponentialBuckets(1e-7, 2.0, 18))),
+      read_histogram_seconds_(
+          HistogramFamily("bitruss_serve_read_histogram_seconds",
+                          obs::ExponentialBuckets(1e-7, 2.0, 18))),
+      persist_wal_records_(CounterFamily("bitruss_persist_wal_records_total")),
+      persist_wal_bytes_(CounterFamily("bitruss_persist_wal_bytes_total")),
+      persist_failures_(CounterFamily("bitruss_persist_failures_total")),
+      persist_snapshots_(CounterFamily("bitruss_persist_snapshots_total")),
+      persist_snapshot_failures_(
+          CounterFamily("bitruss_persist_snapshot_failures_total")),
+      persist_wal_truncated_segments_(
+          CounterFamily("bitruss_persist_wal_truncated_segments_total")),
       // An fsync takes tens of microseconds on a cache-backed disk and can
       // stall for seconds on a busy one.
-      persist_wal_sync_seconds_(obs::ExponentialBuckets(1e-6, 2.0, 24)) {
+      persist_wal_sync_seconds_(
+          HistogramFamily("bitruss_persist_wal_sync_seconds",
+                          obs::ExponentialBuckets(1e-6, 2.0, 24))) {
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   RegisterMetrics();
   if (!state.degraded_reason.empty()) EnterDegraded(state.degraded_reason);
@@ -154,58 +193,25 @@ BitrussService::~BitrussService() {
 
 std::vector<BitrussService::InstrumentEntry> BitrussService::Instruments()
     const {
-  // The durability family is always listed so the metrics surface is
-  // stable whether or not persistence is configured (all-zero when off).
   return {
-      {"bitruss_serve_submitted_total", &submitted_, nullptr},
-      {"bitruss_serve_applied_total", &applied_, nullptr},
-      {"bitruss_serve_apply_failures_total", &apply_failures_, nullptr},
-      {"bitruss_serve_rejected_overflow_total", &rejected_overflow_, nullptr},
-      {"bitruss_serve_published_snapshots_total", &published_snapshots_,
-       nullptr},
-      {"bitruss_serve_compactions_total", &compactions_, nullptr},
-      {"bitruss_serve_publish_full_copies_total", &publish_full_copies_,
-       nullptr},
-      {"bitruss_serve_reads_total", &snapshot_reads_, nullptr},
-      {"bitruss_serve_publish_seconds", nullptr, &publish_seconds_},
-      {"bitruss_serve_staleness_updates", nullptr, &staleness_updates_},
-      {"bitruss_serve_apply_seconds", nullptr, &apply_seconds_},
-      {"bitruss_serve_visibility_seconds", nullptr, &visibility_seconds_},
-      {"bitruss_serve_batch_updates", nullptr, &batch_updates_},
-      {"bitruss_serve_batch_seconds", nullptr, &batch_seconds_},
-      {"bitruss_serve_read_phi_seconds", nullptr, &read_phi_seconds_},
-      {"bitruss_serve_read_topk_seconds", nullptr, &read_topk_seconds_},
-      {"bitruss_serve_read_histogram_seconds", nullptr,
-       &read_histogram_seconds_},
-      {"bitruss_persist_wal_records_total", &persist_wal_records_, nullptr},
-      {"bitruss_persist_wal_bytes_total", &persist_wal_bytes_, nullptr},
-      {"bitruss_persist_failures_total", &persist_failures_, nullptr},
-      {"bitruss_persist_snapshots_total", &persist_snapshots_, nullptr},
-      {"bitruss_persist_snapshot_failures_total", &persist_snapshot_failures_,
-       nullptr},
-      {"bitruss_persist_wal_truncated_segments_total",
-       &persist_wal_truncated_segments_, nullptr},
-      {"bitruss_persist_wal_sync_seconds", nullptr,
-       &persist_wal_sync_seconds_},
+      {"bitruss_serve_submitted_total", &submitted_},
+      {"bitruss_serve_applied_total", &applied_},
+      {"bitruss_serve_apply_failures_total", &apply_failures_},
+      {"bitruss_serve_rejected_overflow_total", &rejected_overflow_},
+      {"bitruss_serve_published_snapshots_total", &published_snapshots_},
+      {"bitruss_serve_compactions_total", &compactions_},
+      {"bitruss_serve_reads_total", &snapshot_reads_},
   };
 }
 
 void BitrussService::RegisterMetrics() {
   auto& registry = obs::MetricsRegistry::Default();
   for (const InstrumentEntry& entry : Instruments()) {
-    if (entry.counter != nullptr) {
-      registry.RegisterCounter(entry.name, entry.counter);
-    } else {
-      registry.RegisterHistogram(entry.name, entry.histogram);
-    }
+    registry.RegisterCounter(entry.name, entry.counter);
   }
-  // The depth gauges are plain atomic reads, safe under the registry lock.
+  // The depth gauge is a plain atomic read, safe under the registry lock.
   gauge_callback_handles_.push_back(registry.AddGaugeCallback(
       "bitruss_serve_queue_depth", [this] { return queue_depth_.Value(); }));
-  gauge_callback_handles_.push_back(
-      registry.AddGaugeCallback("bitruss_serve_queue_depth_peak", [this] {
-        return queue_depth_peak_.Value();
-      }));
   gauge_callback_handles_.push_back(
       registry.AddGaugeCallback("bitruss_persist_degraded", [this] {
         return std::int64_t{Degraded() ? 1 : 0};
@@ -222,20 +228,12 @@ void BitrussService::RegisterMetrics() {
 void BitrussService::UnregisterMetrics() {
   auto& registry = obs::MetricsRegistry::Default();
   for (const InstrumentEntry& entry : Instruments()) {
-    if (entry.counter != nullptr) {
-      registry.UnregisterCounter(entry.name, entry.counter);
-    } else {
-      registry.UnregisterHistogram(entry.name, entry.histogram);
-    }
+    registry.UnregisterCounter(entry.name, entry.counter);
   }
   for (const std::uint64_t handle : gauge_callback_handles_) {
     registry.RemoveGaugeCallback(handle);
   }
   gauge_callback_handles_.clear();
-  // Keep the high-water mark visible after this instance dies (the
-  // instantaneous depth correctly reads 0 once the service is gone).
-  registry.GetGauge("bitruss_serve_queue_depth_peak")
-      ->MaxWith(queue_depth_peak_.Value());
 }
 
 Status BitrussService::Submit(const EdgeUpdate& update) {
@@ -267,15 +265,15 @@ Status BitrussService::Submit(const EdgeUpdate& update) {
       }
       if (logged.ok()) {
         if (wal_ != nullptr) {
-          persist_wal_records_.Inc();
-          persist_wal_bytes_.Inc(persist::kWalRecordBytes);
+          persist_wal_records_->Inc();
+          persist_wal_bytes_->Inc(persist::kWalRecordBytes);
         }
         // A logged record MUST be enqueued — skipping it would leave a gap
         // between the WAL and the applied stream.  Nothing below can fail.
         queue_.push_back({update, Clock::now()});
         const auto depth = static_cast<std::int64_t>(queue_.size());
         queue_depth_.Set(depth);
-        queue_depth_peak_.MaxWith(depth);
+        queue_depth_peak_->MaxWith(depth);
         submitted_.IncOrdered();
         queue_cv_.NotifyOne();
         return OkStatus();
@@ -377,7 +375,7 @@ std::string BitrussService::DegradedReason() const {
 }
 
 void BitrussService::EnterDegraded(const std::string& reason) {
-  persist_failures_.Inc();
+  persist_failures_->Inc();
   {
     MutexLock lock(mu_);
     if (degraded_.load(std::memory_order_acquire)) return;
@@ -476,12 +474,12 @@ void BitrussService::ApplyBatch() {
   // is what a client experiences before its update can become visible.
   for (auto it = pending_visibility_.end() - static_cast<std::ptrdiff_t>(count);
        it != pending_visibility_.end(); ++it) {
-    apply_seconds_.Observe(std::chrono::duration<double>(done - *it).count());
+    apply_seconds_->Observe(std::chrono::duration<double>(done - *it).count());
   }
   const double work_seconds =
       std::chrono::duration<double>(done - apply_start).count();
-  batch_updates_.Observe(static_cast<double>(count));
-  batch_seconds_.Observe(work_seconds);
+  batch_updates_->Observe(static_cast<double>(count));
+  batch_seconds_->Observe(work_seconds);
   applied_.IncOrdered(count);
   applied_since_publish_ += count;
 
@@ -510,7 +508,7 @@ void BitrussService::PublishSnapshot() {
       !Degraded()) {
     const Clock::time_point sync_start = Clock::now();
     const Status st = wal_->Sync();
-    persist_wal_sync_seconds_.Observe(
+    persist_wal_sync_seconds_->Observe(
         std::chrono::duration<double>(Clock::now() - sync_start).count());
     if (!st.ok()) EnterDegraded("WAL sync at publish failed: " + st.message());
   }
@@ -533,7 +531,7 @@ void BitrussService::PublishSnapshot() {
   } else {
     if (snapshot == nullptr) snapshot = std::make_unique<PhiSnapshot>();
     CopyAllSlots(*snapshot);
-    publish_full_copies_.Inc();
+    publish_full_copies_->Inc();
   }
   const std::uint64_t covers = applied_.Value();
   const std::uint64_t prev_covered =
@@ -561,9 +559,9 @@ void BitrussService::PublishSnapshot() {
   published_applied_.store(covers, std::memory_order_release);
   published_snapshots_.IncOrdered();
   applied_since_publish_ = 0;
-  staleness_updates_.Observe(static_cast<double>(staleness));
+  staleness_updates_->Observe(static_cast<double>(staleness));
   const Clock::time_point published_at = Clock::now();
-  publish_seconds_.Observe(
+  publish_seconds_->Observe(
       std::chrono::duration<double>(published_at - publish_start).count());
   last_publish_ns_.store(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -573,7 +571,7 @@ void BitrussService::PublishSnapshot() {
   // This publication is the first snapshot covering every update applied
   // since the previous one: their visibility latency ends exactly here.
   for (const Clock::time_point submit_time : pending_visibility_) {
-    visibility_seconds_.Observe(
+    visibility_seconds_->Observe(
         std::chrono::duration<double>(published_at - submit_time).count());
   }
   pending_visibility_.clear();

@@ -425,13 +425,12 @@ class BitrussService {
   /// Touched-slot reports of the last kKeptReports publications: the one
   /// that produced version v sits at v % kKeptReports.
   static constexpr std::uint64_t kKeptReports = 4;
-  /// One row of the name -> instrument table; exactly one pointer is set.
+  /// One row of the name -> owned counter table.
   struct InstrumentEntry {
     const char* name;
     const obs::Counter* counter;
-    const obs::Histogram* histogram;
   };
-  /// The owned instruments by registry family name; RegisterMetrics and
+  /// The owned counters by registry family name; RegisterMetrics and
   /// UnregisterMetrics both walk this one table.
   std::vector<InstrumentEntry> Instruments() const;
   void RegisterMetrics();
@@ -480,10 +479,11 @@ class BitrussService {
   std::atomic<std::uint64_t> published_applied_{0};
 
   // Counters (see BitrussServiceStats), doubling as the service's
-  // registry-visible instruments.  submitted_/applied_ and the publication
-  // pair keep their original release/acquire protocol via IncOrdered():
-  // Drain()'s predicate and readers' staleness math still synchronize-with
-  // the writer exactly as before the registry re-backing.
+  // registry-visible instruments: the only ones a service owns, because
+  // Stats() reads them per instance.  submitted_/applied_ and the
+  // publication pair keep their release/acquire protocol via IncOrdered():
+  // Drain()'s predicate and readers' staleness math synchronize-with the
+  // writer through them.
   obs::Counter submitted_;
   obs::Counter applied_;
   obs::Counter apply_failures_;
@@ -491,34 +491,39 @@ class BitrussService {
   obs::Counter published_snapshots_;
   obs::Counter compactions_;
   mutable obs::Counter snapshot_reads_;
-  obs::Gauge queue_depth_;       ///< instantaneous, set under mu_
-  obs::Gauge queue_depth_peak_;  ///< high-water mark across the run
+  obs::Gauge queue_depth_;  ///< instantaneous, set under mu_
+
+  // Process-wide families of obs::MetricsRegistry::Default(), which every
+  // service reports into; each is fetched once, with its family name and
+  // bucket layout, in the constructor.
+  /// High-water mark of the ingest queue across every service.
+  obs::Gauge* const queue_depth_peak_;
   /// Publications that copied every slot instead of patching.
-  obs::Counter publish_full_copies_;
+  obs::Counter* const publish_full_copies_;
   /// Snapshot build time at publication (the WAL sync is timed apart).
-  obs::Histogram publish_seconds_;
-  obs::Histogram staleness_updates_;
-  // Request-lifecycle latency instruments (PR 8): exact per-update
-  // submit->applied and submit->first-visible-snapshot walls, plus the
-  // timed read-path wrappers.
-  obs::Histogram apply_seconds_;
-  obs::Histogram visibility_seconds_;
+  obs::Histogram* const publish_seconds_;
+  obs::Histogram* const staleness_updates_;
+  // Exact per-update submit->applied and submit->first-visible-snapshot
+  // walls.
+  obs::Histogram* const apply_seconds_;
+  obs::Histogram* const visibility_seconds_;
   // Writer batches: updates per batch and ApplyBatch seconds (writer work
   // only, no queue wait).
-  obs::Histogram batch_updates_;
-  obs::Histogram batch_seconds_;
-  mutable obs::Histogram read_phi_seconds_;
-  mutable obs::Histogram read_topk_seconds_;
-  mutable obs::Histogram read_histogram_seconds_;
-  // Durability instruments (PR 10), registered as `bitruss_persist_*`.
-  obs::Counter persist_wal_records_;
-  obs::Counter persist_wal_bytes_;
-  obs::Counter persist_failures_;
-  obs::Counter persist_snapshots_;
-  obs::Counter persist_snapshot_failures_;
-  obs::Counter persist_wal_truncated_segments_;
+  obs::Histogram* const batch_updates_;
+  obs::Histogram* const batch_seconds_;
+  // The timed read wrappers (Phi/SupportOf, TopKPhi, PhiHistogram).
+  obs::Histogram* const read_phi_seconds_;
+  obs::Histogram* const read_topk_seconds_;
+  obs::Histogram* const read_histogram_seconds_;
+  // Durability: WAL appends, failures, checkpoints and pruned segments.
+  obs::Counter* const persist_wal_records_;
+  obs::Counter* const persist_wal_bytes_;
+  obs::Counter* const persist_failures_;
+  obs::Counter* const persist_snapshots_;
+  obs::Counter* const persist_snapshot_failures_;
+  obs::Counter* const persist_wal_truncated_segments_;
   /// WAL fsync at each publication under FsyncPolicy::kEveryPublish.
-  obs::Histogram persist_wal_sync_seconds_;
+  obs::Histogram* const persist_wal_sync_seconds_;
   std::vector<std::uint64_t> gauge_callback_handles_;
   /// Steady-clock nanosecond stamp of the last publication, for
   /// SnapshotAgeSeconds: release-stored by the writer at publication,

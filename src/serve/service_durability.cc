@@ -116,11 +116,11 @@ void BitrussService::WriteDurableSnapshot() {
   const std::uint64_t applied = recovered_base_ + applied_.Value();
   if (Status st = persist::WriteSnapshotFile(dir, ToState(inc_, applied));
       !st.ok()) {
-    persist_snapshot_failures_.Inc();
+    persist_snapshot_failures_->Inc();
     EnterDegraded("durable snapshot failed: " + st.message());
     return;
   }
-  persist_snapshots_.Inc();
+  persist_snapshots_->Inc();
   // A rewrite at the last checkpoint's count moves nothing retention uses.
   if (applied == checkpoint_) return;
   // Retention reaches back to the previous checkpoint: should the snapshot
@@ -136,7 +136,7 @@ void BitrussService::WriteDurableSnapshot() {
     EnterDegraded("WAL truncation failed: " + removed.status().message());
     return;
   }
-  persist_wal_truncated_segments_.Inc(
+  persist_wal_truncated_segments_->Inc(
       static_cast<std::uint64_t>(removed.value()));
   persist::RetainSnapshots(dir, previous, applied);
 }

@@ -17,6 +17,7 @@
 #include "gen/chung_lu.h"
 #include "gen/random_bipartite.h"
 #include "graph/bipartite_graph.h"
+#include "obs/metrics.h"
 
 namespace bitruss {
 namespace {
@@ -199,6 +200,9 @@ TEST(BitrussOracle, CountersBehaveAsThePaperPredicts) {
   const BitrussResult bs = Decompose(g, options);
   options.algorithm = Algorithm::kPC;
   options.tau = 0.05;
+  const obs::Counter* pc_rounds = obs::MetricsRegistry::Default().GetCounter(
+      "bitruss_core_pc_rounds_total");
+  const std::uint64_t pc_rounds_before = pc_rounds->Value();
   const BitrussResult pc = Decompose(g, options);
 
   EXPECT_EQ(bu.phi, buplus.phi);
@@ -231,6 +235,7 @@ TEST(BitrussOracle, CountersBehaveAsThePaperPredicts) {
   // the rounds account for the index peak and fit inside the peel time.
   ASSERT_FALSE(pc.pc_trace.empty());
   EXPECT_EQ(pc.pc_trace.back().theta, 0u);
+  EXPECT_EQ(pc_rounds->Value() - pc_rounds_before, pc.pc_trace.size());
   std::uint64_t assigned_sum = 0;
   std::uint64_t max_round_index = 0;
   double round_seconds_sum = 0;

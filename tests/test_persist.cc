@@ -1175,6 +1175,15 @@ TEST(BitrussServiceCrash, RecoversBitExactAfterKillAtEveryFaultPoint) {
   const BipartiteGraph seed = GenerateUniformBipartite(12, 10, 40, 5);
   const std::vector<EdgeUpdate> ops = MakeStream(seed, 24, 99);
   Oracle oracle(seed, ops);  // no compaction: see the multiset case
+  const obs::Counter* torn = obs::MetricsRegistry::Default().GetCounter(
+      "bitruss_recovery_torn_records_total");
+  const auto recoveries = [] {
+    const obs::RegistrySnapshot snapshot =
+        obs::MetricsRegistry::Default().Snapshot();
+    const obs::HistogramSample* seconds =
+        snapshot.FindHistogram("bitruss_recovery_seconds");
+    return seconds == nullptr ? std::uint64_t{0} : seconds->count;
+  };
 
   for (const CrashCase& c : cases) {
     SCOPED_TRACE(std::string(c.point) + "/" +
@@ -1197,11 +1206,16 @@ TEST(BitrussServiceCrash, RecoversBitExactAfterKillAtEveryFaultPoint) {
     BitrussServiceOptions options;
     options.persist.dir = tmp.path;
     options.persist.fsync_policy = FsyncPolicy::kEveryPublish;
+    const std::uint64_t torn_before = torn->Value();
+    const std::uint64_t recoveries_before = recoveries();
     RecoveryStats stats;
     auto recovered_or = BitrussService::Recover(seed, options, &stats);
     ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();
     auto& service = *recovered_or.value();
     EXPECT_FALSE(service.Degraded()) << service.DegradedReason();
+    // Every recovery is timed once and counts the torn records it dropped.
+    EXPECT_EQ(torn->Value() - torn_before, stats.torn_records_discarded);
+    EXPECT_EQ(recoveries() - recoveries_before, 1u);
     // Only durable (hence acknowledged) updates may be recovered, and all
     // of them must be.
     ASSERT_LE(service.RecoveredBase(), ops.size());

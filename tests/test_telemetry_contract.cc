@@ -8,6 +8,8 @@
 // cascade_budget = 0 (every non-trivial batch falls back to a whole-graph
 // recompute), slot compaction, durable snapshots, reads through the timed
 // wrappers — then Drain()s; each test reads one surface of the result.
+// The ServingFamilies cases run services of their own: the families are
+// process-wide, so they pin what several services add up to.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 
 #include "differential_oracle.h"
 #include "gen/dataset_suite.h"
+#include "gen/random_bipartite.h"
 #include "http_test_util.h"
 #include "obs/admin_server.h"
 #include "obs/metrics.h"
@@ -49,6 +52,43 @@ std::map<std::string, double> ParseExposition(const std::string& body) {
     values[line.substr(0, space)] = std::stod(line.substr(space + 1));
   }
   return values;
+}
+
+// The `le` bounds of `family`'s buckets on a Prometheus text exposition,
+// in exposition order ("+Inf" last).
+std::vector<std::string> BucketBounds(const std::string& body,
+                                      const std::string& family) {
+  std::vector<std::string> bounds;
+  const std::string prefix = family + "_bucket{le=\"";
+  std::istringstream lines(body);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.compare(0, prefix.size(), prefix) != 0) continue;
+    const std::size_t quote = line.find('"', prefix.size());
+    bounds.push_back(line.substr(prefix.size(), quote - prefix.size()));
+  }
+  return bounds;
+}
+
+// Family name -> type of every `# TYPE` line whose family starts with one
+// of `prefixes`.
+std::map<std::string, std::string> ExportedFamilies(
+    const std::string& body, const std::vector<std::string>& prefixes) {
+  std::map<std::string, std::string> families;
+  std::istringstream lines(body);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream words(line);
+    std::string hash, keyword, name, type;
+    if (!(words >> hash >> keyword >> name >> type) || hash != "#" ||
+        keyword != "TYPE") {
+      continue;
+    }
+    for (const std::string& prefix : prefixes) {
+      if (name.compare(0, prefix.size(), prefix) == 0) families[name] = type;
+    }
+  }
+  return families;
 }
 
 class TelemetryContract : public ::testing::Test {
@@ -115,14 +155,63 @@ class TelemetryContract : public ::testing::Test {
   obs::AdminServer admin_;
 };
 
+// A histogram family's bucket layout as /metrics prints it.
+struct BucketLayout {
+  const char* family;
+  const char* first_le;
+  const char* last_le;  ///< the largest finite bound
+  std::size_t finite_bounds;
+};
+
 TEST_F(TelemetryContract, MetricsEndpointCarriesEveryServingFamily) {
-  const std::map<std::string, double> values =
-      ParseExposition(Scrape("/metrics").body);
+  const std::string body = Scrape("/metrics").body;
+  const std::map<std::string, double> values = ParseExposition(body);
   const auto value = [&](const std::string& series) {
     const auto it = values.find(series);
     return it == values.end() ? 0.0 : it->second;
   };
-  for (const char* counter : {
+  const BucketLayout layouts[] = {
+      {"bitruss_serve_publish_seconds", "1e-06", "0.524288", 20},
+      {"bitruss_serve_staleness_updates", "1", "2048", 12},
+      {"bitruss_serve_apply_seconds", "1e-06", "67.1089", 27},
+      {"bitruss_serve_visibility_seconds", "1e-05", "83.8861", 24},
+      {"bitruss_serve_batch_updates", "1", "8192", 14},
+      {"bitruss_serve_batch_seconds", "1e-06", "67.1089", 27},
+      {"bitruss_serve_read_phi_seconds", "1e-07", "0.0131072", 18},
+      {"bitruss_serve_read_topk_seconds", "1e-07", "0.0131072", 18},
+      {"bitruss_serve_read_histogram_seconds", "1e-07", "0.0131072", 18},
+      {"bitruss_persist_wal_sync_seconds", "1e-06", "8.38861", 24},
+  };
+  // Every serve/persist family a durable service exports, and no other.
+  std::map<std::string, std::string> expected = {
+      {"bitruss_serve_submitted_total", "counter"},
+      {"bitruss_serve_applied_total", "counter"},
+      {"bitruss_serve_apply_failures_total", "counter"},
+      {"bitruss_serve_rejected_overflow_total", "counter"},
+      {"bitruss_serve_published_snapshots_total", "counter"},
+      {"bitruss_serve_compactions_total", "counter"},
+      {"bitruss_serve_publish_full_copies_total", "counter"},
+      {"bitruss_serve_reads_total", "counter"},
+      {"bitruss_persist_wal_records_total", "counter"},
+      {"bitruss_persist_wal_bytes_total", "counter"},
+      {"bitruss_persist_failures_total", "counter"},
+      {"bitruss_persist_snapshots_total", "counter"},
+      {"bitruss_persist_snapshot_failures_total", "counter"},
+      {"bitruss_persist_wal_truncated_segments_total", "counter"},
+      {"bitruss_serve_queue_depth", "gauge"},
+      {"bitruss_serve_queue_depth_peak", "gauge"},
+      {"bitruss_persist_degraded", "gauge"},
+      {"bitruss_persist_wal_fsyncs", "gauge"},
+  };
+  for (const BucketLayout& layout : layouts) {
+    expected[layout.family] = "histogram";
+  }
+  EXPECT_EQ(ExportedFamilies(body, {"bitruss_serve_", "bitruss_persist_"}),
+            expected);
+
+  // The failure counters and the instantaneous gauges need only exist
+  // (above); every other family moved.
+  for (const char* series : {
            "bitruss_serve_submitted_total",
            "bitruss_serve_applied_total",
            "bitruss_serve_published_snapshots_total",
@@ -132,25 +221,26 @@ TEST_F(TelemetryContract, MetricsEndpointCarriesEveryServingFamily) {
            "bitruss_serve_publish_full_copies_total",
            "bitruss_dynamic_fallbacks_total",
            "bitruss_persist_wal_records_total",
+           "bitruss_persist_wal_bytes_total",
            "bitruss_persist_snapshots_total",
+           "bitruss_persist_wal_truncated_segments_total",
+           "bitruss_persist_wal_fsyncs",
            "bitruss_core_peel_rounds_total",
        }) {
-    EXPECT_GT(value(counter), 0) << counter;
+    EXPECT_GT(value(series), 0) << series;
   }
-  for (const char* histogram : {
-           "bitruss_serve_staleness_updates",
-           "bitruss_serve_publish_seconds",
-           "bitruss_serve_apply_seconds",
-           "bitruss_serve_visibility_seconds",
-           "bitruss_serve_batch_updates",
-           "bitruss_serve_batch_seconds",
-           "bitruss_serve_read_phi_seconds",
-           "bitruss_serve_read_topk_seconds",
-           "bitruss_serve_read_histogram_seconds",
-           "bitruss_persist_wal_sync_seconds",
-       }) {
-    EXPECT_GT(value(std::string(histogram) + "_count"), 0) << histogram;
+  for (const BucketLayout& layout : layouts) {
+    const std::string family = layout.family;
+    EXPECT_GT(value(family + "_count"), 0) << family;
+    const std::vector<std::string> bounds = BucketBounds(body, family);
+    ASSERT_EQ(bounds.size(), layout.finite_bounds + 1) << family;
+    EXPECT_EQ(bounds.front(), layout.first_le) << family;
+    EXPECT_EQ(bounds[layout.finite_bounds - 1], layout.last_le) << family;
+    EXPECT_EQ(bounds.back(), "+Inf") << family;
   }
+  EXPECT_EQ(value("bitruss_persist_wal_bytes_total"),
+            value("bitruss_persist_wal_records_total") *
+                static_cast<double>(persist::kWalRecordBytes));
   // A full copy is one way to publish (the fallbacks force it here), the
   // patched recycled buffer the other.
   EXPECT_LE(value("bitruss_serve_publish_full_copies_total"),
@@ -163,6 +253,40 @@ TEST_F(TelemetryContract, MetricsEndpointCarriesEveryServingFamily) {
             value("bitruss_serve_published_snapshots_total"));
   EXPECT_GE(value("bitruss_serve_queue_depth_peak"),
             static_cast<double>(kQueueCapacity));
+}
+
+// The layers under the service report into families of their own: the
+// fixture's updates, its fallback recomputes (cascade_budget = 0) and the
+// edits deferred behind them drive every one.
+TEST_F(TelemetryContract, MetricsEndpointCarriesTheLayerFamiliesItDrives) {
+  const std::map<std::string, double> values =
+      ParseExposition(Scrape("/metrics").body);
+  const auto value = [&](const std::string& series) {
+    const auto it = values.find(series);
+    return it == values.end() ? 0.0 : it->second;
+  };
+  for (const char* series : {
+           "bitruss_dynamic_inserts_total",
+           "bitruss_dynamic_deletes_total",
+           "bitruss_dynamic_local_repairs_total",
+           "bitruss_dynamic_deferred_edits_total",
+           "bitruss_dynamic_phi_changes_total",
+           "bitruss_core_decompose_runs_total",
+           "bitruss_beindex_last_build_bytes",
+           "bitruss_process_rss_bytes",
+       }) {
+    EXPECT_GT(value(series), 0) << series;
+  }
+  for (const char* histogram : {"bitruss_dynamic_repair_butterflies",
+                                "bitruss_dynamic_repair_frontier_edges"}) {
+    EXPECT_GT(value(std::string(histogram) + "_count"), 0) << histogram;
+  }
+  EXPECT_EQ(value("bitruss_dynamic_inserts_total") +
+                value("bitruss_dynamic_deletes_total"),
+            value("bitruss_serve_applied_total") -
+                value("bitruss_serve_apply_failures_total"));
+  EXPECT_GE(value("bitruss_process_peak_rss_bytes"),
+            value("bitruss_process_rss_bytes"));
 }
 
 TEST_F(TelemetryContract, HealthzIsOkJsonWithQueueCapacity) {
@@ -210,6 +334,108 @@ TEST_F(TelemetryContract, NoNonEmptyHistogramP99IsClampedToItsTopBound) {
     if (family.count == 0 || family.bounds.empty()) continue;
     EXPECT_NE(family.Quantile(0.99), family.bounds.back()) << family.name;
   }
+}
+
+std::int64_t QueueDepthPeak() {
+  const obs::RegistrySnapshot snapshot =
+      obs::MetricsRegistry::Default().Snapshot();
+  const obs::GaugeSample* peak =
+      snapshot.FindGauge("bitruss_serve_queue_depth_peak");
+  return peak == nullptr ? 0 : peak->value;
+}
+
+std::uint64_t HistogramCount(const char* family) {
+  const obs::RegistrySnapshot snapshot =
+      obs::MetricsRegistry::Default().Snapshot();
+  const obs::HistogramSample* sample = snapshot.FindHistogram(family);
+  return sample == nullptr ? 0 : sample->count;
+}
+
+BipartiteGraph SmallSeed() { return GenerateUniformBipartite(12, 10, 40, 5); }
+
+// A service whose paused writer holds `queued` updates in a queue of
+// exactly that capacity.
+std::unique_ptr<BitrussService> ServiceHolding(const BipartiteGraph& seed,
+                                               std::int64_t queued) {
+  BitrussServiceOptions options;
+  options.queue_capacity = static_cast<std::size_t>(queued);
+  auto service = std::make_unique<BitrussService>(seed, options);
+  service->Pause();
+  for (const EdgeUpdate& op :
+       differential::MakeStream(seed, static_cast<int>(queued), 0x9eaf)) {
+    EXPECT_TRUE(service->Submit(op).ok());
+  }
+  return service;
+}
+
+// The peak is the process high-water mark: a dead service's peak is not
+// added to a live one's.  Depths are taken above the peak read first, so
+// the case holds after other cases in the same process too.
+TEST(ServingFamilies, QueueDepthPeakIsTheHighWaterMarkAcrossServices) {
+  const BipartiteGraph seed = SmallSeed();
+  const std::int64_t deepest = QueueDepthPeak() + 3;
+  {
+    const std::unique_ptr<BitrussService> first =
+        ServiceHolding(seed, deepest);
+    first->Resume();
+    ASSERT_TRUE(first->Drain().ok());
+  }
+  const std::unique_ptr<BitrussService> second = ServiceHolding(seed, 2);
+  EXPECT_EQ(QueueDepthPeak(), deepest);
+  second->Resume();
+}
+
+TEST(ServingFamilies, QueueDepthPeakOfLiveServicesIsTheLargerNotTheSum) {
+  const BipartiteGraph seed = SmallSeed();
+  const std::int64_t before = QueueDepthPeak();
+  const std::unique_ptr<BitrussService> deeper =
+      ServiceHolding(seed, before + 4);
+  const std::unique_ptr<BitrussService> shallower =
+      ServiceHolding(seed, before + 2);
+  EXPECT_EQ(QueueDepthPeak(), before + 4);
+  deeper->Resume();
+  shallower->Resume();
+}
+
+// Two services report into one batch and one visibility family at once,
+// and what they reported stays after both are gone.
+TEST(ServingFamilies, BatchAndVisibilityCountsCoverEveryServiceAndOutliveIt) {
+  const BipartiteGraph seed = SmallSeed();
+  const std::uint64_t batches_before =
+      HistogramCount("bitruss_serve_batch_updates");
+  const std::uint64_t visible_before =
+      HistogramCount("bitruss_serve_visibility_seconds");
+  // With neither a count nor a time trigger, the resumed writer takes the
+  // whole queue as one batch.
+  BitrussServiceOptions options;
+  options.publish_every_updates = 0;
+  options.publish_interval_ms = 0;
+  auto first = std::make_unique<BitrussService>(seed, options);
+  auto second = std::make_unique<BitrussService>(seed, options);
+  const auto feed_one_batch = [](BitrussService& service,
+                                 const std::vector<EdgeUpdate>& ops) {
+    service.Pause();
+    for (const EdgeUpdate& op : ops) ASSERT_TRUE(service.Submit(op).ok());
+    service.Resume();
+    ASSERT_TRUE(service.Drain().ok());
+  };
+  // Batches of 5 and 3 into the first service, 7 into the second.
+  const std::vector<EdgeUpdate> ops = differential::MakeStream(seed, 8, 0xba7);
+  feed_one_batch(*first, {ops.begin(), ops.begin() + 5});
+  feed_one_batch(*first, {ops.begin() + 5, ops.end()});
+  feed_one_batch(*second, differential::MakeStream(seed, 7, 0xba8));
+  EXPECT_EQ(HistogramCount("bitruss_serve_batch_updates") - batches_before,
+            3u);
+  EXPECT_EQ(HistogramCount("bitruss_serve_visibility_seconds") -
+                visible_before,
+            15u);
+  first.reset();
+  second.reset();
+  EXPECT_EQ(HistogramCount("bitruss_serve_batch_updates") - batches_before,
+            3u);
+  EXPECT_EQ(HistogramCount("bitruss_serve_visibility_seconds") -
+                visible_before,
+            15u);
 }
 
 }  // namespace

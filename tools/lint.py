@@ -47,6 +47,11 @@ Rules (each failure prints file:line and a one-line explanation):
      durable file layout is persist's to name, so code outside it asks
      persist (ListWalSegments, HoldsDurableState, ...) instead of scanning
      or unlinking those files itself.
+  9. metric-family-coverage  every metric family named in src/ by a string
+     literal "bitruss_..." (the registry's naming convention) must be
+     referenced by that literal somewhere under tests/ — as rule 5 asks of
+     fault points, no family may be exported without a test that drives
+     it.
 
 Exit status: 0 clean, 1 any violation (CI fails the build on it).
 """
@@ -88,6 +93,7 @@ DURABLE_NAME_RE = re.compile(r'"(?:wal-|\.seg|snapshot-|\.snap)"')
 FAULT_POINT_RE = re.compile(
     r'BITRUSS_FAULT_(?:POINT(?:_STATUS)?|WRITE)\("([^"]+)"'
 )
+METRIC_FAMILY_RE = re.compile(r'"(bitruss_\w+)"')
 
 SOURCE_DIRS = ("src", "bench", "tests", "cmake")
 SOURCE_SUFFIXES = (".h", ".cc")
@@ -181,32 +187,43 @@ def check_include_guards(root, errors):
                 )
 
 
-def check_fault_point_coverage(root, errors):
+def names_missing_from_tests(root, pattern):
+    """Names `pattern` captures in src/, each with its first file:line,
+    that no file under tests/ spells as a "quoted" literal."""
     declared = {}  # name -> first declaring file:line
     for path in sorted((root / "src").rglob("*")):
         if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
             continue
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            for name in FAULT_POINT_RE.findall(line):
+            for name in pattern.findall(line):
                 declared.setdefault(
                     name, f"{path.relative_to(root)}:{lineno}"
                 )
-    if not declared:
-        return
     tests_dir = root / "tests"
     covered = set()
-    if tests_dir.is_dir():
+    if declared and tests_dir.is_dir():
         for path in sorted(tests_dir.rglob("*")):
             if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
                 continue
             text = path.read_text()
-            for name in declared:
-                if f'"{name}"' in text:
-                    covered.add(name)
-    for name in sorted(set(declared) - covered):
+            covered.update(n for n in declared if f'"{n}"' in text)
+    return {n: declared[n] for n in sorted(set(declared) - covered)}
+
+
+def check_fault_point_coverage(root, errors):
+    for name, where in names_missing_from_tests(root, FAULT_POINT_RE).items():
         errors.append(
-            f"{declared[name]}: fault point \"{name}\" is never referenced "
+            f"{where}: fault point \"{name}\" is never referenced "
             "under tests/ — every point needs crash/degradation coverage"
+        )
+
+
+def check_metric_family_coverage(root, errors):
+    for name, where in names_missing_from_tests(
+            root, METRIC_FAMILY_RE).items():
+        errors.append(
+            f"{where}: metric family \"{name}\" is never referenced "
+            "under tests/ — every exported family needs a test driving it"
         )
 
 
@@ -277,6 +294,7 @@ def main():
     check_sources_built(root, errors)
     check_graph_snapshot_off_path(root, errors)
     check_durable_file_names(root, errors)
+    check_metric_family_coverage(root, errors)
 
     if errors:
         for error in errors:
