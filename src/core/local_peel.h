@@ -91,10 +91,15 @@ struct LocalPeelScratch {
 
 /// Runs the worklist iteration described above.  `labels` is indexed by
 /// edge id of `adj` (an AdjT per wedge_enumeration.h that additionally
-/// exposes EdgeUpper/EdgeLower); `frontier` must be duplicate-free.
-/// Stops and returns false once more than `budget` butterflies have been
-/// enumerated — labels are then part-way down and the caller must fall
-/// back to a full recompute of the affected region.  When `entry_labels`
+/// exposes EdgeUpper/EdgeLower and the exact butterfly count Support(e));
+/// `frontier` must be duplicate-free.  Returns false, with labels part-way
+/// down, exactly when the whole run would enumerate more than `budget`
+/// butterflies; the caller must then fall back to a full recompute of the
+/// affected region.  It stops as soon as that is certain: walking an edge
+/// enumerates Support(e) butterflies, only an edge's own pop changes its
+/// label, and every queued edge with a nonzero label is walked once more,
+/// so the count so far plus Support over those queued edges is a lower
+/// bound on the run's total, checked before every pop.  When `entry_labels`
 /// is non-null, every edge receives an (edge, label-at-first-enqueue)
 /// record; re-enqueued edges append again, so the FIRST occurrence per
 /// edge is the label the repair started from.
@@ -113,7 +118,12 @@ bool LocalHIndexRepair(
   }
   const std::uint32_t epoch = scratch->epoch;
   work.assign(frontier.begin(), frontier.end());
-  for (const EdgeId e : frontier) queued[e] = epoch;
+  // Butterflies the queued edges with a nonzero label will still enumerate.
+  std::uint64_t pending = 0;
+  for (const EdgeId e : frontier) {
+    queued[e] = epoch;
+    if (labels[e] > 0) pending += adj.Support(e);
+  }
   if (entry_labels != nullptr) {
     for (const EdgeId e : frontier) entry_labels->emplace_back(e, labels[e]);
   }
@@ -122,10 +132,12 @@ bool LocalHIndexRepair(
   std::vector<EdgeId>& partners = scratch->partners;
   std::vector<std::uint32_t>& bucket = scratch->bucket;
   for (std::size_t head = 0; head < work.size(); ++head) {
+    if (stats->enumerated_butterflies + pending > budget) return false;
     const EdgeId e = work[head];
     queued[e] = 0;  // epochs start at 1
     const SupportT cap = labels[e];
     if (cap == 0) continue;  // labels never drop below zero
+    pending -= adj.Support(e);
 
     weights.clear();
     partners.clear();
@@ -143,13 +155,13 @@ bool LocalHIndexRepair(
         if (labels[g] > h && is_mutable(g) && queued[g] != epoch) {
           queued[g] = epoch;
           work.push_back(g);
+          pending += adj.Support(g);
           if (entry_labels != nullptr) {
             entry_labels->emplace_back(g, labels[g]);
           }
         }
       }
     }
-    if (stats->enumerated_butterflies > budget) return false;
   }
   return true;
 }

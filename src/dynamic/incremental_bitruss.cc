@@ -26,6 +26,7 @@ struct DynamicMetrics {
   obs::Counter* phi_changes;
   obs::Histogram* repair_frontier_edges;
   obs::Histogram* repair_butterflies;
+  obs::Histogram* bailout_butterflies;
 
   static const DynamicMetrics& Get() {
     static const DynamicMetrics metrics = [] {
@@ -40,6 +41,8 @@ struct DynamicMetrics {
           registry.GetHistogram("bitruss_dynamic_repair_frontier_edges",
                                 obs::ExponentialBuckets(1.0, 4.0, 10)),
           registry.GetHistogram("bitruss_dynamic_repair_butterflies",
+                                obs::ExponentialBuckets(1.0, 4.0, 12)),
+          registry.GetHistogram("bitruss_dynamic_bailout_butterflies",
                                 obs::ExponentialBuckets(1.0, 4.0, 12)),
       };
     }();
@@ -245,33 +248,41 @@ bool IncrementalBitruss::RepairInsert(const EdgeId slot) {
   // the band, support strictly above old phi).  Risen edges chain to the
   // seed through shared butterflies between risen edges, so the closure
   // of this walk covers everything the insert can change.
+  //
+  // Walking an edge enumerates exactly Support() butterflies.  The walk
+  // below expands every frontier edge but e0 once, and the repair's first
+  // pass walks every frontier edge once more (each starts with a label
+  // above 0), so the update enumerates at least `at_least` butterflies:
+  // once it passes the budget the update will fall back, and it does so
+  // before paying for the rest.
+  std::uint64_t at_least = own_support;
   NewEpoch();
   frontier_.clear();
   Stamp(slot);
   frontier_.push_back(slot);
-  for (const EdgeId f : partners) {
-    if (!Stamped(f) && phi_[f] < band && graph_.Support(f) > phi_[f]) {
-      Stamp(f);
-      frontier_.push_back(f);
+  const auto admit = [&](EdgeId g) {
+    if (!Stamped(g) && phi_[g] < band && graph_.Support(g) > phi_[g]) {
+      Stamp(g);
+      frontier_.push_back(g);
+      at_least += 2 * std::uint64_t{graph_.Support(g)};
     }
-  }
+  };
+  for (const EdgeId f : partners) admit(f);
   // head starts past e0: its butterfly partners are exactly the delta
   // edges just seeded, so expanding it would only re-pay the enumeration.
-  for (std::size_t head = 1; head < frontier_.size(); ++head) {
+  for (std::size_t head = 1; at_least <= budget && head < frontier_.size();
+       ++head) {
     const EdgeId f = frontier_[head];
     internal::ForEachButterflyThroughEdge(
         graph_, graph_.EdgeUpper(f), graph_.EdgeLower(f),
         scratch_.closing_mark, [&](EdgeId e1, EdgeId e2, EdgeId e3) {
           ++update_.enumerated_butterflies;
-          for (const EdgeId g : {e1, e2, e3}) {
-            if (!Stamped(g) && phi_[g] < band && graph_.Support(g) > phi_[g]) {
-              Stamp(g);
-              frontier_.push_back(g);
-            }
-          }
+          admit(e1);
+          admit(e2);
+          admit(e3);
         });
-    if (update_.enumerated_butterflies > budget) return false;
   }
+  if (at_least > budget) return false;
   update_.frontier_edges = frontier_.size();
 
   // Warm-start labels: each band edge rises to at most min(support, K),
@@ -345,6 +356,8 @@ void IncrementalBitruss::FinishUpdate(const bool local_ok) {
     update_.fallback = true;
     ++totals_.fallbacks;
     metrics.fallbacks->Inc();
+    metrics.bailout_butterflies->Observe(
+        static_cast<double>(update_.enumerated_butterflies));
     batch_fell_back_ = true;
   }
   last_.fallback = last_.fallback || update_.fallback;

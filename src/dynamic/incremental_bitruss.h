@@ -32,11 +32,17 @@
 // then runs core/local_peel.h's warm-start h-index iteration down from
 // per-edge upper bounds; see that header for the fixpoint argument.
 //
-// Cascades are budgeted: once an update enumerates more than
-// `cascade_budget` butterflies (band expansion + repair combined), the
-// maintainer abandons the local path and recomputes phi with one
+// Cascades are budgeted: an update whose local repair would enumerate
+// more than `cascade_budget` butterflies (band expansion + repair
+// combined) abandons the local path, and phi is recomputed with one
 // Decompose() of the whole slot table — exact, because phi depends only
-// on the final graph, not on the updates that led to it.
+// on the final graph, not on the updates that led to it.  The repair
+// bails out as soon as a lower bound on that total passes the budget:
+// walking an edge enumerates exactly its Support() butterflies, so the
+// edges already queued for a walk (an insert's band frontier, the
+// re-peel's worklist) bound the rest of the work before it is done.  The
+// bound never exceeds the total, so an update falls back exactly when its
+// full repair would pass the budget; it only stops paying sooner.
 //
 // Batches.  ApplyBatch() applies a run of updates with at most one such
 // recompute.  Updates are repaired locally until the first one that bails
@@ -75,9 +81,11 @@
 namespace bitruss {
 
 struct IncrementalBitrussOptions {
-  /// Maximum butterflies enumerated by one update's local repair (band
-  /// expansion + fixpoint iteration) before falling back to the
-  /// whole-graph recompute.  0 forces the fallback on every non-trivial
+  /// Maximum butterflies one update's local repair (band expansion +
+  /// fixpoint iteration) may enumerate; an update whose full repair would
+  /// enumerate more falls back to the whole-graph recompute, bailing out
+  /// as soon as a lower bound on its enumeration passes the budget (see
+  /// "Cascades are budgeted").  0 forces the fallback on every non-trivial
   /// update (useful for testing and as a recount-only baseline).  Any
   /// value but UINT64_MAX is further capped at half the graph's current
   /// NumButterflies() (floor 1024): the fallback Decompose costs on the
@@ -98,7 +106,8 @@ struct IncrementalBitrussOptions {
 /// and ApplyBatch); after ApplyBatch it sums the batch's updates.
 struct IncrementalUpdateStats {
   bool fallback = false;  ///< a repair bailed out -> whole-graph recompute
-  std::uint64_t enumerated_butterflies = 0;  ///< local-repair work
+  /// Local-repair work; on a fallback, the work done before the bail-out.
+  std::uint64_t enumerated_butterflies = 0;
   std::uint64_t frontier_edges = 0;  ///< dirty edges seeded + pulled in
   std::uint64_t phi_changes = 0;     ///< edges whose phi actually moved
 };

@@ -7,6 +7,10 @@
 // by O(sum_{(u,v) in E} min{d(u), d(v)}).  Any total order is correct
 // (Lemma 3 holds regardless); kIdOnly exists for the ablation bench.
 //
+// Neither structure costs more than the bound assumes: the order is a
+// counting sort by degree, O(n), and the adjacency is one scatter in rank
+// order, O(n + m) with no per-list sort.
+//
 // Both are built from any graph exposing NumVertices(), Degree(v) and
 // Neighbors(v) -> range of {neighbor, edge} entries: the CSR
 // BipartiteGraph, or DynamicBipartiteGraph's slot table, whose edge ids
@@ -16,8 +20,8 @@
 #define BITRUSS_GRAPH_VERTEX_PRIORITY_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "graph/types.h"
@@ -94,22 +98,31 @@ VertexPriority VertexPriority::Compute(const GraphT& g, PriorityRule rule) {
   const VertexId n = g.NumVertices();
   VertexPriority p;
   p.order_.resize(n);
-  std::iota(p.order_.begin(), p.order_.end(), 0);
+  p.rank_.assign(n, 0);
   if (rule == PriorityRule::kDegreeThenId) {
-    std::sort(p.order_.begin(), p.order_.end(), [&](VertexId a, VertexId b) {
-      const VertexId da = g.Degree(a), db = g.Degree(b);
-      if (da != db) return da > db;
-      return a > b;
-    });
+    // Counting sort, highest degree first.  A degree is below n, so rank_
+    // holds the buckets until it holds ranks: after the prefix pass,
+    // first[d] is the number of vertices of degree above d, where degree
+    // d's bucket starts.  Filling each bucket from the highest id down
+    // breaks degree ties by higher id first.
+    std::vector<VertexId>& first = p.rank_;
+    for (VertexId v = 0; v < n; ++v) ++first[g.Degree(v)];
+    VertexId above = 0;
+    for (VertexId d = n; d-- > 0;) {
+      const VertexId count = first[d];
+      first[d] = above;
+      above += count;
+    }
+    for (VertexId v = n; v-- > 0;) p.order_[first[g.Degree(v)]++] = v;
   } else {
-    std::sort(p.order_.begin(), p.order_.end(),
-              [](VertexId a, VertexId b) { return a > b; });
+    for (VertexId r = 0; r < n; ++r) p.order_[r] = n - 1 - r;
   }
-  p.rank_.resize(n);
   for (VertexId r = 0; r < n; ++r) p.rank_[p.order_[r]] = r;
   return p;
 }
 
+// Scattering each vertex into its neighbours' lists in rank order appends
+// every list's entries by ascending rank, so no list needs a sort.
 template <typename GraphT>
 PriorityAdjacency::PriorityAdjacency(const GraphT& g,
                                      const VertexPriority& priority) {
@@ -119,14 +132,15 @@ PriorityAdjacency::PriorityAdjacency(const GraphT& g,
     offsets_[r + 1] = offsets_[r] + g.Degree(priority.VertexAtRank(r));
   }
   entries_.resize(offsets_[n]);
+  // offsets_[s] is rank s's fill cursor, so it ends at rank s + 1's start;
+  // shifting the array one place right restores the starts.
   for (VertexId r = 0; r < n; ++r) {
-    Entry* out = entries_.data() + offsets_[r];
     for (const auto& [neighbor, edge] : g.Neighbors(priority.VertexAtRank(r))) {
-      *out++ = {priority.Rank(neighbor), edge};
+      entries_[offsets_[priority.Rank(neighbor)]++] = {r, edge};
     }
-    std::sort(entries_.data() + offsets_[r], out,
-              [](const Entry& a, const Entry& b) { return a.rank < b.rank; });
   }
+  for (VertexId s = n; s > 0; --s) offsets_[s] = offsets_[s - 1];
+  offsets_[0] = 0;
 }
 
 }  // namespace bitruss

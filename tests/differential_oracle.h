@@ -77,12 +77,14 @@ inline Status ApplyTo(DynamicBipartiteGraph& graph, const EdgeUpdate& op) {
 }
 
 // Deterministic mixed stream, simulated while generating: a delete names
-// an edge live at its position, an insert one that is absent.  With
-// `with_noops`, one draw in ten is instead a duplicate insert of a live
-// edge or a delete of a missing one.
+// an edge live at its position, an insert one that is absent.  Each draw
+// is a delete with probability `delete_share` while any edge is live.
+// With `with_noops`, one draw in ten is instead a duplicate insert of a
+// live edge or a delete of a missing one.
 inline std::vector<EdgeUpdate> MakeStream(const BipartiteGraph& seed,
                                           int updates, std::uint64_t rng_seed,
-                                          bool with_noops = false) {
+                                          bool with_noops = false,
+                                          double delete_share = 0.5) {
   using Kind = EdgeUpdate::Kind;
   DynamicBipartiteGraph sim(seed);
   Rng rng(rng_seed);
@@ -96,7 +98,7 @@ inline std::vector<EdgeUpdate> MakeStream(const BipartiteGraph& seed,
   std::vector<EdgeUpdate> ops;
   while (static_cast<int>(ops.size()) < updates) {
     const bool noop = with_noops && rng.Below(10) == 0;
-    if (!live.empty() && rng.NextBool(0.5)) {
+    if (!live.empty() && rng.NextBool(delete_share)) {
       const std::size_t pick = rng.Below(live.size());
       const auto [u, l] = live[pick];
       ops.push_back({noop ? Kind::kInsert : Kind::kDelete, u, l});

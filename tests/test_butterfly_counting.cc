@@ -1,11 +1,13 @@
 // Golden tests for butterfly counting on hand-computed graphs, plus the
-// BE-Index support identity (Lemma 4), the two structures the peel relies
-// on (KillWedge's slot layout and the SupportBuckets queue) and
+// vertex priority order and priority adjacency against sorted references,
+// the BE-Index support identity (Lemma 4), the two structures the peel
+// relies on (KillWedge's slot layout and the SupportBuckets queue) and
 // VerifyBitrussNumbers itself.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "core/be_index_builder.h"
 #include "core/peeling_state.h"
 #include "core/verify.h"
+#include "dynamic/dynamic_graph.h"
 #include "gen/chung_lu.h"
 #include "gen/random_bipartite.h"
 #include "graph/bipartite_graph.h"
@@ -85,6 +88,89 @@ TEST(ButterflyCounting, PriorityRuleDoesNotChangeCounts) {
   EXPECT_EQ(CountEdgeSupports(g.NumEdges(), adj_degree),
             CountEdgeSupports(g.NumEdges(), adj_id));
   EXPECT_EQ(CountTotalButterflies(adj_degree), CountTotalButterflies(adj_id));
+}
+
+// VertexPriority against std::sort under Definition 7's comparator (or
+// plain descending ids), and every PriorityAdjacency list against the
+// rank-sorted neighbour list, under both rules.
+template <typename GraphT>
+void ExpectMatchesSortedReference(const GraphT& g) {
+  const VertexId n = g.NumVertices();
+  for (const PriorityRule rule :
+       {PriorityRule::kDegreeThenId, PriorityRule::kIdOnly}) {
+    SCOPED_TRACE(rule == PriorityRule::kIdOnly ? "kIdOnly" : "kDegreeThenId");
+    std::vector<VertexId> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+      if (rule == PriorityRule::kDegreeThenId && g.Degree(a) != g.Degree(b)) {
+        return g.Degree(a) > g.Degree(b);
+      }
+      return a > b;
+    });
+    const VertexPriority priority = VertexPriority::Compute(g, rule);
+    ASSERT_EQ(priority.NumVertices(), n);
+    for (VertexId r = 0; r < n; ++r) {
+      ASSERT_EQ(priority.VertexAtRank(r), order[r]) << "rank " << r;
+      ASSERT_EQ(priority.Rank(order[r]), r) << "rank " << r;
+    }
+
+    const PriorityAdjacency adj(g, priority);
+    ASSERT_EQ(adj.NumVertices(), n);
+    for (VertexId r = 0; r < n; ++r) {
+      std::vector<std::pair<VertexId, EdgeId>> expected;
+      for (const auto& [neighbor, edge] : g.Neighbors(order[r])) {
+        expected.emplace_back(priority.Rank(neighbor), edge);
+      }
+      std::sort(expected.begin(), expected.end());
+      std::vector<std::pair<VertexId, EdgeId>> listed;
+      for (const PriorityAdjacency::Entry& entry : adj.Neighbors(r)) {
+        listed.emplace_back(entry.rank, entry.edge);
+      }
+      ASSERT_EQ(listed, expected) << "rank " << r;
+      for (std::size_t i = 1; i < listed.size(); ++i) {
+        ASSERT_LT(listed[i - 1].first, listed[i].first) << "rank " << r;
+      }
+    }
+  }
+}
+
+TEST(VertexPriority, MatchesSortedReferenceOnCsrGraphs) {
+  // Sparse: most vertices share degree 0, 1 or 2.
+  ExpectMatchesSortedReference(GenerateUniformBipartite(40, 30, 45, 11));
+  // Every vertex ties with every other on its side.
+  ExpectMatchesSortedReference(CompleteBipartite(4, 6));
+  // Isolated vertices on both sides, ids above and below the edges'.
+  ExpectMatchesSortedReference(
+      BipartiteGraph(6, 5, {{1, 1}, {1, 3}, {3, 1}, {3, 3}, {4, 3}}));
+  ExpectMatchesSortedReference(BipartiteGraph(3, 2, {}));
+  ChungLuParams params;
+  params.num_upper = 120;
+  params.num_lower = 90;
+  params.num_edges = 700;
+  params.seed = 5;
+  ExpectMatchesSortedReference(GenerateChungLu(params));
+}
+
+TEST(VertexPriority, MatchesSortedReferenceOnAChurnedSlotTable) {
+  DynamicBipartiteGraph g(GenerateUniformBipartite(30, 25, 150, 3));
+  Rng rng(17);
+  // Deletes outnumber inserts, and inserts reuse freed slots first, so the
+  // table ends with free slots (which appear in no adjacency entry).
+  for (int step = 0; step < 90; ++step) {
+    if (step % 3 != 0) {
+      EdgeId slot = static_cast<EdgeId>(rng.Below(g.NumSlots()));
+      while (!g.IsLive(slot)) slot = (slot + 1) % g.NumSlots();
+      ASSERT_TRUE(g.DeleteEdge(slot).ok());
+    } else {
+      const auto u = static_cast<VertexId>(rng.Below(g.NumUpper()));
+      const auto l = static_cast<VertexId>(rng.Below(g.NumLower()));
+      if (g.FindEdge(u, g.NumUpper() + l) == kInvalidEdge) {
+        ASSERT_TRUE(g.InsertEdge(u, l).ok());
+      }
+    }
+  }
+  ASSERT_LT(g.NumEdges(), g.NumSlots());
+  ExpectMatchesSortedReference(g);
 }
 
 TEST(ButterflyCounting, SupportSumIsFourTimesTotal) {

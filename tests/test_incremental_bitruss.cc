@@ -579,6 +579,55 @@ TEST_P(Differential, EveryPathMatchesTheRecount) {
 // ctest names each row by its case, through PrintTo.
 INSTANTIATE_TEST_SUITE_P(, Differential, testing::ValuesIn(kCases));
 
+// The fallback rule: an update falls back exactly when its full local
+// repair would enumerate more than the budget, however early the repair
+// bails out.  A budgeted maintainer and an unlimited one run in lockstep,
+// one update per batch; the unlimited one's count is that full repair.
+// Each mix makes its heavier kind of update fall back, and on Github
+// also stay local.
+TEST(IncrementalBitruss, FallsBackExactlyWhenTheFullRepairPassesTheBudget) {
+  constexpr std::uint64_t kBudget = 1000;  // under the 1024 floor: binds
+  const struct {
+    const char* name;
+    BipartiteGraph (*make_seed)();
+    int updates;
+    double delete_share;
+  } cases[] = {
+      {"Github insert-heavy", Github, 750, 0.2},
+      {"Github delete-heavy", Github, 750, 0.8},
+      {"DStyle insert-heavy", DStyle, 40, 0.2},
+      {"DStyle delete-heavy", DStyle, 40, 0.8},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const BipartiteGraph seed = c.make_seed();
+    const std::vector<EdgeUpdate> ops = MakeStream(
+        seed, c.updates, HashString64(c.name), false, c.delete_share);
+    IncrementalBitruss budgeted(seed, Budget(kBudget));
+    IncrementalBitruss unlimited(seed, Budget(kUnlimited));
+    // [kind][fell back]
+    std::uint64_t outcomes[2][2] = {};
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      ASSERT_EQ(budgeted.ApplyBatch({ops[i]}), 0u);
+      ASSERT_EQ(unlimited.ApplyBatch({ops[i]}), 0u);
+      const bool fallback = budgeted.LastUpdateStats().fallback;
+      ASSERT_EQ(fallback,
+                unlimited.LastUpdateStats().enumerated_butterflies > kBudget)
+          << "update " << i;
+      ASSERT_EQ(budgeted.PhiBySlot(), unlimited.PhiBySlot()) << "update " << i;
+      ++outcomes[static_cast<int>(ops[i].kind)][fallback];
+    }
+    EXPECT_EQ(unlimited.Totals().fallbacks, 0u);
+    const int heavy = static_cast<int>(c.delete_share > 0.5
+                                           ? EdgeUpdate::Kind::kDelete
+                                           : EdgeUpdate::Kind::kInsert);
+    EXPECT_GT(outcomes[heavy][1], 0u);
+    if (c.make_seed == Github) {
+      EXPECT_GT(outcomes[heavy][0], 0u);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batched apply hand cases
 // ---------------------------------------------------------------------------

@@ -281,6 +281,11 @@ TEST_F(TelemetryContract, MetricsEndpointCarriesTheLayerFamiliesItDrives) {
                                 "bitruss_dynamic_repair_frontier_edges"}) {
     EXPECT_GT(value(std::string(histogram) + "_count"), 0) << histogram;
   }
+  // Every fallback observes the butterflies enumerated before its bail-out.
+  const std::string bailouts =
+      std::string("bitruss_dynamic_bailout_butterflies") + "_count";
+  EXPECT_GT(value(bailouts), 0);
+  EXPECT_EQ(value(bailouts), value("bitruss_dynamic_fallbacks_total"));
   EXPECT_EQ(value("bitruss_dynamic_inserts_total") +
                 value("bitruss_dynamic_deletes_total"),
             value("bitruss_serve_applied_total") -
