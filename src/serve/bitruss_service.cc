@@ -39,6 +39,20 @@ obs::Histogram* HistogramFamily(const char* name,
                                 const std::vector<double>& bounds) {
   return obs::MetricsRegistry::Default().GetHistogram(name, bounds);
 }
+
+// Ordering: relaxed fetch_add; the ids only need to be distinct, so that a
+// service built where a destroyed one lived never matches its cache entries.
+std::atomic<std::uint64_t> next_service_id{1};
+
+// The snapshot this thread acquired last, keyed by its service's id and its
+// version.  It never owns the snapshot: one that has been replaced still
+// goes back to its service's recycler when its last reader lets go.
+struct SnapshotCache {
+  std::uint64_t service_id = 0;
+  std::uint64_t version = 0;
+  std::weak_ptr<const PhiSnapshot> snapshot;
+};
+thread_local SnapshotCache snapshot_cache;
 }  // namespace
 
 std::vector<std::pair<EdgeId, SupportT>> PhiSnapshot::TopKPhi(
@@ -125,6 +139,7 @@ BitrussService::BitrussService(RestoredState state,
       num_upper_(inc_.Graph().NumUpper()),
       num_lower_(inc_.Graph().NumLower()),
       recovered_base_(state.applied),
+      id_(next_service_id.fetch_add(1, std::memory_order_relaxed)),
       wal_(std::move(state.wal)),
       queue_depth_peak_(obs::MetricsRegistry::Default().GetGauge(
           "bitruss_serve_queue_depth_peak")),
@@ -330,7 +345,23 @@ void BitrussService::NotifyDrained() {
 
 std::shared_ptr<const PhiSnapshot> BitrussService::Snapshot() const {
   snapshot_reads_.Inc();
-  return std::atomic_load_explicit(&snapshot_, std::memory_order_acquire);
+  // The publish count is the newest version.  PublishSnapshot counts a
+  // snapshot after storing it and before releasing published_applied_, so
+  // an entry at the count is the newest snapshot, and a thread back from
+  // Drain() reads the drained version's count.
+  const std::uint64_t newest = published_snapshots_.Value();
+  SnapshotCache& cache = snapshot_cache;
+  if (cache.service_id == id_ && cache.version == newest) {
+    if (std::shared_ptr<const PhiSnapshot> hit = cache.snapshot.lock()) {
+      return hit;
+    }
+  }
+  std::shared_ptr<const PhiSnapshot> current =
+      std::atomic_load_explicit(&snapshot_, std::memory_order_acquire);
+  cache.service_id = id_;
+  cache.version = current->version;
+  cache.snapshot = current;
+  return current;
 }
 
 SupportT BitrussService::Phi(EdgeId slot) const {
@@ -516,7 +547,7 @@ void BitrussService::PublishSnapshot() {
   const DynamicBipartiteGraph& graph = inc_.Graph();
   const std::uint64_t version = published_snapshots_.Value() + 1;
   inc_.TakeTouchedSlots(&kept_reports_[version % kKeptReports]);
-  const std::shared_ptr<const PhiSnapshot> previous =
+  std::shared_ptr<const PhiSnapshot> previous =
       std::atomic_load_explicit(&snapshot_, std::memory_order_relaxed);
   std::unique_ptr<PhiSnapshot> snapshot = recycler_->Take();
   // The spare can be patched when every report since its version is kept
@@ -533,6 +564,9 @@ void BitrussService::PublishSnapshot() {
     CopyAllSlots(*snapshot);
     publish_full_copies_->Inc();
   }
+  // Let go before the counters below: once Drain() returns, only readers
+  // hold the replaced snapshot.
+  previous.reset();
   const std::uint64_t covers = applied_.Value();
   const std::uint64_t prev_covered =
       published_applied_.load(std::memory_order_relaxed);
@@ -546,18 +580,22 @@ void BitrussService::PublishSnapshot() {
   snapshot->num_slots = graph.NumSlots();
   snapshot->num_butterflies = graph.NumButterflies();
   // The last reader to drop this snapshot hands it back for a later
-  // publication to patch.
+  // publication to patch, or frees it once the service is gone.
   std::shared_ptr<const PhiSnapshot> published(
-      snapshot.release(), [recycler = recycler_](PhiSnapshot* done) {
-        recycler->Give(std::unique_ptr<PhiSnapshot>(done));
+      snapshot.release(),
+      [recycler = std::weak_ptr<SnapshotRecycler>(recycler_)](
+          PhiSnapshot* done) {
+        std::unique_ptr<PhiSnapshot> owned(done);
+        if (const auto pool = recycler.lock()) pool->Give(std::move(owned));
       });
   std::atomic_store_explicit(&snapshot_, std::move(published),
                              std::memory_order_release);
-  // Ordered after the snapshot store: once these counters say "covered",
-  // Snapshot() already returns the covering version.  IncOrdered keeps the
-  // release semantics the raw version store had.
-  published_applied_.store(covers, std::memory_order_release);
+  // Both counters follow the snapshot store, so once they say "covered"
+  // Snapshot() returns the covering version.  The count comes first: a
+  // thread that sees published_applied_ (Drain) also sees the new count,
+  // so its cached entry of an older version misses.
   published_snapshots_.IncOrdered();
+  published_applied_.store(covers, std::memory_order_release);
   applied_since_publish_ = 0;
   staleness_updates_->Observe(static_cast<double>(staleness));
   const Clock::time_point published_at = Clock::now();

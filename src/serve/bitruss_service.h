@@ -11,9 +11,12 @@
 //                                                |  IncrementalBitruss::
 //                                                |  ApplyBatch(updates)
 //                                                v
-//                              publishes PhiSnapshot (version v)
+//                              publishes PhiSnapshot (version v),
+//                              then counts it (publish count = v)
 //                                                |
-//        Snapshot()/Phi()/TopKPhi()  <--  atomic_load(shared_ptr)
+//        Snapshot()/Phi()/TopKPhi()  <--  this thread's cached snapshot
+//                                         if its version is the count,
+//                                         else atomic_load(shared_ptr)
 //
 // Batches.  The writer pops the queued updates up to the next
 // count-triggered publish (`publish_every_updates`), compaction
@@ -30,11 +33,16 @@
 // constructor starts the service for both entry points.
 //
 // Concurrency contract.
-//   * Readers are wait-free with respect to the writer: acquiring the
-//     current snapshot is one atomic shared_ptr load (no service mutex is
-//     taken on the read path), and a held snapshot stays valid and
+//   * Readers are never blocked by the writer: acquiring the current
+//     snapshot takes no service mutex.  Each thread keeps a non-owning
+//     (weak_ptr) entry for the snapshot it acquired last; when the entry's
+//     service and version match the acquire-loaded publish count, the
+//     acquisition is that count load plus the weak_ptr lock.  Otherwise it
+//     is one atomic shared_ptr load (libstdc++ serves it from a mutex
+//     pool), which refills the entry.  A held snapshot stays valid and
 //     immutable for as long as the caller keeps the shared_ptr, across any
-//     number of later publications, compactions, or service shutdown.
+//     number of later publications, compactions, or service shutdown, and
+//     a snapshot no caller holds is never kept alive by the cache.
 //   * Reads are *bounded-stale*, not linearizable: a snapshot lags the
 //     writer by at most the publication cadence (`publish_every_updates`
 //     updates / `publish_interval_ms` ms, and the writer always publishes
@@ -413,8 +421,10 @@ class BitrussService {
                          const PhiSnapshot& previous) const;
 
   /// One-entry pool of published snapshots whose last reader let go.
-  /// Each published snapshot's deleter holds a reference to it, so a
-  /// snapshot that outlives the service frees itself with the pool.
+  /// Each published snapshot's deleter holds a weak reference to it, so a
+  /// snapshot that outlives the service frees itself, and the spare dies
+  /// with the service even while threads still cache weak_ptrs to its
+  /// snapshots.
   struct SnapshotRecycler {
     Mutex mu;
     std::unique_ptr<PhiSnapshot> spare GUARDED_BY(mu);
@@ -456,6 +466,10 @@ class BitrussService {
   /// is added wherever a number must be meaningful ACROSS restarts: WAL
   /// sequences, durable snapshot stamps, published applied_updates.
   const std::uint64_t recovered_base_ = 0;
+  /// Process-wide unique id that keys the per-thread snapshot cache; an
+  /// address would not do, since a service built where a destroyed one
+  /// lived starts at version 1 too.
+  const std::uint64_t id_;
 
   /// Write-ahead log, or null when persistence is off (and after a failed
   /// reopen at recovery).  The pointer is set once in the constructor and
@@ -471,11 +485,14 @@ class BitrussService {
 
   // Published state.  snapshot_ is accessed exclusively through
   // std::atomic_load / std::atomic_store (acquire/release): C++17's
-  // spelling of atomic<shared_ptr>.
+  // spelling of atomic<shared_ptr>.  Snapshot() loads it only when this
+  // thread's cached entry is not at published_snapshots_, the newest
+  // version.
   std::shared_ptr<const PhiSnapshot> snapshot_;
   /// Updates covered by the published snapshot; release-stored after the
-  /// snapshot store, acquire-loaded by Drain/StalenessUpdates so seeing
-  /// the count implies seeing the covering snapshot.
+  /// snapshot store and the publish count, acquire-loaded by
+  /// Drain/StalenessUpdates so seeing the count implies seeing the
+  /// covering snapshot and its version in published_snapshots_.
   std::atomic<std::uint64_t> published_applied_{0};
 
   // Counters (see BitrussServiceStats), doubling as the service's
@@ -483,7 +500,8 @@ class BitrussService {
   // Stats() reads them per instance.  submitted_/applied_ and the
   // publication pair keep their release/acquire protocol via IncOrdered():
   // Drain()'s predicate and readers' staleness math synchronize-with the
-  // writer through them.
+  // writer through them, and Snapshot() checks its cached entry against
+  // published_snapshots_.
   obs::Counter submitted_;
   obs::Counter applied_;
   obs::Counter apply_failures_;

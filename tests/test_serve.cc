@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -161,6 +162,91 @@ TEST(BitrussService, RecycledSnapshotsLeaveHeldOnesIntact) {
       service.Stats().published_snapshots - published_before;
   EXPECT_EQ(publishes, ops.size());
   EXPECT_LT(full_copies() - copies_before, publishes);
+  service.Shutdown();
+}
+
+// The per-thread snapshot cache holds a weak_ptr: a snapshot the caller
+// dropped dies at the next publication instead of staying pinned away from
+// the recycler by the thread's cache entry.
+TEST(BitrussService, DroppedSnapshotIsNotPinnedByTheReadPath) {
+  const BipartiteGraph seed = GenerateUniformBipartite(20, 15, 110, 3);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 1, 0xd20);
+  BitrussService service(seed);
+  const std::weak_ptr<const PhiSnapshot> dropped = service.Snapshot();
+  ASSERT_FALSE(dropped.expired());  // still the published snapshot
+  ASSERT_TRUE(service.Submit(ops[0]).ok());
+  ASSERT_TRUE(service.Drain().ok());
+  EXPECT_TRUE(dropped.expired());
+  EXPECT_EQ(service.Snapshot()->applied_updates, 1u);
+  service.Shutdown();
+}
+
+// A thread whose cache entry is warm still reads the drained version
+// after every Submit + Drain: the publish count it checks the entry
+// against moves before Drain() can return.
+TEST(BitrussService, WarmCacheReadsTheDrainedVersion) {
+  const BipartiteGraph seed = GenerateUniformBipartite(20, 15, 110, 3);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 60, 0xca5e);
+  BitrussService service(seed);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    // Two reads warm this thread's entry at the current version.
+    ASSERT_EQ(service.Snapshot()->applied_updates, i);
+    ASSERT_EQ(service.Snapshot()->applied_updates, i);
+    ASSERT_TRUE(service.Submit(ops[i]).ok());
+    ASSERT_TRUE(service.Drain().ok());
+    ASSERT_EQ(service.Snapshot()->applied_updates, i + 1);
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectMatches(*service.Snapshot(), Oracle(seed, ops).At(ops.size())));
+  service.Shutdown();
+}
+
+// A service built at a destroyed one's address starts at version 1 too,
+// while the old version-1 snapshot is still held (so a weak_ptr to it
+// would lock).  The cache is keyed by a process-wide id, not the address,
+// so the new service's first read is its own seed.
+TEST(BitrussService, ServiceAtAReusedAddressReadsItsOwnSnapshot) {
+  const BipartiteGraph first = GenerateUniformBipartite(20, 15, 110, 3);
+  const BipartiteGraph second = GenerateUniformBipartite(12, 9, 40, 5);
+  ASSERT_NE(first.NumEdges(), second.NumEdges());
+  std::optional<BitrussService> service;
+  service.emplace(first);
+  const BitrussService* const address = &*service;
+  const auto held = service->Snapshot();
+  ASSERT_EQ(held->num_edges, first.NumEdges());
+  service.reset();
+  service.emplace(second);
+  ASSERT_EQ(&*service, address);
+  const auto snap = service->Snapshot();
+  EXPECT_EQ(snap->version, 1u);
+  EXPECT_EQ(snap->num_edges, second.NumEdges());
+  EXPECT_EQ(held->num_edges, first.NumEdges());
+  const std::vector<EdgeUpdate> none;
+  ASSERT_NO_FATAL_FAILURE(ExpectMatches(*snap, Oracle(second, none).At(0)));
+}
+
+// Stats().snapshot_reads counts every acquisition, whether the thread's
+// cache entry served it or the shared_ptr load did: N direct Snapshot()
+// calls and M timed wrapper reads add exactly N + M.
+TEST(BitrussService, SnapshotReadsCountCachedAndLoadedAcquisitions) {
+  const BipartiteGraph seed = GenerateUniformBipartite(20, 15, 110, 3);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 3, 0x5ead);
+  BitrussService service(seed);
+  const std::uint64_t before = service.Stats().snapshot_reads;
+  std::uint64_t direct = 0;
+  std::uint64_t wrapped = 0;
+  std::uint64_t sink = 0;
+  for (const EdgeUpdate& op : ops) {
+    for (int i = 0; i < 5; ++i, ++direct) sink += service.Snapshot()->Phi(0);
+    sink += service.Phi(1) + service.SupportOf(1);
+    sink += service.TopKPhi(2).size() + service.PhiHistogram().size();
+    wrapped += 4;
+    // A publication between rounds sends the next read to the load path.
+    ASSERT_TRUE(service.Submit(op).ok());
+    ASSERT_TRUE(service.Drain().ok());
+  }
+  EXPECT_GE(sink, 0u);
+  EXPECT_EQ(service.Stats().snapshot_reads - before, direct + wrapped);
   service.Shutdown();
 }
 
@@ -438,6 +524,88 @@ TEST(BitrussServiceStress, EverySnapshotMatchesOracleAtItsVersion) {
     last_applied = snap->applied_updates;
     ASSERT_NO_FATAL_FAILURE(
         ExpectMatches(*snap, oracle.At(snap->applied_updates)));
+  }
+}
+
+// Two services publish while two readers alternate between them, so every
+// read evicts the other service's cache entry.  Each service has its own
+// slot count (its stream deletes and reinserts seed edges, reusing the
+// freed slot), so a read served from the other service's entry shows.
+// Per reader and service, versions and covered updates never go back, and
+// a read after both drains sees each final version.  Run under TSan in CI
+// (serve label).
+TEST(BitrussServiceStress, ReadersAlternatingBetweenServicesSeeTheirOwn) {
+  constexpr int kServices = 2;
+  constexpr int kReaders = 2;
+  constexpr int kRounds = 150;  // delete + reinsert pairs per service
+  const BipartiteGraph seeds[kServices] = {
+      GenerateUniformBipartite(30, 25, 200, 13),
+      GenerateUniformBipartite(20, 15, 110, 3)};
+  ASSERT_NE(seeds[0].NumEdges(), seeds[1].NumEdges());
+  BitrussServiceOptions options;
+  options.queue_capacity = 32;
+  options.publish_every_updates = 1;
+  options.publish_interval_ms = 0;
+  std::vector<std::unique_ptr<BitrussService>> services;
+  std::vector<std::vector<EdgeUpdate>> streams(kServices);
+  for (int s = 0; s < kServices; ++s) {
+    services.push_back(std::make_unique<BitrussService>(seeds[s], options));
+    const auto edges = seeds[s].EdgeList();
+    for (int round = 0; round < kRounds; ++round) {
+      const auto [upper, lower] = edges[round % edges.size()];
+      streams[s].push_back({EdgeUpdate::Kind::kDelete, upper, lower});
+      streams[s].push_back({EdgeUpdate::Kind::kInsert, upper, lower});
+    }
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::uint64_t last_version[kServices] = {};
+      std::uint64_t last_applied[kServices] = {};
+      const auto check = [&](int s) {
+        const auto snap = services[s]->Snapshot();
+        EXPECT_EQ(snap->num_slots, seeds[s].NumEdges()) << "service " << s;
+        EXPECT_GE(snap->version, last_version[s]) << "service " << s;
+        EXPECT_GE(snap->applied_updates, last_applied[s]) << "service " << s;
+        last_version[s] = snap->version;
+        last_applied[s] = snap->applied_updates;
+        return snap;
+      };
+      std::uint64_t sink = 0;
+      for (std::uint64_t i = r; !stop.load(std::memory_order_acquire); ++i) {
+        const int s = static_cast<int>(i % kServices);
+        sink += check(s)->Phi(static_cast<EdgeId>(i % 64));
+        if (i % 16 == 0) sink += services[s]->Phi(static_cast<EdgeId>(i % 64));
+      }
+      EXPECT_GE(sink, 0u);
+      // Both drains happened before the stop flag was raised.
+      for (int s = 0; s < kServices; ++s) {
+        EXPECT_EQ(check(s)->applied_updates, 2u * kRounds) << "service " << s;
+      }
+    });
+  }
+
+  const auto submit = [&](BitrussService& service, const EdgeUpdate& op) {
+    Status status = service.Submit(op);
+    while (status.code() == StatusCode::kResourceExhausted) {
+      std::this_thread::yield();
+      status = service.Submit(op);
+    }
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  };
+  for (std::size_t i = 0; i < streams[0].size(); ++i) {
+    for (int s = 0; s < kServices; ++s) submit(*services[s], streams[s][i]);
+  }
+  for (auto& service : services) EXPECT_TRUE(service->Drain().ok());
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  for (int s = 0; s < kServices; ++s) {
+    EXPECT_EQ(services[s]->Stats().apply_failures, 0u);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatches(
+        *services[s]->Snapshot(),
+        Oracle(seeds[s], streams[s]).At(streams[s].size())));
   }
 }
 
