@@ -76,7 +76,7 @@ void PeelBS(DynamicBipartiteGraph g, std::vector<SupportT> sup,
         return;
       }
     }
-    const SupportT at = queue.TakeLowest(1, &taken);
+    const SupportT at = queue.TakeLowest(1, &taken, sup);
     if (taken.empty()) break;
     level = std::max(level, at);
     const EdgeId e = taken.front();

@@ -1,6 +1,8 @@
 #include "core/peeling_state.h"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 
 #include "obs/metrics.h"
 
@@ -9,45 +11,102 @@ namespace bitruss {
 SupportBuckets::SupportBuckets(const std::vector<SupportT>& support,
                                const std::vector<std::uint8_t>& skip) {
   const EdgeId m = static_cast<EdgeId>(support.size());
-  SupportT max_sup = 0;
-  for (EdgeId e = 0; e < m; ++e) {
-    if (skip.empty() || !skip[e]) max_sup = std::max(max_sup, support[e]);
-  }
-  head_.assign(static_cast<std::size_t>(max_sup) + 1, kInvalidEdge);
   next_.assign(m, kInvalidEdge);
   prev_.assign(m, kInvalidEdge);
+  SupportT lo = std::numeric_limits<SupportT>::max();
+  SupportT hi = 0;
+  std::size_t queued = 0;
   for (EdgeId e = 0; e < m; ++e) {
     if (!skip.empty() && skip[e]) continue;
-    EdgeId& head = head_[support[e]];
-    next_[e] = head;
-    if (head != kInvalidEdge) prev_[head] = e;
-    head = e;
-    ++queued_;
+    lo = std::min(lo, support[e]);
+    hi = std::max(hi, support[e]);
+    ++queued;
   }
+  if (queued == 0) return;
+  // One allocation each: no window reaches past hi + kWindow, and the
+  // overflow list only shrinks (a peel whose supports all fit the first
+  // window never allocates it).
+  head_.reserve(static_cast<std::size_t>(hi) + kWindow);
+  window_end_ = std::uint64_t{lo} + kWindow;
+  head_.resize(static_cast<std::size_t>(window_end_), kInvalidEdge);
+  if (hi >= window_end_) overflow_.reserve(queued);
+  for (EdgeId e = 0; e < m; ++e) {
+    if (!skip.empty() && skip[e]) continue;
+    if (support[e] < window_end_) {
+      Link(e, support[e]);
+    } else {
+      overflow_.push_back(e);
+    }
+  }
+  cursor_ = lo;
 }
 
-void SupportBuckets::Move(EdgeId e, SupportT from, SupportT to) {
-  const EdgeId next = next_[e];
-  const EdgeId prev = prev_[e];
-  if (prev == kInvalidEdge) {
-    head_[from] = next;
-  } else {
-    next_[prev] = next;
-  }
-  if (next != kInvalidEdge) prev_[next] = prev;
-
-  EdgeId& head = head_[to];
+void SupportBuckets::Link(EdgeId e, SupportT level) {
+  EdgeId& head = head_[level];
   prev_[e] = kInvalidEdge;
   next_[e] = head;
   if (head != kInvalidEdge) prev_[head] = e;
   head = e;
+  ++linked_;
+}
+
+void SupportBuckets::Unlink(EdgeId e, SupportT level) {
+  const EdgeId next = next_[e];
+  const EdgeId prev = prev_[e];
+  if (prev == kInvalidEdge) {
+    head_[level] = next;
+  } else {
+    next_[prev] = next;
+  }
+  if (next != kInvalidEdge) prev_[next] = prev;
+  --linked_;
+}
+
+void SupportBuckets::Move(EdgeId e, SupportT from, SupportT to) {
+  if (to >= window_end_) return;
+  // From at or above window_end_, e enters the window unlinked.
+  if (from < window_end_) Unlink(e, from);
+  Link(e, to);
   cursor_ = std::min(cursor_, to);
 }
 
+void SupportBuckets::Refill(const std::vector<SupportT>& support) {
+  assert(support.size() == next_.size() && "refill needs every support");
+  // An entry below the current window_end_ entered the window through
+  // Move (and may since have been taken): drop it.
+  SupportT lo = std::numeric_limits<SupportT>::max();
+  std::size_t kept = 0;
+  for (const EdgeId e : overflow_) {
+    if (support[e] < window_end_) continue;
+    overflow_[kept++] = e;
+    lo = std::min(lo, support[e]);
+  }
+  overflow_.resize(kept);
+  if (overflow_.empty()) return;
+
+  window_end_ = std::uint64_t{lo} + kWindow;
+  head_.resize(static_cast<std::size_t>(window_end_), kInvalidEdge);
+  kept = 0;
+  for (const EdgeId e : overflow_) {
+    if (support[e] < window_end_) {
+      Link(e, support[e]);
+    } else {
+      overflow_[kept++] = e;
+    }
+  }
+  overflow_.resize(kept);
+  cursor_ = lo;
+}
+
 SupportT SupportBuckets::TakeLowest(std::size_t limit,
-                                    std::vector<EdgeId>* out) {
+                                    std::vector<EdgeId>* out,
+                                    const std::vector<SupportT>& support) {
   out->clear();
-  if (queued_ == 0) return cursor_;
+  if (linked_ == 0) {
+    if (overflow_.empty()) return cursor_;
+    Refill(support);
+    if (linked_ == 0) return cursor_;
+  }
   while (head_[cursor_] == kInvalidEdge) ++cursor_;
   EdgeId e = head_[cursor_];
   while (e != kInvalidEdge && out->size() < limit) {
@@ -56,7 +115,7 @@ SupportT SupportBuckets::TakeLowest(std::size_t limit,
   }
   head_[cursor_] = e;
   if (e != kInvalidEdge) prev_[e] = kInvalidEdge;
-  queued_ -= out->size();
+  linked_ -= out->size();
   return cursor_;
 }
 

@@ -2,8 +2,17 @@
 // BiT-BU++ of Wang et al., ICDE'20).
 //
 // SupportBuckets, the one bucket queue of every peel (BiT-BS included),
-// keeps an intrusive list per support level: an edge moves between levels
-// in O(1) for any delta, and no entry is ever stale.  The peeler takes
+// is windowed (Julienne-style): only edges whose support is below
+// window_end_, at most kWindow levels above the lowest support at the last
+// refill, sit in an intrusive list per level; every other edge waits
+// unlinked in an overflow list.  A support update inside the window
+// relinks the edge in O(1); one that stays at or above window_end_ touches
+// nothing, and most updates hit hub edges far above the level being
+// peeled.  When the window runs dry, one refill pass over the overflow
+// list opens the next window: O(overflow) per refill, and at most one
+// refill per distinct peel level (a refill opens a level above every one
+// taken so far, and that level is taken next).  Each level still holds
+// exactly the edges at that support when it is taken.  The peeler takes
 // minimum-support edges from it, assigning phi(e) = max level so far, and
 // applies Lemma 5's removal updates through the index:
 //
@@ -46,27 +55,58 @@ namespace bitruss {
 
 class SupportBuckets {
  public:
+  /// Levels a window spans: a refill links every overflowed edge whose
+  /// support is below the lowest overflowed support plus kWindow.  Chosen
+  /// from a {32, 64, 128} sweep (CHANGES.md); a much wider window relinks
+  /// far edges again and gives the gain back.
+  static constexpr SupportT kWindow = 64;
+
   /// Queues every edge e with `skip` empty or skip[e] == 0 at level
-  /// support[e].
+  /// support[e]; those below the lowest such support plus kWindow are
+  /// linked, the rest overflow.
   SupportBuckets(const std::vector<SupportT>& support,
                  const std::vector<std::uint8_t>& skip);
 
-  /// Moves queued edge e from level `from` (its current level) to level
-  /// `to`, in O(1) for any distance.  `to` must not exceed the largest
-  /// level queued at construction.
+  /// Moves queued edge e from level `from` (its current support) to level
+  /// `to` <= `from`.  Does nothing while `to` stays at or above the
+  /// window; links e when it enters the window, and relinks it in O(1)
+  /// inside it.
   void Move(EdgeId e, SupportT from, SupportT to);
 
   /// Clears `out`, unlinks up to `limit` edges of the lowest non-empty
-  /// level into it, and returns that level.  `out` stays empty once every
-  /// edge has been taken.  Taken edges must not be moved again.
-  SupportT TakeLowest(std::size_t limit, std::vector<EdgeId>* out);
+  /// level into it, and returns that level.  When no linked edge remains,
+  /// first refills the window from the overflow list, reading each
+  /// overflowed edge's current support from `support`; it may be left
+  /// empty only while nothing has overflowed.  The queue keeps no
+  /// reference to the supports, so its owner stays movable.  `out` stays
+  /// empty once every edge has been taken.  Taken edges must not be moved
+  /// again.
+  SupportT TakeLowest(std::size_t limit, std::vector<EdgeId>* out,
+                      const std::vector<SupportT>& support = {});
 
  private:
-  std::vector<EdgeId> head_;  ///< first edge of each level's list
+  /// Links unlinked edge e at the head of level `level`'s list.
+  void Link(EdgeId e, SupportT level);
+  /// Unlinks edge e from level `level`'s list.
+  void Unlink(EdgeId e, SupportT level);
+  /// Drops overflow entries already linked (or taken), opens the window
+  /// at the lowest remaining support and links every edge inside it.
+  void Refill(const std::vector<SupportT>& support);
+
+  /// First edge of each level's list, by absolute level; sized
+  /// window_end_, so a level below the cursor is still addressable.
+  std::vector<EdgeId> head_;
   std::vector<EdgeId> next_;  ///< per edge; kInvalidEdge ends a list
   std::vector<EdgeId> prev_;  ///< per edge; kInvalidEdge marks a head
-  SupportT cursor_ = 0;       ///< no queued edge sits below this level
-  std::size_t queued_ = 0;
+  /// Queued edges whose support was at or above window_end_ when last
+  /// checked; entries that have since entered the window are stale until
+  /// the next refill drops them.
+  std::vector<EdgeId> overflow_;
+  /// An edge is linked iff its support is below this; 64-bit, so a
+  /// window near the top of SupportT's range does not wrap.
+  std::uint64_t window_end_ = 0;
+  SupportT cursor_ = 0;  ///< no linked edge sits below this level
+  std::size_t linked_ = 0;
 };
 
 class Peeler {
@@ -126,7 +166,7 @@ bool Peeler::Run(Mode mode, const Deadline& deadline, OnAssign&& on_assign) {
   std::vector<EdgeId> batch;
 
   for (;;) {
-    const SupportT at = queue_.TakeLowest(limit, &batch);
+    const SupportT at = queue_.TakeLowest(limit, &batch, support_);
     if (batch.empty()) break;
     ++rounds;
     level = std::max(level, at);

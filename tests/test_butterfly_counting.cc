@@ -350,6 +350,85 @@ TEST(SupportBuckets, MovesTakesAndSkipsExactly) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(SupportBuckets, RandomMovesAndTakesMatchABruteForceMinimum) {
+  // Supports span about ten windows, so takes refill from the overflow
+  // list, and decrements cross from the overflow into the window and fall
+  // below the level last taken.  Every take must return the brute-force
+  // minimum over the live supports: one edge of it, or all of it.
+  constexpr SupportT kSpan = 10 * SupportBuckets::kWindow;
+  constexpr EdgeId kEdges = 400;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<SupportT> support(kEdges);
+    std::vector<std::uint8_t> skip(kEdges, 0);
+    std::vector<EdgeId> live;
+    for (EdgeId e = 0; e < kEdges; ++e) {
+      support[e] = static_cast<SupportT>(rng.Below(kSpan));
+      if (rng.NextBool(0.1)) {
+        skip[e] = 1;
+      } else {
+        live.push_back(e);
+      }
+    }
+    SupportBuckets queue(support, skip);
+    std::vector<EdgeId> out;
+    std::vector<std::uint8_t> taken(kEdges, 0);
+    SupportT last = 0;
+    SupportT highest = 0;
+    while (!live.empty()) {
+      for (std::uint64_t i = rng.Below(3); i > 0; --i) {
+        const EdgeId e = live[rng.Below(live.size())];
+        const SupportT from = support[e];
+        SupportT to = from;
+        const std::uint64_t kind = rng.Below(10);
+        if (kind < 7) {  // a small step, mostly within a window or the overflow
+          to = from - static_cast<SupportT>(
+                          rng.Below(std::min<SupportT>(from, 4) + 1));
+        } else if (kind < 9) {  // anywhere below: overflow into the window
+          to = static_cast<SupportT>(rng.Below(from + 1));
+        } else {  // below the level last taken, when that is below `from`
+          to = static_cast<SupportT>(rng.Below(std::min(from, last) + 1));
+        }
+        if (to == from) continue;
+        queue.Move(e, from, to);
+        support[e] = to;
+      }
+
+      const bool whole_level = rng.NextBool(0.5);
+      const SupportT level =
+          queue.TakeLowest(whole_level ? kEdges : 1, &out, support);
+      SupportT lowest = support[live.front()];
+      for (const EdgeId e : live) lowest = std::min(lowest, support[e]);
+      std::vector<EdgeId> at_lowest;
+      for (const EdgeId e : live) {
+        if (support[e] == lowest) at_lowest.push_back(e);
+      }
+      std::sort(at_lowest.begin(), at_lowest.end());
+      ASSERT_EQ(level, lowest) << "seed " << seed;
+      if (whole_level) {
+        std::vector<EdgeId> sorted = out;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(sorted, at_lowest) << "seed " << seed << " level " << level;
+      } else {
+        ASSERT_EQ(out.size(), 1u) << "seed " << seed;
+        ASSERT_TRUE(std::binary_search(at_lowest.begin(), at_lowest.end(),
+                                       out.front()))
+            << "seed " << seed << " level " << level;
+      }
+      for (const EdgeId e : out) taken[e] = 1;
+      live.erase(std::remove_if(live.begin(), live.end(),
+                                [&](EdgeId e) { return taken[e] != 0; }),
+                 live.end());
+      last = level;
+      highest = std::max(highest, level);
+    }
+    queue.TakeLowest(kEdges, &out, support);
+    EXPECT_TRUE(out.empty()) << "seed " << seed;
+    // The takes climbed through several windows, so refills were exercised.
+    EXPECT_GT(highest, 4 * SupportBuckets::kWindow) << "seed " << seed;
+  }
+}
+
 TEST(Verify, AcceptsCorrectAndRejectsWrongNumbers) {
   const BipartiteGraph g = CompleteBipartite(3, 3);
   // K(3,3) is its own 4-bitruss and there is no 5-bitruss: phi(e) = 4.
