@@ -42,47 +42,40 @@ std::vector<SupportT> CountEdgeSupports(EdgeId num_edges,
   const VertexId n = adj.NumVertices();
   const CountingMetrics& metrics = CountingMetrics::Get();
   Timer timer;
-  const unsigned num_threads = pool == nullptr ? 1 : pool->NumThreads();
+  ThreadPool inline_pool(1);
+  ThreadPool& run = pool != nullptr ? *pool : inline_pool;
+  const unsigned num_threads = run.NumThreads();
   std::vector<std::vector<SupportT>> partial(num_threads);
   std::vector<internal::BloomScratch> scratch(num_threads);
-  const auto count_range = [&](std::uint64_t begin, std::uint64_t end,
-                               unsigned thread) {
-    std::vector<SupportT>& sup = partial[thread];
-    if (sup.empty()) {
-      sup.assign(num_edges, 0);
-      scratch[thread].Prepare(n);
-    }
-    internal::ForEachBloomRange<true>(
-        adj, static_cast<VertexId>(begin), static_cast<VertexId>(end),
-        scratch[thread], [](VertexId, SupportT) {},
-        [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
-          sup[anchor_edge] += c - 1;
-          sup[far_edge] += c - 1;
-        },
-        kNoopAnchorDone);
-  };
-  if (num_threads <= 1) {
-    count_range(0, n, 0);
-  } else {
-    pool->ParallelForChunks(
-        0, n, num_threads * kChunksPerThread,
-        [&](std::uint64_t begin, std::uint64_t end, unsigned,
-            unsigned thread) { count_range(begin, end, thread); });
-  }
+  run.ParallelForChunks(
+      0, n, num_threads * kChunksPerThread,
+      [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned thread) {
+        std::vector<SupportT>& sup = partial[thread];
+        if (sup.empty()) {
+          sup.assign(num_edges, 0);
+          scratch[thread].Prepare(n);
+        }
+        internal::ForEachBloomRange<true>(
+            adj, static_cast<VertexId>(begin), static_cast<VertexId>(end),
+            scratch[thread], [](VertexId, SupportT) {},
+            [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
+              sup[anchor_edge] += c - 1;
+              sup[far_edge] += c - 1;
+            },
+            kNoopAnchorDone);
+      });
 
   // Deterministic merge: sup(e) is a per-edge integer sum over the thread
   // partials, independent of which thread ran which chunk.
   std::vector<SupportT> sup = std::move(partial[0]);
   sup.resize(num_edges, 0);
-  if (num_threads > 1) {
-    pool->ParallelFor(0, num_edges, [&](std::uint64_t begin,
-                                        std::uint64_t end, unsigned) {
-      for (unsigned t = 1; t < num_threads; ++t) {
-        if (partial[t].empty()) continue;
-        for (std::uint64_t e = begin; e < end; ++e) sup[e] += partial[t][e];
-      }
-    });
-  }
+  run.ParallelFor(0, num_edges, [&](std::uint64_t begin, std::uint64_t end,
+                                    unsigned) {
+    for (unsigned t = 1; t < num_threads; ++t) {
+      if (partial[t].empty()) continue;
+      for (std::uint64_t e = begin; e < end; ++e) sup[e] += partial[t][e];
+    }
+  });
   metrics.runs->Inc();
   metrics.seconds->Observe(timer.Seconds());
   return sup;

@@ -10,12 +10,13 @@
 // support c - 1 from the pair.  Total work is
 // O(sum_{(u,v) in E} min{d(u), d(v)}) under the degree priority.
 //
-// A pool-backed count partitions the ANCHOR vertices across a ThreadPool:
-// every wedge has exactly one anchor, so anchor chunks partition the wedge
-// set, each thread accumulates supports into a private array, and the
-// per-edge merge sums thread arrays — integer sums, so the output is
-// bit-identical to the sequential count at every thread count (no atomics
-// anywhere on the hot path).
+// The count partitions the ANCHOR vertices into chunks run over a
+// ThreadPool (a 1-thread pool, made inline when the caller passes none,
+// runs them in order on the calling thread): every wedge has exactly one
+// anchor, so anchor chunks partition the wedge set, each thread
+// accumulates supports into a private array, and the per-edge merge sums
+// thread arrays — integer sums, so the output is bit-identical at every
+// thread count (no atomics anywhere on the hot path).
 
 #ifndef BITRUSS_BUTTERFLY_BUTTERFLY_COUNTING_H_
 #define BITRUSS_BUTTERFLY_BUTTERFLY_COUNTING_H_
@@ -31,8 +32,8 @@ namespace bitruss {
 
 /// Per-edge butterfly support sup(e) for every edge id in [0, num_edges)
 /// of the graph `adj` was built from: NumEdges() for a CSR graph,
-/// NumSlots() for a DynamicBipartiteGraph (free slots read 0).  A non-null
-/// `pool` with more than one thread partitions the anchors over it.
+/// NumSlots() for a DynamicBipartiteGraph (free slots read 0).  The
+/// anchors are partitioned over `pool`, or counted inline without one.
 std::vector<SupportT> CountEdgeSupports(EdgeId num_edges,
                                         const PriorityAdjacency& adj,
                                         ThreadPool* pool = nullptr);

@@ -1,6 +1,7 @@
 #include "core/be_index_builder.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -33,6 +34,10 @@ struct IndexBuildMetrics {
     return metrics;
   }
 };
+
+// Chunks per thread of a pooled pass: enough slack that the hub-heavy
+// low-rank anchors spread across the pool.
+constexpr unsigned kChunksPerThread = 8;
 
 void RecordBuild(const BEIndex& index, double seconds) {
   const IndexBuildMetrics& metrics = IndexBuildMetrics::Get();
@@ -67,25 +72,21 @@ std::uint32_t BEIndex::EdgeLiveCount(EdgeId e) const {
 
 std::vector<SupportT> BEIndex::ComputeSupports(ThreadPool* pool) const {
   std::vector<SupportT> sup(num_edges, 0);
-  const auto compute_range = [&](std::uint64_t begin, std::uint64_t end) {
-    for (std::uint64_t e = begin; e < end; ++e) {
-      SupportT s = 0;
-      for (std::uint64_t i = edge_offsets[e]; i < edge_offsets[e + 1]; ++i) {
-        const WedgeId w = edge_wedges[i];
-        if (wedge_alive[w]) s += BloomK(wedge_bloom[w]) - 1;
-      }
-      sup[e] = s;
-    }
-  };
-  if (pool == nullptr || pool->NumThreads() <= 1) {
-    compute_range(0, num_edges);
-  } else {
-    pool->ParallelForChunks(
-        0, num_edges, pool->NumThreads() * 8,
-        [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned) {
-          compute_range(begin, end);
-        });
-  }
+  ThreadPool inline_pool(1);
+  ThreadPool& run = pool != nullptr ? *pool : inline_pool;
+  run.ParallelForChunks(
+      0, num_edges, run.NumThreads() * kChunksPerThread,
+      [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned) {
+        for (std::uint64_t e = begin; e < end; ++e) {
+          SupportT s = 0;
+          for (std::uint64_t i = edge_offsets[e]; i < edge_offsets[e + 1];
+               ++i) {
+            const WedgeId w = edge_wedges[i];
+            if (wedge_alive[w]) s += BloomK(wedge_bloom[w]) - 1;
+          }
+          sup[e] = s;
+        }
+      });
   return sup;
 }
 
@@ -140,15 +141,23 @@ struct FilteredAdj {
   }
 };
 
-// One anchor range's share of the enumeration.  Bloom ids are local to the
-// fragment; a bloom is an (anchor, endpoint) pair, so blooms never span
-// fragments and concatenating fragments in anchor order reproduces the
-// sequential bloom/wedge numbering exactly.
+// One anchor range's share of the index, already in slot order: blooms
+// are numbered in the order their first stored wedge is enumerated, and
+// slot_edges holds each bloom's wedges as one run, in enumeration order.
+// A bloom is an (anchor, endpoint) pair, so blooms never span fragments
+// and concatenating fragments in anchor order gives the same index at
+// every chunking.
 struct BuildFragment {
-  std::vector<BEIndex::WedgeEdges> wedge_edges;  // by wedge id
-  std::vector<BloomId> wedge_bloom;              // fragment-local ids
-  std::vector<SupportT> bloom_count;             // stored wedges per bloom
+  std::vector<BEIndex::WedgeEdges> slot_edges;
+  std::vector<SupportT> bloom_count;  // stored wedges per bloom
   std::vector<SupportT> bloom_base;
+};
+
+// A stored wedge of the current anchor, waiting for its slot.  `bloom`
+// counts from the anchor's first bloom.
+struct AnchorWedge {
+  BEIndex::WedgeEdges edges;
+  BloomId bloom;
 };
 
 // Per-thread enumeration scratch, reused across the thread's fragments.
@@ -159,6 +168,8 @@ struct BuildScratch {
   internal::BloomScratch bloom;
   std::vector<BloomId> pair_bloom;
   std::vector<SupportT> pair_base;
+  std::vector<AnchorWedge> anchor_wedges;
+  std::vector<std::uint64_t> bloom_cursor;  // per anchor bloom
 
   void Prepare(VertexId n) {
     bloom.Prepare(n);
@@ -176,6 +187,9 @@ void EnumerateFragment(const AdjT& a, VertexId anchor_begin,
   const bool has_assigned = !assigned.empty();
   std::vector<BloomId>& pair_bloom = scratch.pair_bloom;
   std::vector<SupportT>& pair_base = scratch.pair_base;
+  std::vector<AnchorWedge>& anchor_wedges = scratch.anchor_wedges;
+  std::vector<std::uint64_t>& cursor = scratch.bloom_cursor;
+  std::size_t first_bloom = 0;  // the current anchor's first bloom
   internal::ForEachBloomRange<true>(
       a, anchor_begin, anchor_end, scratch.bloom, [](VertexId, SupportT) {},
       [&](VertexId wr, SupportT, EdgeId e1, EdgeId e2) {
@@ -186,154 +200,129 @@ void EnumerateFragment(const AdjT& a, VertexId anchor_begin,
         }
         BloomId b = pair_bloom[wr];
         if (b == kNoBloom) {
-          b = static_cast<BloomId>(frag->bloom_count.size());
+          b = static_cast<BloomId>(frag->bloom_count.size() - first_bloom);
           pair_bloom[wr] = b;
           frag->bloom_count.push_back(0);
           frag->bloom_base.push_back(0);
         }
-        ++frag->bloom_count[b];
-        frag->wedge_edges.push_back({e1, e2});
-        frag->wedge_bloom.push_back(b);
+        ++frag->bloom_count[first_bloom + b];
+        anchor_wedges.push_back({{e1, e2}, b});
       },
       [&](const std::vector<VertexId>& touched) {
         for (const VertexId wr : touched) {
           if (pair_bloom[wr] != kNoBloom) {
-            frag->bloom_base[pair_bloom[wr]] = pair_base[wr];
+            frag->bloom_base[first_bloom + pair_bloom[wr]] = pair_base[wr];
           }
           pair_base[wr] = 0;
           pair_bloom[wr] = kNoBloom;
         }
+        // Place the anchor's wedges bloom by bloom after the fragment's
+        // earlier slots: a counting sort, stable in enumeration order.
+        std::uint64_t next = frag->slot_edges.size();
+        cursor.clear();
+        for (std::size_t b = first_bloom; b < frag->bloom_count.size(); ++b) {
+          cursor.push_back(next);
+          next += frag->bloom_count[b];
+        }
+        frag->slot_edges.resize(next);
+        for (const AnchorWedge& wedge : anchor_wedges) {
+          frag->slot_edges[cursor[wedge.bloom]++] = wedge.edges;
+        }
+        anchor_wedges.clear();
+        first_bloom = frag->bloom_count.size();
       });
 }
 
 template <typename AdjT>
 BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
                   const std::vector<std::uint8_t>& assigned,
-                  ThreadPool* pool) {
-  BEIndex index;
-  index.num_edges = num_edges;
+                  ThreadPool& pool) {
   const VertexId n = a.NumVertices();
 
-  // Wedge pairs by wedge id; permuted into slot order (slot_edges) last.
-  std::vector<BEIndex::WedgeEdges> pairs;
-  std::vector<SupportT> bloom_count;  // stored wedges per bloom
+  // Fragments keyed by chunk index, enumerated under a shared cursor and
+  // concatenated in chunk (= anchor) order, so the index does not depend
+  // on which thread ran which chunk.  A 1-thread pool runs one chunk
+  // inline, whose fragment becomes the index as is.
+  const unsigned num_threads = pool.NumThreads();
+  const unsigned num_chunks =
+      num_threads == 1 ? 1 : num_threads * kChunksPerThread;
+  std::vector<BuildFragment> fragments(num_chunks);
+  std::vector<BuildScratch> scratch(num_threads);
+  pool.ParallelForChunks(
+      0, n, num_chunks,
+      [&](std::uint64_t begin, std::uint64_t end, unsigned chunk,
+          unsigned thread) {
+        if (!scratch[thread].Prepared()) scratch[thread].Prepare(n);
+        EnumerateFragment(a, static_cast<VertexId>(begin),
+                          static_cast<VertexId>(end), assigned,
+                          scratch[thread], &fragments[chunk]);
+      });
+  scratch.clear();
 
-  if (pool == nullptr || pool->NumThreads() <= 1) {
-    BuildScratch scratch;
-    scratch.Prepare(n);
-    BuildFragment frag;
-    EnumerateFragment(a, 0, n, assigned, scratch, &frag);
-    pairs = std::move(frag.wedge_edges);
-    index.wedge_bloom = std::move(frag.wedge_bloom);
-    index.bloom_base = std::move(frag.bloom_base);
-    bloom_count = std::move(frag.bloom_count);
-  } else {
-    // Fragments keyed by chunk index, enumerated under a shared cursor and
-    // concatenated in chunk (= anchor) order: byte-identical to the
-    // sequential build no matter which thread ran which chunk.
-    const unsigned num_threads = pool->NumThreads();
-    const unsigned num_chunks =
-        n == 0 ? 1
-               : static_cast<unsigned>(std::min<std::uint64_t>(
-                     static_cast<std::uint64_t>(num_threads) * 8, n));
-    std::vector<BuildFragment> fragments(num_chunks);
-    std::vector<BuildScratch> scratch(num_threads);
-    pool->ParallelForChunks(
-        0, n, num_chunks,
-        [&](std::uint64_t begin, std::uint64_t end, unsigned chunk,
-            unsigned thread) {
-          if (!scratch[thread].Prepared()) scratch[thread].Prepare(n);
-          EnumerateFragment(a, static_cast<VertexId>(begin),
-                            static_cast<VertexId>(end), assigned,
-                            scratch[thread], &fragments[chunk]);
-        });
-
-    std::uint64_t total_wedges = 0;
-    std::uint64_t total_blooms = 0;
-    for (const BuildFragment& frag : fragments) {
-      total_wedges += frag.wedge_edges.size();
-      total_blooms += frag.bloom_count.size();
-    }
-    pairs.reserve(total_wedges);
-    index.wedge_bloom.reserve(total_wedges);
-    index.bloom_base.reserve(total_blooms);
-    bloom_count.reserve(total_blooms);
-    for (BuildFragment& frag : fragments) {
-      const BloomId bloom_offset = static_cast<BloomId>(bloom_count.size());
-      pairs.insert(pairs.end(), frag.wedge_edges.begin(),
-                   frag.wedge_edges.end());
-      for (const BloomId b : frag.wedge_bloom) {
-        index.wedge_bloom.push_back(b + bloom_offset);
-      }
-      index.bloom_base.insert(index.bloom_base.end(), frag.bloom_base.begin(),
-                              frag.bloom_base.end());
-      bloom_count.insert(bloom_count.end(), frag.bloom_count.begin(),
-                         frag.bloom_count.end());
-      frag = BuildFragment();  // release as we go; peak stays ~2x one copy
-    }
+  std::uint64_t num_wedges = 0;
+  std::uint64_t num_blooms = 0;
+  for (const BuildFragment& frag : fragments) {
+    num_wedges += frag.slot_edges.size();
+    num_blooms += frag.bloom_count.size();
   }
-
-  const std::uint64_t num_wedges = pairs.size();
   if (num_wedges > UINT32_MAX) {
     // Wedge count is bounded by sum min{d(u), d(v)}, which can exceed the
     // 2^32 edge-id cap on hub-heavy graphs; fail loudly, never truncate.
     throw std::length_error("BEIndex: wedge count exceeds 32-bit id space");
   }
-  const BloomId num_blooms = static_cast<BloomId>(bloom_count.size());
-  index.bloom_live.assign(bloom_count.begin(), bloom_count.end());
 
-  // Bloom slot segments, filled in wedge-id order; the same pass counts
-  // each edge's wedges for the per-edge CSR.
+  BEIndex index;
+  index.num_edges = num_edges;
+  index.slot_edges = std::move(fragments[0].slot_edges);
+  index.bloom_live = std::move(fragments[0].bloom_count);
+  index.bloom_base = std::move(fragments[0].bloom_base);
+  index.slot_edges.reserve(num_wedges);
+  index.bloom_live.reserve(num_blooms);
+  index.bloom_base.reserve(num_blooms);
+  for (std::size_t c = 1; c < fragments.size(); ++c) {
+    BuildFragment& frag = fragments[c];
+    index.slot_edges.insert(index.slot_edges.end(), frag.slot_edges.begin(),
+                            frag.slot_edges.end());
+    index.bloom_live.insert(index.bloom_live.end(), frag.bloom_count.begin(),
+                            frag.bloom_count.end());
+    index.bloom_base.insert(index.bloom_base.end(), frag.bloom_base.begin(),
+                            frag.bloom_base.end());
+    frag = BuildFragment();  // release as we go
+  }
+
+  // Every wedge starts in its own slot: wedge ids are slots.
   index.bloom_offsets.assign(num_blooms + 1, 0);
+  index.wedge_bloom.resize(num_wedges);
   for (BloomId b = 0; b < num_blooms; ++b) {
-    index.bloom_offsets[b + 1] = index.bloom_offsets[b] + bloom_count[b];
+    const std::uint32_t begin = index.bloom_offsets[b];
+    const std::uint32_t end = begin + index.bloom_live[b];
+    index.bloom_offsets[b + 1] = end;
+    std::fill(index.wedge_bloom.begin() + begin,
+              index.wedge_bloom.begin() + end, b);
   }
   index.bloom_slots.resize(num_wedges);
-  index.wedge_slot.resize(num_wedges);
-  index.edge_offsets.assign(num_edges + 1, 0);
-  {
-    std::vector<std::uint32_t> cursor(index.bloom_offsets.begin(),
-                                      index.bloom_offsets.end() - 1);
-    for (std::uint64_t w = 0; w < num_wedges; ++w) {
-      const std::uint32_t slot = cursor[index.wedge_bloom[w]]++;
-      index.bloom_slots[slot] = static_cast<WedgeId>(w);
-      index.wedge_slot[w] = slot;
-      ++index.edge_offsets[pairs[w].e1 + 1];
-      ++index.edge_offsets[pairs[w].e2 + 1];
-    }
-  }
+  std::iota(index.bloom_slots.begin(), index.bloom_slots.end(), WedgeId{0});
+  index.wedge_slot = index.bloom_slots;
+  index.wedge_alive.assign(num_wedges, 1);
 
-  // Static per-edge CSR, each edge's wedges in increasing id order.
+  // Static per-edge CSR, filled in slot order, so each edge's wedges are
+  // in increasing id order.
+  index.edge_offsets.assign(num_edges + 1, 0);
+  for (const BEIndex::WedgeEdges& pair : index.slot_edges) {
+    ++index.edge_offsets[pair.e1 + 1];
+    ++index.edge_offsets[pair.e2 + 1];
+  }
   for (EdgeId e = 0; e < num_edges; ++e) {
     index.edge_offsets[e + 1] += index.edge_offsets[e];
   }
   index.edge_wedges.resize(2 * num_wedges);
-  {
-    std::vector<std::uint64_t> cursor(index.edge_offsets.begin(),
-                                      index.edge_offsets.end() - 1);
-    for (std::uint64_t w = 0; w < num_wedges; ++w) {
-      index.edge_wedges[cursor[pairs[w].e1]++] = static_cast<WedgeId>(w);
-      index.edge_wedges[cursor[pairs[w].e2]++] = static_cast<WedgeId>(w);
-    }
+  std::vector<std::uint64_t> cursor(index.edge_offsets.begin(),
+                                    index.edge_offsets.end() - 1);
+  for (std::uint64_t w = 0; w < num_wedges; ++w) {
+    const BEIndex::WedgeEdges& pair = index.slot_edges[w];
+    index.edge_wedges[cursor[pair.e1]++] = static_cast<WedgeId>(w);
+    index.edge_wedges[cursor[pair.e2]++] = static_cast<WedgeId>(w);
   }
-
-  // Permute the pairs into slot order in place, so the index never holds
-  // a second copy: follow each cycle of w -> wedge_slot[w], carrying the
-  // pair each step displaces.  wedge_alive marks the wedges whose pair has
-  // been carried, and ends all ones.
-  index.wedge_alive.assign(num_wedges, 0);
-  for (std::uint64_t start = 0; start < num_wedges; ++start) {
-    if (index.wedge_alive[start]) continue;
-    index.wedge_alive[start] = 1;
-    BEIndex::WedgeEdges carry = pairs[start];
-    for (std::uint32_t w = index.wedge_slot[start]; w != start;
-         w = index.wedge_slot[w]) {
-      std::swap(carry, pairs[w]);  // pairs[w] was still wedge w's own pair
-      index.wedge_alive[w] = 1;
-    }
-    pairs[start] = carry;
-  }
-  index.slot_edges = std::move(pairs);
   return index;
 }
 
@@ -349,10 +338,12 @@ BEIndex BEIndexBuilder::BuildCompressed(
     const std::vector<std::uint8_t>& assigned,
     const std::vector<std::uint8_t>& included, ThreadPool* pool) {
   Timer timer;
+  ThreadPool inline_pool(1);
+  ThreadPool& run = pool != nullptr ? *pool : inline_pool;
   BEIndex index = included.empty()
-                      ? BuildImpl(num_edges, adj, assigned, pool)
+                      ? BuildImpl(num_edges, adj, assigned, run)
                       : BuildImpl(num_edges, FilteredAdj(adj, included),
-                                  assigned, pool);
+                                  assigned, run);
   RecordBuild(index, timer.Seconds());
   return index;
 }

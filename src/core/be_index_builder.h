@@ -13,14 +13,18 @@
 //
 // Layout.  The index is bloom-major: each bloom owns a contiguous run of
 // slots, [bloom_offsets[b], bloom_offsets[b+1]), whose first bloom_live[b]
-// slots are its live wedges.  bloom_slots holds the wedge id in each slot
-// and slot_edges the wedge's two edges (e1, e2) in the same slot, so the
-// peel walks a bloom's wedge pairs in sequence instead of one random read
-// per wedge.  KillWedge swap-removes a wedge from the live prefix in O(1),
-// swapping bloom_slots, slot_edges and wedge_slot together.  Per wedge id
-// the index keeps only its bloom, its liveness and its slot; Twin reads
-// the pair through wedge_slot.  A static per-edge CSR (edge_offsets,
-// edge_wedges) lists each edge's wedge ids in increasing order.
+// slots are its live wedges.  slot_edges holds a wedge's two edges (e1,
+// e2) in its slot, so the peel walks a bloom's wedge pairs in sequence
+// instead of one random read per wedge.  A wedge's id is the slot the
+// build places it in: blooms are numbered in the order their first stored
+// wedge is enumerated, and each bloom's run keeps its wedges in
+// enumeration order, so bloom_slots and wedge_slot start as the identity.
+// KillWedge swap-removes a wedge from the live prefix in O(1), swapping
+// bloom_slots, slot_edges and wedge_slot together; from then on a wedge's
+// slot and its id differ.  Per wedge id the index keeps only its bloom,
+// its liveness and its slot; Twin reads the pair through wedge_slot.  A
+// static per-edge CSR (edge_offsets, edge_wedges) lists each edge's wedge
+// ids in increasing order.
 //
 // BuildCompressed implements BiT-PC's compressed index: edges outside the
 // candidate subgraph are excluded entirely, and wedges whose two edges both
@@ -93,9 +97,9 @@ struct BEIndex {
   std::uint32_t EdgeLiveCount(EdgeId e) const;
 
   /// sup(e) = sum of (k(B) - 1) over live wedges of e (Lemma 4).  Edges
-  /// without wedges (or excluded from a compressed index) read 0.  A
-  /// non-null `pool` parallelizes over edge ranges (each edge is an
-  /// independent read), bit-identical at every thread count.
+  /// without wedges (or excluded from a compressed index) read 0.  Runs
+  /// over edge ranges of `pool` (each edge is an independent read), or
+  /// inline without one; bit-identical at every thread count.
   std::vector<SupportT> ComputeSupports(ThreadPool* pool = nullptr) const;
 
   std::uint64_t MemoryBytes() const;
@@ -114,10 +118,11 @@ class BEIndexBuilder {
   /// {e : included[e] != 0} and folding wedges whose two edges are both
   /// `assigned` into the bloom base counts; wedges with an excluded edge
   /// are dropped entirely.  Either vector may be empty, meaning "nothing
-  /// assigned" and "all edges".  When `pool` is non-null with more than
-  /// one thread, the wedge enumeration is partitioned over anchor chunks
-  /// and the fragments concatenated in anchor order — the result is
-  /// byte-identical to the sequential build at every thread count.
+  /// assigned" and "all edges".  The anchors are split into chunks run
+  /// over `pool` (one inline chunk without one); each chunk places its
+  /// wedges in its own contiguous run of slots, and the runs are
+  /// concatenated in anchor order, so the result is byte-identical at
+  /// every thread count.
   static BEIndex BuildCompressed(EdgeId num_edges,
                                  const PriorityAdjacency& adj,
                                  const std::vector<std::uint8_t>& assigned,

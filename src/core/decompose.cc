@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <optional>
 
 #include "butterfly/butterfly_counting.h"
 #include "core/be_index_builder.h"
@@ -240,14 +239,15 @@ BitrussResult DecomposeGraph(const GraphT& g, EdgeId m,
                              const DecomposeOptions& options) {
   BitrussResult result;
   result.phi.assign(m, 0);
+  // Allocated before the index, whose copy of the supports it receives:
+  // allocated after, it would sit above the index's arrays in the heap
+  // and keep the allocator from returning them once the index is freed.
+  result.original_support.assign(m, 0);
   if (options.track_per_edge_updates) {
     result.counters.per_edge_updates.assign(m, 0);
   }
 
-  const unsigned num_threads = ResolveNumThreads(options.parallel);
-  std::optional<ThreadPool> owned_pool;
-  if (num_threads > 1) owned_pool.emplace(num_threads);
-  ThreadPool* pool = owned_pool ? &*owned_pool : nullptr;
+  ThreadPool pool(ResolveNumThreads(options.parallel));
 
   const DecomposeMetrics& metrics = DecomposeMetrics::Get();
   metrics.runs->Inc();
@@ -264,10 +264,10 @@ BitrussResult DecomposeGraph(const GraphT& g, EdgeId m,
   BEIndex index;
   std::vector<SupportT> sup;
   if (indexed) {
-    index = BEIndexBuilder::BuildCompressed(m, adj, {}, {}, pool);
-    sup = index.ComputeSupports(pool);
+    index = BEIndexBuilder::BuildCompressed(m, adj, {}, {}, &pool);
+    sup = index.ComputeSupports(&pool);
   } else {
-    sup = CountEdgeSupports(m, adj, pool);
+    sup = CountEdgeSupports(m, adj, &pool);
   }
   result.original_support = sup;
   std::uint64_t support_sum = 0;
@@ -296,7 +296,7 @@ BitrussResult DecomposeGraph(const GraphT& g, EdgeId m,
                  options, &result);
       break;
     case Algorithm::kPC:
-      RunPC(m, adj, sup, options, pool, &result);
+      RunPC(m, adj, sup, options, &pool, &result);
       break;
   }
   metrics.counting_seconds->Observe(result.counters.counting_seconds);

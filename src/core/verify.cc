@@ -8,6 +8,10 @@
 
 namespace bitruss {
 
+namespace {
+
+// Maximal subgraph of g in which every edge is contained in at least k
+// butterflies, as an edge mask (the k-bitruss; the whole graph for k = 0).
 std::vector<std::uint8_t> KBitrussEdges(const BipartiteGraph& g, SupportT k) {
   std::vector<std::uint8_t> alive(g.NumEdges(), 1);
   if (k == 0) return alive;
@@ -26,6 +30,8 @@ std::vector<std::uint8_t> KBitrussEdges(const BipartiteGraph& g, SupportT k) {
   }
   return alive;
 }
+
+}  // namespace
 
 bool VerifyBitrussNumbers(const BipartiteGraph& g,
                           const std::vector<SupportT>& phi,

@@ -23,10 +23,6 @@ bool VerifyBitrussNumbers(const BipartiteGraph& g,
                           const std::vector<SupportT>& phi,
                           std::string* error = nullptr);
 
-/// Maximal subgraph of g in which every edge is contained in at least k
-/// butterflies, as an edge mask (the k-bitruss; the whole graph for k = 0).
-std::vector<std::uint8_t> KBitrussEdges(const BipartiteGraph& g, SupportT k);
-
 }  // namespace bitruss
 
 #endif  // BITRUSS_CORE_VERIFY_H_

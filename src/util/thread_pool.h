@@ -1,5 +1,6 @@
 // Fixed-size thread pool and deterministic parallel-for, the execution
-// substrate of the parallel counting / index-construction / peeling layer.
+// substrate of parallel butterfly counting and BE-Index construction (the
+// peel is sequential).
 //
 // Design constraints (and why this is NOT a work-stealing scheduler):
 //
@@ -12,9 +13,9 @@
 //     summed per edge are order-independent, so outputs stay bit-identical
 //     run to run.
 //   * A 1-thread pool executes everything inline on the calling thread —
-//     no workers are spawned, no synchronization happens — so the 1-thread
-//     path is byte-identical in behavior to the sequential code it
-//     replaced.
+//     no workers are spawned, no synchronization happens.  It is the only
+//     sequential path: callers given no pool run the same chunked code on
+//     an inline 1-thread pool instead of keeping a separate loop.
 //
 // Thread-count resolution: explicit ParallelOptions::num_threads wins,
 // else the BITRUSS_NUM_THREADS environment variable, else 1 (parallelism

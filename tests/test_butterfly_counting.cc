@@ -272,6 +272,28 @@ TEST(BEIndex, SlotPairsFollowTheirWedgeThroughKills) {
   const WedgeId num_wedges = static_cast<WedgeId>(index.bloom_slots.size());
   ASSERT_GT(num_wedges, 100u);
 
+  // The build numbers each wedge by its slot: the slot maps start as the
+  // identity, a wedge's bloom is the one whose run holds its id, and each
+  // edge's CSR list ascends.
+  for (WedgeId w = 0; w < num_wedges; ++w) {
+    EXPECT_EQ(index.bloom_slots[w], w);
+    EXPECT_EQ(index.wedge_slot[w], w);
+  }
+  for (BloomId b = 0; b < index.NumBlooms(); ++b) {
+    for (std::uint32_t w = index.bloom_offsets[b];
+         w < index.bloom_offsets[b + 1]; ++w) {
+      EXPECT_EQ(index.wedge_bloom[w], b) << "wedge " << w;
+    }
+  }
+  EXPECT_EQ(index.bloom_offsets.back(), num_wedges);
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    for (std::uint64_t i = index.edge_offsets[e] + 1;
+         i < index.edge_offsets[e + 1]; ++i) {
+      EXPECT_LT(index.edge_wedges[i - 1], index.edge_wedges[i])
+          << "edge " << e;
+    }
+  }
+
   // After the build, every wedge's pair holds both edges whose CSR lists
   // the wedge.
   std::vector<BEIndex::WedgeEdges> pair_of(num_wedges);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "butterfly/butterfly_counting.h"
@@ -15,6 +16,7 @@
 #include "core/decompose.h"
 #include "gen/dataset_suite.h"
 #include "graph/vertex_priority.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace bitruss {
@@ -156,24 +158,56 @@ TEST(ParallelCounting, SupportsMatchSequentialAtEveryThreadCount) {
   }
 }
 
+// Every array of the index, so a pooled build is the sequential one byte
+// for byte.
+void ExpectSameIndex(const BEIndex& got, const BEIndex& expect,
+                     const std::string& label) {
+  EXPECT_EQ(got.num_edges, expect.num_edges) << label;
+  EXPECT_EQ(got.slot_edges, expect.slot_edges) << label;
+  EXPECT_EQ(got.wedge_bloom, expect.wedge_bloom) << label;
+  EXPECT_EQ(got.wedge_alive, expect.wedge_alive) << label;
+  EXPECT_EQ(got.wedge_slot, expect.wedge_slot) << label;
+  EXPECT_EQ(got.bloom_offsets, expect.bloom_offsets) << label;
+  EXPECT_EQ(got.bloom_slots, expect.bloom_slots) << label;
+  EXPECT_EQ(got.bloom_live, expect.bloom_live) << label;
+  EXPECT_EQ(got.bloom_base, expect.bloom_base) << label;
+  EXPECT_EQ(got.edge_offsets, expect.edge_offsets) << label;
+  EXPECT_EQ(got.edge_wedges, expect.edge_wedges) << label;
+}
+
 TEST(ParallelBEIndex, BuildIsByteIdenticalToSequential) {
+  // The full build, and BiT-PC's cascade build with a seeded half of the
+  // edges assigned and a quarter filtered out of the candidate.
   for (const char* name : {"Github", "Amazon", "D-style"}) {
     const BipartiteGraph g = MakeDataset(name, kSuiteScale);
     const VertexPriority priority = VertexPriority::Compute(g);
     const PriorityAdjacency adj(g, priority);
+    Rng rng(2024);
+    std::vector<std::uint8_t> assigned(g.NumEdges());
+    std::vector<std::uint8_t> included(g.NumEdges());
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      assigned[e] = rng.Below(2) == 0;
+      included[e] = rng.Below(4) != 0;
+    }
     const BEIndex expect = BEIndexBuilder::Build(g, adj);
+    const BEIndex expect_pc =
+        BEIndexBuilder::BuildCompressed(g.NumEdges(), adj, assigned, included);
+    SupportT folded = 0;
+    for (const SupportT base : expect_pc.bloom_base) folded += base;
+    ASSERT_GT(folded, 0u) << name;
+    ASSERT_GT(expect_pc.slot_edges.size(), 0u) << name;
     for (const unsigned threads : {2u, 4u, 8u}) {
       ThreadPool pool(threads);
+      const std::string label =
+          std::string(name) + " x" + std::to_string(threads);
       const BEIndex got = BEIndexBuilder::Build(g, adj, &pool);
-      EXPECT_EQ(got.slot_edges, expect.slot_edges) << name << " x" << threads;
-      EXPECT_EQ(got.wedge_bloom, expect.wedge_bloom) << name;
-      EXPECT_EQ(got.bloom_offsets, expect.bloom_offsets) << name;
-      EXPECT_EQ(got.bloom_slots, expect.bloom_slots) << name;
-      EXPECT_EQ(got.bloom_live, expect.bloom_live) << name;
-      EXPECT_EQ(got.bloom_base, expect.bloom_base) << name;
-      EXPECT_EQ(got.edge_offsets, expect.edge_offsets) << name;
-      EXPECT_EQ(got.edge_wedges, expect.edge_wedges) << name;
+      ExpectSameIndex(got, expect, label);
       EXPECT_EQ(got.ComputeSupports(&pool), expect.ComputeSupports()) << name;
+      const BEIndex got_pc = BEIndexBuilder::BuildCompressed(
+          g.NumEdges(), adj, assigned, included, &pool);
+      ExpectSameIndex(got_pc, expect_pc, label + " compressed");
+      EXPECT_EQ(got_pc.ComputeSupports(&pool), expect_pc.ComputeSupports())
+          << label << " compressed";
     }
   }
 }
