@@ -28,10 +28,19 @@ void BM_BuildBEIndex(benchmark::State& state) {
   const BipartiteGraph g = SkewedGraph(state.range(0));
   const VertexPriority prio = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, prio);
+  std::uint64_t bytes = 0;
+  std::uint64_t wedges = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BEIndexBuilder::Build(g, adj));
+    const BEIndex index = BEIndexBuilder::Build(g, adj);
+    bytes = index.MemoryBytes();
+    wedges = index.slot_edges.size();
+    benchmark::DoNotOptimize(index);
   }
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
+  // Per stored wedge, with the per-edge and per-bloom arrays counted in.
+  state.counters["bytes_per_wedge"] =
+      wedges == 0 ? 0.0
+                  : static_cast<double>(bytes) / static_cast<double>(wedges);
 }
 BENCHMARK(BM_BuildBEIndex)->Arg(10000)->Arg(50000)->Arg(150000);
 
@@ -49,8 +58,10 @@ void BM_BuildCompressedIndexHalfAssigned(benchmark::State& state) {
 BENCHMARK(BM_BuildCompressedIndexHalfAssigned)->Arg(50000);
 
 // Full peel through the index: amortized O(#butterflies) total, i.e.
-// O(sup(e)) per removed edge.
-void BM_PeelThroughIndex(benchmark::State& state) {
+// O(sup(e)) per removed edge.  BU removes one edge at a time; BU++ a whole
+// level, killing its wedges through the edges' links and partitioning
+// each bloom it touched.
+void BM_PeelThroughIndex(benchmark::State& state, Peeler::Mode mode) {
   const BipartiteGraph g = SkewedGraph(state.range(0));
   const VertexPriority prio = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, prio);
@@ -61,11 +72,17 @@ void BM_PeelThroughIndex(benchmark::State& state) {
     UpdateCounters counters;
     Peeler peeler(std::move(index), std::move(sup), {}, &counters);
     state.ResumeTiming();
-    peeler.Run(Peeler::Mode::kSingle, Deadline(), [](EdgeId, SupportT) {});
+    benchmark::DoNotOptimize(
+        peeler.Run(mode, Deadline(), [](EdgeId, SupportT) {}));
   }
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
-BENCHMARK(BM_PeelThroughIndex)->Arg(10000)->Arg(50000);
+BENCHMARK_CAPTURE(BM_PeelThroughIndex, BU, Peeler::Mode::kSingle)
+    ->Arg(10000)
+    ->Arg(50000);
+BENCHMARK_CAPTURE(BM_PeelThroughIndex, BUPlusPlus, Peeler::Mode::kBatchBlooms)
+    ->Arg(10000)
+    ->Arg(50000);
 
 }  // namespace
 

@@ -8,8 +8,6 @@ namespace bitruss {
 
 namespace {
 
-constexpr auto kNoopAnchorDone = [](const std::vector<VertexId>&) {};
-
 // Support-count telemetry.  Each full CountEdgeSupports pass is one run;
 // the delegating overloads don't double-count (only compute sites report).
 struct CountingMetrics {
@@ -29,9 +27,9 @@ struct CountingMetrics {
   }
 };
 
-// Chunks per thread: enough slack that the hub-heavy low-rank anchors (the
-// bulk of the wedge work under the degree priority) spread across the pool
-// instead of pinning to whichever thread drew the first chunk.
+// Chunks per thread of a pooled pass: the chunks carry about equal wedge
+// work (AnchorChunkBounds), and the slack absorbs what one hub anchor's
+// walk adds to its chunk.
 constexpr unsigned kChunksPerThread = 8;
 
 }  // namespace
@@ -45,24 +43,30 @@ std::vector<SupportT> CountEdgeSupports(EdgeId num_edges,
   ThreadPool inline_pool(1);
   ThreadPool& run = pool != nullptr ? *pool : inline_pool;
   const unsigned num_threads = run.NumThreads();
+  const std::vector<VertexId> bounds =
+      num_threads == 1
+          ? std::vector<VertexId>{0, n}
+          : internal::AnchorChunkBounds(internal::AnchorWorkPrefix(adj),
+                                        num_threads * kChunksPerThread);
+  const unsigned num_chunks = static_cast<unsigned>(bounds.size() - 1);
   std::vector<std::vector<SupportT>> partial(num_threads);
   std::vector<internal::BloomScratch> scratch(num_threads);
   run.ParallelForChunks(
-      0, n, num_threads * kChunksPerThread,
-      [&](std::uint64_t begin, std::uint64_t end, unsigned, unsigned thread) {
+      0, num_chunks, num_chunks,
+      [&](std::uint64_t, std::uint64_t, unsigned chunk, unsigned thread) {
+        if (bounds[chunk] == bounds[chunk + 1]) return;
         std::vector<SupportT>& sup = partial[thread];
         if (sup.empty()) {
           sup.assign(num_edges, 0);
           scratch[thread].Prepare(n);
         }
         internal::ForEachBloomRange<true>(
-            adj, static_cast<VertexId>(begin), static_cast<VertexId>(end),
-            scratch[thread], [](VertexId, SupportT) {},
+            adj, bounds[chunk], bounds[chunk + 1], scratch[thread],
+            [](VertexId, SupportT) {},
             [&](VertexId, SupportT c, EdgeId anchor_edge, EdgeId far_edge) {
               sup[anchor_edge] += c - 1;
               sup[far_edge] += c - 1;
-            },
-            kNoopAnchorDone);
+            });
       });
 
   // Deterministic merge: sup(e) is a per-edge integer sum over the thread
@@ -96,7 +100,7 @@ std::uint64_t CountTotalButterflies(const PriorityAdjacency& adj) {
       [&](VertexId, SupportT c) {
         total += static_cast<std::uint64_t>(c) * (c - 1) / 2;
       },
-      [](VertexId, SupportT, EdgeId, EdgeId) {}, kNoopAnchorDone);
+      [](VertexId, SupportT, EdgeId, EdgeId) {});
   return total;
 }
 

@@ -13,6 +13,7 @@
 #define BITRUSS_BUTTERFLY_WEDGE_ENUMERATION_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -43,51 +44,93 @@ struct BloomScratch {
   }
 };
 
+/// Calls on_wedge(v, w) with the adjacency entries of v and w for every
+/// wedge ur-v-w anchored at rank ur: v and w both at strictly lower
+/// priority than ur, v in ur's list and w in v's, in adjacency order.
+/// The one definition of the wedges the counting and the BE-Index share.
+template <typename AdjT, typename WedgeFn>
+void ForEachAnchorWedge(const AdjT& a, VertexId ur, WedgeFn&& on_wedge) {
+  const auto nu = a.Neighbors(ur);
+  for (const auto* v = a.FirstBelowPriority(ur, ur); v != nu.end(); ++v) {
+    const auto wlast = a.Neighbors(v->rank).end();
+    for (const auto* w = a.FirstBelowPriority(v->rank, ur); w != wlast; ++w) {
+      on_wedge(*v, *w);
+    }
+  }
+}
+
+/// Prefix sums of the anchors' wedge-walk work: prefix[r] is the work of
+/// the anchors of rank below r, for r in [0, a.NumVertices()].  An
+/// anchor's work is one plus the summed degree of its lower-priority
+/// neighbours: the lists its walk reads, so also a bound on its wedges.
+template <typename AdjT>
+std::vector<std::uint64_t> AnchorWorkPrefix(const AdjT& a) {
+  const VertexId n = a.NumVertices();
+  std::vector<std::uint64_t> prefix(n + 1, 0);
+  for (VertexId ur = 0; ur < n; ++ur) {
+    std::uint64_t work = 1;
+    const auto nu = a.Neighbors(ur);
+    for (const auto* v = a.FirstBelowPriority(ur, ur); v != nu.end(); ++v) {
+      work += a.Neighbors(v->rank).size();
+    }
+    prefix[ur + 1] = prefix[ur] + work;
+  }
+  return prefix;
+}
+
+/// Bounds of `num_chunks` contiguous anchor ranges of about equal work,
+/// bounds[c] to bounds[c + 1], from 0 to n = prefix.size() - 1, given
+/// AnchorWorkPrefix's sums.  Under the degree priority nearly all the work
+/// sits at the lowest ranks, so equal vertex counts would leave one chunk
+/// with almost the whole walk.  Ranges may be empty.
+inline std::vector<VertexId> AnchorChunkBounds(
+    const std::vector<std::uint64_t>& prefix, unsigned num_chunks) {
+  const VertexId n = static_cast<VertexId>(prefix.size() - 1);
+  const std::uint64_t total = prefix[n];
+  std::vector<VertexId> bounds(num_chunks + 1, n);
+  bounds[0] = 0;
+  for (unsigned c = 1; c < num_chunks; ++c) {
+    // floor(total * c / num_chunks), without overflowing the product.
+    const std::uint64_t target = total / num_chunks * c +
+                                 total % num_chunks * c / num_chunks;
+    bounds[c] = static_cast<VertexId>(
+        std::lower_bound(prefix.begin(), prefix.end(), target) -
+        prefix.begin());
+  }
+  return bounds;
+}
+
 // Per anchor u: pass 1 counts wedges u-v-w per endpoint w (all of v, w at
 // strictly lower priority than u); then `on_pair(w_rank, c)` fires once per
 // endpoint with c >= 2 wedges; with kNeedWedges, `on_wedge(w_rank, c,
-// edge(u,v), edge(v,w))` fires once per wedge of such a pair; finally
-// `on_anchor_done(touched)` fires before the scratch resets.
+// edge(u,v), edge(v,w))` fires once per wedge of such a pair.
 //
 // ForEachBloomRange restricts the ANCHOR loop to [anchor_begin, anchor_end)
 // — wedges still reach down to arbitrary ranks, so partitioning anchors
 // over threads partitions the wedge set exactly (every wedge has one
 // anchor).  Scratch is caller-owned so parallel chunks of one thread reuse
 // a single allocation; it must arrive prepared for a.NumVertices().
-template <bool kNeedWedges, typename AdjT, typename PairFn, typename WedgeFn,
-          typename AnchorDoneFn>
+template <bool kNeedWedges, typename AdjT, typename PairFn, typename WedgeFn>
 void ForEachBloomRange(const AdjT& a, VertexId anchor_begin,
                        VertexId anchor_end, BloomScratch& scratch,
-                       PairFn&& on_pair, WedgeFn&& on_wedge,
-                       AnchorDoneFn&& on_anchor_done) {
+                       PairFn&& on_pair, WedgeFn&& on_wedge) {
   std::vector<SupportT>& count = scratch.count;
   std::vector<VertexId>& touched = scratch.touched;
 
   for (VertexId ur = anchor_begin; ur < anchor_end; ++ur) {
-    const auto nu = a.Neighbors(ur);
-    const auto* vfirst = a.FirstBelowPriority(ur, ur);
-    for (const auto* v = vfirst; v != nu.end(); ++v) {
-      const auto* wfirst = a.FirstBelowPriority(v->rank, ur);
-      const auto wlast = a.Neighbors(v->rank).end();
-      for (const auto* w = wfirst; w != wlast; ++w) {
-        if (count[w->rank]++ == 0) touched.push_back(w->rank);
-      }
-    }
+    ForEachAnchorWedge(a, ur, [&](const auto&, const auto& w) {
+      if (count[w.rank]++ == 0) touched.push_back(w.rank);
+    });
     for (const VertexId wr : touched) {
       if (count[wr] >= 2) on_pair(wr, count[wr]);
     }
     if constexpr (kNeedWedges) {
-      for (const auto* v = vfirst; v != nu.end(); ++v) {
-        const auto* wfirst = a.FirstBelowPriority(v->rank, ur);
-        const auto wlast = a.Neighbors(v->rank).end();
-        for (const auto* w = wfirst; w != wlast; ++w) {
-          if (count[w->rank] >= 2) {
-            on_wedge(w->rank, count[w->rank], v->edge, w->edge);
-          }
+      ForEachAnchorWedge(a, ur, [&](const auto& v, const auto& w) {
+        if (count[w.rank] >= 2) {
+          on_wedge(w.rank, count[w.rank], v.edge, w.edge);
         }
-      }
+      });
     }
-    on_anchor_done(touched);
     for (const VertexId wr : touched) count[wr] = 0;
     touched.clear();
   }

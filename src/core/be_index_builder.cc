@@ -1,7 +1,6 @@
 #include "core/be_index_builder.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -48,28 +47,6 @@ void RecordBuild(const BEIndex& index, double seconds) {
 
 }  // namespace
 
-void BEIndex::KillWedge(WedgeId w) {
-  const BloomId b = wedge_bloom[w];
-  const std::uint32_t slot = wedge_slot[w];
-  const std::uint32_t last = bloom_offsets[b] + bloom_live[b] - 1;
-  const WedgeId moved = bloom_slots[last];
-  bloom_slots[slot] = moved;
-  wedge_slot[moved] = slot;
-  bloom_slots[last] = w;
-  wedge_slot[w] = last;
-  std::swap(slot_edges[slot], slot_edges[last]);
-  --bloom_live[b];
-  wedge_alive[w] = 0;
-}
-
-std::uint32_t BEIndex::EdgeLiveCount(EdgeId e) const {
-  std::uint32_t live = 0;
-  for (std::uint64_t i = edge_offsets[e]; i < edge_offsets[e + 1]; ++i) {
-    live += wedge_alive[edge_wedges[i]];
-  }
-  return live;
-}
-
 std::vector<SupportT> BEIndex::ComputeSupports(ThreadPool* pool) const {
   std::vector<SupportT> sup(num_edges, 0);
   ThreadPool inline_pool(1);
@@ -81,8 +58,7 @@ std::vector<SupportT> BEIndex::ComputeSupports(ThreadPool* pool) const {
           SupportT s = 0;
           for (std::uint64_t i = edge_offsets[e]; i < edge_offsets[e + 1];
                ++i) {
-            const WedgeId w = edge_wedges[i];
-            if (wedge_alive[w]) s += BloomK(wedge_bloom[w]) - 1;
+            s += BloomK(edge_links[i].bloom) - 1;
           }
           sup[e] = s;
         }
@@ -91,13 +67,9 @@ std::vector<SupportT> BEIndex::ComputeSupports(ThreadPool* pool) const {
 }
 
 std::uint64_t BEIndex::MemoryBytes() const {
-  return wedge_bloom.size() * sizeof(BloomId) +
-         wedge_alive.size() * sizeof(std::uint8_t) +
-         wedge_slot.size() * sizeof(std::uint32_t) +
-         edge_offsets.size() * sizeof(std::uint64_t) +
-         edge_wedges.size() * sizeof(WedgeId) +
+  return edge_offsets.size() * sizeof(std::uint64_t) +
+         edge_links.size() * sizeof(Link) +
          bloom_offsets.size() * sizeof(std::uint32_t) +
-         bloom_slots.size() * sizeof(WedgeId) +
          slot_edges.size() * sizeof(WedgeEdges) +
          bloom_live.size() * sizeof(SupportT) +
          bloom_base.size() * sizeof(SupportT);
@@ -142,95 +114,99 @@ struct FilteredAdj {
 };
 
 // One anchor range's share of the index, already in slot order: blooms
-// are numbered in the order their first stored wedge is enumerated, and
-// slot_edges holds each bloom's wedges as one run, in enumeration order.
-// A bloom is an (anchor, endpoint) pair, so blooms never span fragments
-// and concatenating fragments in anchor order gives the same index at
-// every chunking.
+// are numbered in the order the enumeration first meets their endpoint,
+// and slot_edges holds each bloom's wedges as one run, in enumeration
+// order.  A bloom is an (anchor, endpoint) pair, so blooms never span
+// fragments and concatenating fragments in anchor order gives the same
+// index at every chunking.
 struct BuildFragment {
   std::vector<BEIndex::WedgeEdges> slot_edges;
   std::vector<SupportT> bloom_count;  // stored wedges per bloom
   std::vector<SupportT> bloom_base;
+
+  // `walked` bounds the wedges the walk meets; a bloom takes two or more.
+  // Reserved, the arrays never move, and pages past their ends stay unused.
+  void Reserve(std::uint64_t walked) {
+    slot_edges.reserve(walked);
+    bloom_count.reserve(walked / 2);
+    bloom_base.reserve(walked / 2);
+  }
 };
 
-// A stored wedge of the current anchor, waiting for its slot.  `bloom`
-// counts from the anchor's first bloom.
+// An unfolded wedge of the current anchor, waiting for its slot (or to be
+// dropped if its endpoint is met once).
 struct AnchorWedge {
   BEIndex::WedgeEdges edges;
-  BloomId bloom;
+  VertexId endpoint;
 };
 
 // Per-thread enumeration scratch, reused across the thread's fragments.
-// pair_bloom/pair_base are valid for one anchor iteration and restored to
-// kNoBloom/0 by the anchor-done hook, so reuse needs no re-initialization.
-constexpr BloomId kNoBloom = static_cast<BloomId>(-1);
+// count and base are per endpoint rank and valid for one anchor; the
+// anchor's placement restores them to 0, so reuse needs no
+// re-initialization.
 struct BuildScratch {
-  internal::BloomScratch bloom;
-  std::vector<BloomId> pair_bloom;
-  std::vector<SupportT> pair_base;
-  std::vector<AnchorWedge> anchor_wedges;
-  std::vector<std::uint64_t> bloom_cursor;  // per anchor bloom
+  std::vector<SupportT> count;  // the anchor's wedges per endpoint
+  std::vector<SupportT> base;   // of those, folded into the bloom base
+  std::vector<std::uint64_t> cursor;  // a bloom endpoint's next slot
+  std::vector<VertexId> touched;      // endpoints, in first-seen order
+  std::vector<AnchorWedge> wedges;    // the anchor's unfolded wedges
 
-  void Prepare(VertexId n) {
-    bloom.Prepare(n);
-    pair_bloom.assign(n, kNoBloom);
-    pair_base.assign(n, 0);
+  // `widest` bounds any one anchor's wedges.
+  void Prepare(VertexId n, std::uint64_t widest) {
+    count.assign(n, 0);
+    base.assign(n, 0);
+    cursor.resize(n);
+    touched.reserve(n);
+    wedges.reserve(widest);
   }
-  bool Prepared() const { return !pair_bloom.empty(); }
 };
 
+// One walk per anchor buffers its unfolded wedges; the endpoints it met
+// twice or more are its blooms, numbered in first-seen order, and each
+// bloom's run is placed straight from the buffer after the fragment's
+// earlier slots: a counting sort, stable in enumeration order.
 template <typename AdjT>
 void EnumerateFragment(const AdjT& a, VertexId anchor_begin,
                        VertexId anchor_end,
                        const std::vector<std::uint8_t>& assigned,
                        BuildScratch& scratch, BuildFragment* frag) {
   const bool has_assigned = !assigned.empty();
-  std::vector<BloomId>& pair_bloom = scratch.pair_bloom;
-  std::vector<SupportT>& pair_base = scratch.pair_base;
-  std::vector<AnchorWedge>& anchor_wedges = scratch.anchor_wedges;
-  std::vector<std::uint64_t>& cursor = scratch.bloom_cursor;
-  std::size_t first_bloom = 0;  // the current anchor's first bloom
-  internal::ForEachBloomRange<true>(
-      a, anchor_begin, anchor_end, scratch.bloom, [](VertexId, SupportT) {},
-      [&](VertexId wr, SupportT, EdgeId e1, EdgeId e2) {
-        if (has_assigned && assigned[e1] && assigned[e2]) {
-          // Both bitruss numbers known: fold into the bloom base count.
-          ++pair_base[wr];
-          return;
-        }
-        BloomId b = pair_bloom[wr];
-        if (b == kNoBloom) {
-          b = static_cast<BloomId>(frag->bloom_count.size() - first_bloom);
-          pair_bloom[wr] = b;
-          frag->bloom_count.push_back(0);
-          frag->bloom_base.push_back(0);
-        }
-        ++frag->bloom_count[first_bloom + b];
-        anchor_wedges.push_back({{e1, e2}, b});
-      },
-      [&](const std::vector<VertexId>& touched) {
-        for (const VertexId wr : touched) {
-          if (pair_bloom[wr] != kNoBloom) {
-            frag->bloom_base[first_bloom + pair_bloom[wr]] = pair_base[wr];
-          }
-          pair_base[wr] = 0;
-          pair_bloom[wr] = kNoBloom;
-        }
-        // Place the anchor's wedges bloom by bloom after the fragment's
-        // earlier slots: a counting sort, stable in enumeration order.
-        std::uint64_t next = frag->slot_edges.size();
-        cursor.clear();
-        for (std::size_t b = first_bloom; b < frag->bloom_count.size(); ++b) {
-          cursor.push_back(next);
-          next += frag->bloom_count[b];
-        }
-        frag->slot_edges.resize(next);
-        for (const AnchorWedge& wedge : anchor_wedges) {
-          frag->slot_edges[cursor[wedge.bloom]++] = wedge.edges;
-        }
-        anchor_wedges.clear();
-        first_bloom = frag->bloom_count.size();
-      });
+  std::vector<SupportT>& count = scratch.count;
+  std::vector<SupportT>& base = scratch.base;
+  std::vector<std::uint64_t>& cursor = scratch.cursor;
+  std::vector<VertexId>& touched = scratch.touched;
+  std::vector<AnchorWedge>& wedges = scratch.wedges;
+  for (VertexId ur = anchor_begin; ur < anchor_end; ++ur) {
+    internal::ForEachAnchorWedge(a, ur, [&](const Entry& v, const Entry& w) {
+      if (count[w.rank]++ == 0) touched.push_back(w.rank);
+      if (has_assigned && assigned[v.edge] && assigned[w.edge]) {
+        // Both bitruss numbers known: fold into the bloom base count.
+        ++base[w.rank];
+        return;
+      }
+      wedges.push_back({{v.edge, w.edge}, w.rank});
+    });
+    std::uint64_t next = frag->slot_edges.size();
+    for (const VertexId wr : touched) {
+      const SupportT stored = count[wr] - base[wr];
+      if (count[wr] < 2 || stored == 0) continue;
+      cursor[wr] = next;
+      next += stored;
+      frag->bloom_count.push_back(stored);
+      frag->bloom_base.push_back(base[wr]);
+    }
+    frag->slot_edges.resize(next);
+    for (const AnchorWedge& wedge : wedges) {
+      if (count[wedge.endpoint] < 2) continue;
+      frag->slot_edges[cursor[wedge.endpoint]++] = wedge.edges;
+    }
+    for (const VertexId wr : touched) {
+      count[wr] = 0;
+      base[wr] = 0;
+    }
+    touched.clear();
+    wedges.clear();
+  }
 }
 
 template <typename AdjT>
@@ -244,17 +220,28 @@ BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
   // on which thread ran which chunk.  A 1-thread pool runs one chunk
   // inline, whose fragment becomes the index as is.
   const unsigned num_threads = pool.NumThreads();
-  const unsigned num_chunks =
-      num_threads == 1 ? 1 : num_threads * kChunksPerThread;
+  const std::vector<std::uint64_t> work = internal::AnchorWorkPrefix(a);
+  const std::vector<VertexId> bounds = internal::AnchorChunkBounds(
+      work, num_threads == 1 ? 1 : num_threads * kChunksPerThread);
+  const unsigned num_chunks = static_cast<unsigned>(bounds.size() - 1);
+  // All the enumeration writes is allocated here, sized from the work
+  // bounds, so no worker allocates: freed memory stays resident in the
+  // allocator arena of the thread that allocated it.
   std::vector<BuildFragment> fragments(num_chunks);
+  for (unsigned c = 0; c < num_chunks; ++c) {
+    fragments[c].Reserve(work[bounds[c + 1]] - work[bounds[c]]);
+  }
+  std::uint64_t widest = 0;
+  for (VertexId r = 0; r < n; ++r) {
+    widest = std::max(widest, work[r + 1] - work[r]);
+  }
   std::vector<BuildScratch> scratch(num_threads);
+  for (BuildScratch& s : scratch) s.Prepare(n, widest);
   pool.ParallelForChunks(
-      0, n, num_chunks,
-      [&](std::uint64_t begin, std::uint64_t end, unsigned chunk,
-          unsigned thread) {
-        if (!scratch[thread].Prepared()) scratch[thread].Prepare(n);
-        EnumerateFragment(a, static_cast<VertexId>(begin),
-                          static_cast<VertexId>(end), assigned,
+      0, num_chunks, num_chunks,
+      [&](std::uint64_t, std::uint64_t, unsigned chunk, unsigned thread) {
+        if (bounds[chunk] == bounds[chunk + 1]) return;
+        EnumerateFragment(a, bounds[chunk], bounds[chunk + 1], assigned,
                           scratch[thread], &fragments[chunk]);
       });
   scratch.clear();
@@ -289,24 +276,15 @@ BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
                             frag.bloom_base.end());
     frag = BuildFragment();  // release as we go
   }
-
-  // Every wedge starts in its own slot: wedge ids are slots.
   index.bloom_offsets.assign(num_blooms + 1, 0);
-  index.wedge_bloom.resize(num_wedges);
   for (BloomId b = 0; b < num_blooms; ++b) {
-    const std::uint32_t begin = index.bloom_offsets[b];
-    const std::uint32_t end = begin + index.bloom_live[b];
-    index.bloom_offsets[b + 1] = end;
-    std::fill(index.wedge_bloom.begin() + begin,
-              index.wedge_bloom.begin() + end, b);
+    index.bloom_offsets[b + 1] = index.bloom_offsets[b] + index.bloom_live[b];
   }
-  index.bloom_slots.resize(num_wedges);
-  std::iota(index.bloom_slots.begin(), index.bloom_slots.end(), WedgeId{0});
-  index.wedge_slot = index.bloom_slots;
-  index.wedge_alive.assign(num_wedges, 1);
 
-  // Static per-edge CSR, filled in slot order, so each edge's wedges are
-  // in increasing id order.
+  // Static per-edge links, filled bloom by bloom, so each edge's links
+  // ascend by bloom.  edge_offsets[e] is edge e's fill cursor, so it ends
+  // at edge e + 1's start; shifting the array one place right restores
+  // the starts.
   index.edge_offsets.assign(num_edges + 1, 0);
   for (const BEIndex::WedgeEdges& pair : index.slot_edges) {
     ++index.edge_offsets[pair.e1 + 1];
@@ -315,14 +293,19 @@ BEIndex BuildImpl(EdgeId num_edges, const AdjT& a,
   for (EdgeId e = 0; e < num_edges; ++e) {
     index.edge_offsets[e + 1] += index.edge_offsets[e];
   }
-  index.edge_wedges.resize(2 * num_wedges);
-  std::vector<std::uint64_t> cursor(index.edge_offsets.begin(),
-                                    index.edge_offsets.end() - 1);
-  for (std::uint64_t w = 0; w < num_wedges; ++w) {
-    const BEIndex::WedgeEdges& pair = index.slot_edges[w];
-    index.edge_wedges[cursor[pair.e1]++] = static_cast<WedgeId>(w);
-    index.edge_wedges[cursor[pair.e2]++] = static_cast<WedgeId>(w);
+  index.edge_links.resize(2 * num_wedges);
+  for (BloomId b = 0; b < num_blooms; ++b) {
+    for (std::uint32_t slot = index.bloom_offsets[b];
+         slot < index.bloom_offsets[b + 1]; ++slot) {
+      const BEIndex::WedgeEdges& pair = index.slot_edges[slot];
+      index.edge_links[index.edge_offsets[pair.e1]++] = {b, pair.e2};
+      index.edge_links[index.edge_offsets[pair.e2]++] = {b, pair.e1};
+    }
   }
+  for (EdgeId e = num_edges; e > 0; --e) {
+    index.edge_offsets[e] = index.edge_offsets[e - 1];
+  }
+  index.edge_offsets[0] = 0;
   return index;
 }
 

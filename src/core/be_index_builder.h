@@ -14,17 +14,16 @@
 // Layout.  The index is bloom-major: each bloom owns a contiguous run of
 // slots, [bloom_offsets[b], bloom_offsets[b+1]), whose first bloom_live[b]
 // slots are its live wedges.  slot_edges holds a wedge's two edges (e1,
-// e2) in its slot, so the peel walks a bloom's wedge pairs in sequence
-// instead of one random read per wedge.  A wedge's id is the slot the
-// build places it in: blooms are numbered in the order their first stored
-// wedge is enumerated, and each bloom's run keeps its wedges in
-// enumeration order, so bloom_slots and wedge_slot start as the identity.
-// KillWedge swap-removes a wedge from the live prefix in O(1), swapping
-// bloom_slots, slot_edges and wedge_slot together; from then on a wedge's
-// slot and its id differ.  Per wedge id the index keeps only its bloom,
-// its liveness and its slot; Twin reads the pair through wedge_slot.  A
-// static per-edge CSR (edge_offsets, edge_wedges) lists each edge's wedge
-// ids in increasing order.
+// e2) in its slot, so the peel walks a bloom's wedge pairs in sequence.
+// Blooms are numbered in the order the enumeration first meets their
+// endpoint (one whose wedges all fold into a compressed base gets none),
+// and each run keeps its wedges in enumeration order.  A static per-edge
+// CSR (edge_offsets, edge_links) gives each edge one {bloom, twin} link
+// per wedge containing it, by ascending bloom (an edge lies in at most one
+// wedge of a bloom).  Wedges have no ids: a wedge is alive while neither
+// edge is removed, so the peel reads liveness off its own per-edge state
+// and keeps each live prefix itself (peeling_state.h).  24 bytes per
+// wedge: one 8-byte slot pair and two 8-byte links.
 //
 // BuildCompressed implements BiT-PC's compressed index: edges outside the
 // candidate subgraph are excluded entirely, and wedges whose two edges both
@@ -56,22 +55,25 @@ struct BEIndex {
     }
   };
 
-  // Per wedge id.
-  std::vector<BloomId> wedge_bloom;
-  std::vector<std::uint8_t> wedge_alive;
-  std::vector<std::uint32_t> wedge_slot;  ///< position within the bloom slots
+  /// One wedge of an edge: its bloom and the wedge's other edge.
+  struct Link {
+    BloomId bloom;
+    EdgeId twin;
+    bool operator==(const Link& o) const {
+      return bloom == o.bloom && twin == o.twin;
+    }
+  };
 
-  // Static per-edge CSR of wedge ids (never mutated during peeling).
+  // Static per-edge CSR of links (never mutated during peeling).
   // 64-bit: it holds two entries per wedge, up to 2^33.
   std::vector<std::uint64_t> edge_offsets;  ///< size num_edges + 1
-  std::vector<WedgeId> edge_wedges;
+  std::vector<Link> edge_links;
 
   // Per-bloom wedge slots; [bloom_offsets[b], bloom_offsets[b]+bloom_live[b])
-  // is the live prefix, maintained by swap-remove.
+  // is the live prefix, which the peel keeps.
   // 32-bit: one slot per wedge, and the build caps wedges at 2^32.
   std::vector<std::uint32_t> bloom_offsets;  ///< size NumBlooms() + 1
-  std::vector<WedgeId> bloom_slots;      ///< wedge id in each slot
-  std::vector<WedgeEdges> slot_edges;    ///< that wedge's edges, same slot
+  std::vector<WedgeEdges> slot_edges;    ///< each slot's wedge edges
   std::vector<SupportT> bloom_live;
   std::vector<SupportT> bloom_base;  ///< compressed (both-assigned) wedges
 
@@ -82,24 +84,11 @@ struct BEIndex {
   /// Current k(B): live stored wedges plus the compressed base.
   SupportT BloomK(BloomId b) const { return bloom_base[b] + bloom_live[b]; }
 
-  /// The other edge of wedge w, which contains edge e.
-  EdgeId Twin(WedgeId w, EdgeId e) const {
-    const WedgeEdges& pair = slot_edges[wedge_slot[w]];
-    return pair.e1 == e ? pair.e2 : pair.e1;
-  }
-
-  /// Removes wedge w from its bloom's live prefix (O(1)) and marks it dead:
-  /// w and its pair trade slots with the prefix's last wedge, so the dead
-  /// wedges of a bloom sit right after its live prefix, latest first.
-  void KillWedge(WedgeId w);
-
-  /// Number of live wedges containing edge e.
-  std::uint32_t EdgeLiveCount(EdgeId e) const;
-
-  /// sup(e) = sum of (k(B) - 1) over live wedges of e (Lemma 4).  Edges
-  /// without wedges (or excluded from a compressed index) read 0.  Runs
-  /// over edge ranges of `pool` (each edge is an independent read), or
-  /// inline without one; bit-identical at every thread count.
+  /// sup(e) = sum of (k(B) - 1) over the links of e (Lemma 4), for an
+  /// index no peel has touched.  Edges without wedges (or excluded from a
+  /// compressed index) read 0.  Runs over edge ranges of `pool` (each
+  /// edge is an independent read), or inline without one; bit-identical
+  /// at every thread count.
   std::vector<SupportT> ComputeSupports(ThreadPool* pool = nullptr) const;
 
   std::uint64_t MemoryBytes() const;
@@ -118,8 +107,9 @@ class BEIndexBuilder {
   /// {e : included[e] != 0} and folding wedges whose two edges are both
   /// `assigned` into the bloom base counts; wedges with an excluded edge
   /// are dropped entirely.  Either vector may be empty, meaning "nothing
-  /// assigned" and "all edges".  The anchors are split into chunks run
-  /// over `pool` (one inline chunk without one); each chunk places its
+  /// assigned" and "all edges".  The anchors are split into chunks of
+  /// about equal wedge work run over `pool` (one inline chunk without
+  /// one or at one thread); each chunk places its
   /// wedges in its own contiguous run of slots, and the runs are
   /// concatenated in anchor order, so the result is byte-identical at
   /// every thread count.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <type_traits>
 
 #include "butterfly/butterfly_counting.h"
 #include "core/be_index_builder.h"
@@ -257,17 +258,20 @@ BitrussResult DecomposeGraph(const GraphT& g, EdgeId m,
   const PriorityAdjacency adj(g, priority);
   // BU, BU+ and BU++ peel the full BE-Index, whose blooms already hold
   // every support (Lemma 4), so one wedge enumeration serves both the
-  // index and the counts.  BS and PC have no full index and count.
+  // index and the counts.  BS and PC have no full index and count.  A
+  // slot table maintains its supports (a free slot reads 0).
   const bool indexed = options.algorithm == Algorithm::kBU ||
                        options.algorithm == Algorithm::kBUPlus ||
                        options.algorithm == Algorithm::kBUPlusPlus;
   BEIndex index;
+  if (indexed) index = BEIndexBuilder::BuildCompressed(m, adj, {}, {}, &pool);
   std::vector<SupportT> sup;
-  if (indexed) {
-    index = BEIndexBuilder::BuildCompressed(m, adj, {}, {}, &pool);
-    sup = index.ComputeSupports(&pool);
+  if constexpr (std::is_same_v<GraphT, DynamicBipartiteGraph>) {
+    sup.resize(m);
+    for (EdgeId e = 0; e < m; ++e) sup[e] = g.Support(e);
   } else {
-    sup = CountEdgeSupports(m, adj, &pool);
+    sup = indexed ? index.ComputeSupports(&pool)
+                  : CountEdgeSupports(m, adj, &pool);
   }
   result.original_support = sup;
   std::uint64_t support_sum = 0;

@@ -20,7 +20,8 @@
 // its blooms (Lemma 4), so the phase is one wedge enumeration plus a scan
 // and the peel takes the built index.  kBS and kPC run the butterfly
 // counting pass (CountEdgeSupports) instead; kPC builds its compressed
-// indexes round by round.
+// indexes round by round.  The slot-table overload below reads every
+// support off the slot table, which maintains them.
 //
 // Two overloads run the same pipeline.  The CSR one decomposes a
 // BipartiteGraph over its edge ids [0, NumEdges()).  The slot-table one

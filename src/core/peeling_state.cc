@@ -123,15 +123,15 @@ Peeler::Peeler(BEIndex index, std::vector<SupportT> support,
                std::vector<std::uint8_t> frozen, UpdateCounters* counters)
     : index_(std::move(index)),
       support_(std::move(support)),
-      done_(frozen.empty() ? std::vector<std::uint8_t>(index_.num_edges, 0)
-                           : std::move(frozen)),
+      state_(frozen.empty() ? std::vector<std::uint8_t>(index_.num_edges)
+                            : std::move(frozen)),
       counters_(counters),
       track_per_edge_(!counters->per_edge_updates.empty()),
-      queue_(support_, done_) {}
+      queue_(support_, state_) {}
 
 void Peeler::ApplyUpdate(EdgeId e, SupportT delta) {
-  if (done_[e]) return;
-  ++counters_->support_updates;
+  if (state_[e] != kOpen) return;
+  ++updates_;
   if (track_per_edge_) ++counters_->per_edge_updates[e];
   const SupportT old = support_[e];
   const SupportT now = old > delta ? old - delta : 0;
@@ -143,61 +143,72 @@ void Peeler::ApplyUpdate(EdgeId e, SupportT delta) {
 void Peeler::RemoveEdgeWedges(EdgeId e) {
   for (std::uint64_t i = index_.edge_offsets[e]; i < index_.edge_offsets[e + 1];
        ++i) {
-    const WedgeId w = index_.edge_wedges[i];
-    if (!index_.wedge_alive[w]) continue;
-    const BloomId b = index_.wedge_bloom[w];
-    const std::uint32_t own = index_.wedge_slot[w];
-    ApplyUpdate(index_.Twin(w, e), index_.BloomK(b) - 1);
+    const BEIndex::Link link = index_.edge_links[i];
+    if (state_[link.twin] == kRemoved) continue;  // the wedge is dead
+    const BloomId b = link.bloom;
+    ApplyUpdate(link.twin, index_.BloomK(b) - 1);
+    // Every other live wedge of b loses its butterfly with e's own, the
+    // live slot whose pair holds e.
     const std::uint32_t begin = index_.bloom_offsets[b];
-    const std::uint32_t end = begin + index_.bloom_live[b];
-    for (std::uint32_t slot = begin; slot < end; ++slot) {
-      if (slot == own) continue;
+    const std::uint32_t last = begin + index_.bloom_live[b] - 1;
+    std::uint32_t own = last;
+    for (std::uint32_t slot = begin; slot <= last; ++slot) {
       const BEIndex::WedgeEdges& pair = index_.slot_edges[slot];
+      if (pair.e1 == e || pair.e2 == e) {
+        own = slot;
+        continue;
+      }
       ApplyUpdate(pair.e1, 1);
       ApplyUpdate(pair.e2, 1);
     }
-    index_.KillWedge(w);
+    std::swap(index_.slot_edges[own], index_.slot_edges[last]);
+    --index_.bloom_live[b];
   }
+  state_[e] = kRemoved;
 }
 
 void Peeler::ProcessBatchBlooms(const std::vector<EdgeId>& batch) {
   if (bloom_killed_.empty()) bloom_killed_.assign(index_.NumBlooms(), 0);
-  // Kill every wedge of the batch first (a wedge with both edges in the
-  // batch dies once), counting t per bloom.
+  // Kill: count the t live wedges each bloom loses, a wedge with both
+  // edges taken from its smaller edge only.
   for (const EdgeId e : batch) {
     for (std::uint64_t i = index_.edge_offsets[e];
          i < index_.edge_offsets[e + 1]; ++i) {
-      const WedgeId w = index_.edge_wedges[i];
-      if (!index_.wedge_alive[w]) continue;
-      const BloomId b = index_.wedge_bloom[w];
+      const auto [b, twin] = index_.edge_links[i];
+      if (state_[twin] == kRemoved || (state_[twin] == kTaken && twin < e)) {
+        continue;
+      }
       if (bloom_killed_[b]++ == 0) dirty_blooms_.push_back(b);
-      index_.KillWedge(w);
     }
   }
+  // Scan: partition each dirty bloom's live prefix, keeping the wedges
+  // without a taken edge in order.  A dead wedge's surviving twin loses
+  // its k(B) - 1 butterflies in the bloom (k(B) from before the batch);
+  // each survivor's edges lose one per dead wedge, t.
   for (const BloomId b : dirty_blooms_) {
     const SupportT t = bloom_killed_[b];
     bloom_killed_[b] = 0;
-    // KillWedge parked this batch's t dead wedges in the slots right after
-    // the live prefix, and k(B) before the batch was the live k plus t.
-    const SupportT kb = index_.BloomK(b) + t;
+    const SupportT kb = index_.BloomK(b);
     const std::uint32_t begin = index_.bloom_offsets[b];
-    const std::uint32_t live_end = begin + index_.bloom_live[b];
-    // Surviving twin of each dead wedge loses every butterfly it formed in
-    // this bloom: one bulk update of k(B) - 1.
-    for (std::uint32_t slot = live_end; slot < live_end + t; ++slot) {
-      const BEIndex::WedgeEdges& pair = index_.slot_edges[slot];
-      ApplyUpdate(pair.e1, kb - 1);
-      ApplyUpdate(pair.e2, kb - 1);
-    }
-    // Each surviving wedge pairs with each of the t dead wedges: one -t
-    // update per endpoint.
-    for (std::uint32_t slot = begin; slot < live_end; ++slot) {
-      const BEIndex::WedgeEdges& pair = index_.slot_edges[slot];
+    const std::uint32_t end = begin + index_.bloom_live[b];
+    std::uint32_t live = begin;
+    for (std::uint32_t slot = begin; slot < end; ++slot) {
+      const BEIndex::WedgeEdges pair = index_.slot_edges[slot];
+      const bool e1_taken = state_[pair.e1] == kTaken;
+      if (e1_taken || state_[pair.e2] == kTaken) {
+        ApplyUpdate(e1_taken ? pair.e2 : pair.e1, kb - 1);  // the twin
+        continue;
+      }
+      if (live != slot) index_.slot_edges[live] = pair;
+      ++live;
       ApplyUpdate(pair.e1, t);
       ApplyUpdate(pair.e2, t);
     }
+    assert(end - live == t);
+    index_.bloom_live[b] = live - begin;
   }
   dirty_blooms_.clear();
+  for (const EdgeId e : batch) state_[e] = kRemoved;
 }
 
 void Peeler::RemoveBatch(Mode mode, const std::vector<EdgeId>& batch) {

@@ -22,16 +22,18 @@
 //   kBatchBlooms additionally kills the batch's wedges first, counting the
 //                t each bloom loses, then gives each surviving twin of a
 //                dead wedge one -(k(B)-1) update and each surviving wedge
-//                endpoint one -t update (BiT-BU++).  KillWedge parks the t
-//                dead wedges right after the bloom's live prefix, so they
-//                are read from there.  Results are identical; only the
-//                number of update operations shrinks.
+//                endpoint one -t update (BiT-BU++).  Results are
+//                identical; only the number of update operations shrinks.
 //
-// Every bloom walk reads the index's slot_edges, the wedge pairs in bloom
-// slot order (be_index_builder.h), front to back: the update targets of a
-// bloom come from one contiguous run, not one wedge-id lookup per wedge.
-// Run takes its assignment callback as a template parameter, so the loop
-// makes no indirect call per peeled edge.
+// The index has no wedge ids (be_index_builder.h): a wedge is alive while
+// neither edge is removed, read off one state byte per edge, and the peel
+// keeps each bloom's live prefix itself.  kSingle and kBatchEdges find the
+// removed edge's slot in the bloom walk they make anyway and swap it out;
+// kBatchBlooms counts t through the batch edges' links (a wedge with both
+// edges taken is counted from its smaller edge), then partitions each
+// touched bloom in one front-to-back walk of its slot_edges run, giving
+// dead wedges' twins and survivors their updates on the way.  Run takes its
+// assignment callback as a template parameter: no indirect call per edge.
 //
 // Frozen edges (BiT-PC's assigned or out-of-candidate edges) are never
 // queued, never taken, and never updated; updates that would land on
@@ -117,9 +119,9 @@ class Peeler {
     kBatchBlooms,  ///< BiT-BU++
   };
 
-  /// `frozen` (empty means none) excludes edges from the peel.  Support
-  /// updates accumulate into `counters`, per edge as well when
-  /// counters->per_edge_updates is sized.
+  /// `frozen` (empty means none) is 1 (kFrozen) on each edge kept out of
+  /// the peel and 0 (kOpen) elsewhere.  Support updates accumulate into
+  /// `counters`, per edge as well when counters->per_edge_updates is sized.
   Peeler(BEIndex index, std::vector<SupportT> support,
          std::vector<std::uint8_t> frozen, UpdateCounters* counters);
 
@@ -132,19 +134,25 @@ class Peeler {
  private:
   static constexpr std::size_t kDeadlinePollInterval = 1024;
 
+  /// Only open edges are queued and updated; taken ones are being removed.
+  enum EdgeState : std::uint8_t { kOpen, kFrozen, kTaken, kRemoved };
+
   void ApplyUpdate(EdgeId e, SupportT delta);
   void RemoveEdgeWedges(EdgeId e);
   void ProcessBatchBlooms(const std::vector<EdgeId>& batch);
-  /// Applies Lemma 5's updates for a batch already marked done.
+  /// Applies Lemma 5's updates for a batch already marked taken, and
+  /// marks it removed.
   void RemoveBatch(Mode mode, const std::vector<EdgeId>& batch);
   /// Adds one Run's assignment steps to bitruss_core_peel_rounds_total.
   static void RecordRounds(std::uint64_t rounds);
 
   BEIndex index_;
   std::vector<SupportT> support_;
-  /// Edges out of the queue: frozen on entry or already peeled.
-  std::vector<std::uint8_t> done_;
+  std::vector<std::uint8_t> state_;  ///< an EdgeState per edge
   UpdateCounters* counters_;
+  /// The current Run's support updates, added to counters_ as it returns:
+  /// through counters_, every update reloads and stores the count.
+  std::uint64_t updates_ = 0;
   bool track_per_edge_;
   SupportBuckets queue_;
 
@@ -156,7 +164,7 @@ class Peeler {
 template <typename OnAssign>
 bool Peeler::Run(Mode mode, const Deadline& deadline, OnAssign&& on_assign) {
   // kSingle takes one edge per step; the batch modes take a whole level,
-  // all of it marked done before any update is applied.
+  // all of it marked taken before any update is applied.
   const std::size_t limit =
       mode == Mode::kSingle ? 1 : static_cast<std::size_t>(index_.num_edges);
   SupportT level = 0;
@@ -171,7 +179,7 @@ bool Peeler::Run(Mode mode, const Deadline& deadline, OnAssign&& on_assign) {
     ++rounds;
     level = std::max(level, at);
     for (const EdgeId e : batch) {
-      done_[e] = 1;
+      state_[e] = kTaken;
       on_assign(e, level);
     }
     RemoveBatch(mode, batch);
@@ -187,6 +195,8 @@ bool Peeler::Run(Mode mode, const Deadline& deadline, OnAssign&& on_assign) {
     }
   }
   RecordRounds(rounds);
+  counters_->support_updates += updates_;
+  updates_ = 0;
   return completed;
 }
 

@@ -1,8 +1,8 @@
 // Golden tests for butterfly counting on hand-computed graphs, plus the
 // vertex priority order and priority adjacency against sorted references,
 // the BE-Index support identity (Lemma 4), the two structures the peel
-// relies on (KillWedge's slot layout and the SupportBuckets queue) and
-// VerifyBitrussNumbers itself.
+// relies on (the index's links and slot pairs, and the SupportBuckets
+// queue) and VerifyBitrussNumbers itself.
 
 #include <gtest/gtest.h>
 
@@ -200,66 +200,25 @@ TEST(BEIndex, SupportIdentityMatchesDirectCounting) {
   EXPECT_GT(index.MemoryBytes(), 0u);
 }
 
-TEST(BEIndex, EdgeLiveCountSumsTwoPerWedge) {
+TEST(BEIndex, LinkCountsSumTwoPerWedge) {
   const BipartiteGraph g = CompleteBipartite(3, 3);
   const VertexPriority priority = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, priority);
   const BEIndex index = BEIndexBuilder::Build(g, adj);
   std::uint64_t incidences = 0;
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    incidences += index.EdgeLiveCount(e);
+    incidences += index.edge_offsets[e + 1] - index.edge_offsets[e];
   }
-  EXPECT_EQ(incidences, 2 * index.bloom_slots.size());
+  EXPECT_GT(index.slot_edges.size(), 0u);
+  EXPECT_EQ(incidences, 2 * index.slot_edges.size());
 }
 
-TEST(BEIndex, KillWedgeParksDeadWedgesAfterTheLivePrefix) {
-  // BiT-BU++ reads the wedges a batch killed in bloom b from the slots
-  // [live, live + t) right after the live prefix, so KillWedge must park
-  // them there, ahead of wedges killed by earlier batches.
-  const BipartiteGraph g = CompleteBipartite(4, 6);
-  const VertexPriority priority = VertexPriority::Compute(g);
-  const PriorityAdjacency adj(g, priority);
-  BEIndex index = BEIndexBuilder::Build(g, adj);
-  BloomId b = 0;
-  for (BloomId c = 1; c < index.NumBlooms(); ++c) {
-    if (index.bloom_live[c] > index.bloom_live[b]) b = c;
-  }
-  ASSERT_GE(index.bloom_live[b], 5u);
-  const std::uint64_t begin = index.bloom_offsets[b];
-  const auto kill_slots = [&](std::vector<std::uint64_t> offsets) {
-    std::vector<WedgeId> killed;
-    for (const std::uint64_t off : offsets) {
-      killed.push_back(index.bloom_slots[begin + off]);
-    }
-    for (const WedgeId w : killed) index.KillWedge(w);
-    std::sort(killed.begin(), killed.end());
-    return killed;
-  };
-
-  const WedgeId earlier = kill_slots({1}).front();  // an earlier batch
-  const SupportT live_before = index.bloom_live[b];
-  // First, last and a middle slot of the remaining live prefix.
-  const std::vector<WedgeId> killed =
-      kill_slots({0, live_before / 2, live_before - 1});
-  const SupportT live = index.bloom_live[b];
-  ASSERT_EQ(live, live_before - 3);
-
-  std::vector<WedgeId> parked(index.bloom_slots.begin() + begin + live,
-                              index.bloom_slots.begin() + begin + live + 3);
-  std::sort(parked.begin(), parked.end());
-  EXPECT_EQ(parked, killed);
-  EXPECT_EQ(index.bloom_slots[begin + live + 3], earlier);
-  for (std::uint64_t slot = begin; slot < begin + live; ++slot) {
-    const WedgeId w = index.bloom_slots[slot];
-    EXPECT_TRUE(index.wedge_alive[w]);
-    EXPECT_EQ(index.wedge_slot[w], slot);
-  }
-  for (const WedgeId w : killed) EXPECT_FALSE(index.wedge_alive[w]);
-}
-
-TEST(BEIndex, SlotPairsFollowTheirWedgeThroughKills) {
-  // The peel reads each wedge's edges from slot_edges in bloom slot order,
-  // so KillWedge must carry a wedge's pair along with its slot.
+TEST(BEIndex, LinksMirrorSlotPairs) {
+  // The peel finds a removed edge's wedges through its links and reads
+  // their pairs from the bloom runs, so the two must describe the same
+  // wedges: every slot's pair (e1, e2) in bloom b appears as {b, e2} in
+  // e1's links and {b, e1} in e2's, each edge's links ascend by bloom,
+  // and there are no others.  For the full build and a compressed one.
   ChungLuParams params;
   params.num_upper = 40;
   params.num_lower = 30;
@@ -268,69 +227,59 @@ TEST(BEIndex, SlotPairsFollowTheirWedgeThroughKills) {
   const BipartiteGraph g = GenerateChungLu(params);
   const VertexPriority priority = VertexPriority::Compute(g);
   const PriorityAdjacency adj(g, priority);
-  BEIndex index = BEIndexBuilder::Build(g, adj);
-  const WedgeId num_wedges = static_cast<WedgeId>(index.bloom_slots.size());
-  ASSERT_GT(num_wedges, 100u);
-
-  // The build numbers each wedge by its slot: the slot maps start as the
-  // identity, a wedge's bloom is the one whose run holds its id, and each
-  // edge's CSR list ascends.
-  for (WedgeId w = 0; w < num_wedges; ++w) {
-    EXPECT_EQ(index.bloom_slots[w], w);
-    EXPECT_EQ(index.wedge_slot[w], w);
-  }
-  for (BloomId b = 0; b < index.NumBlooms(); ++b) {
-    for (std::uint32_t w = index.bloom_offsets[b];
-         w < index.bloom_offsets[b + 1]; ++w) {
-      EXPECT_EQ(index.wedge_bloom[w], b) << "wedge " << w;
-    }
-  }
-  EXPECT_EQ(index.bloom_offsets.back(), num_wedges);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    for (std::uint64_t i = index.edge_offsets[e] + 1;
-         i < index.edge_offsets[e + 1]; ++i) {
-      EXPECT_LT(index.edge_wedges[i - 1], index.edge_wedges[i])
-          << "edge " << e;
-    }
-  }
-
-  // After the build, every wedge's pair holds both edges whose CSR lists
-  // the wedge.
-  std::vector<BEIndex::WedgeEdges> pair_of(num_wedges);
-  for (WedgeId w = 0; w < num_wedges; ++w) {
-    ASSERT_EQ(index.bloom_slots[index.wedge_slot[w]], w);
-    pair_of[w] = index.slot_edges[index.wedge_slot[w]];
-    EXPECT_EQ(index.Twin(w, pair_of[w].e1), pair_of[w].e2);
-    EXPECT_EQ(index.Twin(w, pair_of[w].e2), pair_of[w].e1);
-  }
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    for (std::uint64_t i = index.edge_offsets[e];
-         i < index.edge_offsets[e + 1]; ++i) {
-      const BEIndex::WedgeEdges& pair = pair_of[index.edge_wedges[i]];
-      EXPECT_TRUE(pair.e1 == e || pair.e2 == e) << "edge " << e;
-    }
-  }
-
-  // Kill a seeded random third of the wedges, in random order.
   Rng rng(7);
-  std::vector<WedgeId> doomed;
-  for (WedgeId w = 0; w < num_wedges; ++w) {
-    if (rng.Below(3) == 0) doomed.push_back(w);
+  std::vector<std::uint8_t> assigned(g.NumEdges());
+  std::vector<std::uint8_t> included(g.NumEdges());
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    assigned[e] = rng.Below(2) == 0;
+    included[e] = rng.Below(5) != 0;
   }
-  for (std::size_t i = doomed.size(); i > 1; --i) {
-    std::swap(doomed[i - 1], doomed[rng.Below(i)]);
-  }
-  for (const WedgeId w : doomed) index.KillWedge(w);
+  const BEIndex full = BEIndexBuilder::Build(g, adj);
+  const BEIndex compressed =
+      BEIndexBuilder::BuildCompressed(g.NumEdges(), adj, assigned, included);
+  ASSERT_GT(full.slot_edges.size(), 100u);
+  ASSERT_GT(compressed.slot_edges.size(), 0u);
+  ASSERT_LT(compressed.slot_edges.size(), full.slot_edges.size());
+  for (const BEIndex* index : {&full, &compressed}) {
+    SCOPED_TRACE(index == &full ? "full" : "compressed");
+    const std::uint64_t num_wedges = index->slot_edges.size();
+    ASSERT_EQ(index->bloom_offsets.size(), index->NumBlooms() + 1u);
+    EXPECT_EQ(index->bloom_offsets.front(), 0u);
+    EXPECT_EQ(index->bloom_offsets.back(), num_wedges);
+    ASSERT_EQ(index->edge_offsets.size(), g.NumEdges() + 1u);
+    EXPECT_EQ(index->edge_offsets.back(), 2 * num_wedges);
+    EXPECT_EQ(index->edge_links.size(), 2 * num_wedges);
 
-  std::vector<std::uint8_t> dead(num_wedges, 0);
-  for (const WedgeId w : doomed) dead[w] = 1;
-  for (WedgeId w = 0; w < num_wedges; ++w) {
-    const std::uint32_t slot = index.wedge_slot[w];
-    ASSERT_EQ(index.bloom_slots[slot], w);
-    EXPECT_EQ(index.slot_edges[slot], pair_of[w]) << "wedge " << w;
-    EXPECT_EQ(index.Twin(w, pair_of[w].e1), pair_of[w].e2) << "wedge " << w;
-    EXPECT_EQ(index.Twin(w, pair_of[w].e2), pair_of[w].e1) << "wedge " << w;
-    EXPECT_EQ(index.wedge_alive[w], dead[w] ? 0 : 1) << "wedge " << w;
+    const auto has_link = [&](EdgeId e, BEIndex::Link link) {
+      const auto first = index->edge_links.begin() + index->edge_offsets[e];
+      const auto last = index->edge_links.begin() + index->edge_offsets[e + 1];
+      return std::find(first, last, link) != last;
+    };
+    for (BloomId b = 0; b < index->NumBlooms(); ++b) {
+      // A fresh build: the whole run is live.
+      EXPECT_EQ(index->bloom_live[b],
+                index->bloom_offsets[b + 1] - index->bloom_offsets[b]);
+      EXPECT_GE(index->BloomK(b), 2u) << "bloom " << b;
+      for (std::uint32_t slot = index->bloom_offsets[b];
+           slot < index->bloom_offsets[b + 1]; ++slot) {
+        const BEIndex::WedgeEdges& pair = index->slot_edges[slot];
+        EXPECT_TRUE(has_link(pair.e1, {b, pair.e2})) << "slot " << slot;
+        EXPECT_TRUE(has_link(pair.e2, {b, pair.e1})) << "slot " << slot;
+        if (index == &compressed) {
+          EXPECT_FALSE(assigned[pair.e1] && assigned[pair.e2]) << slot;
+        }
+      }
+    }
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      if (index == &compressed && !included[e]) {
+        EXPECT_EQ(index->edge_offsets[e + 1], index->edge_offsets[e]);
+      }
+      for (std::uint64_t i = index->edge_offsets[e] + 1;
+           i < index->edge_offsets[e + 1]; ++i) {
+        EXPECT_LT(index->edge_links[i - 1].bloom, index->edge_links[i].bloom)
+            << "edge " << e;
+      }
+    }
   }
 }
 

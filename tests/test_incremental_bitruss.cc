@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "butterfly/butterfly_counting.h"
+#include "core/be_index_builder.h"
 #include "core/decompose.h"
 #include "core/local_peel.h"
 #include "differential_oracle.h"
@@ -28,6 +29,7 @@
 #include "gen/dataset_suite.h"
 #include "gen/random_bipartite.h"
 #include "graph/bipartite_graph.h"
+#include "graph/vertex_priority.h"
 #include "obs/metrics.h"
 #include "serve/bitruss_service.h"
 #include "util/random.h"
@@ -224,6 +226,40 @@ TEST(IncrementalBitruss, StaleSlotIdsAfterCompactionReadZero) {
   const auto freed = inc.CheckedPhi(victim);
   ASSERT_FALSE(freed.ok());
   EXPECT_EQ(freed.status().code(), StatusCode::kNotFound);
+}
+
+// Decompose over a slot table starts from the supports the table
+// maintains, for every algorithm, instead of counting them: after each
+// batch of a churn they must equal a fresh Lemma-4 scan of the table's
+// BE-Index.
+TEST(IncrementalBitruss, SlotTableDecomposeStartsFromMaintainedSupports) {
+  const BipartiteGraph seed = MakeDataset("Writer", 0.03);
+  const std::vector<EdgeUpdate> ops = MakeStream(seed, 240, 9191);
+  DynamicBipartiteGraph graph(seed);
+  constexpr std::size_t kBatch = 40;
+  for (std::size_t begin = 0; begin < ops.size(); begin += kBatch) {
+    for (std::size_t i = begin; i < std::min(ops.size(), begin + kBatch);
+         ++i) {
+      ASSERT_TRUE(differential::ApplyTo(graph, ops[i]).ok()) << "op " << i;
+    }
+    const VertexPriority priority = VertexPriority::Compute(graph);
+    const PriorityAdjacency adj(graph, priority);
+    const std::vector<SupportT> fresh =
+        BEIndexBuilder::BuildCompressed(graph.NumSlots(), adj, {}, {})
+            .ComputeSupports();
+    ASSERT_GT(graph.NumButterflies(), 0u);
+    for (const Algorithm algorithm :
+         {Algorithm::kBS, Algorithm::kBU, Algorithm::kBUPlusPlus,
+          Algorithm::kPC}) {
+      DecomposeOptions options;
+      options.algorithm = algorithm;
+      const BitrussResult result = Decompose(graph, options);
+      EXPECT_EQ(result.original_support, fresh)
+          << "after " << begin + kBatch << " ops, algorithm "
+          << static_cast<int>(algorithm);
+      EXPECT_EQ(result.total_butterflies, graph.NumButterflies());
+    }
+  }
 }
 
 TEST(IncrementalBitruss, StatsPlumbing) {

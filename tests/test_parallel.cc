@@ -1,17 +1,21 @@
 // The parallel execution layer: ThreadPool/ParallelFor semantics, parallel
-// counting and BE-Index construction equivalence, and Decompose() with a
-// thread pool vs the sequential decomposition across the dataset suite,
-// including run-to-run determinism at 8 threads.
+// counting and BE-Index construction equivalence, their work-balanced
+// anchor chunks, and Decompose() with a thread pool vs the sequential
+// decomposition across the dataset suite, including run-to-run
+// determinism at 8 threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "butterfly/butterfly_counting.h"
+#include "butterfly/wedge_enumeration.h"
 #include "core/be_index_builder.h"
 #include "core/decompose.h"
 #include "gen/dataset_suite.h"
@@ -164,15 +168,11 @@ void ExpectSameIndex(const BEIndex& got, const BEIndex& expect,
                      const std::string& label) {
   EXPECT_EQ(got.num_edges, expect.num_edges) << label;
   EXPECT_EQ(got.slot_edges, expect.slot_edges) << label;
-  EXPECT_EQ(got.wedge_bloom, expect.wedge_bloom) << label;
-  EXPECT_EQ(got.wedge_alive, expect.wedge_alive) << label;
-  EXPECT_EQ(got.wedge_slot, expect.wedge_slot) << label;
   EXPECT_EQ(got.bloom_offsets, expect.bloom_offsets) << label;
-  EXPECT_EQ(got.bloom_slots, expect.bloom_slots) << label;
   EXPECT_EQ(got.bloom_live, expect.bloom_live) << label;
   EXPECT_EQ(got.bloom_base, expect.bloom_base) << label;
   EXPECT_EQ(got.edge_offsets, expect.edge_offsets) << label;
-  EXPECT_EQ(got.edge_wedges, expect.edge_wedges) << label;
+  EXPECT_EQ(got.edge_links, expect.edge_links) << label;
 }
 
 TEST(ParallelBEIndex, BuildIsByteIdenticalToSequential) {
@@ -196,7 +196,7 @@ TEST(ParallelBEIndex, BuildIsByteIdenticalToSequential) {
     for (const SupportT base : expect_pc.bloom_base) folded += base;
     ASSERT_GT(folded, 0u) << name;
     ASSERT_GT(expect_pc.slot_edges.size(), 0u) << name;
-    for (const unsigned threads : {2u, 4u, 8u}) {
+    for (const unsigned threads : kThreadCounts) {
       ThreadPool pool(threads);
       const std::string label =
           std::string(name) + " x" + std::to_string(threads);
@@ -208,6 +208,49 @@ TEST(ParallelBEIndex, BuildIsByteIdenticalToSequential) {
       ExpectSameIndex(got_pc, expect_pc, label + " compressed");
       EXPECT_EQ(got_pc.ComputeSupports(&pool), expect_pc.ComputeSupports())
           << label << " compressed";
+    }
+  }
+}
+
+TEST(ParallelBEIndex, AnchorChunksCarryAboutEqualWork) {
+  // The pooled build and count cut their anchor chunks by wedge-walk work,
+  // not by vertex count: each chunk carries at most an equal share plus
+  // one anchor's work, while equal vertex counts would put nearly all of
+  // it in the first chunk.
+  for (const char* name : {"Github", "D-style"}) {
+    const BipartiteGraph g = MakeDataset(name, kSuiteScale);
+    const VertexPriority priority = VertexPriority::Compute(g);
+    const PriorityAdjacency adj(g, priority);
+    const VertexId n = adj.NumVertices();
+    std::vector<std::uint64_t> work(n, 1);
+    for (VertexId r = 0; r < n; ++r) {
+      const auto nu = adj.Neighbors(r);
+      for (const auto* v = adj.FirstBelowPriority(r, r); v != nu.end(); ++v) {
+        work[r] += adj.Neighbors(v->rank).size();
+      }
+    }
+    const std::uint64_t total =
+        std::accumulate(work.begin(), work.end(), std::uint64_t{0});
+    const std::uint64_t widest = *std::max_element(work.begin(), work.end());
+    const std::vector<std::uint64_t> prefix = internal::AnchorWorkPrefix(adj);
+    ASSERT_EQ(prefix.size(), n + 1u);
+    EXPECT_EQ(prefix.back(), total);
+    EXPECT_EQ(internal::AnchorChunkBounds(prefix, 1),
+              (std::vector<VertexId>{0, n}));
+    for (const unsigned chunks : {2u, 8u, 32u}) {
+      const std::vector<VertexId> bounds =
+          internal::AnchorChunkBounds(prefix, chunks);
+      ASSERT_EQ(bounds.size(), chunks + 1u) << name;
+      EXPECT_EQ(bounds.front(), 0u) << name;
+      EXPECT_EQ(bounds.back(), n) << name;
+      for (unsigned c = 0; c < chunks; ++c) {
+        ASSERT_LE(bounds[c], bounds[c + 1]) << name << " chunk " << c;
+        const std::uint64_t chunk_work =
+            std::accumulate(work.begin() + bounds[c],
+                            work.begin() + bounds[c + 1], std::uint64_t{0});
+        EXPECT_LE(chunk_work, total / chunks + 1 + widest)
+            << name << " chunk " << c << " of " << chunks;
+      }
     }
   }
 }
